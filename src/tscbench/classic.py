@@ -101,8 +101,6 @@ class WebsterController(Controller):
     def _ensure_greens(self, view):
         if self._greens is None:
             # no data yet: minimum cycle, equal splits
-            n = view.n_phases
-            R = self.cfg.R if self.cfg.R is not None else 5 * n
             _, self._greens = webster_timings({}, self.cfg,
                                               view.intersection.phases)
 
@@ -188,8 +186,9 @@ class SotlController(Controller):
         cfg = self.cfg
         if view.t_p <= cfg.g_min:
             return HOLD
-        green_inc = view.intersection.phases[view.current_phase].incoming
-        n = sum(view.count(lid, cfg.omega) for lid in green_inc)
+        n = 0
+        for lid in view.intersection.phases[view.current_phase].incoming:
+            n += view.count(lid, cfg.omega)
         if (n > cfg.mu or n == 0) and self.kappa > cfg.theta:
             self.kappa = 0.0
             return NextPhase((view.current_phase + 1) % view.n_phases)

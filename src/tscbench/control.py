@@ -292,13 +292,11 @@ class SignalUnit:
         self.view = IntersectionView(net, iid, sim, self.seq)
 
     def advance(self):
-        self.controller.tick(self.view)
-        if self.seq.in_interphase:
+        controller, seq, view = self.controller, self.seq, self.view
+        controller.tick(view)
+        kind = seq.kind
+        if kind == YELLOW or (kind == ALLRED and not seq.idle):  # interphase
             decision = HOLD
         else:
-            decision = self.controller.decide(self.view)
-        return sequencer_advance(self.seq, decision,
-                                 self.controller.duration_bounds)
-
-    def after_step(self) -> None:
-        """Hook called once per second after the simulator has stepped."""
+            decision = controller.decide(view)
+        return sequencer_advance(seq, decision, controller.duration_bounds)

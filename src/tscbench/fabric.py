@@ -133,8 +133,12 @@ class Learner:
             del recent[:-100]
         self.received += 1
 
-    def try_train(self) -> ParameterUpdateMsg | None:
-        """Train the next intersection in strict round-robin, if warm."""
+    def try_train(self, publish: bool = True) -> ParameterUpdateMsg | None:
+        """Train the next intersection in strict round-robin, if warm.
+
+        Returns the fresh acting parameters for the actors, or None if it
+        did not train or `publish` is false.
+        """
         if not self.assigned:
             return None
         iid = self.assigned[self._rr]
@@ -149,6 +153,8 @@ class Learner:
         self.log.append((time.monotonic() - self._t0, self.index, iid,
                          self.update_counts[iid], loss,
                          sum(recent) / len(recent) if recent else 0.0))
+        if not publish:
+            return None
         params = self.agents[iid].acting_params()
         return ParameterUpdateMsg(iid, params, params.version)
 
@@ -256,7 +262,7 @@ def _train_sync(net, demand, algo, seed, fabric, learner) -> TrainResult:
     def on_experience(exp):
         emitted[0] += 1
         learner.ingest(exp)
-        learner.try_train()
+        learner.try_train(publish=False)  # the actor shares these agents
 
     normalizers = {iid: RewardNormalizer() for iid in learner.agents}
     controllers = build_controllers(net, algo, learner.agents, seed,

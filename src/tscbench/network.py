@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 JAM_SPACING_M = 7.5  # 5 m vehicle + 2.5 m standstill gap
 
@@ -53,7 +54,7 @@ class Phase:
     id: int                       # index in the intersection's cycle
     green_movements: tuple        # of (incoming lane id, outgoing lane id)
 
-    @property
+    @cached_property
     def incoming(self) -> tuple:
         seen = []
         for inc, _ in self.green_movements:
@@ -61,7 +62,7 @@ class Phase:
                 seen.append(inc)
         return tuple(seen)
 
-    @property
+    @cached_property
     def outgoing(self) -> tuple:
         seen = []
         for _, out in self.green_movements:

@@ -8,6 +8,7 @@ The simulator is a pure function of (network, demand, controllers, seed).
 
 from __future__ import annotations
 
+import functools
 import math
 import statistics
 
@@ -141,7 +142,18 @@ class MoELog:
 
 
 class Simulation:
-    """Mutable per-episode simulator state. Strictly single-threaded."""
+    """Mutable per-episode simulator state. Strictly single-threaded.
+
+    Every lane's vehicle list is ordered head first: positions never
+    increase from the front of the list to its back. Vehicles join a lane
+    at its tail at position 0, all vehicles of a lane move at the lane's
+    speed, and each queue slot lies one jam spacing behind the slot ahead,
+    so no step can reorder a lane. `count_within`, `queued_within` and
+    `delay_sum` rely on this order: their scan stops at the first vehicle
+    behind the bound. A vehicle leaves its lane in the step it exits, so
+    every vehicle on a lane is still travelling (`collect_moe` relies on
+    that).
+    """
 
     def __init__(self, net: NetworkModel, demand: DemandProfile, seed: int,
                  saturation_flow: float = DEFAULT_SATURATION_FLOW,
@@ -166,32 +178,63 @@ class Simulation:
         self.crossings_this_step = {}    # (iid, lane id) -> count
         self.nongreen_crossings = 0      # safety audit, must stay 0
 
+        # Static tables of the per-second loop. The vehicle lists stay in
+        # lane_vehicles, which callers may rebind.
+        lanes = net.lanes
         self._expected_cmd_keys = frozenset(ix.id for ix in net.intersections)
-        self._incoming_of = {ix.id: ix.incoming for ix in net.intersections}
-        self._phase_inc = {(ix.id, p.id): p.incoming
-                           for ix in net.intersections for p in ix.phases}
+        route_ff = {r: sum(lanes[l].free_flow_time for l in r)
+                    for r in net.routes}
+        # (entry lane, ((route, free-flow time), ...), per-second rates);
+        # a memoryview of the rate table indexes straight to a float
+        self._arrivals = tuple(
+            (lane, tuple((r, route_ff[r]) for r in net.routes_from(lane)),
+             memoryview(demand._table[lane]))
+            for lane in demand.entry_lanes)
         controlled = {lid for ix in net.intersections for lid in ix.incoming}
-        self._sink_lanes = frozenset(lid for lid in net.lanes
-                                     if lid not in controlled)
-        self._entry_routes = {lane: net.routes_from(lane)
-                              for lane in demand.entry_lanes}
-        self._route_ff = {r: sum(net.lanes[l].free_flow_time for l in r)
-                          for r in net.routes}
+        # (lane id, length, speed, jam spacing, queue stop lines or None for
+        # a sink lane), in lane order
+        self._lane_plan = tuple(
+            (lid, lane.length, lane.speed_limit, lane.spacing,
+             _stop_lines(lane.length, lane.spacing, lane.jam_capacity)
+             if lid in controlled else None)
+            for lid, lane in lanes.items())
+        # iid -> (incoming lanes, phase -> (green lanes as (lane id, stop
+        # line, free-flow time), red lanes))
+        self._signals = {
+            ix.id: (ix.incoming, {
+                p.id: (tuple((lid, lanes[lid].length - 1e-6,
+                              lanes[lid].free_flow_time)
+                             for lid in p.incoming),
+                       tuple(lid for lid in ix.incoming
+                             if lid not in p.incoming))
+                for p in ix.phases})
+            for ix in net.intersections}
+        # (iid, ((incoming lane id, speed), ...)) for collect_moe
+        self._incoming_speeds = tuple(
+            (ix.id, tuple((lid, lanes[lid].speed_limit) for lid in ix.incoming))
+            for ix in net.intersections)
 
     # -- queries used by controllers -------------------------------------
 
     def count_within(self, lane_id: str, bound: float) -> int:
-        lane = self.net.lanes[lane_id]
-        cut = lane.length - bound
+        vehs = self.lane_vehicles[lane_id]
+        cut = self.net.lanes[lane_id].length - bound
         if cut <= 0:
-            return len(self.lane_vehicles[lane_id])
-        return sum(1 for v in self.lane_vehicles[lane_id] if v.position >= cut)
+            return len(vehs)
+        for n, v in enumerate(vehs):
+            if v.position < cut:
+                return n
+        return len(vehs)
 
     def queued_within(self, lane_id: str, bound: float) -> int:
-        lane = self.net.lanes[lane_id]
-        cut = lane.length - bound
-        return sum(1 for v in self.lane_vehicles[lane_id]
-                   if v.queued and v.position >= cut)
+        cut = self.net.lanes[lane_id].length - bound
+        q = 0
+        for v in self.lane_vehicles[lane_id]:
+            if v.position < cut:
+                break
+            if v.queued:
+                q += 1
+        return q
 
     def capacity_within(self, lane_id: str, bound: float) -> int:
         lane = self.net.lanes[lane_id]
@@ -213,56 +256,62 @@ class Simulation:
             cut = -1.0 if bound is None else lane.length - bound
             speed = lane.speed_limit
             for v in self.lane_vehicles[lid]:
-                if v.position >= cut:
-                    total += vehicle_delay(v, now, speed)
+                if v.position < cut:
+                    break
+                total += vehicle_delay(v, now, speed)
         return total
 
     # -- dynamics ---------------------------------------------------------
 
     def step(self, commands: dict, dt: float = 1.0) -> None:
-        unknown = set(commands) - self._expected_cmd_keys
-        if unknown:
-            raise KeyError(f"command for unknown intersection(s) {sorted(unknown)}")
-        missing = self._expected_cmd_keys - set(commands)
-        if missing:
-            raise KeyError(f"missing command for intersection(s) {sorted(missing)}")
+        if commands.keys() != self._expected_cmd_keys:
+            unknown = set(commands) - self._expected_cmd_keys
+            if unknown:
+                raise KeyError(
+                    f"command for unknown intersection(s) {sorted(unknown)}")
+            missing = self._expected_cmd_keys - set(commands)
+            raise KeyError(
+                f"missing command for intersection(s) {sorted(missing)}")
 
         t = self.t
         lanes = self.net.lanes
         lane_vehicles = self.lane_vehicles
         self.exited_this_step = []
-        self.crossings_this_step = {}
+        self.crossings_this_step = crossings = {}
 
         # (a) arrivals
         if t < self.inject_until:
-            for entry, routes in self._entry_routes.items():
-                rate = self.demand.rate(entry, t)
-                draw = self.rng.random()
+            rng = self.rng
+            i = int(t)
+            for entry, routes, rates in self._arrivals:
+                rate = rates[i] if 0 <= i < len(rates) else 0.0
+                draw = rng.random()
                 if rate <= 0.0 or draw >= rate * dt / 3600.0:
                     continue
-                if len(lane_vehicles[entry]) >= lanes[entry].jam_capacity:
+                vehs = lane_vehicles[entry]
+                if len(vehs) >= lanes[entry].jam_capacity:
                     self.blocked += 1
                     continue
-                route = routes[int(self.rng.integers(len(routes)))] \
+                route, ff = routes[int(rng.integers(len(routes)))] \
                     if len(routes) > 1 else routes[0]
-                veh = Vehicle(self._next_vid, route, t, self._route_ff[route])
+                vehs.append(Vehicle(self._next_vid, route, t, ff))
                 self._next_vid += 1
                 self.injected += 1
-                lane_vehicles[entry].append(veh)
 
         # (b) advance free vehicles / join queues
-        for lid, vehs in lane_vehicles.items():
+        for lid, length, speed, spacing, stops in self._lane_plan:
+            vehs = lane_vehicles[lid]
             if not vehs:
                 continue
-            lane = lanes[lid]
-            length = lane.length
-            move = lane.speed_limit * dt
-            if lid in self._sink_lanes:
+            move = speed * dt
+            if stops is None:  # sink lane: free flow to the network exit
+                exit_at = length - _EPS
                 n_exit = 0
                 for v in vehs:
-                    v.position += move
+                    pos = v.position + move
+                    v.position = pos
                     v.queued = False
-                    if v.position >= length - _EPS:
+                    if pos >= exit_at:
                         if v.leg == len(v.route) - 1:
                             self._exit_vehicle(v)
                             n_exit += 1
@@ -271,61 +320,63 @@ class Simulation:
                 if n_exit:
                     del vehs[:n_exit]
             else:
-                spacing = lane.spacing
-                for i, v in enumerate(vehs):
-                    limit = length - spacing * i
-                    if v.position < limit - _EPS:
-                        v.position = min(v.position + move, limit)
-                    v.queued = v.position >= limit - _EPS
+                limits, queued_at = stops
+                if len(vehs) > len(limits):  # over capacity: only set by hand
+                    limits, queued_at = _stop_lines(length, spacing, len(vehs))
+                for v, limit, at in zip(vehs, limits, queued_at):
+                    pos = v.position
+                    if pos < at:
+                        pos += move
+                        if pos > limit:
+                            pos = limit
+                        v.position = pos
+                        v.queued = pos >= at
+                    else:
+                        v.queued = True
 
         # (c) saturation-headway discharge on green
         headway = self.headway
+        green_elapsed = self.green_elapsed
         for iid, indication in commands.items():
-            kind = indication[0]
-            if kind == GREEN:
-                green_inc = self._phase_inc[(iid, indication[1])]
-                for lid in self._incoming_of[iid]:
-                    if lid in green_inc:
-                        self.green_elapsed[lid] += dt
-                    else:
-                        self.green_elapsed[lid] = 0.0
-                for lid in green_inc:
-                    if self.green_elapsed[lid] < headway:
+            incoming, phases = self._signals[iid]
+            if indication[0] != GREEN:
+                for lid in incoming:
+                    green_elapsed[lid] = 0.0
+                continue
+            green, red = phases[indication[1]]
+            for lid in red:
+                green_elapsed[lid] = 0.0
+            for lid, stop_line, ff in green:
+                elapsed = green_elapsed[lid] = green_elapsed[lid] + dt
+                if elapsed < headway:
+                    continue
+                vehs = lane_vehicles[lid]
+                if not vehs:
+                    continue
+                head = vehs[0]
+                if not (head.queued and head.position >= stop_line):
+                    continue
+                if head.leg == len(head.route) - 1:
+                    del vehs[0]
+                    head.ff_completed += ff
+                    self._exit_vehicle(head)
+                else:
+                    nxt = head.route[head.leg + 1]
+                    target = lane_vehicles[nxt]
+                    if len(target) >= lanes[nxt].jam_capacity:
                         continue
-                    vehs = lane_vehicles[lid]
-                    if not vehs:
-                        continue
-                    head = vehs[0]
-                    if not (head.queued and
-                            head.position >= lanes[lid].length - 1e-6):
-                        continue
-                    if head.leg == len(head.route) - 1:
-                        vehs.pop(0)
-                        self._complete_leg(head, lanes[lid])
-                        self._exit_vehicle(head)
-                    else:
-                        target = head.route[head.leg + 1]
-                        if len(lane_vehicles[target]) >= lanes[target].jam_capacity:
-                            continue
-                        vehs.pop(0)
-                        self._complete_leg(head, lanes[lid])
-                        head.leg += 1
-                        head.position = 0.0
-                        head.queued = False
-                        lane_vehicles[target].append(head)
-                    self.green_elapsed[lid] = 0.0
-                    key = (iid, lid)
-                    self.crossings_this_step[key] = \
-                        self.crossings_this_step.get(key, 0) + 1
-            else:
-                for lid in self._incoming_of[iid]:
-                    self.green_elapsed[lid] = 0.0
+                    del vehs[0]
+                    head.ff_completed += ff
+                    head.leg += 1
+                    head.position = 0.0
+                    head.queued = False
+                    target.append(head)
+                green_elapsed[lid] = 0.0
+                key = (iid, lid)
+                crossings[key] = crossings.get(key, 0) + 1
 
         # (e) clock
         self.t = t + dt
-
-    def _complete_leg(self, veh: Vehicle, lane) -> None:
-        veh.ff_completed += lane.free_flow_time
 
     def _exit_vehicle(self, veh: Vehicle) -> None:
         veh.exit_time = self.t + 1.0  # leaves during this step
@@ -337,21 +388,40 @@ class Simulation:
         return self.injected == self.exited + self.total_vehicles()
 
 
+@functools.lru_cache(maxsize=256)
+def _stop_lines(length: float, spacing: float, n: int) -> tuple:
+    """Stop lines of a lane's first n queue slots, and the positions from
+    which a vehicle in each slot counts as queued.
+
+    Cached, so that every episode on a network shares one copy: building
+    them per episode leaves the float objects scattered over the heap and
+    raises the peak RSS of long runs.
+    """
+    limits = tuple(length - spacing * i for i in range(n))
+    return limits, tuple(x - _EPS for x in limits)
+
+
 def collect_moe(sim: Simulation, log: MoELog) -> None:
-    """Append one step's MoE increment; call once per step after step()."""
+    """Append one step's MoE increment; call once per step after step().
+
+    The delay sum inlines vehicle_delay for vehicles still on a lane and
+    skips its zero terms, which leaves the float sum unchanged.
+    """
     now = sim.t
     log.times.append(now)
-    for ix in sim.net.intersections:
+    lane_vehicles = sim.lane_vehicles
+    for iid, incoming in sim._incoming_speeds:
         q = 0
         d = 0.0
-        for lid in ix.incoming:
-            speed = sim.net.lanes[lid].speed_limit
-            for v in sim.lane_vehicles[lid]:
+        for lid, speed in incoming:
+            for v in lane_vehicles[lid]:
                 if v.queued:
                     q += 1
-                d += vehicle_delay(v, now, speed)
-        log.queue[ix.id].append(q)
-        log.delay[ix.id].append(d)
+                x = now - v.entry_time - (v.ff_completed + v.position / speed)
+                if x > 0.0:
+                    d += x
+        log.queue[iid].append(q)
+        log.delay[iid].append(d)
     for v in sim.exited_this_step:
         log.travel_times.append((v.exit_time, v.exit_time - v.entry_time))
     log.injected = sim.injected
@@ -381,18 +451,16 @@ def run_episode(net: NetworkModel, demand: DemandProfile, controllers: dict,
 
     sim = Simulation(net, demand, seed, saturation_flow=saturation_flow,
                      inject_until=horizon)
-    units = {ix.id: SignalUnit(net, ix.id, controllers[ix.id], sim)
-             for ix in net.intersections}
+    advances = tuple((ix.id, SignalUnit(net, ix.id, controllers[ix.id],
+                                        sim).advance)
+                     for ix in net.intersections)
     for ctrl in controllers.values():
         ctrl.begin_episode()
 
     log = MoELog([ix.id for ix in net.intersections])
 
     def one_second():
-        commands = {iid: unit.advance() for iid, unit in units.items()}
-        sim.step(commands)
-        for unit in units.values():
-            unit.after_step()
+        sim.step({iid: advance() for iid, advance in advances})
         collect_moe(sim, log)
 
     while sim.t < horizon:

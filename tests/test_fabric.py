@@ -53,6 +53,15 @@ class TestLearner:
         assert isinstance(msg, ParameterUpdateMsg)
         assert lrn.update_counts["x"] == 1
 
+    def test_unpublished_update_still_trains(self):
+        lrn = self.make(warmup=4)
+        for _ in range(4):
+            lrn.ingest(self.exp())
+        assert lrn.try_train(publish=False) is None
+        assert lrn.update_counts["x"] == 1
+        assert isinstance(lrn.try_train(), ParameterUpdateMsg)
+        assert lrn.update_counts["x"] == 2
+
     def test_round_robin_training_balance(self):
         agents = {"a": DqnAgent(4, 2, 0, DqnConfig(batch_size=2)),
                   "b": DqnAgent(4, 2, 1, DqnConfig(batch_size=2))}

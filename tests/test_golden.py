@@ -1,0 +1,85 @@
+"""Golden digests: fixed-seed episode outputs must stay bit-identical.
+
+Each digest hashes, as `float.hex` text, the travel times, the
+per-intersection queue and delay series and the conservation ledger of one
+full episode of a classic controller at its default hyperparameters. A
+refactor of the simulator or the controllers must leave every digest
+unchanged; any change of RNG draw order or of float summation order shows
+up here. Criterion 1's ordering rests on a margin of 0.02 s, so a change
+that moves these numbers needs its own justification and a re-recording:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import importlib.resources as ir
+
+import pytest
+
+from tscbench.experiments import make_classic_controllers
+from tscbench.network import load_network
+from tscbench.simulation import load_demand, run_episode
+
+DATA = ir.files("tscbench") / "data"
+SCENARIOS = {"single": ("single.net", "single_asym_demand.json"),
+             "double": ("double.net", "double_demand.json")}
+CONTROLLERS = ("uniform", "webster", "maxpressure", "sotl")
+SEEDS = (0, 1, 2)
+
+# Recorded from the simulator before its per-second loop was optimised.
+GOLDEN = {
+    ("double", "uniform"): (
+        "d96cc0e6824bad4d4e2b", "397d2137759c2595e77c", "3c94037138c94633d2fe"),
+    ("double", "webster"): (
+        "9ca8c848a2863a1ef444", "54d478c939e477c305b2", "b0c68d7935a50dd2775c"),
+    ("double", "maxpressure"): (
+        "a9d145586a0365026585", "d0cee4e06b654dcf46c4", "2f52bf0b8da09c6429d4"),
+    ("double", "sotl"): (
+        "0130729aa93db41aa91a", "b0d3d1a4c46c9fb6a4b1", "c2786d2333ca9c43fb18"),
+    ("single", "uniform"): (
+        "06095b0ed3cdab7032a0", "2ec27f48c5f68eedd003", "88eeb82a6b79ca27f1ae"),
+    ("single", "webster"): (
+        "9f04965d635351273735", "4351e857275ab4e0d5b7", "fad7bf999b18279b8a8a"),
+    ("single", "maxpressure"): (
+        "8400d8802057bb850233", "52e82162ce08f7398401", "9ad4a3df893c2559dd53"),
+    ("single", "sotl"): (
+        "af600385f1e68cf85c1d", "6ac07a514ce50491a29c", "130fff5422a61ced0806"),
+}
+
+
+def episode_digest(scenario: str, controller: str, seed: int) -> str:
+    net_file, demand_file = SCENARIOS[scenario]
+    net = load_network(str(DATA / net_file))
+    demand = load_demand(str(DATA / demand_file))
+    log = run_episode(net, demand, make_classic_controllers(net, controller, {}),
+                      seed)
+    h = hashlib.sha256()
+
+    def put(*values):
+        h.update(" ".join(v.hex() if isinstance(v, float) else str(v)
+                          for v in values).encode())
+        h.update(b"\n")
+
+    for t, tt in log.travel_times:
+        put(t, tt)
+    put(*log.times)
+    for iid in log.queue:
+        put(iid, *log.queue[iid])
+        put(iid, *log.delay[iid])
+    put(log.unfinished, log.injected, log.exited, log.blocked)
+    return h.hexdigest()[:20]
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+@pytest.mark.parametrize("controller", CONTROLLERS)
+def test_golden_digest(scenario, controller):
+    got = tuple(episode_digest(scenario, controller, s) for s in SEEDS)
+    assert got == GOLDEN[(scenario, controller)]
+
+
+if __name__ == "__main__":
+    for scenario in sorted(SCENARIOS):
+        for controller in CONTROLLERS:
+            digests = ", ".join(f'"{episode_digest(scenario, controller, s)}"'
+                                for s in SEEDS)
+            print(f'    ("{scenario}", "{controller}"): (\n        {digests}),')
