@@ -12,12 +12,10 @@ from .network import (Intersection, Lane, NetworkModel, NetworkParseError,
 from .simulation import (DemandProfile, MoELog, Simulation, load_demand,
                          run_episode)
 from .control import (HOLD, Controller, Hold, IntersectionView, NextPhase,
-                      PhaseDuration, RewardNormalizer, SequencerState,
-                      SignalUnit, observe, raw_reward, sequencer_advance,
-                      state_width)
-from .classic import (MaxPressureController, SotlConfig, SotlController,
-                      UniformController, WebsterConfig, WebsterController,
-                      webster_timings)
+                      RewardNormalizer, SequencerState, SignalUnit, observe,
+                      raw_reward, sequencer_advance, state_width)
+from .classic import (MaxPressureController, SotlController,
+                      UniformController, WebsterController, webster_timings)
 from .agents import (DdpgAgent, DdpgConfig, DdpgController, DqnAgent,
                      DqnConfig, DqnController, Experience, ReplayBuffer)
 from .fabric import FabricConfig, TrainResult, train

@@ -372,7 +372,6 @@ class DdpgController(_LearningController):
                                        scale=exploration_scale)
         super().__init__(agent, iid, seed, explore, schedule, normalizer,
                          on_experience)
-        self.duration_bounds = (cfg.g_min, cfg.g_max)
         self._duration = cfg.g_min
 
     def _choose(self, state: np.ndarray, next_phase: int):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .control import HOLD, Controller, NextPhase
 from .simulation import DEFAULT_SATURATION_FLOW
 
@@ -24,49 +22,33 @@ class UniformController(Controller):
 
 # -- Webster's ----------------------------------------------------------------
 
-@dataclass
-class WebsterConfig:
-    W: int = 120                 # data-collection window, seconds
-    c_min: int = 40
-    c_max: int = 180
-    s_sat: float = DEFAULT_SATURATION_FLOW
-    R: int | None = None         # total cycle lost time; default |P| * 5 s
-
-    def __post_init__(self):
-        if not 0 < self.c_min <= self.c_max:
-            raise ValueError("need 0 < c_min <= c_max")
-        if self.W <= 0 or self.s_sat <= 0:
-            raise ValueError("W and s_sat must be > 0")
-        if self.R is not None and self.R < 0:
-            raise ValueError("R must be >= 0")
-
-
 SATURATED_Y = 0.95  # treat the cycle formula as saturated past this point
 
 
-def webster_cycle(Y, cfg: WebsterConfig, R: float):
+def webster_cycle(Y, ctrl: WebsterController, R: float):
     """Cycle length for critical flow ratios Y, clamped to [c_min, c_max]."""
     total = sum(Y)
     if total <= 0.0:
-        return float(cfg.c_min)
+        return float(ctrl.c_min)
     if total >= SATURATED_Y:
-        return float(cfg.c_max)
+        return float(ctrl.c_max)
     C = (1.5 * R + 5.0) / (1.0 - total)
-    return float(min(max(C, cfg.c_min), cfg.c_max))
+    return float(min(max(C, ctrl.c_min), ctrl.c_max))
 
 
-def webster_timings(flows: dict, cfg: WebsterConfig, phases) -> tuple:
+def webster_timings(flows: dict, ctrl: WebsterController, phases) -> tuple:
     """Cycle length and integer per-phase greens from a window's lane flows.
 
     `flows` maps lane id -> flow in veh/h; `phases` is the intersection's
-    phase tuple. Greens are rounded to whole seconds with the rounding
-    remainder assigned to the highest-ratio phase, and floored at 1 s.
+    phase tuple; `ctrl` supplies c_min, c_max, s_sat and R. Greens are
+    rounded to whole seconds with the rounding remainder assigned to the
+    highest-ratio phase, and floored at 1 s.
     """
     n = len(phases)
-    R = float(cfg.R) if cfg.R is not None else 5.0 * n
-    Y = [max(flows.get(lid, 0.0) / cfg.s_sat for lid in p.incoming)
+    R = float(ctrl.R) if ctrl.R is not None else 5.0 * n
+    Y = [max(flows.get(lid, 0.0) / ctrl.s_sat for lid in p.incoming)
          for p in phases]
-    C = webster_cycle(Y, cfg, R)
+    C = webster_cycle(Y, ctrl, R)
     G = C - R
     total = sum(Y)
     if total <= 0.0:
@@ -87,8 +69,17 @@ class WebsterController(Controller):
 
     def __init__(self, W: int = 120, c_min: int = 40, c_max: int = 180,
                  s_sat: float = DEFAULT_SATURATION_FLOW, R: int | None = None):
-        self.cfg = WebsterConfig(W=int(W), c_min=int(c_min), c_max=int(c_max),
-                                 s_sat=float(s_sat), R=R)
+        self.W = int(W)            # data-collection window, seconds
+        self.c_min = int(c_min)
+        self.c_max = int(c_max)
+        self.s_sat = float(s_sat)
+        self.R = R                 # total cycle lost time; default |P| * 5 s
+        if not 0 < self.c_min <= self.c_max:
+            raise ValueError("need 0 < c_min <= c_max")
+        if self.W <= 0 or self.s_sat <= 0:
+            raise ValueError("W and s_sat must be > 0")
+        if self.R is not None and self.R < 0:
+            raise ValueError("R must be >= 0")
         self._counts = {}
         self._window_start = 0.0
         self._greens = None
@@ -101,16 +92,16 @@ class WebsterController(Controller):
     def _ensure_greens(self, view):
         if self._greens is None:
             # no data yet: minimum cycle, equal splits
-            _, self._greens = webster_timings({}, self.cfg,
+            _, self._greens = webster_timings({}, self,
                                               view.intersection.phases)
 
     def tick(self, view):
         for lid, n in view.crossings().items():
             self._counts[lid] = self._counts.get(lid, 0) + n
-        if view.now - self._window_start >= self.cfg.W:
-            flows = {lid: 3600.0 * n / self.cfg.W
+        if view.now - self._window_start >= self.W:
+            flows = {lid: 3600.0 * n / self.W
                      for lid, n in self._counts.items()}
-            _, self._greens = webster_timings(flows, self.cfg,
+            _, self._greens = webster_timings(flows, self,
                                               view.intersection.phases)
             self._counts = {}
             self._window_start = view.now
@@ -149,26 +140,18 @@ class MaxPressureController(Controller):
 
 # -- SOTL -----------------------------------------------------------------------
 
-@dataclass
-class SotlConfig:
-    g_min: int = 10
-    theta: float = 50.0   # vehicle-seconds integral threshold
-    omega: float = 100.0  # platoon look-back distance, meters
-    mu: int = 3           # platoon size above which a change is allowed
-
-    def __post_init__(self):
-        if min(self.g_min, self.theta, self.omega, self.mu) <= 0:
-            raise ValueError("all SOTL parameters must be positive")
-
-
 class SotlController(Controller):
     """Self-organizing: change phase once the red-side vehicle-time integral
     exceeds theta, unless a small platoon is about to cross."""
 
     def __init__(self, g_min: int = 10, theta: float = 50.0,
                  omega: float = 100.0, mu: int = 3):
-        self.cfg = SotlConfig(g_min=int(g_min), theta=float(theta),
-                              omega=float(omega), mu=int(mu))
+        self.g_min = int(g_min)
+        self.theta = float(theta)   # vehicle-seconds integral threshold
+        self.omega = float(omega)   # platoon look-back distance, meters
+        self.mu = int(mu)           # platoon size above which a change is allowed
+        if min(self.g_min, self.theta, self.omega, self.mu) <= 0:
+            raise ValueError("all SOTL parameters must be positive")
         self.kappa = 0.0
 
     def begin_episode(self):
@@ -180,16 +163,15 @@ class SotlController(Controller):
             view.intersection.phases[current].incoming
         for lid in view.intersection.incoming:
             if lid not in green_inc:
-                self.kappa += view.count(lid, self.cfg.omega)
+                self.kappa += view.count(lid, self.omega)
 
     def decide(self, view):
-        cfg = self.cfg
-        if view.t_p <= cfg.g_min:
+        if view.t_p <= self.g_min:
             return HOLD
         n = 0
         for lid in view.intersection.phases[view.current_phase].incoming:
-            n += view.count(lid, cfg.omega)
-        if (n > cfg.mu or n == 0) and self.kappa > cfg.theta:
+            n += view.count(lid, self.omega)
+        if (n > self.mu or n == 0) and self.kappa > self.theta:
             self.kappa = 0.0
             return NextPhase((view.current_phase + 1) % view.n_phases)
         return HOLD

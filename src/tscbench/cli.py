@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run one episode and write MoE logs")
     io_args(p)
     p.add_argument("--tsc", required=True,
-                   choices=list(experiments.ALL_CONTROLLERS))
+                   choices=list(experiments.CONTROLLERS))
     p.add_argument("--hp", default="", help="hyperparameters k=v[,k=v...]")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--checkpoint", default=None,
@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tune", help="grid search over hyperparameters")
     io_args(p)
     p.add_argument("--tsc", required=True,
-                   choices=list(experiments.ALL_CONTROLLERS))
+                   choices=list(experiments.CONTROLLERS))
     p.add_argument("--grid", default=None,
                    help="JSON grid file; defaults to the built-in grid")
     p.add_argument("--trials", type=int, default=8)
@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a learning controller")
     io_args(p)
-    p.add_argument("--tsc", required=True, choices=["dqn", "ddpg"])
+    p.add_argument("--tsc", required=True, choices=list(fabric.ALGOS))
     p.add_argument("--hp", default="")
     p.add_argument("--actors", type=int, default=1)
     p.add_argument("--learners", type=int, default=1)
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="multi-seed greedy evaluation")
     io_args(p)
     p.add_argument("--tsc", required=True,
-                   choices=list(experiments.ALL_CONTROLLERS))
+                   choices=list(experiments.CONTROLLERS))
     p.add_argument("--hp", default="")
     p.add_argument("--checkpoint", default=None,
                    help="checkpoint directory (required for dqn/ddpg)")
@@ -117,16 +117,8 @@ def _load_inputs(args):
 def cmd_simulate(args) -> int:
     net, demand = _load_inputs(args)
     hp = parse_hp(args.hp)
-    if args.tsc in experiments.LEARNING_CONTROLLERS:
-        if args.checkpoint is None:
-            raise ConfigError(f"{args.tsc!r} needs --checkpoint")
-        algo, agents, r_min = experiments.load_trained(net, args.checkpoint)
-        if algo != args.tsc:
-            raise ConfigError(f"checkpoint is for {algo!r}, not {args.tsc!r}")
-        controllers = experiments.greedy_controllers(net, args.tsc, agents,
-                                                     r_min)
-    else:
-        controllers = experiments.make_classic_controllers(net, args.tsc, hp)
+    controllers = experiments.controller_factory(net, args.tsc, hp,
+                                                 args.checkpoint)()
     log = run_episode(net, demand, controllers, args.seed)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "summary.json"), "w",

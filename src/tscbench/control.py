@@ -16,7 +16,6 @@ from .simulation import ALLRED, GREEN, YELLOW, Simulation
 
 YELLOW_TIME = 2
 ALLRED_TIME = 3
-INTERPHASE = YELLOW_TIME + ALLRED_TIME
 OBSERVATION_BOUND = 150.0  # meters upstream of the stop line
 
 
@@ -30,11 +29,6 @@ class Hold:
 @dataclass(frozen=True)
 class NextPhase:
     phase: int | None  # None requests the all-red idle indication
-
-
-@dataclass(frozen=True)
-class PhaseDuration:
-    seconds: int
 
 
 HOLD = Hold()
@@ -67,22 +61,12 @@ class SequencerState:
         return self.phase if self.kind == GREEN else None
 
 
-def sequencer_advance(seq: SequencerState, decision,
-                      duration_bounds: tuple | None = None):
+def sequencer_advance(seq: SequencerState, decision):
     """Advance one second; returns the indication displayed for that second.
 
     The controller's decision is only honoured while green or idle; during
     yellow/all-red clearance callers must pass Hold.
     """
-    if isinstance(decision, PhaseDuration):
-        if duration_bounds is not None:
-            g_min, g_max = duration_bounds
-            if not g_min <= decision.seconds <= g_max:
-                raise ValueError(
-                    f"phase duration {decision.seconds}s outside "
-                    f"[{g_min}, {g_max}]")
-        decision = HOLD  # the committing controller tracks the countdown
-
     if seq.kind == YELLOW:
         indication = (YELLOW, seq.phase)
         seq.time_in += 1
@@ -204,7 +188,6 @@ class Controller:
     """Per-intersection decision maker, owned by one simulator instance."""
 
     start_idle = False           # learning controllers start in all-red idle
-    duration_bounds = None       # (g_min, g_max) for duration-type controllers
 
     def begin_episode(self) -> None:
         pass
@@ -299,4 +282,4 @@ class SignalUnit:
             decision = HOLD
         else:
             decision = controller.decide(view)
-        return sequencer_advance(seq, decision, controller.duration_bounds)
+        return sequencer_advance(seq, decision)

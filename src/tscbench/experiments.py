@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import inspect
 import json
@@ -15,21 +16,20 @@ import numpy as np
 from . import fabric
 from .classic import (MaxPressureController, SotlController,
                       UniformController, WebsterController)
-from .agents import DdpgConfig, DqnConfig
 from .control import RewardNormalizer
 from .network import NetworkModel
 from .nn import load_checkpoint
 from .simulation import DemandProfile, run_episode
 from .stats import BoxStats, box_stats, mean_ci95, rank_score
 
-CLASSIC_CONTROLLERS = {
+# controller name -> the callable whose signature lists its hyperparameters
+CONTROLLERS = {
     "uniform": UniformController,
     "webster": WebsterController,
     "maxpressure": MaxPressureController,
     "sotl": SotlController,
+    **fabric.ALGOS,
 }
-LEARNING_CONTROLLERS = ("dqn", "ddpg")
-ALL_CONTROLLERS = tuple(CLASSIC_CONTROLLERS) + LEARNING_CONTROLLERS
 
 DEFAULT_GRIDS = {
     "uniform": {"u": [5, 10, 15, 20, 25, 30]},
@@ -52,20 +52,18 @@ class ConfigError(ValueError):
 
 
 def check_controller(name: str) -> None:
-    if name not in ALL_CONTROLLERS:
+    if name not in CONTROLLERS:
         raise ConfigError(f"unknown controller {name!r} "
-                          f"(expected one of {ALL_CONTROLLERS})")
+                          f"(expected one of {tuple(CONTROLLERS)})")
+
+
+@functools.cache
+def _hp_names(name: str) -> frozenset:
+    return frozenset(inspect.signature(CONTROLLERS[name]).parameters)
 
 
 def _check_hp(name: str, hp: dict) -> None:
-    if name in CLASSIC_CONTROLLERS:
-        allowed = set(inspect.signature(
-            CLASSIC_CONTROLLERS[name].__init__).parameters) - {"self"}
-    elif name == "dqn":
-        allowed = set(inspect.signature(DqnConfig).parameters)
-    else:
-        allowed = set(inspect.signature(DdpgConfig).parameters)
-    unknown = set(hp) - allowed
+    unknown = set(hp) - _hp_names(name)
     if unknown:
         raise ConfigError(f"unknown hyperparameter(s) {sorted(unknown)} "
                           f"for controller {name!r}")
@@ -73,17 +71,17 @@ def _check_hp(name: str, hp: dict) -> None:
 
 def make_classic_controllers(net: NetworkModel, name: str, hp: dict) -> dict:
     check_controller(name)
-    if name not in CLASSIC_CONTROLLERS:
+    if name in fabric.ALGOS:
         raise ConfigError(f"{name!r} is a learning controller; "
                           "train it or supply a checkpoint")
     _check_hp(name, hp)
-    cls = CLASSIC_CONTROLLERS[name]
+    cls = CONTROLLERS[name]
     return {ix.id: cls(**hp) for ix in net.intersections}
 
 
 def agent_config(name: str, hp: dict):
     _check_hp(name, hp)
-    return DqnConfig(**hp) if name == "dqn" else DdpgConfig(**hp)
+    return fabric.ALGOS[name](**hp)
 
 
 def greedy_controllers(net: NetworkModel, name: str, agents: dict,
@@ -94,23 +92,34 @@ def greedy_controllers(net: NetworkModel, name: str, agents: dict,
                                     normalizers=normalizers)
 
 
-def load_trained(net: NetworkModel, checkpoint_dir: str):
-    """Rebuild trained agents from a checkpoint directory."""
+def controller_factory(net: NetworkModel, name: str, hp: dict,
+                       checkpoint_dir: str | None = None):
+    """Picklable callable building fresh per-intersection controllers:
+    classic ones from `hp`, or greedy learning ones sharing the agents of
+    `checkpoint_dir` (`hp` unused), which is read and checked once, here."""
+    check_controller(name)
+    if name not in fabric.ALGOS:
+        _check_hp(name, hp)
+        return functools.partial(make_classic_controllers, net, name, hp)
+    if checkpoint_dir is None:
+        raise ConfigError(f"{name!r} needs a trained checkpoint")
     meta_path = os.path.join(checkpoint_dir, "meta.json")
     if not os.path.exists(meta_path):
         raise ConfigError(f"no checkpoint metadata at {meta_path}")
     with open(meta_path, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
-    algo = meta["algo"]
-    cfg = agent_config(algo, meta.get("config", {}))
-    agents = fabric.build_agents(net, algo, cfg, seed=0)
+    if meta["algo"] != name:
+        raise ConfigError(f"checkpoint is for {meta['algo']!r}, not {name!r}")
+    cfg = agent_config(name, meta.get("config", {}))
+    agents = fabric.build_agents(net, name, cfg, seed=0)
     for iid, agent in agents.items():
         if iid not in meta["files"]:
             raise ConfigError(f"checkpoint missing intersection {iid!r}")
         named = load_checkpoint(os.path.join(checkpoint_dir,
                                              meta["files"][iid]))
         agent.load_checkpoint(named)
-    return algo, agents, meta.get("r_min", {})
+    return functools.partial(greedy_controllers, net, name, agents,
+                             meta.get("r_min", {}))
 
 
 # -- identities and seeding ----------------------------------------------------
@@ -201,6 +210,13 @@ def episode_mean_travel_time(net, demand, controllers, seed,
     return float(np.mean(tts))
 
 
+def _map(fn, tasks: list, procs: int) -> list:
+    if procs > 1:
+        with ProcessPoolExecutor(max_workers=procs) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
+
+
 def _classic_trial_task(args):
     net, demand, name, hp, cid, trial, base_seed, horizon = args
     controllers = make_classic_controllers(net, name, hp)
@@ -241,16 +257,11 @@ def tune(grid: GridSpec, net: NetworkModel, demand: DemandProfile,
     cids = {config_id(name, hp): hp for hp in configs}
     results = {}
 
-    if name in CLASSIC_CONTROLLERS:
+    if name not in fabric.ALGOS:
         tasks = [(net, demand, name, hp, cid, trial, grid.base_seed, horizon)
                  for cid, hp in cids.items() for trial in range(grid.trials)]
         per_cid = {cid: [None] * grid.trials for cid in cids}
-        if procs > 1:
-            with ProcessPoolExecutor(max_workers=procs) as pool:
-                outs = list(pool.map(_classic_trial_task, tasks))
-        else:
-            outs = [_classic_trial_task(t) for t in tasks]
-        for cid, trial, mean_tt in outs:
+        for cid, trial, mean_tt in _map(_classic_trial_task, tasks, procs):
             per_cid[cid][trial] = mean_tt
         for cid, per_seed in per_cid.items():
             results[cid] = TrialResult(cid, cids[cid], per_seed)
@@ -258,12 +269,7 @@ def tune(grid: GridSpec, net: NetworkModel, demand: DemandProfile,
         tasks = [(net, demand, name, hp, cid, grid.trials, grid.base_seed,
                   horizon, train_episodes, train_horizon)
                  for cid, hp in cids.items()]
-        if procs > 1:
-            with ProcessPoolExecutor(max_workers=procs) as pool:
-                outs = list(pool.map(_learning_config_task, tasks))
-        else:
-            outs = [_learning_config_task(t) for t in tasks]
-        for cid, per_seed in outs:
+        for cid, per_seed in _map(_learning_config_task, tasks, procs):
             results[cid] = TrialResult(cid, cids[cid], per_seed)
 
     ranked = sorted(results.values(), key=lambda r: (r.score, r.config_id))
@@ -313,16 +319,8 @@ class EvalResult:
 
 
 def _eval_run_task(args):
-    net, demand, name, hp, checkpoint_dir, seed, horizon = args
-    if name in CLASSIC_CONTROLLERS:
-        controllers = make_classic_controllers(net, name, hp)
-    else:
-        algo, agents, r_min = load_trained(net, checkpoint_dir)
-        if algo != name:
-            raise ConfigError(f"checkpoint is for {algo!r}, not {name!r}")
-        controllers = greedy_controllers(net, name, agents, r_min)
-    log = run_episode(net, demand, controllers, seed, horizon=horizon)
-    return log
+    make_controllers, net, demand, seed, horizon = args
+    return run_episode(net, demand, make_controllers(), seed, horizon=horizon)
 
 
 def evaluate(name: str, hp: dict, net: NetworkModel, demand: DemandProfile,
@@ -331,20 +329,10 @@ def evaluate(name: str, hp: dict, net: NetworkModel, demand: DemandProfile,
              horizon: float | None = None, bin_s: float = MOE_BIN_S,
              procs: int = 1, out_dir: str | None = None) -> EvalResult:
     """Greedy multi-seed evaluation: pooled travel times plus MoE series."""
-    check_controller(name)
-    if name in LEARNING_CONTROLLERS:
-        if checkpoint_dir is None:
-            raise ConfigError(f"{name!r} needs a trained checkpoint")
-    else:
-        _check_hp(name, hp)
-
-    tasks = [(net, demand, name, hp, checkpoint_dir, base_seed + i, horizon)
+    make_controllers = controller_factory(net, name, hp, checkpoint_dir)
+    tasks = [(make_controllers, net, demand, base_seed + i, horizon)
              for i in range(runs)]
-    if procs > 1:
-        with ProcessPoolExecutor(max_workers=procs) as pool:
-            logs = list(pool.map(_eval_run_task, tasks))
-    else:
-        logs = [_eval_run_task(t) for t in tasks]
+    logs = _map(_eval_run_task, tasks, procs)
 
     travel_times = [tt for log in logs for tt in log.travel_time_values]
     condition = condition_fingerprint(net, demand, runs, base_seed, horizon)

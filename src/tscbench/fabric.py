@@ -29,7 +29,8 @@ from .network import NetworkModel
 from .nn import ParameterSet, save_checkpoint
 from .simulation import DemandProfile, run_episode
 
-ALGOS = ("dqn", "ddpg")
+# learning algorithm -> its agent config, whose fields are its hyperparameters
+ALGOS = {"dqn": DqnConfig, "ddpg": DdpgConfig}
 
 
 @dataclass
@@ -218,8 +219,6 @@ def train(net: NetworkModel, demand: DemandProfile, algo: str, seed: int,
           out_dir: str | None = None) -> TrainResult:
     """Run the full training fabric; returns trained per-intersection agents."""
     fabric = fabric or FabricConfig()
-    if algo not in ALGOS:
-        raise ValueError(f"unknown algorithm {algo!r}")
     if agent_cfg is None:
         agent_cfg = DqnConfig() if algo == "dqn" else DdpgConfig()
     assignment = fabric.assignment or default_assignment(net, fabric.n_learners)

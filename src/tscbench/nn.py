@@ -274,33 +274,51 @@ def save_checkpoint(path, named_params: dict) -> None:
 
 
 def load_checkpoint(path) -> dict:
+    """Inverse of save_checkpoint; a short or overlong file is an error."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        (count,) = struct.unpack("<I", fh.read(4))
-        out = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(nlen).decode("utf-8")
-            input_width, version, n_layers = struct.unpack("<IQI", fh.read(16))
-            specs = []
-            for _ in range(n_layers):
-                width, act, bn = struct.unpack("<IBB", fh.read(6))
-                specs.append(LayerSpec(width, ACTIVATIONS[act], bool(bn)))
-            layers = []
-            fan_in = input_width
-            for spec in specs:
-                layer = {}
-                shapes = [("w", (fan_in, spec.width)), ("b", (spec.width,))]
-                if spec.batch_norm:
-                    shapes += [(k, (spec.width,))
-                               for k in ("gamma", "beta", "rmean", "rvar")]
-                for key, shape in shapes:
-                    n = int(np.prod(shape))
-                    buf = fh.read(8 * n)
-                    layer[key] = np.frombuffer(buf, dtype=float).reshape(shape).copy()
-                layers.append(layer)
-                fan_in = spec.width
-            out[name] = ParameterSet(input_width, tuple(specs), layers, version)
-        return out
+        data = fh.read()
+    pos = 0
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if pos + n > len(data):
+            raise ValueError(f"{path}: checkpoint truncated ({len(data)} "
+                             f"bytes, needs at least {pos + n})")
+        pos += n
+        return data[pos - n:pos]
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    if take(len(_MAGIC)) != _MAGIC:
+        raise ValueError(f"{path}: not a checkpoint file")
+    (count,) = unpack("<I")
+    out = {}
+    for _ in range(count):
+        (nlen,) = unpack("<H")
+        name = take(nlen).decode("utf-8")
+        input_width, version, n_layers = unpack("<IQI")
+        specs = []
+        for _ in range(n_layers):
+            width, act, bn = unpack("<IBB")
+            if act >= len(ACTIVATIONS):
+                raise ValueError(f"{path}: unknown activation code {act}")
+            specs.append(LayerSpec(width, ACTIVATIONS[act], bool(bn)))
+        layers = []
+        fan_in = input_width
+        for spec in specs:
+            layer = {}
+            shapes = [("w", (fan_in, spec.width)), ("b", (spec.width,))]
+            if spec.batch_norm:
+                shapes += [(k, (spec.width,))
+                           for k in ("gamma", "beta", "rmean", "rvar")]
+            for key, shape in shapes:
+                buf = take(8 * int(np.prod(shape)))
+                layer[key] = np.frombuffer(buf, dtype=float).reshape(shape).copy()
+            layers.append(layer)
+            fan_in = spec.width
+        out[name] = ParameterSet(input_width, tuple(specs), layers, version)
+    if pos != len(data):
+        raise ValueError(f"{path}: {len(data) - pos} trailing bytes after "
+                         "the checkpoint")
+    return out

@@ -158,6 +158,9 @@ class Simulation:
     def __init__(self, net: NetworkModel, demand: DemandProfile, seed: int,
                  saturation_flow: float = DEFAULT_SATURATION_FLOW,
                  inject_until: float | None = None):
+        unknown = sorted(set(demand.entry_lanes) - set(net.entry_lanes))
+        if unknown:
+            raise ValueError(f"demand lanes {unknown} start no network route")
         self.net = net
         self.demand = demand
         self.rng = np.random.default_rng(seed)
@@ -241,9 +244,6 @@ class Simulation:
         if bound >= lane.length:
             return lane.jam_capacity
         return max(1, math.floor(bound / lane.spacing))
-
-    def vehicles_on(self, lane_id: str):
-        return self.lane_vehicles[lane_id]
 
     def total_vehicles(self) -> int:
         return sum(len(vs) for vs in self.lane_vehicles.values())

@@ -14,7 +14,7 @@ import pytest
 from tscbench import experiments, fabric, nn
 from tscbench.agents import DqnConfig, actor_specs, critic_specs, dqn_specs
 from tscbench.classic import (MaxPressureController, UniformController,
-                              WebsterConfig, webster_timings)
+                              WebsterController, webster_timings)
 from tscbench.control import HOLD, Controller, NextPhase, SignalUnit
 from tscbench.experiments import DEFAULT_GRIDS, GridSpec
 from tscbench.simulation import (GREEN, DemandProfile, Simulation,
@@ -89,19 +89,19 @@ class TestCriterion2Sensitivity:
 class TestCriterion3Webster:
     def test_hand_example_and_green_sums(self):
         phases = (FakePhase(["a"], ["oa"]), FakePhase(["b"], ["ob"]))
-        cfg = WebsterConfig(R=10)
-        flows = {"a": 0.2 * cfg.s_sat, "b": 0.3 * cfg.s_sat}
-        C, greens = webster_timings(flows, cfg, phases)
+        ctrl = WebsterController(R=10)
+        flows = {"a": 0.2 * ctrl.s_sat, "b": 0.3 * ctrl.s_sat}
+        C, greens = webster_timings(flows, ctrl, phases)
         assert C == 40.0
         assert greens == [12, 18]
 
-        cfg = WebsterConfig()  # default lost time: 5 s per phase
+        ctrl = WebsterController()  # default lost time: 5 s per phase
         n_p = len(phases)
         rng = np.random.default_rng(3)
         for _ in range(1000):
             flows = {"a": float(rng.uniform(0, 1700)),
                      "b": float(rng.uniform(0, 1700))}
-            C, greens = webster_timings(flows, cfg, phases)
+            C, greens = webster_timings(flows, ctrl, phases)
             assert abs(sum(greens) - (C - 5.0 * n_p)) <= n_p
         report(3, "hand example exact (C=40, greens [12, 18]); integer "
                   "greens within |P| of C-R over 1000 random flow vectors")

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from tscbench.classic import (MaxPressureController, SotlController,
-                              UniformController, WebsterConfig,
-                              WebsterController, phase_pressure,
-                              webster_cycle, webster_timings)
+                              UniformController, WebsterController,
+                              phase_pressure, webster_cycle, webster_timings)
 from tscbench.control import HOLD, Hold, NextPhase
 from tscbench.simulation import GREEN, run_episode
 
@@ -92,45 +91,45 @@ class TestWebster:
     def test_hand_example(self):
         # Y = {0.2, 0.3}, R=10: C = (1.5*10+5)/(1-0.5) = 40, G = 30,
         # greens proportional to Y -> {12, 18}
-        cfg = WebsterConfig(R=10)
-        flows = {"a_in": 0.2 * cfg.s_sat, "b_in": 0.3 * cfg.s_sat}
-        C, greens = webster_timings(flows, cfg, TWO_PHASES)
+        ctrl = WebsterController(R=10)
+        flows = {"a_in": 0.2 * ctrl.s_sat, "b_in": 0.3 * ctrl.s_sat}
+        C, greens = webster_timings(flows, ctrl, TWO_PHASES)
         assert C == pytest.approx(40.0)
         assert greens == [12, 18]
 
     def test_saturated_clamps_to_c_max(self):
-        cfg = WebsterConfig(R=10)
-        assert webster_cycle([0.5, 0.45], cfg, 10.0) == cfg.c_max
-        assert webster_cycle([0.6, 0.6], cfg, 10.0) == cfg.c_max
+        ctrl = WebsterController(R=10)
+        assert webster_cycle([0.5, 0.45], ctrl, 10.0) == ctrl.c_max
+        assert webster_cycle([0.6, 0.6], ctrl, 10.0) == ctrl.c_max
 
     def test_zero_flow_minimum_cycle_equal_split(self):
-        cfg = WebsterConfig(R=10)
-        C, greens = webster_timings({}, cfg, TWO_PHASES)
-        assert C == cfg.c_min == 40
+        ctrl = WebsterController(R=10)
+        C, greens = webster_timings({}, ctrl, TWO_PHASES)
+        assert C == ctrl.c_min == 40
         assert greens == [15, 15]
 
     def test_cycle_clamped_to_c_min(self):
-        cfg = WebsterConfig(R=10, c_min=60)
-        assert webster_cycle([0.1, 0.1], cfg, 10.0) == 60.0
+        ctrl = WebsterController(R=10, c_min=60)
+        assert webster_cycle([0.1, 0.1], ctrl, 10.0) == 60.0
 
     def test_greens_sum_to_cycle_minus_lost_time(self):
-        cfg = WebsterConfig()
+        ctrl = WebsterController()
         rng = np.random.default_rng(0)
         n_p = len(TWO_PHASES)
         for _ in range(1000):
             flows = {"a_in": float(rng.uniform(0, 1600)),
                      "b_in": float(rng.uniform(0, 1600))}
-            C, greens = webster_timings(flows, cfg, TWO_PHASES)
+            C, greens = webster_timings(flows, ctrl, TWO_PHASES)
             R = 5.0 * n_p
             assert abs(sum(greens) - (C - R)) <= n_p
             assert all(g >= 1 for g in greens)
 
     def test_critical_lane_is_max_ratio(self):
-        cfg = WebsterConfig(R=10)
+        ctrl = WebsterController(R=10)
         phases = (FakePhase(["a1", "a2"], ["o"]), FakePhase(["b1"], ["o"]))
-        flows = {"a1": 0.1 * cfg.s_sat, "a2": 0.2 * cfg.s_sat,
-                 "b1": 0.3 * cfg.s_sat}
-        C, greens = webster_timings(flows, cfg, phases)
+        flows = {"a1": 0.1 * ctrl.s_sat, "a2": 0.2 * ctrl.s_sat,
+                 "b1": 0.3 * ctrl.s_sat}
+        C, greens = webster_timings(flows, ctrl, phases)
         assert C == pytest.approx(40.0)
         assert greens == [12, 18]
 
@@ -151,9 +150,9 @@ class TestWebster:
 
     def test_bad_config(self):
         with pytest.raises(ValueError):
-            WebsterConfig(c_min=0)
+            WebsterController(c_min=0)
         with pytest.raises(ValueError):
-            WebsterConfig(c_min=100, c_max=50)
+            WebsterController(c_min=100, c_max=50)
 
 
 class TestMaxPressure:

@@ -56,6 +56,29 @@ class TestExitCodes:
                      paths["demand"], "--tsc", "uniform", "--hp", "q=1",
                      "--out", str(tmp_path)]) == EXIT_USAGE
 
+    def test_demand_lane_without_route(self, paths, tmp_path):
+        demand = tmp_path / "demand.json"
+        demand.write_text(json.dumps({"nope": [[0, 600], [600, 600]]}))
+        assert main(["simulate", "--net", paths["net"], "--demand",
+                     str(demand), "--tsc", "uniform",
+                     "--out", str(tmp_path / "sim")]) == EXIT_USAGE
+
+    def test_corrupt_checkpoint(self, paths, tmp_path):
+        train_out = tmp_path / "train"
+        assert main(["train", "--net", paths["net"], "--demand",
+                     paths["demand"], "--tsc", "dqn", "--episodes", "1",
+                     "--out", str(train_out)]) == EXIT_OK
+        ckpt = train_out / "checkpoints"
+        meta = json.loads((ckpt / "meta.json").read_text())
+        blob = ckpt / meta["files"]["i0"]
+        data = blob.read_bytes()
+        for corrupt in (data[:-5], data[:20], data + b"junk"):
+            blob.write_bytes(corrupt)
+            assert main(["evaluate", "--net", paths["net"], "--demand",
+                         paths["demand"], "--tsc", "dqn",
+                         "--checkpoint", str(ckpt), "--runs", "1",
+                         "--out", str(tmp_path / "e")]) == EXIT_USAGE
+
     def test_learning_without_checkpoint(self, paths, tmp_path):
         assert main(["simulate", "--net", paths["net"], "--demand",
                      paths["demand"], "--tsc", "dqn",

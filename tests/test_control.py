@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tscbench.control import (HOLD, NextPhase, PhaseDuration, RewardNormalizer,
+from tscbench.control import (HOLD, NextPhase, RewardNormalizer,
                               SequencerState, cycle_next_phase, observe,
                               sequencer_advance, state_width)
 from tscbench.simulation import (ALLRED, GREEN, YELLOW, DemandProfile,
@@ -56,13 +56,6 @@ class TestSequencer:
         assert sequencer_advance(seq, HOLD) == (ALLRED, None)
         assert sequencer_advance(seq, NextPhase(1)) == (GREEN, 1)
         assert seq.t_p == 1 and not seq.idle
-
-    def test_phase_duration_validated(self):
-        seq = SequencerState(start_green=0)
-        with pytest.raises(ValueError):
-            sequencer_advance(seq, PhaseDuration(90), duration_bounds=(5, 60))
-        assert sequencer_advance(seq, PhaseDuration(30),
-                                 duration_bounds=(5, 60)) == (GREEN, 0)
 
     def test_interphase_flag(self):
         seq = SequencerState(start_green=0)

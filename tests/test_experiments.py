@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from tscbench import experiments
+from tscbench import experiments, fabric
 from tscbench.experiments import (ConfigError, GridSpec, config_id,
                                   make_classic_controllers, seed_for)
 from tscbench.stats import box_stats, mean_ci95, rank_score
@@ -170,6 +170,17 @@ class TestEvaluate:
         demand = constant_demand(["in_a", "in_b"], 400.0, horizon=120.0)
         with pytest.raises(ConfigError, match="checkpoint"):
             experiments.evaluate("dqn", {}, tiny_net, demand, runs=1)
+
+    def test_learned_parallelism_invariance(self, tiny_net, tmp_path):
+        demand = constant_demand(["in_a", "in_b"], 400.0, horizon=120.0)
+        trained = fabric.train(tiny_net, demand, "dqn", 0,
+                               fabric=fabric.FabricConfig(episode_budget=1),
+                               out_dir=str(tmp_path))
+        r1, r2 = (experiments.evaluate("dqn", {}, tiny_net, demand, runs=3,
+                                       checkpoint_dir=trained.checkpoint_dir,
+                                       procs=procs) for procs in (1, 2))
+        assert r1.travel_times == r2.travel_times
+        assert r1.moe == r2.moe
 
     def test_summary_reparses_stats(self, tiny_net, tmp_path):
         demand = constant_demand(["in_a", "in_b"], 400.0, horizon=300.0)

@@ -9,6 +9,10 @@ up here. Criterion 1's ordering rests on a margin of 0.02 s, so a change
 that moves these numbers needs its own justification and a re-recording:
 
     PYTHONPATH=src python tests/test_golden.py
+
+The learned-controller digests cover the checkpoint path: a DQN and a DDPG
+agent are trained briefly on the bit-reproducible 1-actor/1-learner fabric,
+saved, and evaluated greedily from the checkpoint over several runs.
 """
 
 import hashlib
@@ -16,7 +20,9 @@ import importlib.resources as ir
 
 import pytest
 
-from tscbench.experiments import make_classic_controllers
+from tscbench import fabric
+from tscbench.agents import DdpgConfig, DqnConfig
+from tscbench.experiments import evaluate, make_classic_controllers
 from tscbench.network import load_network
 from tscbench.simulation import load_demand, run_episode
 
@@ -46,13 +52,16 @@ GOLDEN = {
         "af600385f1e68cf85c1d", "6ac07a514ce50491a29c", "130fff5422a61ced0806"),
 }
 
+# Recorded before the checkpoint was loaded once per evaluation.
+GOLDEN_LEARNED = {
+    "dqn": "ceca32c667f88d53a5af",
+    "ddpg": "6dc3b545275443b48024",
+}
+# DDPG's default batch would not fill in two short episodes.
+LEARNED_CONFIGS = {"dqn": DqnConfig(), "ddpg": DdpgConfig(batch_size=4)}
 
-def episode_digest(scenario: str, controller: str, seed: int) -> str:
-    net_file, demand_file = SCENARIOS[scenario]
-    net = load_network(str(DATA / net_file))
-    demand = load_demand(str(DATA / demand_file))
-    log = run_episode(net, demand, make_classic_controllers(net, controller, {}),
-                      seed)
+
+def _hasher():
     h = hashlib.sha256()
 
     def put(*values):
@@ -60,6 +69,16 @@ def episode_digest(scenario: str, controller: str, seed: int) -> str:
                           for v in values).encode())
         h.update(b"\n")
 
+    return h, put
+
+
+def episode_digest(scenario: str, controller: str, seed: int) -> str:
+    net_file, demand_file = SCENARIOS[scenario]
+    net = load_network(str(DATA / net_file))
+    demand = load_demand(str(DATA / demand_file))
+    log = run_episode(net, demand, make_classic_controllers(net, controller, {}),
+                      seed)
+    h, put = _hasher()
     for t, tt in log.travel_times:
         put(t, tt)
     put(*log.times)
@@ -70,6 +89,26 @@ def episode_digest(scenario: str, controller: str, seed: int) -> str:
     return h.hexdigest()[:20]
 
 
+def learned_eval_digest(algo: str, out_dir: str) -> str:
+    """Train 2 short episodes, checkpoint, then evaluate 3 greedy runs."""
+    net = load_network(str(DATA / "single.net"))
+    demand = load_demand(str(DATA / "single_asym_demand.json"))
+    trained = fabric.train(
+        net, demand, algo, 0,
+        fabric=fabric.FabricConfig(episode_budget=2, horizon=200.0),
+        agent_cfg=LEARNED_CONFIGS[algo], out_dir=out_dir)
+    assert sum(trained.update_counts.values()) > 0
+    result = evaluate(algo, {}, net, demand, runs=3,
+                      checkpoint_dir=trained.checkpoint_dir)
+    h, put = _hasher()
+    put(*result.travel_times)
+    for iid, rows in result.moe.items():
+        for row in rows:
+            put(iid, *(row[k] for k in sorted(row)))
+    put(result.unfinished)
+    return h.hexdigest()[:20]
+
+
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 @pytest.mark.parametrize("controller", CONTROLLERS)
 def test_golden_digest(scenario, controller):
@@ -77,7 +116,16 @@ def test_golden_digest(scenario, controller):
     assert got == GOLDEN[(scenario, controller)]
 
 
+@pytest.mark.parametrize("algo", sorted(GOLDEN_LEARNED))
+def test_golden_learned_eval_digest(algo, tmp_path):
+    assert learned_eval_digest(algo, str(tmp_path)) == GOLDEN_LEARNED[algo]
+
+
 if __name__ == "__main__":
+    import tempfile
+    for algo in sorted(GOLDEN_LEARNED):
+        with tempfile.TemporaryDirectory() as tmp:
+            print(f'    "{algo}": "{learned_eval_digest(algo, tmp)}",')
     for scenario in sorted(SCENARIOS):
         for controller in CONTROLLERS:
             digests = ", ".join(f'"{episode_digest(scenario, controller, s)}"'

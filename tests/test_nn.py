@@ -276,6 +276,48 @@ class TestCheckpoint:
                 assert ka == kb
                 assert np.array_equal(va, vb)  # bit-exact
 
+    def saved(self, tmp_path):
+        """A one-network checkpoint, its bytes, the header length and the
+        offset where the first layer's arrays end."""
+        params = small_net(seed=9)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(str(path), {"actor": params})
+        data = path.read_bytes()
+        header = len(data) - 8 * sum(v.size for _, v in params.arrays())
+        layer_end = header + 8 * sum(v.size
+                                     for v in params.layers[0].values())
+        return path, data, header, layer_end
+
+    def test_truncated_raises_naming_file(self, tmp_path):
+        path, data, header, layer_end = self.saved(tmp_path)
+        cuts = {"magic": 5, "count": 10, "header": header - 3,
+                "header end": header, "in array": header + 13,
+                "in array, whole floats": header + 16,
+                "layer boundary": layer_end, "last byte": len(data) - 1}
+        for where, cut in cuts.items():
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValueError) as exc:
+                load_checkpoint(str(path))
+            assert str(path) in str(exc.value), where
+
+    def test_bad_activation_code(self, tmp_path):
+        path, data, _, _ = self.saved(tmp_path)
+        data = bytearray(data)
+        # magic, count, name length, "actor", header fields, first width
+        data[8 + 4 + 2 + 5 + 16 + 4] = 99
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="activation"):
+            load_checkpoint(str(path))
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path, data, _, _ = self.saved(tmp_path)
+        for junk in (b"\x00", b"junk", b"\x00" * 8):
+            path.write_bytes(data + junk)
+            with pytest.raises(ValueError, match="trailing"):
+                load_checkpoint(str(path))
+        path.write_bytes(data)
+        load_checkpoint(str(path))
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTACKPT" + b"\x00" * 32)

@@ -135,6 +135,15 @@ class TestEpisode:
     def controllers(self, net, u=10):
         return {ix.id: UniformController(u=u) for ix in net.intersections}
 
+    def test_demand_lane_without_route_rejected(self, single_net):
+        # "nope" is no lane; "n_out" is a lane but starts no route
+        for lane in ("nope", "n_out"):
+            demand = DemandProfile({"n_in": [[0.0, 600.0], [600.0, 600.0]],
+                                    lane: [[0.0, 600.0], [600.0, 600.0]]})
+            with pytest.raises(ValueError, match=lane):
+                run_episode(single_net, demand, self.controllers(single_net),
+                            0)
+
     def test_zero_demand_zero_samples(self, tiny_net):
         demand = constant_demand(["in_a", "in_b"], 0.0)
         log = run_episode(tiny_net, demand, self.controllers(tiny_net), 1)
