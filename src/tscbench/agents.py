@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,34 +22,77 @@ class Experience:
     intersection: str
 
 
+class Batch(NamedTuple):
+    """Experiences stacked row by row; `live` is 0.0 for terminal rows."""
+
+    state: np.ndarray
+    action: np.ndarray
+    reward: np.ndarray
+    next_state: np.ndarray
+    live: np.ndarray
+
+
 class ReplayBuffer:
-    """Ring buffer of experiences with uniform with-replacement sampling."""
+    """Ring buffer of experiences with uniform with-replacement sampling.
+
+    Rows are stored as arrays, one per Batch field. The i-th push fills
+    row i until `capacity` rows are held; after that each push overwrites
+    the oldest row. Storage starts at _MIN_ROWS rows and doubles as it
+    fills, up to `capacity`.
+    """
+
+    _MIN_ROWS = 256
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._items = []
+        self._cols = None  # Batch of arrays with room for the held rows
+        self._len = 0
         self._next = 0
 
     def __len__(self):
-        return len(self._items)
+        return self._len
+
+    def _grow(self, exp: Experience) -> None:
+        rows = min(self.capacity,
+                   max(self._MIN_ROWS, 2 * self._len))
+        width = np.shape(exp.state)
+        cols = Batch(np.empty((rows,) + width), np.empty(rows),
+                     np.empty(rows), np.empty((rows,) + width),
+                     np.empty(rows))
+        if self._cols is not None:
+            for new, old in zip(cols, self._cols):
+                new[:self._len] = old
+        self._cols = cols
 
     def push(self, exp: Experience) -> None:
-        if len(self._items) < self.capacity:
-            self._items.append(exp)
+        if self._len < self.capacity:
+            i = self._len
+            if self._cols is None or i == len(self._cols.reward):
+                self._grow(exp)
+            self._len += 1
         else:
-            self._items[self._next] = exp
-            self._next = (self._next + 1) % self.capacity
+            i = self._next
+            self._next = (i + 1) % self.capacity
+        cols = self._cols
+        cols.state[i] = exp.state
+        cols.action[i] = exp.action
+        cols.reward[i] = exp.reward
+        cols.next_state[i] = exp.next_state
+        cols.live[i] = 0.0 if exp.terminal else 1.0
 
-    def sample(self, k: int, rng: np.random.Generator) -> list:
-        if len(self._items) < k:
-            raise ValueError(f"buffer holds {len(self._items)} < {k} samples")
-        idx = rng.integers(len(self._items), size=k)
-        return [self._items[i] for i in idx]
+    def sample(self, k: int, rng: np.random.Generator) -> Batch:
+        if self._len < k:
+            raise ValueError(f"buffer holds {self._len} < {k} samples")
+        idx = rng.integers(self._len, size=k)
+        return Batch(*(col[idx] for col in self._cols))
 
-    def items(self):
-        return list(self._items)
+    def rows(self) -> Batch:
+        """A copy of the held rows, in row order."""
+        if self._cols is None:
+            raise ValueError("buffer is empty")
+        return Batch(*(col[:self._len].copy() for col in self._cols))
 
 
 @dataclass
@@ -117,25 +161,22 @@ class DqnAgent:
             return int(rng.integers(self.n_phases))
         return int(np.argmax(self.q_values(state)))  # first max = lowest index
 
-    def train_batch(self, batch: list) -> float:
-        if len(batch) < 2:
+    def train_batch(self, batch: Batch) -> float:
+        n = len(batch.reward)
+        if n < 2:
             raise ValueError("batch size must be >= 2")
-        s = np.stack([e.state for e in batch])
-        s2 = np.stack([e.next_state for e in batch])
-        a = np.array([e.action for e in batch], dtype=int)
-        r = np.array([e.reward for e in batch])
-        live = np.array([0.0 if e.terminal else 1.0 for e in batch])
+        a = batch.action.astype(int)
+        rows = np.arange(n)
 
-        q2, _ = nn.forward(self.target, s2, "infer")
+        q2, _ = nn.forward(self.target, batch.next_state, "infer")
         best = np.argmax(q2, axis=1)
-        y = r + self.cfg.gamma * q2[np.arange(len(batch)), best] * live
+        y = batch.reward + self.cfg.gamma * q2[rows, best] * batch.live
 
-        q, cache = nn.forward(self.online, s, "train")
-        rows = np.arange(len(batch))
+        q, cache = nn.forward(self.online, batch.state, "train")
         err = q[rows, a] - y
         loss = float(np.mean(err * err))
         grad_out = np.zeros_like(q)
-        grad_out[rows, a] = 2.0 * err / len(batch)
+        grad_out[rows, a] = 2.0 * err / n
         grads = nn.backward(self.online, cache, grad_out)
         nn.adam_step(self.online, grads, self.adam)
         self.updates += 1
@@ -230,15 +271,13 @@ class DdpgAgent:
         raw = self.act_raw(state, sigma, rng)
         return raw, scale_duration(raw, self.cfg.g_min, self.cfg.g_max)
 
-    def train_batch(self, batch: list):
-        if len(batch) < 2:
+    def train_batch(self, batch: Batch):
+        n = len(batch.reward)
+        if n < 2:
             raise ValueError("batch size must be >= 2")
-        n = len(batch)
-        s = np.stack([e.state for e in batch])
-        s2 = np.stack([e.next_state for e in batch])
-        a = np.array([e.action for e in batch])[:, None]
-        r = np.array([e.reward for e in batch])
-        live = np.array([0.0 if e.terminal else 1.0 for e in batch])
+        s, s2 = batch.state, batch.next_state
+        a = batch.action[:, None]
+        r, live = batch.reward, batch.live
 
         # critic: target nets only in the bootstrap target
         a2, _ = nn.forward(self.actor_target, s2, "infer")

@@ -108,6 +108,10 @@ def controller_factory(net: NetworkModel, name: str, hp: dict,
         raise ConfigError(f"no checkpoint metadata at {meta_path}")
     with open(meta_path, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
+    if not isinstance(meta, dict) or "algo" not in meta or \
+            not isinstance(meta.get("files"), dict):
+        raise ConfigError(f"{meta_path}: checkpoint metadata needs an "
+                          "object with \"algo\" and a \"files\" object")
     if meta["algo"] != name:
         raise ConfigError(f"checkpoint is for {meta['algo']!r}, not {name!r}")
     cfg = agent_config(name, meta.get("config", {}))
@@ -203,7 +207,8 @@ class TrialResult:
 
 def episode_mean_travel_time(net, demand, controllers, seed,
                              horizon=None) -> float:
-    log = run_episode(net, demand, controllers, seed, horizon=horizon)
+    log = run_episode(net, demand, controllers, seed, horizon=horizon,
+                      moe_series=False)
     tts = log.travel_time_values
     if not tts:
         return float("nan")

@@ -269,7 +269,7 @@ def _train_sync(net, demand, algo, seed, fabric, learner) -> TrainResult:
                                     on_experience=on_experience)
     for ep in range(fabric.episode_budget):
         run_episode(net, demand, controllers, seed + ep,
-                    horizon=fabric.horizon)
+                    horizon=fabric.horizon, moe_series=False)
     return TrainResult(algo=algo, agents=learner.agents,
                        r_min={iid: n.r_min for iid, n in normalizers.items()},
                        log=[], emitted=emitted[0], received=learner.received)
@@ -324,7 +324,7 @@ def _train_threaded(net, demand, algo, seed, fabric, agent_cfg, learners,
                     episode_counter["next"] = ep + 1
                 run_episode(net, demand, controllers,
                             seed + actor_index + 1000003 * ep,
-                            horizon=fabric.horizon)
+                            horizon=fabric.horizon, moe_series=False)
         except Exception as exc:  # propagate to the coordinator
             errors.append((f"actor {actor_index}", exc))
         finally:

@@ -8,6 +8,8 @@ format. All arithmetic is float64.
 
 from __future__ import annotations
 
+import functools
+import math
 import struct
 from dataclasses import dataclass
 
@@ -31,20 +33,83 @@ class LayerSpec:
             raise ValueError(f"unknown activation {self.activation!r}")
 
 
+TRAINABLE_KEYS = ("w", "b", "gamma", "beta")
+# the arrays of a batch-norm layer, in checkpoint order
+_LAYER_KEYS = TRAINABLE_KEYS + ("rmean", "rvar")
+
+
+@functools.lru_cache(maxsize=64)
+def _layout_for(input_width: int, specs: tuple) -> tuple:
+    """Where each array of a network lives in its flat buffer.
+
+    Returns (per layer, (key, start, stop, shape) in checkpoint order;
+    the length of the trainable prefix; the buffer length).
+    """
+    shapes = []
+    fan_in = input_width
+    for spec in specs:
+        keys = _LAYER_KEYS if spec.batch_norm else ("w", "b")
+        shapes.append([(k, (fan_in, spec.width) if k == "w" else
+                        (spec.width,)) for k in keys])
+        fan_in = spec.width
+    n_trainable = sum(math.prod(shape) for layer in shapes
+                      for key, shape in layer if key in TRAINABLE_KEYS)
+    free = [0, n_trainable]  # next offset: trainable, running statistics
+    layout = []
+    for layer in shapes:
+        slots = []
+        for key, shape in layer:
+            i = key not in TRAINABLE_KEYS
+            stop = free[i] + math.prod(shape)
+            slots.append((key, free[i], stop, shape))
+            free[i] = stop
+        layout.append(tuple(slots))
+    return tuple(layout), n_trainable, free[1]
+
+
 class ParameterSet:
-    """Weights, biases and batch-norm state for one network."""
+    """Weights, biases and batch-norm state for one network.
+
+    Every array is a view into one contiguous float64 buffer, `flat`. The
+    trainable arrays (TRAINABLE_KEYS) of all layers fill its first
+    `n_trainable` elements, layer by layer; the batch-norm running
+    statistics follow. Each layer dict holds w, b and, with batch norm,
+    gamma, beta, rmean, rvar, in that (checkpoint) order. Update the
+    arrays in place (`arr[...] = x`, `arr += x`): rebinding a dict entry
+    would detach it from `flat`.
+    """
 
     def __init__(self, input_width: int, specs: tuple, layers: list,
                  version: int = 0):
+        specs = tuple(specs)
+        if len(layers) != len(specs):
+            raise ValueError(f"{len(layers)} parameter layers for "
+                             f"{len(specs)} layer specs")
+        self._bind(input_width, specs, version,
+                   np.empty(_layout_for(input_width, specs)[2]))
+        for views, layer in zip(self.layers, layers):
+            for key, view in views.items():
+                view[...] = layer[key]
+
+    def _bind(self, input_width, specs, version, flat):
         self.input_width = input_width
-        self.specs = tuple(specs)
-        self.layers = layers  # list of dicts of float64 arrays
+        self.specs = specs
         self.version = version
+        self.flat = flat
+        self._layout, self.n_trainable, _ = _layout_for(input_width, specs)
+        self.layers = [{key: flat[a:b].reshape(shape)
+                        for key, a, b, shape in layer}
+                       for layer in self._layout]
+
+    def __getstate__(self):
+        return self.input_width, self.specs, self.version, self.flat
+
+    def __setstate__(self, state):
+        self._bind(*state)
 
     def copy(self) -> "ParameterSet":
-        layers = [{k: v.copy() for k, v in layer.items()}
-                  for layer in self.layers]
-        return ParameterSet(self.input_width, self.specs, layers, self.version)
+        return _viewing(self.flat.copy(), self.input_width, self.specs,
+                        self.version)
 
     def arrays(self):
         for layer in self.layers:
@@ -55,30 +120,31 @@ class ParameterSet:
                    for (_, a), (_, b) in zip(self.arrays(), other.arrays()))
 
 
-TRAINABLE_KEYS = ("w", "b", "gamma", "beta")
+def _viewing(flat: np.ndarray, input_width: int, specs: tuple,
+             version: int = 0) -> ParameterSet:
+    """A parameter set whose arrays are views into `flat`."""
+    params = ParameterSet.__new__(ParameterSet)
+    params._bind(input_width, specs, version, flat)
+    return params
 
 
 def he_init(specs, input_width: int, seed: int) -> ParameterSet:
     """He-normal weights, zero biases, identity batch-norm."""
     if input_width < 1:
         raise ValueError("input_width must be >= 1")
+    specs = tuple(specs)
+    params = _viewing(np.zeros(_layout_for(input_width, specs)[2]),
+                      input_width, specs)
     rng = np.random.default_rng(seed)
-    layers = []
     fan_in = input_width
-    for spec in specs:
-        layer = {
-            "w": rng.normal(0.0, np.sqrt(2.0 / fan_in),
-                            size=(fan_in, spec.width)),
-            "b": np.zeros(spec.width),
-        }
+    for spec, layer in zip(specs, params.layers):
+        layer["w"][...] = rng.normal(0.0, np.sqrt(2.0 / fan_in),
+                                     size=(fan_in, spec.width))
         if spec.batch_norm:
-            layer["gamma"] = np.ones(spec.width)
-            layer["beta"] = np.zeros(spec.width)
-            layer["rmean"] = np.zeros(spec.width)
-            layer["rvar"] = np.ones(spec.width)
-        layers.append(layer)
+            layer["gamma"][...] = 1.0
+            layer["rvar"][...] = 1.0
         fan_in = spec.width
-    return ParameterSet(input_width, tuple(specs), layers)
+    return params
 
 
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
@@ -89,21 +155,13 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0.0, z, np.expm1(z))  # elu
 
 
-def _activate_grad(name: str, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    if name == "linear":
-        return np.ones_like(z)
-    if name == "tanh":
-        return 1.0 - y * y
-    return np.where(z >= 0.0, 1.0, y + 1.0)  # elu'
-
-
 def forward(params: ParameterSet, x: np.ndarray, mode: str = "infer",
             update_running: bool = True):
     """Run the network; returns (output, cache for backward).
 
     Train mode normalizes with batch statistics (batch size >= 2 required
     where batch norm is enabled) and, unless `update_running` is False,
-    refreshes the running statistics.
+    refreshes the running statistics in place.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -114,38 +172,37 @@ def forward(params: ParameterSet, x: np.ndarray, mode: str = "infer",
     if x.shape[1] != params.input_width:
         raise ValueError(f"input width {x.shape[1]} != {params.input_width}")
 
-    cache = {"mode": mode, "layers": [], "squeeze": squeeze}
+    train = mode == "train"
+    entries = []  # per layer: (input, pre-activation, output, xhat, inv_std)
     h = x
     for spec, layer in zip(params.specs, params.layers):
         z = h @ layer["w"] + layer["b"]
-        entry = {"x": h, "z": z}
+        xhat = inv_std = None
         if spec.batch_norm:
-            if mode == "train":
+            if train:
                 if z.shape[0] < 2:
                     raise ValueError("batch norm in train mode needs batch >= 2")
                 mu = z.mean(axis=0)
                 var = z.var(axis=0)
                 if update_running:
-                    layer["rmean"] = (BN_MOMENTUM * layer["rmean"]
-                                      + (1.0 - BN_MOMENTUM) * mu)
-                    layer["rvar"] = (BN_MOMENTUM * layer["rvar"]
-                                     + (1.0 - BN_MOMENTUM) * var)
+                    rmean, rvar = layer["rmean"], layer["rvar"]
+                    rmean *= BN_MOMENTUM
+                    rmean += (1.0 - BN_MOMENTUM) * mu
+                    rvar *= BN_MOMENTUM
+                    rvar += (1.0 - BN_MOMENTUM) * var
             else:
                 mu = layer["rmean"]
                 var = layer["rvar"]
             inv_std = 1.0 / np.sqrt(var + BN_EPS)
             xhat = (z - mu) * inv_std
             a = layer["gamma"] * xhat + layer["beta"]
-            entry.update(mu=mu, inv_std=inv_std, xhat=xhat)
         else:
             a = z
         y = _activate(spec.activation, a)
-        entry["a"] = a
-        entry["y"] = y
-        cache["layers"].append(entry)
+        entries.append((h, a, y, xhat, inv_std))
         h = y
     out = h[0] if squeeze else h
-    return out, cache
+    return out, (train, squeeze, entries)
 
 
 class Gradients:
@@ -154,47 +211,51 @@ class Gradients:
         self.wrt_input = wrt_input
 
 
-def backward(params: ParameterSet, cache: dict, grad_out: np.ndarray,
+def backward(params: ParameterSet, cache: tuple, grad_out: np.ndarray,
              l2: float = 0.0) -> Gradients:
     """Backpropagate; returns per-parameter gradients and the input gradient.
 
     `l2` adds weight decay lambda*w to every weight gradient.
     """
+    train, squeeze, entries = cache
     grad = np.asarray(grad_out, dtype=float)
-    if cache["squeeze"] and grad.ndim == 1:
+    if squeeze and grad.ndim == 1:
         grad = grad[None, :]
-    mode = cache["mode"]
     out_layers = [None] * len(params.layers)
     for idx in range(len(params.layers) - 1, -1, -1):
         spec = params.specs[idx]
         layer = params.layers[idx]
-        entry = cache["layers"][idx]
-        grad = grad * _activate_grad(spec.activation, entry["a"], entry["y"])
+        x, a, y, xhat, inv_std = entries[idx]
+        if spec.activation == "tanh":
+            grad = grad * (1.0 - y * y)
+        elif spec.activation == "elu":
+            grad = grad * np.where(a >= 0.0, 1.0, y + 1.0)
         g = {}
         if spec.batch_norm:
-            xhat = entry["xhat"]
-            inv_std = entry["inv_std"]
             g["gamma"] = (grad * xhat).sum(axis=0)
             g["beta"] = grad.sum(axis=0)
             dxhat = grad * layer["gamma"]
-            if mode == "train":
+            if train:
                 n = grad.shape[0]
                 dz = (inv_std / n) * (n * dxhat - dxhat.sum(axis=0)
                                       - xhat * (dxhat * xhat).sum(axis=0))
             else:
                 dz = dxhat * inv_std
             grad = dz
-        g["w"] = entry["x"].T @ grad
+        g["w"] = x.T @ grad
         g["b"] = grad.sum(axis=0)
         if l2:
             g["w"] = g["w"] + l2 * layer["w"]
         grad = grad @ layer["w"].T
         out_layers[idx] = g
-    wrt_input = grad[0] if cache["squeeze"] else grad
+    wrt_input = grad[0] if squeeze else grad
     return Gradients(out_layers, wrt_input)
 
 
 class AdamState:
+    """Adam moments over a network's trainable prefix, plus the scratch
+    buffers the in-place update works in."""
+
     def __init__(self, params: ParameterSet, lr: float = 1e-4,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
@@ -202,31 +263,58 @@ class AdamState:
         self.beta2 = beta2
         self.eps = eps
         self.step = 0
-        self.m = [{k: np.zeros_like(layer[k]) for k in TRAINABLE_KEYS
-                   if k in layer} for layer in params.layers]
-        self.v = [{k: np.zeros_like(layer[k]) for k in TRAINABLE_KEYS
-                   if k in layer} for layer in params.layers]
+        n = params.n_trainable
+        self.m = np.zeros(n)
+        self.v = np.zeros(n)
+        self._tmp = np.empty(n)
+        self._tmp2 = np.empty(n)
+        # the gradient, gathered into the trainable layout of `params`
+        self._grad = np.empty(n)
+        self._grad_views = [
+            {key: self._grad[a:b].reshape(shape)
+             for key, a, b, shape in layer if key in TRAINABLE_KEYS}
+            for layer in params._layout]
 
 
 def adam_step(params: ParameterSet, grads: Gradients | list,
               adam: AdamState) -> ParameterSet:
-    """Bias-corrected Adam update, in place; bumps the parameter version."""
+    """Bias-corrected Adam update, in place; bumps the parameter version.
+
+    Per element: m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
+    p = p - (lr*(m/bc1)) / (sqrt(v/bc2) + eps). Every trainable array
+    needs a gradient; other keys are ignored.
+    """
     glayers = grads.layers if isinstance(grads, Gradients) else grads
+    if len(glayers) != len(adam._grad_views) or \
+            params.n_trainable != adam.m.size:
+        raise ValueError("gradients do not match the network")
+    for g, views in zip(glayers, adam._grad_views):
+        for key, view in views.items():
+            gval = g.get(key)
+            if gval is None:
+                raise ValueError(f"no gradient for {key}")
+            if gval.shape != view.shape:
+                raise ValueError(f"gradient shape mismatch for {key}")
+            view[...] = gval
     adam.step += 1
     b1, b2 = adam.beta1, adam.beta2
     bc1 = 1.0 - b1 ** adam.step
     bc2 = 1.0 - b2 ** adam.step
-    for layer, g, m, v in zip(params.layers, glayers, adam.m, adam.v):
-        for key, gval in g.items():
-            if key not in m:
-                continue
-            if gval.shape != layer[key].shape:
-                raise ValueError(f"gradient shape mismatch for {key}")
-            m[key] = b1 * m[key] + (1.0 - b1) * gval
-            v[key] = b2 * v[key] + (1.0 - b2) * gval * gval
-            mhat = m[key] / bc1
-            vhat = v[key] / bc2
-            layer[key] = layer[key] - adam.lr * mhat / (np.sqrt(vhat) + adam.eps)
+    g, m, v, t, t2 = adam._grad, adam.m, adam.v, adam._tmp, adam._tmp2
+    m *= b1
+    np.multiply(g, 1.0 - b1, out=t)
+    m += t
+    v *= b2
+    np.multiply(g, 1.0 - b2, out=t)
+    t *= g
+    v += t
+    np.divide(m, bc1, out=t)
+    t *= adam.lr
+    np.divide(v, bc2, out=t2)
+    np.sqrt(t2, out=t2)
+    t2 += adam.eps
+    t /= t2
+    params.flat[:params.n_trainable] -= t
     params.version += 1
     return params
 
@@ -236,11 +324,10 @@ def soft_update(target: ParameterSet, online: ParameterSet,
     """theta' <- (1 - tau) theta' + tau theta, running statistics included."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must be in [0, 1]")
-    for t_layer, o_layer in zip(target.layers, online.layers):
-        for key in t_layer:
-            if t_layer[key].shape != o_layer[key].shape:
-                raise ValueError(f"shape mismatch for {key}")
-            t_layer[key] = (1.0 - tau) * t_layer[key] + tau * o_layer[key]
+    if target._layout != online._layout:
+        raise ValueError("soft update between networks of different shapes")
+    target.flat *= 1.0 - tau
+    target.flat += tau * online.flat
     target.version += 1
     return target
 
@@ -248,7 +335,6 @@ def soft_update(target: ParameterSet, online: ParameterSet,
 # -- checkpoint format ----------------------------------------------------------
 
 _MAGIC = b"TSCNET1\n"
-_LAYER_KEYS = ("w", "b", "gamma", "beta", "rmean", "rvar")
 
 
 def save_checkpoint(path, named_params: dict) -> None:
@@ -266,11 +352,8 @@ def save_checkpoint(path, named_params: dict) -> None:
                 fh.write(struct.pack("<IBB", spec.width,
                                      ACTIVATIONS.index(spec.activation),
                                      int(spec.batch_norm)))
-            for layer in params.layers:
-                for key in _LAYER_KEYS:
-                    if key in layer:
-                        arr = np.ascontiguousarray(layer[key], dtype=float)
-                        fh.write(arr.tobytes())
+            for _, arr in params.arrays():
+                fh.write(arr.tobytes())
 
 
 def load_checkpoint(path) -> dict:
@@ -304,20 +387,11 @@ def load_checkpoint(path) -> dict:
             if act >= len(ACTIVATIONS):
                 raise ValueError(f"{path}: unknown activation code {act}")
             specs.append(LayerSpec(width, ACTIVATIONS[act], bool(bn)))
-        layers = []
-        fan_in = input_width
-        for spec in specs:
-            layer = {}
-            shapes = [("w", (fan_in, spec.width)), ("b", (spec.width,))]
-            if spec.batch_norm:
-                shapes += [(k, (spec.width,))
-                           for k in ("gamma", "beta", "rmean", "rvar")]
-            for key, shape in shapes:
-                buf = take(8 * int(np.prod(shape)))
-                layer[key] = np.frombuffer(buf, dtype=float).reshape(shape).copy()
-            layers.append(layer)
-            fan_in = spec.width
-        out[name] = ParameterSet(input_width, tuple(specs), layers, version)
+        specs = tuple(specs)
+        layers = [{key: np.frombuffer(take(8 * (b - a)), dtype=float)
+                   .reshape(shape) for key, a, b, shape in layer}
+                  for layer in _layout_for(input_width, specs)[0]]
+        out[name] = ParameterSet(input_width, specs, layers, version)
     if pos != len(data):
         raise ValueError(f"{path}: {len(data) - pos} trailing bytes after "
                          "the checkpoint")

@@ -429,15 +429,23 @@ def collect_moe(sim: Simulation, log: MoELog) -> None:
     log.blocked = sim.blocked
 
 
+def _collect_travel_times(sim: Simulation, log: MoELog) -> None:
+    for v in sim.exited_this_step:
+        log.travel_times.append((v.exit_time, v.exit_time - v.entry_time))
+
+
 def run_episode(net: NetworkModel, demand: DemandProfile, controllers: dict,
                 seed: int, horizon: float | None = None,
                 drain: float = DEFAULT_DRAIN_CAP,
-                saturation_flow: float = DEFAULT_SATURATION_FLOW) -> MoELog:
+                saturation_flow: float = DEFAULT_SATURATION_FLOW,
+                moe_series: bool = True) -> MoELog:
     """Full observe -> decide -> sequence -> step -> collect loop.
 
     `controllers` maps intersection id -> controller instance. Vehicles
     still in the network after the drain window are reported as unfinished
-    and excluded from travel-time statistics.
+    and excluded from travel-time statistics. With `moe_series` false the
+    log holds the travel times and the conservation ledger only: its
+    per-second times, queue and delay series stay empty.
     """
     from .control import SignalUnit
 
@@ -458,10 +466,11 @@ def run_episode(net: NetworkModel, demand: DemandProfile, controllers: dict,
         ctrl.begin_episode()
 
     log = MoELog([ix.id for ix in net.intersections])
+    collect = collect_moe if moe_series else _collect_travel_times
 
     def one_second():
         sim.step({iid: advance() for iid, advance in advances})
-        collect_moe(sim, log)
+        collect(sim, log)
 
     while sim.t < horizon:
         one_second()
@@ -470,6 +479,8 @@ def run_episode(net: NetworkModel, demand: DemandProfile, controllers: dict,
         one_second()
 
     log.unfinished = sim.total_vehicles()
+    log.injected, log.exited, log.blocked = \
+        sim.injected, sim.exited, sim.blocked
     for ctrl in controllers.values():
         ctrl.end_episode()
     return log

@@ -4,14 +4,23 @@ import numpy as np
 import pytest
 
 from tscbench import nn
-from tscbench.agents import (DdpgAgent, DdpgConfig, DqnAgent, DqnConfig,
-                             Experience, ExplorationSchedule, ReplayBuffer,
-                             scale_duration)
+from tscbench.agents import (Batch, DdpgAgent, DdpgConfig, DqnAgent,
+                             DqnConfig, Experience, ExplorationSchedule,
+                             ReplayBuffer, scale_duration)
 
 
 def exp(state, action, reward, next_state, terminal=False):
     return Experience(np.asarray(state, dtype=float), action, reward,
                       np.asarray(next_state, dtype=float), terminal, "x")
+
+
+def batch_of(exps):
+    """The Batch a replay buffer would sample for these rows."""
+    return Batch(np.stack([e.state for e in exps]),
+                 np.array([e.action for e in exps], dtype=float),
+                 np.array([e.reward for e in exps], dtype=float),
+                 np.stack([e.next_state for e in exps]),
+                 np.array([0.0 if e.terminal else 1.0 for e in exps]))
 
 
 def pin_output(params, values):
@@ -32,7 +41,7 @@ class TestReplayBuffer:
         for i in range(5):
             buf.push(exp([i], 0, 0.0, [i]))
         assert len(buf) == 3
-        kept = sorted(e.state[0] for e in buf.items())
+        kept = sorted(buf.rows().state[:, 0])
         assert kept == [2.0, 3.0, 4.0]  # 0 and 1 were evicted in order
 
     def test_uniform_sampling(self):
@@ -43,10 +52,48 @@ class TestReplayBuffer:
         counts = np.zeros(10)
         draws = 100_000
         for _ in range(draws // 10):
-            for e in buf.sample(10, rng):
-                counts[int(e.state[0])] += 1
+            for state in buf.sample(10, rng).state:
+                counts[int(state[0])] += 1
         freq = counts / draws
         assert np.all(np.abs(freq - 0.1) < 0.005)
+
+    def test_same_rows_as_list_ring(self):
+        # the list-based ring the array ring replaced, as the reference
+        capacity = 600   # storage grows 256 -> 512 -> 600, then wraps
+        items, nxt = [], 0
+        buf = ReplayBuffer(capacity)
+        data = np.random.default_rng(5)
+        checks = {1, 8, 255, 256, 257, 511, 512, 513, 599, 600, 601, 1300}
+        for n in range(1, 1301):
+            e = exp(data.normal(size=3), int(data.integers(4)),
+                    float(data.normal()), data.normal(size=3),
+                    terminal=bool(data.random() < 0.2))
+            buf.push(e)
+            if len(items) < capacity:
+                items.append(e)
+            else:
+                items[nxt] = e
+                nxt = (nxt + 1) % capacity
+            if n not in checks:
+                continue
+            assert len(buf) == len(items)
+            k = min(n, 32)
+            rng_a, rng_b = (np.random.default_rng(n) for _ in range(2))
+            got = buf.sample(k, rng_a)
+            want = batch_of([items[i]
+                             for i in rng_b.integers(len(items), size=k)])
+            for field, g, w in zip(Batch._fields, got, want):
+                assert np.array_equal(g, w), (n, field)
+            assert rng_a.random() == rng_b.random()  # same draws consumed
+            for g, w in zip(buf.rows(), batch_of(items)):
+                assert np.array_equal(g, w)
+
+    def test_storage_grows_only_as_needed(self):
+        buf = ReplayBuffer(50_000)
+        for i in range(300):
+            buf.push(exp([i, i], 0, 0.0, [i, i]))
+        assert len(buf) == 300
+        assert len(buf._cols.state) == 512
 
 
 class TestExplorationSchedule:
@@ -80,7 +127,7 @@ class TestDqn:
         pin_output(agent.target, [1.0, 2.0])
         pin_output(agent.online, [0.0, 0.0])
         batch = [exp([0.1] * 4, 0, -0.5, [0.2] * 4)] * 2
-        loss = agent.train_batch(batch)
+        loss = agent.train_batch(batch_of(batch))
         assert loss == pytest.approx(1.48 ** 2, rel=1e-12)
 
     def test_target_oracle_terminal(self):
@@ -88,7 +135,7 @@ class TestDqn:
         pin_output(agent.target, [1.0, 2.0])
         pin_output(agent.online, [0.0, 0.0])
         batch = [exp([0.1] * 4, 0, -0.5, [0.2] * 4, terminal=True)] * 2
-        loss = agent.train_batch(batch)
+        loss = agent.train_batch(batch_of(batch))
         assert loss == pytest.approx(0.25, rel=1e-12)
 
     def test_gradient_only_through_taken_action(self):
@@ -96,7 +143,7 @@ class TestDqn:
         pin_output(agent.online, [0.0, 0.0])
         before = agent.online.layers[-1]["b"].copy()
         batch = [exp([0.1] * 4, 0, -1.0, [0.2] * 4)] * 4
-        agent.train_batch(batch)
+        agent.train_batch(batch_of(batch))
         after = agent.online.layers[-1]["b"]
         assert after[0] != before[0]
         assert after[1] == before[1]  # untaken action's bias untouched
@@ -106,7 +153,7 @@ class TestDqn:
         batch = [exp([0.1] * 4, 0, -1.0, [0.2] * 4),
                  exp([0.3] * 4, 1, -0.5, [0.4] * 4)]
         for k in range(1, 4):
-            agent.train_batch(batch)
+            agent.train_batch(batch_of(batch))
             if k < 3:
                 assert not agent.target.allclose(agent.online)
         assert agent.target.allclose(agent.online)
@@ -131,7 +178,8 @@ class TestDqn:
 
     def test_checkpoint_round_trip(self, tmp_path):
         agent = self.make()
-        agent.train_batch([exp([0.1] * 4, 0, -1.0, [0.2] * 4)] * 2)
+        agent.train_batch(
+            batch_of([exp([0.1] * 4, 0, -1.0, [0.2] * 4)] * 2))
         path = tmp_path / "dqn.ckpt"
         nn.save_checkpoint(str(path), agent.to_checkpoint())
         other = self.make()
@@ -179,7 +227,7 @@ class TestDdpg:
         agent = self.make()
         pin_output(agent.critic, [0.0])
         batch = [exp([0.1] * 4, 0.3, -0.2, [0.2] * 4, terminal=True)] * 2
-        critic_loss, _ = agent.train_batch(batch)
+        critic_loss, _ = agent.train_batch(batch_of(batch))
         assert critic_loss == pytest.approx(0.04, rel=1e-9)
 
     def test_actor_chain_rule_toy(self):
@@ -202,7 +250,7 @@ class TestDdpg:
         before = agent.actor_target.copy()
         batch = [exp([float(i)] * 4, 0.1 * i, -0.5, [0.2] * 4)
                  for i in range(4)]
-        agent.train_batch(batch)
+        agent.train_batch(batch_of(batch))
         assert not agent.actor_target.allclose(before)
         assert not agent.actor_target.allclose(agent.actor)
 
@@ -218,15 +266,15 @@ class TestDdpg:
         mom = nn.BN_MOMENTUM
         expected = mom * agent.critic.layers[0]["rmean"] \
             + (1 - mom) * z.mean(axis=0)
-        agent.train_batch(batch)
+        agent.train_batch(batch_of(batch))
         # rmean reflects exactly one update from the critic training pass
         assert np.allclose(agent.critic.layers[0]["rmean"], expected,
                            atol=1e-12)
 
     def test_checkpoint_round_trip(self, tmp_path):
         agent = self.make()
-        agent.train_batch([exp([float(i)] * 4, 0.1, -0.5, [0.2] * 4)
-                           for i in range(4)])
+        agent.train_batch(batch_of([exp([float(i)] * 4, 0.1, -0.5,
+                                        [0.2] * 4) for i in range(4)]))
         path = tmp_path / "ddpg.ckpt"
         nn.save_checkpoint(str(path), agent.to_checkpoint())
         other = self.make()

@@ -79,6 +79,19 @@ class TestExitCodes:
                          "--checkpoint", str(ckpt), "--runs", "1",
                          "--out", str(tmp_path / "e")]) == EXIT_USAGE
 
+    def test_corrupt_checkpoint_meta(self, paths, tmp_path):
+        train_out = tmp_path / "train"
+        assert main(["train", "--net", paths["net"], "--demand",
+                     paths["demand"], "--tsc", "dqn", "--episodes", "1",
+                     "--out", str(train_out)]) == EXIT_OK
+        ckpt = train_out / "checkpoints"
+        for meta in ({"files": {}}, {"algo": "dqn"}, []):
+            (ckpt / "meta.json").write_text(json.dumps(meta))
+            assert main(["evaluate", "--net", paths["net"], "--demand",
+                         paths["demand"], "--tsc", "dqn",
+                         "--checkpoint", str(ckpt), "--runs", "1",
+                         "--out", str(tmp_path / "e")]) == EXIT_USAGE, meta
+
     def test_learning_without_checkpoint(self, paths, tmp_path):
         assert main(["simulate", "--net", paths["net"], "--demand",
                      paths["demand"], "--tsc", "dqn",

@@ -13,6 +13,11 @@ that moves these numbers needs its own justification and a re-recording:
 The learned-controller digests cover the checkpoint path: a DQN and a DDPG
 agent are trained briefly on the bit-reproducible 1-actor/1-learner fabric,
 saved, and evaluated greedily from the checkpoint over several runs.
+
+The training digests hash the trained weights themselves: every parameter
+array of every network with its version, and the update counts. The DQN
+case uses a replay ring small enough to evict; the DDPG case trains
+batch-norm networks with soft-updated targets.
 """
 
 import hashlib
@@ -59,6 +64,15 @@ GOLDEN_LEARNED = {
 }
 # DDPG's default batch would not fill in two short episodes.
 LEARNED_CONFIGS = {"dqn": DqnConfig(), "ddpg": DdpgConfig(batch_size=4)}
+
+# Recorded before the parameters moved into one flat buffer per network.
+GOLDEN_TRAINING = {
+    "dqn": "db12120565118742fb67",
+    "ddpg": "83050e2225673708808e",
+}
+# 64 replay slots evict within the first episode on single.net.
+TRAINING_CONFIGS = {"dqn": DqnConfig(replay_capacity=64),
+                    "ddpg": DdpgConfig(batch_size=4)}
 
 
 def _hasher():
@@ -109,6 +123,24 @@ def learned_eval_digest(algo: str, out_dir: str) -> str:
     return h.hexdigest()[:20]
 
 
+def training_digest(algo: str) -> str:
+    """Train 3 episodes of 600 s on single.net; hash the trained weights."""
+    net = load_network(str(DATA / "single.net"))
+    demand = load_demand(str(DATA / "single_asym_demand.json"))
+    trained = fabric.train(
+        net, demand, algo, 0,
+        fabric=fabric.FabricConfig(episode_budget=3, horizon=600.0),
+        agent_cfg=TRAINING_CONFIGS[algo])
+    h, put = _hasher()
+    for iid in sorted(trained.agents):
+        for name, params in trained.agents[iid].to_checkpoint().items():
+            put(iid, name, params.version)
+            for key, arr in params.arrays():
+                put(key, *(float(x) for x in arr.ravel()))
+    put(*sorted(trained.update_counts.items()))
+    return h.hexdigest()[:20]
+
+
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 @pytest.mark.parametrize("controller", CONTROLLERS)
 def test_golden_digest(scenario, controller):
@@ -121,8 +153,15 @@ def test_golden_learned_eval_digest(algo, tmp_path):
     assert learned_eval_digest(algo, str(tmp_path)) == GOLDEN_LEARNED[algo]
 
 
+@pytest.mark.parametrize("algo", sorted(GOLDEN_TRAINING))
+def test_golden_training_digest(algo):
+    assert training_digest(algo) == GOLDEN_TRAINING[algo]
+
+
 if __name__ == "__main__":
     import tempfile
+    for algo in sorted(GOLDEN_TRAINING):
+        print(f'    "{algo}": "{training_digest(algo)}",')
     for algo in sorted(GOLDEN_LEARNED):
         with tempfile.TemporaryDirectory() as tmp:
             print(f'    "{algo}": "{learned_eval_digest(algo, tmp)}",')

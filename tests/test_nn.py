@@ -1,5 +1,7 @@
 """Neural engine tests: init, forward/backward, Adam, soft update, checkpoints."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,42 @@ class TestInit:
             LayerSpec(0, "elu")
         with pytest.raises(ValueError):
             LayerSpec(4, "relu")
+
+
+class TestFlatBuffer:
+    def test_arrays_are_views_trainable_first(self):
+        params = small_net(batch_norm=True)
+        trainable = [v for k, v in params.arrays() if k in nn.TRAINABLE_KEYS]
+        stats = [v for k, v in params.arrays() if k not in nn.TRAINABLE_KEYS]
+        assert params.n_trainable == sum(v.size for v in trainable)
+        assert np.array_equal(
+            params.flat,
+            np.concatenate([v.ravel() for v in trainable + stats]))
+        for _, v in params.arrays():
+            assert np.shares_memory(v, params.flat)
+        assert [list(layer) for layer in params.layers] == [
+            ["w", "b", "gamma", "beta", "rmean", "rvar"]] * 2 + [["w", "b"]]
+
+    @pytest.mark.parametrize("batch_norm", [False, True])
+    def test_copy_shares_no_memory(self, batch_norm):
+        params = small_net(batch_norm=batch_norm)
+        params.version = 7
+        dup = params.copy()
+        assert dup.version == 7 and dup.specs == params.specs
+        assert not np.shares_memory(dup.flat, params.flat)
+        for (ka, a), (kb, b) in zip(params.arrays(), dup.arrays()):
+            assert ka == kb and np.array_equal(a, b)
+            assert not np.shares_memory(a, b)
+            assert np.shares_memory(b, dup.flat)
+        dup.flat += 1.0
+        assert np.array_equal(params.flat, small_net(batch_norm=batch_norm).flat)
+
+    def test_pickle_keeps_views(self):
+        params = small_net(batch_norm=True)
+        back = pickle.loads(pickle.dumps(params))
+        assert np.array_equal(back.flat, params.flat)
+        for (_, a), (_, b) in zip(params.arrays(), back.arrays()):
+            assert np.array_equal(a, b) and np.shares_memory(b, back.flat)
 
 
 class TestForward:
@@ -188,7 +226,58 @@ class TestBackward:
             assert np.all(g["b"] == 0.0)
 
 
+def reference_adam(layers, glayers, state, lr=1e-4, b1=0.9, b2=0.999,
+                   eps=1e-8):
+    """Per-array Adam over a list of dicts, as the flat update must match."""
+    state["step"] += 1
+    bc1 = 1.0 - b1 ** state["step"]
+    bc2 = 1.0 - b2 ** state["step"]
+    for layer, g, m, v in zip(layers, glayers, state["m"], state["v"]):
+        for key, gval in g.items():
+            m[key] = b1 * m[key] + (1.0 - b1) * gval
+            v[key] = b2 * v[key] + (1.0 - b2) * gval * gval
+            mhat = m[key] / bc1
+            vhat = v[key] / bc2
+            layer[key] = layer[key] - lr * mhat / (np.sqrt(vhat) + eps)
+
+
 class TestAdam:
+    @pytest.mark.parametrize("batch_norm", [False, True])
+    def test_bit_equal_to_per_array_reference(self, batch_norm):
+        params = small_net(seed=4, batch_norm=batch_norm)
+        adam = AdamState(params, lr=1e-3)
+        ref = [{k: v.copy() for k, v in layer.items()
+                if k in nn.TRAINABLE_KEYS} for layer in params.layers]
+        state = {"step": 0,
+                 "m": [{k: np.zeros_like(v) for k, v in layer.items()}
+                       for layer in ref],
+                 "v": [{k: np.zeros_like(v) for k, v in layer.items()}
+                       for layer in ref]}
+        rng = np.random.default_rng(0)
+        for step in range(50):
+            out, cache = forward(params, rng.normal(size=(6, 4)), "train")
+            grads = backward(params, cache, rng.normal(size=out.shape))
+            reference_adam(ref, grads.layers, state, lr=1e-3)
+            adam_step(params, grads, adam)
+            for layer, want in zip(params.layers, ref):
+                for key in want:
+                    assert np.array_equal(layer[key], want[key]), (step, key)
+        assert params.version == 50
+
+    def test_missing_or_misshapen_gradient(self):
+        params = small_net()
+        adam = AdamState(params)
+        grads = [{k: np.zeros_like(v) for k, v in layer.items()}
+                 for layer in params.layers]
+        del grads[1]["b"]
+        with pytest.raises(ValueError, match="no gradient for b"):
+            adam_step(params, grads, adam)
+        grads[1]["b"] = np.zeros(3)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            adam_step(params, grads, adam)
+        with pytest.raises(ValueError):
+            adam_step(params, grads[:2], adam)
+
     def test_first_step_magnitude(self):
         # bias correction makes the first update approximately lr * sign(g)
         params = he_init((LayerSpec(1, "linear"),), 1, 0)
@@ -259,6 +348,10 @@ class TestSoftUpdate:
         with pytest.raises(ValueError):
             soft_update(small_net(1), small_net(2), 1.5)
 
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            soft_update(small_net(1), small_net(2, batch_norm=True), 0.5)
+
 
 class TestCheckpoint:
     def test_bit_exact_round_trip(self, tmp_path):
@@ -275,6 +368,15 @@ class TestCheckpoint:
             for (ka, va), (kb, vb) in zip(orig.arrays(), back.arrays()):
                 assert ka == kb
                 assert np.array_equal(va, vb)  # bit-exact
+
+    def test_save_load_save_same_bytes(self, tmp_path):
+        named = {"actor": small_net(seed=9, batch_norm=True),
+                 "critic": small_net(seed=10)}
+        named["actor"].version = 77
+        first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(str(first), named)
+        save_checkpoint(str(second), load_checkpoint(str(first)))
+        assert first.read_bytes() == second.read_bytes()
 
     def saved(self, tmp_path):
         """A one-network checkpoint, its bytes, the header length and the

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tscbench.classic import UniformController
+from tscbench.experiments import make_classic_controllers
 from tscbench.simulation import (ALLRED, GREEN, DemandProfile, MoELog,
                                  Simulation, Vehicle, run_episode,
                                  vehicle_delay)
@@ -143,6 +144,25 @@ class TestEpisode:
             with pytest.raises(ValueError, match=lane):
                 run_episode(single_net, demand, self.controllers(single_net),
                             0)
+
+    @pytest.mark.parametrize("scenario", ["single", "double"])
+    def test_series_off_keeps_travel_times_and_ledger(self, scenario,
+                                                     request):
+        net = request.getfixturevalue(f"{scenario}_net")
+        demand = request.getfixturevalue(f"{scenario}_demand")
+        for name in ("maxpressure", "sotl"):
+            full, lean = (run_episode(net, demand,
+                                      make_classic_controllers(net, name, {}),
+                                      3, moe_series=series)
+                          for series in (True, False))
+            assert lean.travel_times == full.travel_times
+            assert full.travel_times and full.times
+            ledger = ("injected", "exited", "blocked", "unfinished")
+            assert [getattr(lean, k) for k in ledger] == \
+                [getattr(full, k) for k in ledger]
+            assert lean.times == []
+            assert all(q == [] for q in lean.queue.values())
+            assert all(d == [] for d in lean.delay.values())
 
     def test_zero_demand_zero_samples(self, tiny_net):
         demand = constant_demand(["in_a", "in_b"], 0.0)
