@@ -24,25 +24,39 @@ DEFAULT_SATURATION_FLOW = 1800.0  # veh/h/lane -> 2 s discharge headway
 DEFAULT_DRAIN_CAP = 600.0         # extra seconds after demand end
 
 _EPS = 1e-9
+_ARRIVAL_BLOCK = 256  # simulated seconds of arrival draws per RNG call
 
 
 class DemandProfile:
     """Piecewise-linear arrival rates (veh/h) per entry lane."""
 
     def __init__(self, rates: dict, horizon: float | None = None):
+        if not isinstance(rates, dict):
+            raise ValueError("demand profile must be an object mapping "
+                             "entry lane -> [[time_s, rate_veh_h], ...]")
         if not rates:
             raise ValueError("demand profile has no entry lanes")
         self.breakpoints = {}
         max_t = 0.0
         for lane, pts in rates.items():
-            pts = sorted((float(t), float(r)) for t, r in pts)
+            try:
+                pts = sorted((float(t), float(r)) for t, r in pts)
+            except (TypeError, ValueError):
+                raise ValueError(f"demand for lane {lane!r} must be a list "
+                                 f"of [time_s, rate_veh_h] points") from None
+            if not pts:
+                raise ValueError(f"demand for lane {lane!r} has no points")
+            # a NaN rate would compare false against every draw
+            if not all(math.isfinite(t) and math.isfinite(r)
+                       for t, r in pts):
+                raise ValueError(f"non-finite time or rate for lane {lane!r}")
             if any(r < 0 for _, r in pts):
                 raise ValueError(f"negative rate for lane {lane!r}")
             self.breakpoints[lane] = pts
             max_t = max(max_t, pts[-1][0])
         self.horizon = float(horizon) if horizon is not None else max_t
-        if self.horizon <= 0:
-            raise ValueError("demand horizon must be > 0")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError("demand horizon must be finite and > 0")
         # per-second lookup tables, cheap enough for desk-scale horizons
         n = int(math.ceil(self.horizon)) + 1
         ts = np.arange(n, dtype=float)
@@ -152,7 +166,8 @@ class Simulation:
     `delay_sum` rely on this order: their scan stops at the first vehicle
     behind the bound. A vehicle leaves its lane in the step it exits, so
     every vehicle on a lane is still travelling (`collect_moe` relies on
-    that).
+    that). The clock starts at 0 and only `step` advances it, one second per
+    call; the arrival schedule is indexed by that count.
     """
 
     def __init__(self, net: NetworkModel, demand: DemandProfile, seed: int,
@@ -187,12 +202,19 @@ class Simulation:
         self._expected_cmd_keys = frozenset(ix.id for ix in net.intersections)
         route_ff = {r: sum(lanes[l].free_flow_time for l in r)
                     for r in net.routes}
-        # (entry lane, ((route, free-flow time), ...), per-second rates);
-        # a memoryview of the rate table indexes straight to a float
+        # (entry lane, jam capacity, ((route, free-flow time), ...)), in
+        # demand.entry_lanes order
         self._arrivals = tuple(
-            (lane, tuple((r, route_ff[r]) for r in net.routes_from(lane)),
-             memoryview(demand._table[lane]))
+            (lane, lanes[lane].jam_capacity,
+             tuple((r, route_ff[r]) for r in net.routes_from(lane)))
             for lane in demand.entry_lanes)
+        # Arrival stream: one uniform per entry lane per simulated second,
+        # in entry-lane order, drawn _ARRIVAL_BLOCK seconds at a time (one
+        # rng.random((k, n)) call yields the same doubles in the same order
+        # as k * n rng.random() calls). Route picks come from a spawned
+        # child, so they never fall between two blocks of the parent stream.
+        self._route_rng = self.rng.spawn(1)[0]
+        self._arrival_block = ()
         controlled = {lid for ix in net.intersections for lid in ix.incoming}
         # (lane id, length, speed, jam spacing, queue stop lines or None for
         # a sink lane), in lane order
@@ -263,7 +285,9 @@ class Simulation:
 
     # -- dynamics ---------------------------------------------------------
 
-    def step(self, commands: dict, dt: float = 1.0) -> None:
+    def step(self, commands: dict) -> None:
+        """Advance the simulation by one second under `commands`
+        (intersection id -> (indication, phase))."""
         if commands.keys() != self._expected_cmd_keys:
             unknown = set(commands) - self._expected_cmd_keys
             if unknown:
@@ -281,18 +305,18 @@ class Simulation:
 
         # (a) arrivals
         if t < self.inject_until:
-            rng = self.rng
             i = int(t)
-            for entry, routes, rates in self._arrivals:
-                rate = rates[i] if 0 <= i < len(rates) else 0.0
-                draw = rng.random()
-                if rate <= 0.0 or draw >= rate * dt / 3600.0:
-                    continue
+            k = i % _ARRIVAL_BLOCK
+            if k == 0:
+                self._arrival_block = self._draw_arrivals(i)
+            for j in self._arrival_block[k]:
+                entry, capacity, routes = self._arrivals[j]
                 vehs = lane_vehicles[entry]
-                if len(vehs) >= lanes[entry].jam_capacity:
+                if len(vehs) >= capacity:
                     self.blocked += 1
                     continue
-                route, ff = routes[int(rng.integers(len(routes)))] \
+                route, ff = \
+                    routes[int(self._route_rng.integers(len(routes)))] \
                     if len(routes) > 1 else routes[0]
                 vehs.append(Vehicle(self._next_vid, route, t, ff))
                 self._next_vid += 1
@@ -303,12 +327,11 @@ class Simulation:
             vehs = lane_vehicles[lid]
             if not vehs:
                 continue
-            move = speed * dt
             if stops is None:  # sink lane: free flow to the network exit
                 exit_at = length - _EPS
                 n_exit = 0
                 for v in vehs:
-                    pos = v.position + move
+                    pos = v.position + speed
                     v.position = pos
                     v.queued = False
                     if pos >= exit_at:
@@ -326,7 +349,7 @@ class Simulation:
                 for v, limit, at in zip(vehs, limits, queued_at):
                     pos = v.position
                     if pos < at:
-                        pos += move
+                        pos += speed
                         if pos > limit:
                             pos = limit
                         v.position = pos
@@ -347,7 +370,7 @@ class Simulation:
             for lid in red:
                 green_elapsed[lid] = 0.0
             for lid, stop_line, ff in green:
-                elapsed = green_elapsed[lid] = green_elapsed[lid] + dt
+                elapsed = green_elapsed[lid] = green_elapsed[lid] + 1.0
                 if elapsed < headway:
                     continue
                 vehs = lane_vehicles[lid]
@@ -376,7 +399,21 @@ class Simulation:
                 crossings[key] = crossings.get(key, 0) + 1
 
         # (e) clock
-        self.t = t + dt
+        self.t = t + 1.0
+
+    def _draw_arrivals(self, start: int) -> list:
+        """Arrivals of the block of seconds from `start`: for each second,
+        the indices into _arrivals of the entry lanes whose draw fell below
+        rate / 3600. The block is clipped at ceil(inject_until)."""
+        k = min(_ARRIVAL_BLOCK, math.ceil(self.inject_until) - start)
+        tables = self.demand._table
+        p = np.column_stack([tables[lane][start:start + k]
+                             for lane, _, _ in self._arrivals]) / 3600.0
+        rows, cols = np.nonzero(self.rng.random(p.shape) < p)
+        block = [()] * k
+        for r, j in zip(rows.tolist(), cols.tolist()):
+            block[r] += (j,)
+        return block
 
     def _exit_vehicle(self, veh: Vehicle) -> None:
         veh.exit_time = self.t + 1.0  # leaves during this step

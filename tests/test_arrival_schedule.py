@@ -1,0 +1,203 @@
+"""The block-drawn arrival schedule against the per-draw loop it replaced.
+
+`Simulation` draws the arrival uniforms of a block of simulated seconds
+with one RNG call. `PerDrawSimulation` keeps the loop that drew one
+`rng.random()` per entry lane per second, in entry-lane order, before the
+rate and capacity checks; its route picks come from the same spawned child
+generator. On generated networks and demands both must inject the same
+vehicles at the same seconds, block the same arrivals and leave the parent
+generator in the same state, whatever the block size.
+"""
+
+import math
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
+
+from tscbench import simulation
+from tscbench.network import network_from_dict
+from tscbench.simulation import (ALLRED, GREEN, DemandProfile, Simulation,
+                                 Vehicle)
+
+
+class PerDrawSimulation(Simulation):
+    """Reference: one rng.random() per entry lane per simulated second."""
+
+    def __init__(self, net, demand, seed, inject_until=None):
+        # inject_until=0 leaves the block schedule with no second to draw
+        super().__init__(net, demand, seed, inject_until=0.0)
+        self.ref_until = (demand.horizon if inject_until is None
+                          else min(inject_until, demand.horizon))
+
+    def step(self, commands):
+        t = self.t
+        if t < self.ref_until:
+            for entry in self.demand.entry_lanes:
+                rate = self.demand.rate(entry, t)
+                draw = self.rng.random()
+                if rate <= 0.0 or draw >= rate / 3600.0:
+                    continue
+                vehs = self.lane_vehicles[entry]
+                if len(vehs) >= self.net.lanes[entry].jam_capacity:
+                    self.blocked += 1
+                    continue
+                routes = self.net.routes_from(entry)
+                route = (routes[int(self._route_rng.integers(len(routes)))]
+                         if len(routes) > 1 else routes[0])
+                ff = sum(self.net.lanes[lid].free_flow_time for lid in route)
+                vehs.append(Vehicle(self._next_vid, route, t, ff))
+                self._next_vid += 1
+                self.injected += 1
+        super().step(commands)
+
+
+def build(spec):
+    """Network and demand of a spec: one intersection, entry lanes in0..,
+    exit lanes out0..out2; entry lane i is served by phase i % 2 and
+    starts one route per exit in spec["outs"][i]."""
+    n_in = len(spec["caps"])
+    lanes = {f"in{i}": {"length_m": 60.0, "speed_mps": 15.0,
+                        "jam_capacity": cap}
+             for i, cap in enumerate(spec["caps"])}
+    lanes.update({f"out{j}": {"length_m": 30.0, "speed_mps": 15.0}
+                  for j in range(3)})
+    routes = [[f"in{i}", f"out{j}"]
+              for i in range(n_in) for j in spec["outs"][i]]
+    phases = [{"movements": [r for r in routes if int(r[0][2:]) % 2 == p]}
+              for p in range(2)]
+    net = network_from_dict({
+        "lanes": lanes,
+        "intersections": {"x": {
+            "incoming": [f"in{i}" for i in range(n_in)],
+            "outgoing": [f"out{j}" for j in range(3)],
+            "phases": phases}},
+        "routes": [routes[k] for k in spec["route_order"]],
+    })
+    demand = DemandProfile({f"in{i}": spec["points"][i]
+                            for i in spec["demand_lanes"]})
+    return net, demand
+
+
+def command(spec, t):
+    phase = (int(t) // spec["period"]) % 3
+    return {"x": (ALLRED, None) if phase == 2 else (GREEN, phase)}
+
+
+def run(cls, spec):
+    """Step a simulation past its last arrival second; returns everything
+    that must agree between the schedule and the reference."""
+    net, demand = build(spec)
+    sim = cls(net, demand, spec["seed"], inject_until=spec["inject_until"])
+    until = (demand.horizon if spec["inject_until"] is None
+             else min(spec["inject_until"], demand.horizon))
+    vehicles, lanes_after = {}, []
+    for _ in range(math.ceil(until) + 3):
+        sim.step(command(spec, sim.t))
+        assert sim.conservation_ok()
+        for vehs in list(sim.lane_vehicles.values()) + [sim.exited_this_step]:
+            for v in vehs:
+                vehicles[v.id] = (v.route, v.entry_time)
+        lanes_after.append({lid: [v.id for v in vehs]
+                            for lid, vehs in sim.lane_vehicles.items()})
+    injections = {}
+    for vid in sorted(vehicles):
+        route, entry_time = vehicles[vid]
+        injections.setdefault(route[0], []).append(entry_time)
+    return {"vehicles": vehicles, "injections": injections,
+            "lanes_after": lanes_after, "injected": sim.injected,
+            "blocked": sim.blocked, "rng": sim.rng.bit_generator.state,
+            "route_rng": sim._route_rng.bit_generator.state}
+
+
+def check_against_reference(spec, block=simulation._ARRIVAL_BLOCK):
+    with mock.patch.object(simulation, "_ARRIVAL_BLOCK", block):
+        got = run(Simulation, spec)
+        again = run(Simulation, spec)
+    want = run(PerDrawSimulation, spec)
+    assert sorted(got["vehicles"]) == list(range(got["injected"]))
+    for key in want:
+        assert got[key] == want[key], key
+    assert again == got  # seed determinism
+    return got
+
+
+RATES = st.sampled_from([0.0, 0.0, 90.0, 900.0, 2500.0, 3600.0])
+
+
+@st.composite
+def specs(draw):
+    n_in = draw(st.integers(2, 4))
+    outs = [draw(st.lists(st.integers(0, 2), min_size=1, max_size=3,
+                          unique=True)) for _ in range(n_in)]
+    n_routes = sum(len(o) for o in outs)
+    horizon = draw(st.floats(1.0, 800.0))
+    points = [draw(st.lists(st.tuples(st.sampled_from([0.0, 40.0, 300.0]),
+                                      RATES), max_size=3))
+              + [(horizon, draw(RATES))] for _ in range(n_in)]
+    lanes = draw(st.permutations(range(n_in)))
+    return {
+        "caps": [draw(st.sampled_from([1, 2, 3, 20])) for _ in range(n_in)],
+        "outs": outs,
+        "route_order": draw(st.permutations(range(n_routes))),
+        "points": points,
+        "demand_lanes": lanes[:draw(st.integers(1, n_in))],
+        "inject_until": draw(st.one_of(st.none(), st.floats(0.5, 900.0))),
+        "period": draw(st.integers(1, 40)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=specs(), block=st.sampled_from([1, 7, 256]))
+def test_schedule_matches_per_draw_reference(spec, block):
+    check_against_reference(spec, block)
+
+
+# Every entry lane blocks at one vehicle and two start three routes; the
+# demand mixes zero segments with saturated ones and injection stops at a
+# non-integer second short of the demand horizon, after several blocks.
+SPEC = {
+    "caps": [1, 1, 3, 20],
+    "outs": [[0, 1, 2], [2], [1], [0, 2]],
+    "route_order": [6, 0, 3, 1, 5, 4, 2],
+    "points": [[(0.0, 3600.0), (200.0, 0.0), (400.0, 0.0), (1100.0, 900.0)],
+               [(0.0, 0.0), (1100.0, 0.0)],
+               [(0.0, 2500.0), (1100.0, 2500.0)],
+               [(0.0, 90.0), (600.0, 3600.0), (1100.0, 90.0)]],
+    "demand_lanes": [3, 0, 1, 2],
+    "inject_until": 1000.5,
+    "period": 17,
+    "seed": 12345,
+}
+
+
+def test_schedule_crosses_blocks_and_blocks_lanes():
+    got = check_against_reference(SPEC)
+    assert math.ceil(SPEC["inject_until"]) > 3 * simulation._ARRIVAL_BLOCK
+    assert got["blocked"] > 0
+    last = max(t for ts in got["injections"].values() for t in ts)
+    assert 3 * simulation._ARRIVAL_BLOCK < last <= 1000.0
+    assert not any(t % 1 for ts in got["injections"].values() for t in ts)
+    routes = {route for route, _ in got["vehicles"].values()
+              if route[0] == "in0"}
+    assert len(routes) == 3
+
+
+def test_routes_do_not_depend_on_block_size():
+    results = [check_against_reference(SPEC, block) for block in (1, 5, 300)]
+    assert all(r["vehicles"] == results[0]["vehicles"] for r in results)
+
+
+def test_no_draws_once_injection_ends():
+    net, demand = build(SPEC)
+    sim = Simulation(net, demand, 0, inject_until=10.0)
+    for _ in range(10):
+        sim.step(command(SPEC, sim.t))
+    state = sim.rng.bit_generator.state
+    for _ in range(5):
+        sim.step(command(SPEC, sim.t))
+    assert sim.rng.bit_generator.state == state
+    ref = PerDrawSimulation(net, demand, 0, inject_until=10.0)
+    for _ in range(10):
+        ref.step(command(SPEC, ref.t))
+    assert ref.rng.bit_generator.state == state

@@ -63,6 +63,22 @@ class TestExitCodes:
                      str(demand), "--tsc", "uniform",
                      "--out", str(tmp_path / "sim")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("text", [
+        '{"n_in": [[0, NaN], [600, 600]]}',
+        '{"n_in": [[0, 600], [600, Infinity]]}',
+        '{"n_in": []}',
+        '[["n_in", [[0, 600], [600, 600]]]]',
+        '{"n_in": [[0, 600], [Infinity, 600]]}',
+        '{"n_in": [[0, 600], [600]]}',
+    ], ids=["nan-rate", "inf-rate", "no-points", "list-top-level",
+            "inf-time", "short-point"])
+    def test_corrupt_demand(self, paths, tmp_path, text):
+        demand = tmp_path / "demand.json"
+        demand.write_text(text)
+        assert main(["simulate", "--net", paths["net"], "--demand",
+                     str(demand), "--tsc", "uniform",
+                     "--out", str(tmp_path / "sim")]) == EXIT_USAGE
+
     def test_corrupt_checkpoint(self, paths, tmp_path):
         train_out = tmp_path / "train"
         assert main(["train", "--net", paths["net"], "--demand",

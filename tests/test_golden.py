@@ -10,6 +10,9 @@ that moves these numbers needs its own justification and a re-recording:
 
     PYTHONPATH=src python tests/test_golden.py
 
+The multi-route digests run the same episodes on single.net with a second,
+shorter route from one entry lane, so they also pin the route picks.
+
 The learned-controller digests cover the checkpoint path: a DQN and a DDPG
 agent are trained briefly on the bit-reproducible 1-actor/1-learner fabric,
 saved, and evaluated greedily from the checkpoint over several runs.
@@ -22,13 +25,14 @@ batch-norm networks with soft-updated targets.
 
 import hashlib
 import importlib.resources as ir
+import json
 
 import pytest
 
 from tscbench import fabric
 from tscbench.agents import DdpgConfig, DqnConfig
 from tscbench.experiments import evaluate, make_classic_controllers
-from tscbench.network import load_network
+from tscbench.network import load_network, network_from_dict
 from tscbench.simulation import load_demand, run_episode
 
 DATA = ir.files("tscbench") / "data"
@@ -55,6 +59,20 @@ GOLDEN = {
         "8400d8802057bb850233", "52e82162ce08f7398401", "9ad4a3df893c2559dd53"),
     ("single", "sotl"): (
         "af600385f1e68cf85c1d", "6ac07a514ce50491a29c", "130fff5422a61ced0806"),
+}
+
+# single.net plus a second, shorter route from n_in (turning_net). Recorded
+# after route picks moved to a child generator spawned from the episode seed;
+# earlier versions drew them from the arrival stream and give other numbers.
+GOLDEN_MULTI_ROUTE = {
+    "uniform": (
+        "f11f23c0a1cdea820d52", "e9436780aacb7c28e3c5", "4eb552b5d84139e70840"),
+    "webster": (
+        "8b92f55430d1f143606d", "4529dffca18c6f15eb3b", "521953e3e7738afc9c1c"),
+    "maxpressure": (
+        "370735a4e3fc7149b4fc", "d26c7d6c0a625a5c3909", "f990235325b1572f0b03"),
+    "sotl": (
+        "5126ca3909fcf89dad31", "08137586ab0892d3cb5e", "243933d8feb05360a51a"),
 }
 
 # Recorded before the checkpoint was loaded once per evaluation.
@@ -86,10 +104,27 @@ def _hasher():
     return h, put
 
 
+def turning_net():
+    """single.net with a second route from n_in onto a shorter exit lane,
+    so that each route pick changes a travel time."""
+    with open(str(DATA / "single.net"), "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["lanes"]["turn_out"] = {"length_m": 60.0, "speed_mps": 13.9}
+    i0 = data["intersections"]["i0"]
+    i0["outgoing"].append("turn_out")
+    i0["phases"][0]["movements"].append(["n_in", "turn_out"])
+    data["routes"].append(["n_in", "turn_out"])
+    return network_from_dict(data)
+
+
 def episode_digest(scenario: str, controller: str, seed: int) -> str:
-    net_file, demand_file = SCENARIOS[scenario]
-    net = load_network(str(DATA / net_file))
-    demand = load_demand(str(DATA / demand_file))
+    if scenario == "single_turn":
+        net = turning_net()
+        demand = load_demand(str(DATA / SCENARIOS["single"][1]))
+    else:
+        net_file, demand_file = SCENARIOS[scenario]
+        net = load_network(str(DATA / net_file))
+        demand = load_demand(str(DATA / demand_file))
     log = run_episode(net, demand, make_classic_controllers(net, controller, {}),
                       seed)
     h, put = _hasher()
@@ -148,6 +183,12 @@ def test_golden_digest(scenario, controller):
     assert got == GOLDEN[(scenario, controller)]
 
 
+@pytest.mark.parametrize("controller", CONTROLLERS)
+def test_golden_multi_route_digest(controller):
+    got = tuple(episode_digest("single_turn", controller, s) for s in SEEDS)
+    assert got == GOLDEN_MULTI_ROUTE[controller]
+
+
 @pytest.mark.parametrize("algo", sorted(GOLDEN_LEARNED))
 def test_golden_learned_eval_digest(algo, tmp_path):
     assert learned_eval_digest(algo, str(tmp_path)) == GOLDEN_LEARNED[algo]
@@ -170,3 +211,7 @@ if __name__ == "__main__":
             digests = ", ".join(f'"{episode_digest(scenario, controller, s)}"'
                                 for s in SEEDS)
             print(f'    ("{scenario}", "{controller}"): (\n        {digests}),')
+    for controller in CONTROLLERS:
+        digests = ", ".join(f'"{episode_digest("single_turn", controller, s)}"'
+                            for s in SEEDS)
+        print(f'    "{controller}": (\n        {digests}),')

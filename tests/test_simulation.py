@@ -46,6 +46,33 @@ class TestDemandProfile:
         with pytest.raises(ValueError):
             DemandProfile({})
 
+    @pytest.mark.parametrize("points", [
+        [[0.0, float("nan")], [600.0, 600.0]],   # would arrive every second
+        [[0.0, 600.0], [600.0, float("inf")]],
+        [],
+        [[0.0, 600.0], [float("inf"), 600.0]],
+        [[0.0, 600.0], [float("nan"), 600.0]],
+        [[0.0, 600.0], [600.0]],
+        [[0.0, 600.0], 600.0],
+        600.0,
+    ], ids=["nan-rate", "inf-rate", "no-points", "inf-time", "nan-time",
+            "short-point", "scalar-point", "scalar-points"])
+    def test_corrupt_points_rejected_naming_lane(self, points):
+        with pytest.raises(ValueError, match="n_in"):
+            DemandProfile({"s_in": [[0.0, 60.0], [600.0, 60.0]],
+                           "n_in": points})
+
+    @pytest.mark.parametrize("rates", [[["n_in", [[0, 600]]]], "n_in", 600],
+                             ids=["list", "str", "int"])
+    def test_non_object_rejected(self, rates):
+        with pytest.raises(ValueError, match="object"):
+            DemandProfile(rates)
+
+    def test_non_finite_horizon_rejected(self):
+        with pytest.raises(ValueError, match="horizon"):
+            DemandProfile({"n_in": [[0.0, 600.0], [600.0, 600.0]]},
+                          horizon=float("inf"))
+
 
 class TestDischarge:
     def test_headway_oracle(self, tiny_net):
