@@ -11,9 +11,9 @@ from .network import (Intersection, Lane, NetworkModel, NetworkParseError,
                       phase_lanes, write_network)
 from .simulation import (DemandProfile, MoELog, Simulation, load_demand,
                          run_episode)
-from .control import (HOLD, Controller, Hold, IntersectionView, NextPhase,
-                      RewardNormalizer, SequencerState, SignalUnit, observe,
-                      raw_reward, sequencer_advance, state_width)
+from .control import (HOLD, Controller, Hold, NextPhase, RewardNormalizer,
+                      SequencerState, SignalUnit, observe, raw_reward,
+                      sequencer_advance, state_width)
 from .classic import (MaxPressureController, SotlController,
                       UniformController, WebsterController, webster_timings)
 from .agents import (DdpgAgent, DdpgConfig, DdpgController, DqnAgent,

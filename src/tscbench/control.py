@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import NetworkModel
+from .network import Intersection, NetworkModel
 from .simulation import ALLRED, GREEN, YELLOW, Simulation
 
 YELLOW_TIME = 2
@@ -117,11 +117,10 @@ def sequencer_advance(seq: SequencerState, decision):
 
 # -- observation and reward --------------------------------------------------
 
-def observe(sim: Simulation, iid: str, seq: SequencerState,
+def observe(sim: Simulation, ix: Intersection, seq: SequencerState,
             bound: float = OBSERVATION_BOUND,
             force_all_red: bool = False) -> np.ndarray:
     """Normalized densities + queues of incoming lanes plus phase one-hot."""
-    ix = sim.net.intersection(iid)
     n_inc = len(ix.incoming)
     n_p = len(ix.phases)
     out = np.zeros(2 * n_inc + n_p + 1)
@@ -159,19 +158,17 @@ class RewardNormalizer:
         return max(-1.0, min(0.0, raw / self.r_min))
 
 
-def raw_reward(sim: Simulation, iid: str,
+def raw_reward(sim: Simulation, ix: Intersection,
                bound: float = OBSERVATION_BOUND) -> float:
-    ix = sim.net.intersection(iid)
     return -sim.delay_sum(ix.incoming, bound=bound)
 
 
-def cycle_next_phase(sim: Simulation, iid: str,
+def cycle_next_phase(sim: Simulation, ix: Intersection,
                      current: int | None) -> int | None:
     """First phase after `current` in cycle order with any incoming vehicle.
 
     Returns None (all-red idle) when no incoming lane holds a vehicle.
     """
-    ix = sim.net.intersection(iid)
     n = len(ix.phases)
     start = 0 if current is None else (current + 1) % n
     for k in range(n):
@@ -195,24 +192,34 @@ class Controller:
     def end_episode(self) -> None:
         pass
 
-    def tick(self, view) -> None:
+    def tick(self, unit) -> None:
         """Called once every simulation second, before decide()."""
 
-    def decide(self, view):
+    def decide(self, unit):
         raise NotImplementedError
 
 
-class IntersectionView:
-    """A controller's window onto its intersection."""
+class SignalUnit:
+    """One intersection's signal for one episode: its sequencer, its
+    controller, and the controller's window onto the simulator.
 
-    def __init__(self, net: NetworkModel, iid: str, sim: Simulation,
-                 seq: SequencerState, bound: float = OBSERVATION_BOUND):
-        self.net = net
+    The unit is what `tick` and `decide` receive. It resolves its
+    `Intersection` once; `count(lane id, bound)` is the simulator's own
+    `count_within`.
+    """
+
+    bound = OBSERVATION_BOUND
+
+    def __init__(self, net: NetworkModel, iid: str, controller: Controller,
+                 sim: Simulation):
         self.iid = iid
-        self.sim = sim
-        self.seq = seq
-        self.bound = bound
         self.intersection = net.intersection(iid)
+        self.n_phases = len(self.intersection.phases)
+        self.controller = controller
+        self.sim = sim
+        self.count = sim.count_within
+        self.seq = SequencerState(start_green=None if controller.start_idle
+                                  else 0)
 
     @property
     def t_p(self) -> int:
@@ -227,33 +234,24 @@ class IntersectionView:
         return self.seq.kind == ALLRED and self.seq.idle
 
     @property
-    def n_phases(self) -> int:
-        return len(self.intersection.phases)
-
-    @property
     def now(self) -> float:
         return self.sim.t
-
-    def count(self, lane_id: str, bound: float | None = None) -> int:
-        if bound is None:
-            return len(self.sim.lane_vehicles[lane_id])
-        return self.sim.count_within(lane_id, bound)
 
     def any_incoming_vehicle(self) -> bool:
         return any(self.sim.lane_vehicles[lid]
                    for lid in self.intersection.incoming)
 
     def observe(self, force_all_red: bool = False) -> np.ndarray:
-        return observe(self.sim, self.iid, self.seq, bound=self.bound,
+        return observe(self.sim, self.intersection, self.seq,
                        force_all_red=force_all_red)
 
     def reward_raw(self) -> float:
-        return raw_reward(self.sim, self.iid, bound=self.bound)
+        return raw_reward(self.sim, self.intersection)
 
     def cycle_next(self, current: int | None = None) -> int | None:
         if current is None:
             current = self.seq.phase
-        return cycle_next_phase(self.sim, self.iid, current)
+        return cycle_next_phase(self.sim, self.intersection, current)
 
     def crossings(self) -> dict:
         """Stop-line crossings of this intersection during the last step."""
@@ -263,23 +261,12 @@ class IntersectionView:
                 out[lid] = n
         return out
 
-
-class SignalUnit:
-    """Binds a sequencer, a controller and an intersection for one episode."""
-
-    def __init__(self, net: NetworkModel, iid: str, controller: Controller,
-                 sim: Simulation):
-        self.controller = controller
-        self.seq = SequencerState(start_green=None if controller.start_idle
-                                  else 0)
-        self.view = IntersectionView(net, iid, sim, self.seq)
-
     def advance(self):
-        controller, seq, view = self.controller, self.seq, self.view
-        controller.tick(view)
+        controller, seq = self.controller, self.seq
+        controller.tick(self)
         kind = seq.kind
         if kind == YELLOW or (kind == ALLRED and not seq.idle):  # interphase
             decision = HOLD
         else:
-            decision = controller.decide(view)
+            decision = controller.decide(self)
         return sequencer_advance(seq, decision)

@@ -132,12 +132,23 @@ class NetworkModel:
 
 
 def _require_keys(obj: dict, allowed: set, required: set, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise NetworkParseError(f"{where} must be an object")
     unknown = set(obj) - allowed
     if unknown:
         raise NetworkParseError(f"unknown key(s) {sorted(unknown)} in {where}")
     missing = required - set(obj)
     if missing:
         raise NetworkParseError(f"missing key(s) {sorted(missing)} in {where}")
+
+
+def _lane_number(spec: dict, key: str, lid: str) -> float:
+    value = spec[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise NetworkValidationError(
+            f"lane {lid!r}: {key} must be a finite number, not {value!r}")
+    return float(value)
 
 
 def network_from_dict(data: dict) -> NetworkModel:
@@ -150,13 +161,20 @@ def network_from_dict(data: dict) -> NetworkModel:
     for lid, spec in data["lanes"].items():
         _require_keys(spec, {"length_m", "speed_mps", "jam_capacity"},
                       {"length_m", "speed_mps"}, f"lane {lid!r}")
-        length = float(spec["length_m"])
-        speed = float(spec["speed_mps"])
+        length = _lane_number(spec, "length_m", lid)
+        speed = _lane_number(spec, "speed_mps", lid)
         if length <= 0:
             raise NetworkValidationError(f"lane {lid!r}: length must be > 0")
         if speed <= 0:
             raise NetworkValidationError(f"lane {lid!r}: speed_limit must be > 0")
-        cap = int(spec.get("jam_capacity", default_jam_capacity(length)))
+        if "jam_capacity" in spec:
+            cap = _lane_number(spec, "jam_capacity", lid)
+            if not cap.is_integer():
+                raise NetworkValidationError(
+                    f"lane {lid!r}: jam_capacity must be a whole number")
+            cap = int(cap)
+        else:
+            cap = default_jam_capacity(length)
         if cap < 1:
             raise NetworkValidationError(f"lane {lid!r}: jam_capacity must be >= 1")
         lanes[lid] = Lane(id=lid, length=length, speed_limit=speed, jam_capacity=cap)

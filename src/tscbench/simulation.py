@@ -168,6 +168,16 @@ class Simulation:
     every vehicle on a lane is still travelling (`collect_moe` relies on
     that). The clock starts at 0 and only `step` advances it, one second per
     call; the arrival schedule is indexed by that count.
+
+    Signals act on movements. A lane's head crosses the stop line only if
+    the displayed phase gives a green to its movement (the lane and the
+    next lane of its route); a head whose route ends on the lane leaves on
+    any phase that serves the lane. A head whose movement is red blocks
+    its lane, even for vehicles behind it whose movement is green
+    (head-of-line blocking: one lane, one queue). `nongreen_crossings`
+    counts crossings outside the network's green movements and must stay
+    0. Controllers still read lanes: max-pressure weighs a phase by the
+    vehicles on its incoming and outgoing lanes, not per movement.
     """
 
     def __init__(self, net: NetworkModel, demand: DemandProfile, seed: int,
@@ -224,16 +234,28 @@ class Simulation:
              if lid in controlled else None)
             for lid, lane in lanes.items())
         # iid -> (incoming lanes, phase -> (green lanes as (lane id, stop
-        # line, free-flow time), red lanes))
+        # line, free-flow time, lanes its green movements lead to), red
+        # lanes))
         self._signals = {
             ix.id: (ix.incoming, {
                 p.id: (tuple((lid, lanes[lid].length - 1e-6,
-                              lanes[lid].free_flow_time)
+                              lanes[lid].free_flow_time,
+                              frozenset(b for a, b in p.green_movements
+                                        if a == lid))
                              for lid in p.incoming),
                        tuple(lid for lid in ix.incoming
                              if lid not in p.incoming))
                 for p in ix.phases})
             for ix in net.intersections}
+        # The safety audit's own table, from the lanes' movement pairs:
+        # (iid, phase, lane, next lane) for every green movement, and
+        # (iid, phase, lane, None) for a route that ends on a lane the
+        # phase serves.
+        self._served = frozenset(
+            (iid, p, lid, to)
+            for lid, lane in lanes.items()
+            for (iid, p), target in lane.downstream
+            for to in (target, None))
         # (iid, ((incoming lane id, speed), ...)) for collect_moe
         self._incoming_speeds = tuple(
             (ix.id, tuple((lid, lanes[lid].speed_limit) for lid in ix.incoming))
@@ -357,7 +379,7 @@ class Simulation:
                     else:
                         v.queued = True
 
-        # (c) saturation-headway discharge on green
+        # (c) saturation-headway discharge of green movements
         headway = self.headway
         green_elapsed = self.green_elapsed
         for iid, indication in commands.items():
@@ -369,7 +391,7 @@ class Simulation:
             green, red = phases[indication[1]]
             for lid in red:
                 green_elapsed[lid] = 0.0
-            for lid, stop_line, ff in green:
+            for lid, stop_line, ff, targets in green:
                 elapsed = green_elapsed[lid] = green_elapsed[lid] + 1.0
                 if elapsed < headway:
                     continue
@@ -380,11 +402,14 @@ class Simulation:
                 if not (head.queued and head.position >= stop_line):
                     continue
                 if head.leg == len(head.route) - 1:
+                    nxt = None
                     del vehs[0]
                     head.ff_completed += ff
                     self._exit_vehicle(head)
                 else:
                     nxt = head.route[head.leg + 1]
+                    if nxt not in targets:  # its movement is red: it blocks
+                        continue
                     target = lane_vehicles[nxt]
                     if len(target) >= lanes[nxt].jam_capacity:
                         continue
@@ -397,6 +422,8 @@ class Simulation:
                 green_elapsed[lid] = 0.0
                 key = (iid, lid)
                 crossings[key] = crossings.get(key, 0) + 1
+                if (iid, indication[1], lid, nxt) not in self._served:
+                    self.nongreen_crossings += 1
 
         # (e) clock
         self.t = t + 1.0

@@ -47,10 +47,9 @@ def constant_demand(lanes, rate, horizon=600.0):
                           for lane in lanes})
 
 
-@pytest.fixture
-def tiny_net():
+def tiny_net_dict():
     """One intersection, two one-lane approaches, two phases."""
-    return network_from_dict({
+    return {
         "lanes": {
             "in_a": {"length_m": 150.0, "speed_mps": 15.0},
             "in_b": {"length_m": 150.0, "speed_mps": 15.0},
@@ -68,4 +67,20 @@ def tiny_net():
             },
         },
         "routes": [["in_a", "out_a"], ["in_b", "out_b"]],
-    })
+    }
+
+
+@pytest.fixture
+def tiny_net():
+    return network_from_dict(tiny_net_dict())
+
+
+@pytest.fixture
+def split_net():
+    """tiny_net with lane in_a split over both phases: in_a -> out_a is
+    green in phase 0, in_a -> out_b in phase 1."""
+    data = tiny_net_dict()
+    data["intersections"]["x"]["phases"][1]["movements"].append(
+        ["in_a", "out_b"])
+    data["routes"].append(["in_a", "out_b"])
+    return network_from_dict(data)

@@ -247,29 +247,30 @@ class TestCriterion6LearningSmoke:
 
 
 class TestCriterion7SimulationInvariants:
-    def test_invariants_over_random_episodes(self, tiny_net, single_net,
-                                             single_demand):
+    def test_invariants_over_random_episodes(self, tiny_net, split_net,
+                                             single_net, single_demand):
         rng = np.random.default_rng(7)
-        caps = {lid: lane.jam_capacity
-                for lid, lane in tiny_net.lanes.items()}
         steps_checked = 0
-        for run in range(100):
-            rate = float(rng.uniform(100.0, 1200.0))
-            u = int(rng.integers(5, 30))
-            demand = DemandProfile({"in_a": [[0.0, rate], [200.0, rate]],
-                                    "in_b": [[0.0, rate], [200.0, rate]]})
-            sim = Simulation(tiny_net, demand, seed=run)
-            unit = SignalUnit(tiny_net, "x", UniformController(u=u), sim)
-            for _ in range(260):
-                cmd = unit.advance()
-                sim.step({"x": cmd})
-                assert sim.conservation_ok()
-                assert sim.nongreen_crossings == 0
-                if cmd[0] != GREEN:
-                    assert not sim.crossings_this_step
-                for lid, vehs in sim.lane_vehicles.items():
-                    assert len(vehs) <= caps[lid]
-                steps_checked += 1
+        # split_net's lane in_a has a movement in each phase
+        for net in (tiny_net, split_net):
+            caps = {lid: lane.jam_capacity for lid, lane in net.lanes.items()}
+            for run in range(100):
+                rate = float(rng.uniform(100.0, 1200.0))
+                u = int(rng.integers(5, 30))
+                demand = DemandProfile({"in_a": [[0.0, rate], [200.0, rate]],
+                                        "in_b": [[0.0, rate], [200.0, rate]]})
+                sim = Simulation(net, demand, seed=run)
+                unit = SignalUnit(net, "x", UniformController(u=u), sim)
+                for _ in range(260):
+                    cmd = unit.advance()
+                    sim.step({"x": cmd})
+                    assert sim.conservation_ok()
+                    assert sim.nongreen_crossings == 0
+                    if cmd[0] != GREEN:
+                        assert not sim.crossings_this_step
+                    for lid, vehs in sim.lane_vehicles.items():
+                        assert len(vehs) <= caps[lid]
+                    steps_checked += 1
 
         # bit-exact seed determinism on the bundled scenario
         mk = lambda: {"i0": UniformController(u=10)}
@@ -280,7 +281,8 @@ class TestCriterion7SimulationInvariants:
         assert a.delay == b.delay
         report(7, f"conservation, occupancy caps and red-signal safety hold "
                   f"on {steps_checked} individual steps across 100 random "
-                  f"episodes; repeated seeds reproduce bit-exactly")
+                  f"episodes on each of 2 networks, one with a lane split "
+                  f"over two phases; repeated seeds reproduce bit-exactly")
 
 
 class TestCriterion8Fabric:

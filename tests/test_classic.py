@@ -30,7 +30,9 @@ class FakeIntersection:
 
 
 class FakeView:
-    """Duck-typed IntersectionView for controller unit tests."""
+    """Duck-typed stand-in for the `SignalUnit` a controller is handed:
+    the members classic controllers read, with counts and crossings set
+    by the test."""
 
     def __init__(self, phases, counts=None, t_p=0, current=0, now=0.0,
                  crossings=None):

@@ -79,6 +79,23 @@ class TestExitCodes:
                      str(demand), "--tsc", "uniform",
                      "--out", str(tmp_path / "sim")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("key,value", [
+        ("length_m", "Infinity"), ("jam_capacity", "Infinity"),
+        ("speed_mps", "Infinity"), ("jam_capacity", "2.5"),
+        ("length_m", "NaN"),
+    ], ids=["inf-length", "inf-jam", "inf-speed", "fractional-jam",
+            "nan-length"])
+    def test_corrupt_network_lane(self, paths, tmp_path, capsys, key,
+                                  value):
+        data = conftest.single_net_dict()
+        data["lanes"]["n_in"][key] = json.loads(value)
+        net = tmp_path / "bad.net"
+        net.write_text(json.dumps(data))
+        assert main(["simulate", "--net", str(net), "--demand",
+                     paths["demand"], "--tsc", "uniform",
+                     "--out", str(tmp_path / "sim")]) == EXIT_USAGE
+        assert "'n_in'" in capsys.readouterr().err
+
     def test_corrupt_checkpoint(self, paths, tmp_path):
         train_out = tmp_path / "train"
         assert main(["train", "--net", paths["net"], "--demand",

@@ -1,13 +1,20 @@
-"""Sequencer, observation, reward and cycle-successor tests."""
+"""Sequencer, observation, reward, cycle-successor and signal-unit tests."""
+
+import collections
 
 import numpy as np
 import pytest
 
+from tscbench import experiments, fabric
+from tscbench.agents import DqnConfig
 from tscbench.control import (HOLD, NextPhase, RewardNormalizer,
                               SequencerState, cycle_next_phase, observe,
                               sequencer_advance, state_width)
+from tscbench.network import NetworkModel
 from tscbench.simulation import (ALLRED, GREEN, YELLOW, DemandProfile,
-                                 Simulation, Vehicle)
+                                 Simulation, Vehicle, run_episode)
+
+from conftest import constant_demand
 
 
 def make_sim(net, seed=0):
@@ -69,7 +76,7 @@ class TestObservation:
     def test_empty_all_red(self, single_net):
         sim = make_sim(single_net)
         seq = SequencerState(start_green=None)
-        s = observe(sim, "i0", seq)
+        s = observe(sim, single_net.intersection("i0"), seq)
         assert s.shape == (11,)
         assert np.all(s[:8] == 0.0)
         assert s[10] == 1.0 and np.all(s[8:10] == 0.0)
@@ -84,7 +91,7 @@ class TestObservation:
             v.queued = i < 3
             sim.lane_vehicles["n_in"].append(v)
         seq = SequencerState(start_green=0)
-        s = observe(sim, "i0", seq)
+        s = observe(sim, single_net.intersection("i0"), seq)
         assert s[0] == pytest.approx(5 / 20)
         assert s[4] == pytest.approx(3 / 20)
         assert s[8] == 1.0 and s[9] == 0.0 and s[10] == 0.0
@@ -92,7 +99,8 @@ class TestObservation:
     def test_force_all_red_one_hot(self, single_net):
         sim = make_sim(single_net)
         seq = SequencerState(start_green=1)
-        s = observe(sim, "i0", seq, force_all_red=True)
+        s = observe(sim, single_net.intersection("i0"), seq,
+                    force_all_red=True)
         assert s[10] == 1.0 and s[8] == 0.0 and s[9] == 0.0
 
     def test_values_clamped(self, single_net):
@@ -103,7 +111,8 @@ class TestObservation:
             v.position = lane.length - lane.spacing * i
             v.queued = True
             sim.lane_vehicles["n_in"].append(v)
-        s = observe(sim, "i0", SequencerState(0), bound=75.0)
+        s = observe(sim, single_net.intersection("i0"), SequencerState(0),
+                    bound=75.0)
         assert 0.0 <= s[0] <= 1.0 and 0.0 <= s[4] <= 1.0
 
     def test_state_width(self, single_net, double_net):
@@ -146,21 +155,48 @@ class TestCycleNext:
     def test_vehicles_on_next_phase(self, single_net):
         sim = make_sim(single_net)
         self.place(sim, "e_in")  # phase 1 lane
-        assert cycle_next_phase(sim, "i0", 0) == 1
+        assert cycle_next_phase(sim, single_net.intersection("i0"), 0) == 1
 
     def test_full_wrap(self, single_net):
         # cycle [0,1], current 0, vehicles only on phase-0 lanes:
         # scan order is 1 then 0, so the wrap lands back on 0
         sim = make_sim(single_net)
         self.place(sim, "n_in")
-        assert cycle_next_phase(sim, "i0", 0) == 0
+        assert cycle_next_phase(sim, single_net.intersection("i0"), 0) == 0
 
     def test_empty_network_idles(self, single_net):
         sim = make_sim(single_net)
-        assert cycle_next_phase(sim, "i0", 0) is None
-        assert cycle_next_phase(sim, "i0", None) is None
+        assert cycle_next_phase(sim, single_net.intersection("i0"), 0) is None
+        assert cycle_next_phase(sim, single_net.intersection("i0"),
+                                None) is None
 
     def test_start_from_idle(self, single_net):
         sim = make_sim(single_net)
         self.place(sim, "n_in")
-        assert cycle_next_phase(sim, "i0", None) == 0
+        assert cycle_next_phase(sim, single_net.intersection("i0"), None) == 0
+
+
+class TestSignalUnit:
+    @pytest.mark.parametrize("name", ["uniform", "webster", "maxpressure",
+                                      "sotl", "dqn"])
+    def test_intersection_resolved_once_per_episode(self, double_net, name,
+                                                    monkeypatch):
+        if name == "dqn":
+            agents = fabric.build_agents(double_net, "dqn", DqnConfig(), 0)
+            ctrls = experiments.greedy_controllers(double_net, "dqn",
+                                                   agents, {})
+        else:
+            ctrls = experiments.make_classic_controllers(double_net, name, {})
+        demand = constant_demand(double_net.entry_lanes, 600.0, horizon=300.0)
+        calls = collections.Counter()
+        lookup = NetworkModel.intersection
+
+        def counted(net, iid):
+            calls[iid] += 1
+            return lookup(net, iid)
+
+        monkeypatch.setattr(NetworkModel, "intersection", counted)
+        for seed in range(2):
+            calls.clear()
+            run_episode(double_net, demand, ctrls, seed, moe_series=False)
+            assert calls and max(calls.values()) <= 1, dict(calls)

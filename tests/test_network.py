@@ -66,6 +66,32 @@ def test_error_names_offending_lane(net_dict):
         network_from_dict(net_dict)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("length_m", math.inf), ("length_m", math.nan), ("length_m", "150"),
+    ("length_m", None), ("speed_mps", math.inf), ("speed_mps", math.nan),
+    ("speed_mps", True), ("jam_capacity", math.inf),
+    ("jam_capacity", math.nan), ("jam_capacity", 2.5),
+    ("jam_capacity", "20"),
+], ids=["inf-length", "nan-length", "str-length", "null-length",
+        "inf-speed", "nan-speed", "bool-speed", "inf-jam", "nan-jam",
+        "fractional-jam", "str-jam"])
+def test_lane_numbers_must_be_finite_numbers(net_dict, key, value):
+    net_dict["lanes"]["n_in"][key] = value
+    with pytest.raises(NetworkValidationError, match="n_in"):
+        network_from_dict(net_dict)
+
+
+def test_whole_float_jam_capacity_accepted(net_dict):
+    net_dict["lanes"]["n_in"]["jam_capacity"] = 12.0
+    assert network_from_dict(net_dict).lanes["n_in"].jam_capacity == 12
+
+
+def test_lane_spec_must_be_object(net_dict):
+    net_dict["lanes"]["n_in"] = 150.0
+    with pytest.raises(NetworkParseError, match="n_in"):
+        network_from_dict(net_dict)
+
+
 def test_intersection_references_unknown_lane(net_dict):
     net_dict["intersections"]["i0"]["incoming"][0] = "ghost"
     with pytest.raises(NetworkValidationError, match="ghost"):

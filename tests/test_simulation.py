@@ -100,6 +100,29 @@ class TestDischarge:
         assert len(sim.lane_vehicles["in_a"]) == 3
         assert sim.nongreen_crossings == 0
 
+    def test_split_lane_waits_for_its_movement(self, split_net):
+        # in_a -> out_b is green in phase 1 only. Its vehicle holds the head
+        # of in_a through phase 0, and the out_a vehicle behind it waits
+        # too (head-of-line blocking); each crosses on its own phase.
+        sim = make_sim(split_net)
+        queue_up(sim, "in_a", 2, ("in_a", "out_b"))
+        first, second = sim.lane_vehicles["in_a"]
+        second.route = ("in_a", "out_a")
+        for _ in range(20):
+            sim.step({"x": (GREEN, 0)})
+        assert sim.lane_vehicles["in_a"] == [first, second]
+        assert sim.nongreen_crossings == 0
+        for _ in range(2):
+            sim.step({"x": (GREEN, 1)})
+        assert sim.lane_vehicles["out_b"] == [first]
+        for _ in range(10):
+            sim.step({"x": (GREEN, 1)})
+        assert sim.lane_vehicles["in_a"] == [second]
+        for _ in range(2):
+            sim.step({"x": (GREEN, 0)})
+        assert sim.lane_vehicles["out_a"] == [second]
+        assert sim.nongreen_crossings == 0
+
     def test_blocked_target_stops_discharge(self, tiny_net):
         sim = make_sim(tiny_net)
         queue_up(sim, "in_a", 2, ("in_a", "out_a"))
