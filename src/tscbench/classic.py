@@ -51,10 +51,7 @@ def webster_timings(flows: dict, ctrl: WebsterController, phases) -> tuple:
     C = webster_cycle(Y, ctrl, R)
     G = C - R
     total = sum(Y)
-    if total <= 0.0:
-        raw = [G / n] * n
-    else:
-        raw = [G * y / total for y in Y]
+    raw = [G / n] * n if total <= 0.0 else [G * y / total for y in Y]
     greens = [max(1, round(g)) for g in raw]
     # keep the integer greens summing to round(G)
     target = max(n, round(G))
@@ -80,20 +77,12 @@ class WebsterController(Controller):
             raise ValueError("W and s_sat must be > 0")
         if self.R is not None and self.R < 0:
             raise ValueError("R must be >= 0")
-        self._counts = {}
-        self._window_start = 0.0
-        self._greens = None
+        self.begin_episode()
 
     def begin_episode(self):
         self._counts = {}
         self._window_start = 0.0
         self._greens = None
-
-    def _ensure_greens(self, view):
-        if self._greens is None:
-            # no data yet: minimum cycle, equal splits
-            _, self._greens = webster_timings({}, self,
-                                              view.intersection.phases)
 
     def tick(self, view):
         for lid, n in view.crossings().items():
@@ -107,7 +96,9 @@ class WebsterController(Controller):
             self._window_start = view.now
 
     def decide(self, view):
-        self._ensure_greens(view)
+        if self._greens is None:  # no data yet: minimum cycle, equal splits
+            _, self._greens = webster_timings({}, self,
+                                              view.intersection.phases)
         if view.t_p < self._greens[view.current_phase]:
             return HOLD
         return NextPhase((view.current_phase + 1) % view.n_phases)
@@ -116,9 +107,8 @@ class WebsterController(Controller):
 # -- Max-pressure --------------------------------------------------------------
 
 def phase_pressure(view, phase) -> int:
-    inc = sum(view.count(lid, view.bound) for lid in phase.incoming)
-    out = sum(view.count(lid, view.bound) for lid in phase.outgoing)
-    return inc - out
+    return (view.count_sum(phase.incoming, view.bound)
+            - view.count_sum(phase.outgoing, view.bound))
 
 
 class MaxPressureController(Controller):
@@ -132,8 +122,7 @@ class MaxPressureController(Controller):
     def decide(self, view):
         if view.t_p < self.g_min:
             return HOLD
-        pressures = [phase_pressure(view, p)
-                     for p in view.intersection.phases]
+        pressures = [phase_pressure(view, p) for p in view.intersection.phases]
         best = max(range(len(pressures)), key=lambda i: (pressures[i], -i))
         return NextPhase(best)
 
@@ -158,20 +147,18 @@ class SotlController(Controller):
         self.kappa = 0.0
 
     def tick(self, view):
-        current = view.current_phase
-        green_inc = () if current is None else \
-            view.intersection.phases[current].incoming
-        for lid in view.intersection.incoming:
-            if lid not in green_inc:
-                self.kappa += view.count(lid, self.omega)
+        # kappa only ever adds whole numbers below 2**53, so adding a
+        # group's sum gives the same float as adding its lanes in turn
+        self.kappa += view.count_sum(view.red_in[view.current_phase],
+                                     self.omega)
 
     def decide(self, view):
-        if view.t_p <= self.g_min:
+        if view.t_p <= self.g_min or self.kappa <= self.theta:
             return HOLD
-        n = 0
-        for lid in view.intersection.phases[view.current_phase].incoming:
-            n += view.count(lid, self.omega)
-        if (n > self.mu or n == 0) and self.kappa > self.theta:
+        current = view.current_phase
+        n = view.count_sum(view.intersection.phases[current].incoming,
+                           self.omega)
+        if n > self.mu or n == 0:
             self.kappa = 0.0
-            return NextPhase((view.current_phase + 1) % view.n_phases)
+            return NextPhase((current + 1) % view.n_phases)
         return HOLD

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import Intersection, NetworkModel
-from .simulation import ALLRED, GREEN, YELLOW, Simulation
+from .simulation import ALLRED, GREEN, YELLOW, Simulation, vehicle_delay
 
 YELLOW_TIME = 2
 ALLRED_TIME = 3
@@ -37,28 +37,21 @@ HOLD = Hold()
 # -- sequencer --------------------------------------------------------------
 
 class SequencerState:
-    __slots__ = ("kind", "phase", "time_in", "pending", "t_p", "idle")
+    __slots__ = ("kind", "phase", "time_in", "pending", "t_p", "idle",
+                 "green")
 
     def __init__(self, start_green: int | None = 0):
-        if start_green is None:
-            self.kind = ALLRED
-            self.phase = None
-            self.idle = True
-        else:
-            self.kind = GREEN
-            self.phase = start_green
-            self.idle = False
-        self.time_in = 0
+        self.idle = start_green is None  # all-red with no green pending
+        self.kind = ALLRED if self.idle else GREEN
+        self.phase = start_green
+        # the indication of the current green, returned every second of it
+        self.green = None if self.idle else (GREEN, start_green)
+        self.time_in = self.t_p = 0
         self.pending = None
-        self.t_p = 0
 
     @property
     def in_interphase(self) -> bool:
         return self.kind == YELLOW or (self.kind == ALLRED and not self.idle)
-
-    @property
-    def current_green(self) -> int | None:
-        return self.phase if self.kind == GREEN else None
 
 
 def sequencer_advance(seq: SequencerState, decision):
@@ -67,71 +60,59 @@ def sequencer_advance(seq: SequencerState, decision):
     The controller's decision is only honoured while green or idle; during
     yellow/all-red clearance callers must pass Hold.
     """
-    if seq.kind == YELLOW:
-        indication = (YELLOW, seq.phase)
+    kind = seq.kind
+    if kind == GREEN:
+        if not isinstance(decision, NextPhase):
+            seq.t_p += 1
+            return seq.green
+        if decision.phase == seq.phase:
+            seq.t_p = 1  # re-enacted phase starts a fresh green interval
+            return seq.green
+        seq.kind, seq.pending, seq.time_in = YELLOW, decision.phase, 1
+        return (YELLOW, seq.phase)
+
+    if kind == YELLOW:
         seq.time_in += 1
         if seq.time_in >= YELLOW_TIME:
-            seq.kind = ALLRED
-            seq.time_in = 0
-        return indication
+            seq.kind, seq.time_in = ALLRED, 0
+        return (YELLOW, seq.phase)
 
-    if seq.kind == ALLRED and not seq.idle:
-        indication = (ALLRED, None)
+    if not seq.idle:  # all-red clearance
         seq.time_in += 1
         if seq.time_in >= ALLRED_TIME:
             if seq.pending is None:
                 seq.idle = True
             else:
-                seq.kind = GREEN
-                seq.phase = seq.pending
-                seq.pending = None
-                seq.t_p = 0
+                seq.kind, seq.phase, seq.t_p = GREEN, seq.pending, 0
+                seq.green, seq.pending = (GREEN, seq.phase), None
             seq.time_in = 0
-        return indication
-
-    if seq.kind == ALLRED:  # idle
-        if isinstance(decision, NextPhase) and decision.phase is not None:
-            # clearance already satisfied; start the green immediately
-            seq.kind = GREEN
-            seq.phase = decision.phase
-            seq.idle = False
-            seq.t_p = 1
-            seq.time_in = 0
-            return (GREEN, decision.phase)
-        return (ALLRED, None)
-
-    # green
-    if isinstance(decision, NextPhase):
-        if decision.phase == seq.phase:
-            seq.t_p = 1  # re-enacted phase starts a fresh green interval
-            return (GREEN, seq.phase)
-        indication = (YELLOW, seq.phase)
-        seq.kind = YELLOW
-        seq.pending = decision.phase
-        seq.time_in = 1
-        seq.idle = False
-        return indication
-    seq.t_p += 1
-    return (GREEN, seq.phase)
+    elif isinstance(decision, NextPhase) and decision.phase is not None:
+        # idle: clearance already satisfied; start the green immediately
+        seq.kind, seq.phase, seq.idle, seq.t_p = GREEN, decision.phase, False, 1
+        seq.green = (GREEN, seq.phase)
+        return seq.green
+    return (ALLRED, None)
 
 
 # -- observation and reward --------------------------------------------------
 
-def observe(sim: Simulation, ix: Intersection, seq: SequencerState,
-            bound: float = OBSERVATION_BOUND,
-            force_all_red: bool = False) -> np.ndarray:
+def observe(unit: SignalUnit, force_all_red: bool = False) -> np.ndarray:
     """Normalized densities + queues of incoming lanes plus phase one-hot."""
-    n_inc = len(ix.incoming)
-    n_p = len(ix.phases)
-    out = np.zeros(2 * n_inc + n_p + 1)
-    for i, lid in enumerate(ix.incoming):
-        cap = sim.capacity_within(lid, bound)
-        out[i] = min(1.0, sim.count_within(lid, bound) / cap)
-        out[n_inc + i] = min(1.0, sim.queued_within(lid, bound) / cap)
-    if force_all_red or seq.current_green is None:
-        out[2 * n_inc + n_p] = 1.0
-    else:
-        out[2 * n_inc + seq.current_green] = 1.0
+    n_inc = len(unit.observed)
+    out = np.zeros(2 * n_inc + unit.n_phases + 1)
+    lane_vehicles = unit.sim.lane_vehicles
+    for i, (lid, cut, cap, _) in enumerate(unit.observed):
+        n = q = 0
+        for v in lane_vehicles[lid]:
+            if v.position < cut:
+                break
+            n += 1
+            if v.queued:
+                q += 1
+        out[i] = min(1.0, n / cap)
+        out[n_inc + i] = min(1.0, q / cap)
+    current = None if force_all_red else unit.current_phase
+    out[2 * n_inc + (unit.n_phases if current is None else current)] = 1.0
     return out
 
 
@@ -158,17 +139,24 @@ class RewardNormalizer:
         return max(-1.0, min(0.0, raw / self.r_min))
 
 
-def raw_reward(sim: Simulation, ix: Intersection,
-               bound: float = OBSERVATION_BOUND) -> float:
-    return -sim.delay_sum(ix.incoming, bound=bound)
+def raw_reward(unit: SignalUnit) -> float:
+    """Minus the delay of the vehicles within the unit's bound, summed lane
+    by lane, head first (`Simulation.delay_sum` of the incoming lanes)."""
+    total = 0.0
+    now = unit.sim.t
+    lane_vehicles = unit.sim.lane_vehicles
+    for lid, cut, _, speed in unit.observed:
+        for v in lane_vehicles[lid]:
+            if v.position < cut:
+                break
+            total += vehicle_delay(v, now, speed)
+    return -total
 
 
 def cycle_next_phase(sim: Simulation, ix: Intersection,
                      current: int | None) -> int | None:
-    """First phase after `current` in cycle order with any incoming vehicle.
-
-    Returns None (all-red idle) when no incoming lane holds a vehicle.
-    """
+    """First phase after `current` in cycle order with any incoming vehicle;
+    None (all-red idle) when no incoming lane holds a vehicle."""
     n = len(ix.phases)
     start = 0 if current is None else (current + 1) % n
     for k in range(n):
@@ -204,8 +192,10 @@ class SignalUnit:
     controller, and the controller's window onto the simulator.
 
     The unit is what `tick` and `decide` receive. It resolves its
-    `Intersection` once; `count(lane id, bound)` is the simulator's own
-    `count_within`.
+    `Intersection` and builds its lane tables once per episode: `red_in[p]`
+    holds the incoming lanes phase p leaves red, `red_in[None]` all of them
+    (no green); a phase's green and outgoing lanes are its `Phase`'s own.
+    Tables hold lane ids: callers may rebind `Simulation.lane_vehicles`.
     """
 
     bound = OBSERVATION_BOUND
@@ -213,13 +203,43 @@ class SignalUnit:
     def __init__(self, net: NetworkModel, iid: str, controller: Controller,
                  sim: Simulation):
         self.iid = iid
-        self.intersection = net.intersection(iid)
-        self.n_phases = len(self.intersection.phases)
+        ix = self.intersection = net.intersection(iid)
+        self.n_phases = len(ix.phases)
         self.controller = controller
         self.sim = sim
-        self.count = sim.count_within
         self.seq = SequencerState(start_green=None if controller.start_idle
                                   else 0)
+        self.red_in = {None: ix.incoming}
+        for p in ix.phases:
+            self.red_in[p.id] = tuple(lid for lid in ix.incoming
+                                      if lid not in p.incoming)
+        self._cuts = {}  # bound -> {lane id: length - bound}
+        lanes = net.lanes
+        # (lane id, cut, capacity, speed) per incoming lane at self.bound
+        self.observed = tuple(
+            (lid, lanes[lid].length - self.bound,
+             sim.capacity_within(lid, self.bound), lanes[lid].speed_limit)
+            for lid in ix.incoming)
+
+    def count_sum(self, lanes, bound: float) -> int:
+        """Sum of `Simulation.count_within(lid, bound)` over `lanes`."""
+        cuts = self._cuts.get(bound)
+        if cuts is None:
+            net, ix = self.sim.net, self.intersection
+            cuts = self._cuts[bound] = {lid: net.lanes[lid].length - bound
+                                        for lid in ix.incoming + ix.outgoing}
+        lane_vehicles = self.sim.lane_vehicles
+        n = 0
+        for lid in lanes:
+            cut = cuts[lid]
+            if cut <= 0:
+                n += len(lane_vehicles[lid])
+                continue
+            for v in lane_vehicles[lid]:  # head first: stop at the bound
+                if v.position < cut:
+                    break
+                n += 1
+        return n
 
     @property
     def t_p(self) -> int:
@@ -227,46 +247,39 @@ class SignalUnit:
 
     @property
     def current_phase(self) -> int | None:
-        return self.seq.current_green
+        seq = self.seq
+        return seq.phase if seq.kind == GREEN else None
 
     @property
     def is_idle(self) -> bool:
-        return self.seq.kind == ALLRED and self.seq.idle
+        return self.seq.idle
 
     @property
     def now(self) -> float:
         return self.sim.t
 
     def any_incoming_vehicle(self) -> bool:
-        return any(self.sim.lane_vehicles[lid]
-                   for lid in self.intersection.incoming)
+        lane_vehicles = self.sim.lane_vehicles
+        return any(lane_vehicles[lid] for lid in self.red_in[None])
 
     def observe(self, force_all_red: bool = False) -> np.ndarray:
-        return observe(self.sim, self.intersection, self.seq,
-                       force_all_red=force_all_red)
+        return observe(self, force_all_red)
 
     def reward_raw(self) -> float:
-        return raw_reward(self.sim, self.intersection)
+        return raw_reward(self)
 
     def cycle_next(self, current: int | None = None) -> int | None:
-        if current is None:
-            current = self.seq.phase
-        return cycle_next_phase(self.sim, self.intersection, current)
+        return cycle_next_phase(self.sim, self.intersection,
+                                self.seq.phase if current is None else current)
 
     def crossings(self) -> dict:
         """Stop-line crossings of this intersection during the last step."""
-        out = {}
-        for (iid, lid), n in self.sim.crossings_this_step.items():
-            if iid == self.iid:
-                out[lid] = n
-        return out
+        return {lid: n for (iid, lid), n in
+                self.sim.crossings_this_step.items() if iid == self.iid}
 
     def advance(self):
         controller, seq = self.controller, self.seq
         controller.tick(self)
-        kind = seq.kind
-        if kind == YELLOW or (kind == ALLRED and not seq.idle):  # interphase
-            decision = HOLD
-        else:
-            decision = controller.decide(self)
-        return sequencer_advance(seq, decision)
+        if seq.kind == GREEN or seq.idle:
+            return sequencer_advance(seq, controller.decide(self))
+        return sequencer_advance(seq, HOLD)  # interphase

@@ -142,6 +142,15 @@ def _require_keys(obj: dict, allowed: set, required: set, where: str) -> None:
         raise NetworkParseError(f"missing key(s) {sorted(missing)} in {where}")
 
 
+def _lane_ids(value, where: str, pair: bool = False) -> tuple:
+    """A list of lane ids (exactly two with `pair`) as a tuple."""
+    if not isinstance(value, list) or (pair and len(value) != 2) \
+            or not all(isinstance(lid, str) for lid in value):
+        raise NetworkParseError(f"{where} must be a list of "
+                                f"{'two ' if pair else ''}lane ids")
+    return tuple(value)
+
+
 def _lane_number(spec: dict, key: str, lid: str) -> float:
     value = spec[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
@@ -156,6 +165,11 @@ def network_from_dict(data: dict) -> NetworkModel:
         raise NetworkParseError("top level must be a JSON object")
     _require_keys(data, {"lanes", "intersections", "routes"},
                   {"lanes", "intersections", "routes"}, "top level")
+    for section in ("lanes", "intersections"):
+        if not isinstance(data[section], dict):
+            raise NetworkParseError(f"{section} must be an object keyed by id")
+    if not isinstance(data["routes"], list):
+        raise NetworkParseError("routes must be a list of lane-id lists")
 
     lanes = {}
     for lid, spec in data["lanes"].items():
@@ -184,8 +198,8 @@ def network_from_dict(data: dict) -> NetworkModel:
     for iid, spec in data["intersections"].items():
         _require_keys(spec, {"incoming", "outgoing", "phases"},
                       {"incoming", "outgoing", "phases"}, f"intersection {iid!r}")
-        incoming = tuple(spec["incoming"])
-        outgoing = tuple(spec["outgoing"])
+        incoming = _lane_ids(spec["incoming"], f"intersection {iid!r} incoming")
+        outgoing = _lane_ids(spec["outgoing"], f"intersection {iid!r} outgoing")
         for lid in incoming + outgoing:
             if lid not in lanes:
                 raise NetworkValidationError(
@@ -194,11 +208,16 @@ def network_from_dict(data: dict) -> NetworkModel:
             both = sorted(set(incoming) & set(outgoing))
             raise NetworkValidationError(
                 f"intersection {iid!r}: lane(s) {both} are both incoming and outgoing")
+        if not isinstance(spec["phases"], list):
+            raise NetworkParseError(f"intersection {iid!r} phases must be a list")
         phases = []
         for p_idx, pspec in enumerate(spec["phases"]):
-            _require_keys(pspec, {"movements"}, {"movements"},
-                          f"intersection {iid!r} phase {p_idx}")
-            movements = tuple((a, b) for a, b in pspec["movements"])
+            where = f"intersection {iid!r} phase {p_idx}"
+            _require_keys(pspec, {"movements"}, {"movements"}, where)
+            if not isinstance(pspec["movements"], list):
+                raise NetworkParseError(f"{where} movements must be a list")
+            movements = tuple(_lane_ids(m, f"{where} movement", pair=True)
+                              for m in pspec["movements"])
             if not movements:
                 raise NetworkValidationError(
                     f"intersection {iid!r} phase {p_idx}: empty movements")
@@ -235,7 +254,7 @@ def network_from_dict(data: dict) -> NetworkModel:
 
     routes = []
     for r_idx, route in enumerate(data["routes"]):
-        route = tuple(route)
+        route = _lane_ids(route, f"route {r_idx}")
         if not route:
             raise NetworkValidationError(f"route {r_idx}: empty")
         for lid in route:

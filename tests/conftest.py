@@ -75,12 +75,16 @@ def tiny_net():
     return network_from_dict(tiny_net_dict())
 
 
-@pytest.fixture
-def split_net():
+def split_net_dict():
     """tiny_net with lane in_a split over both phases: in_a -> out_a is
     green in phase 0, in_a -> out_b in phase 1."""
     data = tiny_net_dict()
     data["intersections"]["x"]["phases"][1]["movements"].append(
         ["in_a", "out_b"])
     data["routes"].append(["in_a", "out_b"])
-    return network_from_dict(data)
+    return data
+
+
+@pytest.fixture
+def split_net():
+    return network_from_dict(split_net_dict())

@@ -31,12 +31,12 @@ class FakeIntersection:
 
 class FakeView:
     """Duck-typed stand-in for the `SignalUnit` a controller is handed:
-    the members classic controllers read, with counts and crossings set
-    by the test."""
+    the members classic controllers read, with per-lane counts and
+    crossings set by the test."""
 
     def __init__(self, phases, counts=None, t_p=0, current=0, now=0.0,
                  crossings=None):
-        self.intersection = FakeIntersection(phases)
+        ix = self.intersection = FakeIntersection(phases)
         self._counts = counts or {}
         self.t_p = t_p
         self.current_phase = current
@@ -44,9 +44,13 @@ class FakeView:
         self._crossings = crossings or {}
         self.n_phases = len(phases)
         self.bound = 150.0
+        self.red_in = {p: tuple(lid for lid in ix.incoming
+                                if lid not in phase.incoming)
+                       for p, phase in enumerate(ix.phases)}
+        self.red_in[None] = ix.incoming
 
-    def count(self, lane_id, bound=None):
-        return self._counts.get(lane_id, 0)
+    def count_sum(self, lanes, bound=None):
+        return sum(self._counts.get(lid, 0) for lid in lanes)
 
     def crossings(self):
         return dict(self._crossings)

@@ -96,6 +96,16 @@ class TestExitCodes:
                      "--out", str(tmp_path / "sim")]) == EXIT_USAGE
         assert "'n_in'" in capsys.readouterr().err
 
+    def test_network_section_shape(self, paths, tmp_path, capsys):
+        data = conftest.single_net_dict()
+        data["lanes"] = []
+        net = tmp_path / "bad.net"
+        net.write_text(json.dumps(data))
+        assert main(["simulate", "--net", str(net), "--demand",
+                     paths["demand"], "--tsc", "uniform",
+                     "--out", str(tmp_path / "sim")]) == EXIT_USAGE
+        assert "lanes must be an object" in capsys.readouterr().err
+
     def test_corrupt_checkpoint(self, paths, tmp_path):
         train_out = tmp_path / "train"
         assert main(["train", "--net", paths["net"], "--demand",

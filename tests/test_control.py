@@ -7,9 +7,9 @@ import pytest
 
 from tscbench import experiments, fabric
 from tscbench.agents import DqnConfig
-from tscbench.control import (HOLD, NextPhase, RewardNormalizer,
-                              SequencerState, cycle_next_phase, observe,
-                              sequencer_advance, state_width)
+from tscbench.control import (HOLD, Controller, NextPhase, RewardNormalizer,
+                              SequencerState, SignalUnit, cycle_next_phase,
+                              observe, sequencer_advance, state_width)
 from tscbench.network import NetworkModel
 from tscbench.simulation import (ALLRED, GREEN, YELLOW, DemandProfile,
                                  Simulation, Vehicle, run_episode)
@@ -20,6 +20,16 @@ from conftest import constant_demand
 def make_sim(net, seed=0):
     rates = {net.entry_lanes[0]: [[0.0, 0.0], [600.0, 0.0]]}
     return Simulation(net, DemandProfile(rates), seed)
+
+
+def make_unit(sim, seq, bound=None):
+    """The unit of single.net's i0 showing `seq`; `bound` overrides the
+    unit's observation bound."""
+    cls = SignalUnit if bound is None else \
+        type("NearUnit", (SignalUnit,), {"bound": bound})
+    unit = cls(sim.net, "i0", Controller(), sim)
+    unit.seq = seq
+    return unit
 
 
 class TestSequencer:
@@ -76,7 +86,7 @@ class TestObservation:
     def test_empty_all_red(self, single_net):
         sim = make_sim(single_net)
         seq = SequencerState(start_green=None)
-        s = observe(sim, single_net.intersection("i0"), seq)
+        s = observe(make_unit(sim, seq))
         assert s.shape == (11,)
         assert np.all(s[:8] == 0.0)
         assert s[10] == 1.0 and np.all(s[8:10] == 0.0)
@@ -91,7 +101,7 @@ class TestObservation:
             v.queued = i < 3
             sim.lane_vehicles["n_in"].append(v)
         seq = SequencerState(start_green=0)
-        s = observe(sim, single_net.intersection("i0"), seq)
+        s = observe(make_unit(sim, seq))
         assert s[0] == pytest.approx(5 / 20)
         assert s[4] == pytest.approx(3 / 20)
         assert s[8] == 1.0 and s[9] == 0.0 and s[10] == 0.0
@@ -99,8 +109,7 @@ class TestObservation:
     def test_force_all_red_one_hot(self, single_net):
         sim = make_sim(single_net)
         seq = SequencerState(start_green=1)
-        s = observe(sim, single_net.intersection("i0"), seq,
-                    force_all_red=True)
+        s = observe(make_unit(sim, seq), force_all_red=True)
         assert s[10] == 1.0 and s[8] == 0.0 and s[9] == 0.0
 
     def test_values_clamped(self, single_net):
@@ -111,8 +120,7 @@ class TestObservation:
             v.position = lane.length - lane.spacing * i
             v.queued = True
             sim.lane_vehicles["n_in"].append(v)
-        s = observe(sim, single_net.intersection("i0"), SequencerState(0),
-                    bound=75.0)
+        s = observe(make_unit(sim, SequencerState(0), bound=75.0))
         assert 0.0 <= s[0] <= 1.0 and 0.0 <= s[4] <= 1.0
 
     def test_state_width(self, single_net, double_net):

@@ -13,6 +13,10 @@ that moves these numbers needs its own justification and a re-recording:
 The multi-route digests run the same episodes on single.net with a second,
 shorter route from one entry lane, so they also pin the route picks.
 
+The split-lane digests run max-pressure and SOTL on `split_net`, whose lane
+in_a carries a movement in each phase, so that the controllers' per-phase
+lane groups are pinned on a lane that two phases serve.
+
 The learned-controller digests cover the checkpoint path: a DQN and a DDPG
 agent are trained briefly on the bit-reproducible 1-actor/1-learner fabric,
 saved, and evaluated greedily from the checkpoint over several runs.
@@ -33,7 +37,9 @@ from tscbench import fabric
 from tscbench.agents import DdpgConfig, DqnConfig
 from tscbench.experiments import evaluate, make_classic_controllers
 from tscbench.network import load_network, network_from_dict
-from tscbench.simulation import load_demand, run_episode
+from tscbench.simulation import DemandProfile, load_demand, run_episode
+
+from conftest import split_net_dict
 
 DATA = ir.files("tscbench") / "data"
 SCENARIOS = {"single": ("single.net", "single_asym_demand.json"),
@@ -73,6 +79,15 @@ GOLDEN_MULTI_ROUTE = {
         "370735a4e3fc7149b4fc", "d26c7d6c0a625a5c3909", "f990235325b1572f0b03"),
     "sotl": (
         "5126ca3909fcf89dad31", "08137586ab0892d3cb5e", "243933d8feb05360a51a"),
+}
+
+# split_net (conftest) under split_demand(). Recorded before the controllers
+# read per-episode lane tables.
+GOLDEN_SPLIT = {
+    "maxpressure": (
+        "3e6d27a1368bccfe2faa", "100152d4aaa12cc6527c", "4dd2162b9bf79e58bcbf"),
+    "sotl": (
+        "ae60eff989c935e09ec9", "452f4cbfb5de17010ed7", "5467d8e14d021fd41cb1"),
 }
 
 # Recorded before the checkpoint was loaded once per evaluation.
@@ -117,10 +132,19 @@ def turning_net():
     return network_from_dict(data)
 
 
+def split_demand():
+    """Both entry lanes of split_net for 900 s; in_a starts two routes."""
+    return DemandProfile({"in_a": [[0.0, 700.0], [900.0, 700.0]],
+                          "in_b": [[0.0, 400.0], [900.0, 400.0]]})
+
+
 def episode_digest(scenario: str, controller: str, seed: int) -> str:
     if scenario == "single_turn":
         net = turning_net()
         demand = load_demand(str(DATA / SCENARIOS["single"][1]))
+    elif scenario == "split":
+        net = network_from_dict(split_net_dict())
+        demand = split_demand()
     else:
         net_file, demand_file = SCENARIOS[scenario]
         net = load_network(str(DATA / net_file))
@@ -189,6 +213,12 @@ def test_golden_multi_route_digest(controller):
     assert got == GOLDEN_MULTI_ROUTE[controller]
 
 
+@pytest.mark.parametrize("controller", sorted(GOLDEN_SPLIT))
+def test_golden_split_lane_digest(controller):
+    got = tuple(episode_digest("split", controller, s) for s in SEEDS)
+    assert got == GOLDEN_SPLIT[controller]
+
+
 @pytest.mark.parametrize("algo", sorted(GOLDEN_LEARNED))
 def test_golden_learned_eval_digest(algo, tmp_path):
     assert learned_eval_digest(algo, str(tmp_path)) == GOLDEN_LEARNED[algo]
@@ -213,5 +243,9 @@ if __name__ == "__main__":
             print(f'    ("{scenario}", "{controller}"): (\n        {digests}),')
     for controller in CONTROLLERS:
         digests = ", ".join(f'"{episode_digest("single_turn", controller, s)}"'
+                            for s in SEEDS)
+        print(f'    "{controller}": (\n        {digests}),')
+    for controller in sorted(GOLDEN_SPLIT):
+        digests = ", ".join(f'"{episode_digest("split", controller, s)}"'
                             for s in SEEDS)
         print(f'    "{controller}": (\n        {digests}),')

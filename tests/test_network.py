@@ -92,6 +92,41 @@ def test_lane_spec_must_be_object(net_dict):
         network_from_dict(net_dict)
 
 
+def set_at(data, path, value):
+    """Set data[path[0]][path[1]]... to value; "+" appends to a list."""
+    *parents, last = path
+    for key in parents:
+        data = data[key]
+    if last == "+":
+        data.append(value)
+    else:
+        data[last] = value
+
+
+MOVEMENTS = ("intersections", "i0", "phases", 0, "movements")
+
+
+@pytest.mark.parametrize("path,value,where", [
+    (("lanes",), [], "lanes"),
+    (("intersections",), [], "intersections"),
+    (("routes",), 5, "routes"),
+    (("routes", "+"), 5, "route 4"),
+    (("intersections", "i0", "incoming"), 5, "'i0' incoming"),
+    (("intersections", "i0", "phases"), {}, "'i0' phases"),
+    (MOVEMENTS, 5, "phase 0 movements"),
+    (MOVEMENTS + ("+",), ["n_in"], "phase 0 movement"),
+    (MOVEMENTS + ("+",), 5, "phase 0 movement"),
+    (MOVEMENTS + ("+",), ["n_in", "s_out", "e_out"], "phase 0 movement"),
+    (MOVEMENTS + ("+",), ["n_in", ["s_out"]], "phase 0 movement"),
+], ids=["lanes-list", "intersections-list", "routes-int", "route-int",
+        "incoming-int", "phases-object", "movements-int", "movement-single",
+        "movement-int", "movement-triple", "movement-nested"])
+def test_section_shapes_are_parse_errors(net_dict, path, value, where):
+    set_at(net_dict, path, value)
+    with pytest.raises(NetworkParseError, match=where):
+        network_from_dict(net_dict)
+
+
 def test_intersection_references_unknown_lane(net_dict):
     net_dict["intersections"]["i0"]["incoming"][0] = "ghost"
     with pytest.raises(NetworkValidationError, match="ghost"):
