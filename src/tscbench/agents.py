@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -131,6 +132,14 @@ class DqnConfig:
             raise ValueError("gamma must be in [0, 1)")
 
 
+@functools.lru_cache(maxsize=8)
+def _row_index(n: int) -> np.ndarray:
+    """np.arange(n), made once per batch size and read-only."""
+    rows = np.arange(n)
+    rows.flags.writeable = False
+    return rows
+
+
 def dqn_specs(state_width: int, n_phases: int) -> tuple:
     hidden = 3 * state_width
     return (nn.LayerSpec(hidden, "elu"), nn.LayerSpec(hidden, "elu"),
@@ -166,18 +175,17 @@ class DqnAgent:
         if n < 2:
             raise ValueError("batch size must be >= 2")
         a = batch.action.astype(int)
-        rows = np.arange(n)
+        rows = _row_index(n)
 
         q2, _ = nn.forward(self.target, batch.next_state, "infer")
-        best = np.argmax(q2, axis=1)
-        y = batch.reward + self.cfg.gamma * q2[rows, best] * batch.live
+        y = batch.reward + self.cfg.gamma * q2.max(axis=1) * batch.live
 
         q, cache = nn.forward(self.online, batch.state, "train")
         err = q[rows, a] - y
-        loss = float(np.mean(err * err))
+        loss = float(np.add.reduce(err * err)) / n  # np.mean's sum and divide
         grad_out = np.zeros_like(q)
         grad_out[rows, a] = 2.0 * err / n
-        grads = nn.backward(self.online, cache, grad_out)
+        grads = nn.backward(self.online, cache, grad_out, into=self.adam)
         nn.adam_step(self.online, grads, self.adam)
         self.updates += 1
         if self.updates % self.cfg.target_sync == 0:
@@ -287,7 +295,8 @@ class DdpgAgent:
         err = q[:, 0] - y
         critic_loss = float(np.mean(err * err))
         grad_out = (2.0 * err / n)[:, None]
-        cgrads = nn.backward(self.critic, cache, grad_out, l2=self.cfg.l2)
+        cgrads = nn.backward(self.critic, cache, grad_out, l2=self.cfg.l2,
+                             into=self.critic_adam)
         nn.adam_step(self.critic, cgrads, self.critic_adam)
 
         # actor: ascend Q(s, pi(s)) through the critic's action gradient
@@ -298,7 +307,8 @@ class DdpgAgent:
         gq = np.full((n, 1), -1.0 / n)
         through = nn.backward(self.critic, qcache, gq)
         d_action = through.wrt_input[:, self.state_width:]
-        agrads = nn.backward(self.actor, acache, d_action)
+        agrads = nn.backward(self.actor, acache, d_action,
+                             into=self.actor_adam)
         nn.adam_step(self.actor, agrads, self.actor_adam)
 
         nn.soft_update(self.actor_target, self.actor, self.cfg.tau)

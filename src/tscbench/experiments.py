@@ -347,16 +347,18 @@ def evaluate(name: str, hp: dict, net: NetworkModel, demand: DemandProfile,
         iid = ix.id
         per_run_bins = {}  # bin index -> {"queue": [...], "delay": [...]}
         for log in logs:
-            times = np.asarray(log.times)
-            bins = (times // bin_s).astype(int)
+            # log.times ascends, so each bin is one contiguous slice
+            bins = (np.asarray(log.times) // bin_s).astype(int)
+            if not len(bins):
+                continue
             q = np.asarray(log.queue[iid])
             d = np.asarray(log.delay[iid])
-            for b in np.unique(bins):
-                mask = bins == b
-                entry = per_run_bins.setdefault(int(b), {"queue": [],
-                                                         "delay": []})
-                entry["queue"].append(float(q[mask].mean()))
-                entry["delay"].append(float(d[mask].mean()))
+            cuts = (np.flatnonzero(np.diff(bins)) + 1).tolist()
+            for lo, hi in zip([0] + cuts, cuts + [len(bins)]):
+                entry = per_run_bins.setdefault(int(bins[lo]), {"queue": [],
+                                                                "delay": []})
+                entry["queue"].append(float(q[lo:hi].mean()))
+                entry["delay"].append(float(d[lo:hi].mean()))
         rows = []
         for b in sorted(per_run_bins):
             qm, qc = mean_ci95(per_run_bins[b]["queue"])

@@ -12,6 +12,7 @@ floats.
 
 from __future__ import annotations
 
+import collections
 import csv
 import json
 import os
@@ -118,7 +119,8 @@ class Learner:
         self.update_counts = {iid: 0 for iid in assigned}
         self.received = 0
         self._rr = 0
-        self._recent_rewards = {iid: [] for iid in assigned}
+        self._recent_rewards = {iid: collections.deque(maxlen=100)
+                                for iid in assigned}
         self.log = []
         self._t0 = time.monotonic()
 
@@ -128,10 +130,7 @@ class Learner:
                 f"learner {self.index} received experience for unassigned "
                 f"intersection {exp.intersection!r}")
         self.buffers[exp.intersection].push(exp)
-        recent = self._recent_rewards[exp.intersection]
-        recent.append(exp.reward)
-        if len(recent) > 100:
-            del recent[:-100]
+        self._recent_rewards[exp.intersection].append(exp.reward)
         self.received += 1
 
     def try_train(self, publish: bool = True) -> ParameterUpdateMsg | None:

@@ -152,7 +152,13 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
         return z
     if name == "tanh":
         return np.tanh(z)
-    return np.where(z >= 0.0, z, np.expm1(z))  # elu
+    # elu: max(z, expm1(min(z, 0))) is z where z > 0 and expm1(z) below,
+    # as expm1(z) > z for z < 0; expm1 never sees a positive input, so it
+    # cannot overflow. Unlike where(z >= 0, z, expm1(z)), z = -0.0 may
+    # come out as +0.0.
+    e = np.minimum(z, 0.0)
+    np.expm1(e, out=e)
+    return np.maximum(z, e, out=e)
 
 
 def forward(params: ParameterSet, x: np.ndarray, mode: str = "infer",
@@ -176,7 +182,8 @@ def forward(params: ParameterSet, x: np.ndarray, mode: str = "infer",
     entries = []  # per layer: (input, pre-activation, output, xhat, inv_std)
     h = x
     for spec, layer in zip(params.specs, params.layers):
-        z = h @ layer["w"] + layer["b"]
+        z = np.dot(h, layer["w"])
+        z += layer["b"]
         xhat = inv_std = None
         if spec.batch_norm:
             if train:
@@ -206,34 +213,47 @@ def forward(params: ParameterSet, x: np.ndarray, mode: str = "infer",
 
 
 class Gradients:
-    def __init__(self, layers: list, wrt_input: np.ndarray):
+    def __init__(self, layers: list, wrt_input: np.ndarray | None):
         self.layers = layers
         self.wrt_input = wrt_input
 
 
 def backward(params: ParameterSet, cache: tuple, grad_out: np.ndarray,
-             l2: float = 0.0) -> Gradients:
+             l2: float = 0.0, into: "AdamState | None" = None) -> Gradients:
     """Backpropagate; returns per-parameter gradients and the input gradient.
 
-    `l2` adds weight decay lambda*w to every weight gradient.
+    `l2` adds weight decay lambda*w to every weight gradient. With `into`,
+    the parameter gradients are written straight into that optimizer's
+    gradient buffer, which `adam_step` then reads without a copy, and the
+    input gradient is not computed (`wrt_input` is None).
     """
     train, squeeze, entries = cache
     grad = np.asarray(grad_out, dtype=float)
     if squeeze and grad.ndim == 1:
         grad = grad[None, :]
-    out_layers = [None] * len(params.layers)
+    if into is None:
+        out_layers = [{key: np.empty_like(layer[key]) for key in layer
+                       if key in TRAINABLE_KEYS} for layer in params.layers]
+    elif len(into._grad_views) == len(params.layers):
+        out_layers = into._grad_views
+    else:
+        raise ValueError("optimizer state does not match the network")
     for idx in range(len(params.layers) - 1, -1, -1):
         spec = params.specs[idx]
         layer = params.layers[idx]
+        g = out_layers[idx]
         x, a, y, xhat, inv_std = entries[idx]
         if spec.activation == "tanh":
             grad = grad * (1.0 - y * y)
         elif spec.activation == "elu":
-            grad = grad * np.where(a >= 0.0, 1.0, y + 1.0)
-        g = {}
+            # 1 where a >= 0 (there y = a), else y + 1
+            d = np.minimum(y, 0.0)
+            d += 1.0
+            d *= grad
+            grad = d
         if spec.batch_norm:
-            g["gamma"] = (grad * xhat).sum(axis=0)
-            g["beta"] = grad.sum(axis=0)
+            np.add.reduce(grad * xhat, axis=0, out=g["gamma"])
+            np.add.reduce(grad, axis=0, out=g["beta"])
             dxhat = grad * layer["gamma"]
             if train:
                 n = grad.shape[0]
@@ -242,14 +262,15 @@ def backward(params: ParameterSet, cache: tuple, grad_out: np.ndarray,
             else:
                 dz = dxhat * inv_std
             grad = dz
-        g["w"] = x.T @ grad
-        g["b"] = grad.sum(axis=0)
+        np.dot(x.T, grad, out=g["w"])
+        np.add.reduce(grad, axis=0, out=g["b"])
         if l2:
-            g["w"] = g["w"] + l2 * layer["w"]
-        grad = grad @ layer["w"].T
-        out_layers[idx] = g
-    wrt_input = grad[0] if squeeze else grad
-    return Gradients(out_layers, wrt_input)
+            g["w"] += l2 * layer["w"]
+        if idx or into is None:
+            grad = grad @ layer["w"].T
+    if into is not None:
+        return Gradients(out_layers, None)
+    return Gradients(out_layers, grad[0] if squeeze else grad)
 
 
 class AdamState:
@@ -293,6 +314,8 @@ def adam_step(params: ParameterSet, grads: Gradients | list,
             gval = g.get(key)
             if gval is None:
                 raise ValueError(f"no gradient for {key}")
+            if gval is view:  # written by backward(..., into=adam)
+                continue
             if gval.shape != view.shape:
                 raise ValueError(f"gradient shape mismatch for {key}")
             view[...] = gval

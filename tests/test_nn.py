@@ -1,6 +1,7 @@
 """Neural engine tests: init, forward/backward, Adam, soft update, checkpoints."""
 
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -307,6 +308,183 @@ class TestAdam:
         v0 = params.version
         adam_step(params, zeros, adam)
         assert params.version == v0 + 1
+
+
+# -- the update formulas the lean forward/backward/Adam must match bit for bit --
+
+def _reference_activate(name, z):
+    if name == "linear":
+        return z
+    if name == "tanh":
+        return np.tanh(z)
+    return np.where(z >= 0.0, z, np.expm1(z))
+
+
+def reference_forward(params, x, mode):
+    """Forward pass with the plain formulas: h @ w + b, np.where ELU."""
+    train = mode == "train"
+    x = np.asarray(x, dtype=float)
+    squeeze = x.ndim == 1
+    h = x[None, :] if squeeze else x
+    entries = []
+    for spec, layer in zip(params.specs, params.layers):
+        z = h @ layer["w"] + layer["b"]
+        xhat = inv_std = None
+        if spec.batch_norm:
+            if train:
+                mu, var = z.mean(axis=0), z.var(axis=0)
+                layer["rmean"][...] = (layer["rmean"] * nn.BN_MOMENTUM
+                                       + (1.0 - nn.BN_MOMENTUM) * mu)
+                layer["rvar"][...] = (layer["rvar"] * nn.BN_MOMENTUM
+                                      + (1.0 - nn.BN_MOMENTUM) * var)
+            else:
+                mu, var = layer["rmean"], layer["rvar"]
+            inv_std = 1.0 / np.sqrt(var + nn.BN_EPS)
+            xhat = (z - mu) * inv_std
+            a = layer["gamma"] * xhat + layer["beta"]
+        else:
+            a = z
+        y = _reference_activate(spec.activation, a)
+        entries.append((h, a, y, xhat, inv_std))
+        h = y
+    return (h[0] if squeeze else h), (train, squeeze, entries)
+
+
+def reference_backward(params, cache, grad_out, l2=0.0):
+    """Backward pass with the plain formulas: x.T @ grad, grad.sum.
+
+    Returns (list of per-layer gradient dicts, input gradient)."""
+    train, squeeze, entries = cache
+    grad = np.asarray(grad_out, dtype=float)
+    if squeeze and grad.ndim == 1:
+        grad = grad[None, :]
+    out = [None] * len(params.layers)
+    for idx in range(len(params.layers) - 1, -1, -1):
+        spec, layer = params.specs[idx], params.layers[idx]
+        x, a, y, xhat, inv_std = entries[idx]
+        if spec.activation == "tanh":
+            grad = grad * (1.0 - y * y)
+        elif spec.activation == "elu":
+            grad = grad * np.where(a >= 0.0, 1.0, y + 1.0)
+        g = {}
+        if spec.batch_norm:
+            g["gamma"] = (grad * xhat).sum(axis=0)
+            g["beta"] = grad.sum(axis=0)
+            dxhat = grad * layer["gamma"]
+            if train:
+                n = grad.shape[0]
+                grad = (inv_std / n) * (n * dxhat - dxhat.sum(axis=0)
+                                        - xhat * (dxhat * xhat).sum(axis=0))
+            else:
+                grad = dxhat * inv_std
+        g["w"] = x.T @ grad
+        g["b"] = grad.sum(axis=0)
+        if l2:
+            g["w"] = g["w"] + l2 * layer["w"]
+        grad = grad @ layer["w"].T
+        out[idx] = g
+    return out, (grad[0] if squeeze else grad)
+
+
+def value_net(seed=0):
+    """The DQN shape: two ELU layers of 3x the input width, linear out."""
+    specs = (LayerSpec(33, "elu"), LayerSpec(33, "elu"),
+             LayerSpec(4, "linear"))
+    return he_init(specs, 11, seed)
+
+
+def actor_net(seed=0):
+    """The DDPG actor shape: two batch-norm ELU layers, one tanh output."""
+    specs = (LayerSpec(12, "elu", batch_norm=True),
+             LayerSpec(12, "elu", batch_norm=True), LayerSpec(1, "tanh"))
+    return he_init(specs, 4, seed)
+
+
+class TestLeanUpdate:
+    NETS = {"plain": (value_net, 32), "batch_norm": (actor_net, 8),
+            "mixed": (lambda seed: small_net(seed, batch_norm=True), 6)}
+
+    @pytest.mark.parametrize("l2", [0.0, 0.01])
+    @pytest.mark.parametrize("net", sorted(NETS))
+    def test_fifty_adam_steps_bit_equal_to_reference(self, net, l2):
+        make, batch = self.NETS[net]
+        lean = make(3)
+        ref = lean.copy()        # reference formulas, gathered into Adam
+        default = lean.copy()    # lean formulas without into=
+        adams = [AdamState(p, lr=1e-3) for p in (lean, ref, default)]
+        rng = np.random.default_rng(1)
+        width = lean.input_width
+        for step in range(50):
+            x = rng.normal(size=(batch, width)) * 3.0
+            row = rng.normal(size=width) * 3.0
+            got, _ = forward(lean, row, "infer")
+            want, _ = reference_forward(ref, row, "infer")
+            assert np.array_equal(got, want), step
+
+            out, cache = forward(lean, x, "train")
+            rout, rcache = reference_forward(ref, x, "train")
+            dout, dcache = forward(default, x, "train")
+            assert np.array_equal(out, rout) and np.array_equal(out, dout)
+            grad_out = rng.normal(size=out.shape)
+
+            grads = backward(lean, cache, grad_out, l2=l2, into=adams[0])
+            assert grads.wrt_input is None
+            rgrads, rinput = reference_backward(ref, rcache, grad_out, l2=l2)
+            dgrads = backward(default, dcache, grad_out, l2=l2)
+            assert np.array_equal(dgrads.wrt_input, rinput), step
+            for g, rg in zip(dgrads.layers, rgrads):
+                assert sorted(g) == sorted(rg)
+                for key in rg:
+                    assert np.array_equal(g[key], rg[key]), (step, key)
+
+            adam_step(lean, grads, adams[0])
+            adam_step(ref, rgrads, adams[1])       # list of dicts
+            adam_step(default, dgrads, adams[2])   # Gradients of new arrays
+            assert np.array_equal(lean.flat, ref.flat), step
+            assert np.array_equal(default.flat, ref.flat), step
+        assert lean.version == ref.version == default.version == 50
+
+    def test_into_writes_the_optimizer_buffer(self):
+        params = value_net()
+        adam = AdamState(params)
+        out, cache = forward(params, np.ones((3, 11)), "train")
+        grads = backward(params, cache, np.ones_like(out), into=adam)
+        assert grads.wrt_input is None
+        for g, views in zip(grads.layers, adam._grad_views):
+            for key, view in views.items():
+                assert g[key] is view
+        assert np.any(adam._grad != 0.0)
+
+    def test_default_path_returns_input_gradient(self):
+        params = value_net()
+        x = np.ones(11)
+        out, cache = forward(params, x)
+        grads = backward(params, cache, np.ones_like(out))
+        assert grads.wrt_input.shape == (11,)
+        _, want = reference_backward(params, reference_forward(
+            params, x, "infer")[1], np.ones_like(out))
+        assert np.array_equal(grads.wrt_input, want)
+
+    def test_into_a_mismatched_optimizer(self):
+        params = value_net()
+        other = AdamState(he_init((LayerSpec(4, "linear"),), 11, 0))
+        out, cache = forward(params, np.ones((2, 11)), "train")
+        with pytest.raises(ValueError, match="does not match"):
+            backward(params, cache, np.ones_like(out), into=other)
+
+    def test_huge_pre_activations_do_not_warn(self):
+        # expm1 overflows above ~709; ELU's positive side must not call it
+        params = he_init((LayerSpec(3, "elu"), LayerSpec(2, "elu")), 2, 0)
+        params.layers[0]["w"][...] = [[1.0, -1.0, 2.0], [0.0, 0.0, 0.0]]
+        params.layers[1]["w"][...] = 1.0
+        x = np.array([[800.0, 1.0], [1e300, -2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, cache = forward(params, x, "train")
+            grads = backward(params, cache, np.ones_like(out))
+        assert out[0].tolist() == [2399.0, 2399.0]
+        assert (out[1] > 1e300).all()
+        assert all(np.isfinite(g["w"]).all() for g in grads.layers)
 
 
 class TestSoftUpdate:
