@@ -10,7 +10,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import nn
-from .control import HOLD, Controller, NextPhase, RewardNormalizer
+from .control import (HOLD, Controller, NextPhase, RewardNormalizer,
+                      require_finite)
 
 
 @dataclass
@@ -124,6 +125,7 @@ class DqnConfig:
     replay_capacity: int = 50000
 
     def __post_init__(self):
+        require_finite(**vars(self))
         if self.a_repeat < 1:
             raise ValueError("a_repeat must be >= 1")
         if self.batch_size < 2:
@@ -222,6 +224,7 @@ class DdpgConfig:
     l2: float = 0.01              # critic weight regularization
 
     def __post_init__(self):
+        require_finite(**vars(self))
         if not 1 <= self.g_min <= self.g_max:
             raise ValueError("need 1 <= g_min <= g_max")
         if not 0.0 < self.tau <= 1.0:
@@ -305,8 +308,8 @@ class DdpgAgent:
                                   update_running=False)
         actor_loss = float(-np.mean(q_pi))
         gq = np.full((n, 1), -1.0 / n)
-        through = nn.backward(self.critic, qcache, gq)
-        d_action = through.wrt_input[:, self.state_width:]
+        d_action = nn.input_gradient(self.critic, qcache,
+                                     gq)[:, self.state_width:]
         agrads = nn.backward(self.actor, acache, d_action,
                              into=self.actor_adam)
         nn.adam_step(self.actor, agrads, self.actor_adam)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .control import HOLD, Controller, NextPhase
+from .control import HOLD, Controller, NextPhase, require_finite
 from .simulation import DEFAULT_SATURATION_FLOW
 
 
@@ -10,6 +10,7 @@ class UniformController(Controller):
     """Fixed cycle, one green duration `u` shared by every phase."""
 
     def __init__(self, u: int = 10):
+        require_finite(u=u)
         if u <= 0:
             raise ValueError("u must be > 0")
         self.u = int(u)
@@ -66,6 +67,7 @@ class WebsterController(Controller):
 
     def __init__(self, W: int = 120, c_min: int = 40, c_max: int = 180,
                  s_sat: float = DEFAULT_SATURATION_FLOW, R: int | None = None):
+        require_finite(W=W, c_min=c_min, c_max=c_max, s_sat=s_sat, R=R)
         self.W = int(W)            # data-collection window, seconds
         self.c_min = int(c_min)
         self.c_max = int(c_max)
@@ -115,6 +117,7 @@ class MaxPressureController(Controller):
     """Acyclic: after g_min green seconds, switch to the max-pressure phase."""
 
     def __init__(self, g_min: int = 10):
+        require_finite(g_min=g_min)
         if g_min <= 0:
             raise ValueError("g_min must be > 0")
         self.g_min = int(g_min)
@@ -135,6 +138,7 @@ class SotlController(Controller):
 
     def __init__(self, g_min: int = 10, theta: float = 50.0,
                  omega: float = 100.0, mu: int = 3):
+        require_finite(g_min=g_min, theta=theta, omega=omega, mu=mu)
         self.g_min = int(g_min)
         self.theta = float(theta)   # vehicle-seconds integral threshold
         self.omega = float(omega)   # platoon look-back distance, meters

@@ -7,6 +7,7 @@ green (or sits idle in all-red). Distinct greens are always separated by a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,6 +169,14 @@ def cycle_next_phase(sim: Simulation, ix: Intersection,
 
 
 # -- controller interface -----------------------------------------------------
+
+def require_finite(**values) -> None:
+    """Raise ValueError naming the first float hyperparameter that is NaN
+    or infinite: range checks such as `x <= 0` let NaN through."""
+    for name, value in values.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, not {value!r}")
+
 
 class Controller:
     """Per-intersection decision maker, owned by one simulator instance."""

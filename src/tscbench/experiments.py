@@ -342,32 +342,7 @@ def evaluate(name: str, hp: dict, net: NetworkModel, demand: DemandProfile,
     travel_times = [tt for log in logs for tt in log.travel_time_values]
     condition = condition_fingerprint(net, demand, runs, base_seed, horizon)
 
-    moe = {}
-    for ix in net.intersections:
-        iid = ix.id
-        per_run_bins = {}  # bin index -> {"queue": [...], "delay": [...]}
-        for log in logs:
-            # log.times ascends, so each bin is one contiguous slice
-            bins = (np.asarray(log.times) // bin_s).astype(int)
-            if not len(bins):
-                continue
-            q = np.asarray(log.queue[iid])
-            d = np.asarray(log.delay[iid])
-            cuts = (np.flatnonzero(np.diff(bins)) + 1).tolist()
-            for lo, hi in zip([0] + cuts, cuts + [len(bins)]):
-                entry = per_run_bins.setdefault(int(bins[lo]), {"queue": [],
-                                                                "delay": []})
-                entry["queue"].append(float(q[lo:hi].mean()))
-                entry["delay"].append(float(d[lo:hi].mean()))
-        rows = []
-        for b in sorted(per_run_bins):
-            qm, qc = mean_ci95(per_run_bins[b]["queue"])
-            dm, dc = mean_ci95(per_run_bins[b]["delay"])
-            rows.append({"bin_start_s": b * bin_s, "mean_queue": qm,
-                         "ci95_queue": qc, "mean_delay": dm,
-                         "ci95_delay": dc})
-        moe[iid] = rows
-
+    moe = _moe_bins([ix.id for ix in net.intersections], logs, bin_s)
     result = EvalResult(controller=name, hp=dict(hp), condition=condition,
                         travel_times=travel_times,
                         box=box_stats(travel_times), moe=moe,
@@ -376,6 +351,65 @@ def evaluate(name: str, hp: dict, net: NetworkModel, demand: DemandProfile,
         os.makedirs(out_dir, exist_ok=True)
         write_eval(out_dir, result)
     return result
+
+
+def _run_bin_means(log, iids, bin_s) -> tuple:
+    """The bins one run reached and, per intersection, its queue and delay
+    means over each bin.
+
+    `log.times` ascends, so each bin is one contiguous slice. Slices of
+    equal length become the rows of one C-contiguous array, reduced along
+    its last axis: each row gets the bits of the slice's own `mean()`.
+    """
+    bins = (np.asarray(log.times) // bin_s).astype(int)
+    starts = np.flatnonzero(np.diff(bins, prepend=bins[0] - 1))
+    lengths = np.diff(starts, append=len(bins))
+    groups = [(sel, starts[sel, None] + np.arange(n))
+              for n in np.unique(lengths)
+              for sel in [np.flatnonzero(lengths == n)]]
+    means = {}
+    for iid in iids:
+        for kind, series in (("queue", log.queue[iid]),
+                             ("delay", log.delay[iid])):
+            values = np.asarray(series)
+            out = np.empty(len(starts))
+            for sel, rows in groups:
+                out[sel] = values[rows].mean(axis=1)
+            means[iid, kind] = out
+    return bins[starts], means
+
+
+def _moe_bins(iids, logs, bin_s) -> dict:
+    """Per intersection, one row per bin: the mean across the runs that
+    reached it and its 95% half-width. Bins reached by the same number of
+    runs are reduced together, their runs in run order."""
+    runs = [_run_bin_means(log, iids, bin_s) for log in logs if log.times]
+    if not runs:
+        return {iid: [] for iid in iids}
+    all_bins = np.unique(np.concatenate([b for b, _ in runs]))
+    cols = [np.searchsorted(all_bins, b) for b, _ in runs]
+    reached = np.zeros((len(all_bins), len(runs)), dtype=bool)
+    for r, col in enumerate(cols):
+        reached[col, r] = True
+    n_runs = reached.sum(axis=1)
+    groups = [(sel, reached[sel], int(n))
+              for n in np.unique(n_runs) for sel in [n_runs == n]]
+    moe = {}
+    for iid in iids:
+        stats = []
+        for kind in ("queue", "delay"):
+            table = np.zeros(reached.shape)
+            for r, (col, (_, means)) in enumerate(zip(cols, runs)):
+                table[col, r] = means[iid, kind]
+            mean, half = np.empty(len(all_bins)), np.empty(len(all_bins))
+            for sel, mask, n in groups:
+                per_run = table[sel][mask].reshape(-1, n)  # in run order
+                mean[sel], half[sel] = mean_ci95(per_run)
+            stats += [mean.tolist(), half.tolist()]
+        moe[iid] = [{"bin_start_s": b * bin_s, "mean_queue": qm,
+                     "ci95_queue": qc, "mean_delay": dm, "ci95_delay": dc}
+                    for b, qm, qc, dm, dc in zip(all_bins.tolist(), *stats)]
+    return moe
 
 
 def write_eval(out_dir: str, result: EvalResult) -> None:

@@ -194,6 +194,7 @@ def network_from_dict(data: dict) -> NetworkModel:
         lanes[lid] = Lane(id=lid, length=length, speed_limit=speed, jam_capacity=cap)
 
     downstream = {lid: [] for lid in lanes}
+    signal_of = {}  # incoming lane id -> the intersection that signals it
     intersections = []
     for iid, spec in data["intersections"].items():
         _require_keys(spec, {"incoming", "outgoing", "phases"},
@@ -204,6 +205,18 @@ def network_from_dict(data: dict) -> NetworkModel:
             if lid not in lanes:
                 raise NetworkValidationError(
                     f"intersection {iid!r} references unknown lane {lid!r}")
+        for kind, ids in (("incoming", incoming), ("outgoing", outgoing)):
+            for i, lid in enumerate(ids):
+                if lid in ids[:i]:
+                    raise NetworkValidationError(
+                        f"intersection {iid!r}: lane {lid!r} is listed "
+                        f"twice in {kind}")
+        for lid in incoming:
+            other = signal_of.setdefault(lid, iid)
+            if other != iid:
+                raise NetworkValidationError(
+                    f"lane {lid!r} is incoming at intersections {other!r} "
+                    f"and {iid!r}; a lane has one signal")
         if set(incoming) & set(outgoing):
             both = sorted(set(incoming) & set(outgoing))
             raise NetworkValidationError(

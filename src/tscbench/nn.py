@@ -227,10 +227,6 @@ def backward(params: ParameterSet, cache: tuple, grad_out: np.ndarray,
     gradient buffer, which `adam_step` then reads without a copy, and the
     input gradient is not computed (`wrt_input` is None).
     """
-    train, squeeze, entries = cache
-    grad = np.asarray(grad_out, dtype=float)
-    if squeeze and grad.ndim == 1:
-        grad = grad[None, :]
     if into is None:
         out_layers = [{key: np.empty_like(layer[key]) for key in layer
                        if key in TRAINABLE_KEYS} for layer in params.layers]
@@ -238,10 +234,30 @@ def backward(params: ParameterSet, cache: tuple, grad_out: np.ndarray,
         out_layers = into._grad_views
     else:
         raise ValueError("optimizer state does not match the network")
+    wrt_input = _backprop(params, cache, grad_out, l2, out_layers,
+                          with_input=into is None)
+    return Gradients(out_layers, wrt_input)
+
+
+def input_gradient(params: ParameterSet, cache: tuple,
+                   grad_out: np.ndarray) -> np.ndarray:
+    """The gradient with respect to the network's input alone: the same
+    bits as `backward(...).wrt_input`, without the parameter gradients."""
+    return _backprop(params, cache, grad_out, 0.0, None, with_input=True)
+
+
+def _backprop(params, cache, grad_out, l2, out_layers, with_input):
+    """The layer loop of `backward`: writes the parameter gradients into
+    `out_layers` unless it is None; returns the input gradient if
+    `with_input`, else None."""
+    train, squeeze, entries = cache
+    grad = np.asarray(grad_out, dtype=float)
+    if squeeze and grad.ndim == 1:
+        grad = grad[None, :]
     for idx in range(len(params.layers) - 1, -1, -1):
         spec = params.specs[idx]
         layer = params.layers[idx]
-        g = out_layers[idx]
+        g = None if out_layers is None else out_layers[idx]
         x, a, y, xhat, inv_std = entries[idx]
         if spec.activation == "tanh":
             grad = grad * (1.0 - y * y)
@@ -252,8 +268,9 @@ def backward(params: ParameterSet, cache: tuple, grad_out: np.ndarray,
             d *= grad
             grad = d
         if spec.batch_norm:
-            np.add.reduce(grad * xhat, axis=0, out=g["gamma"])
-            np.add.reduce(grad, axis=0, out=g["beta"])
+            if g is not None:
+                np.add.reduce(grad * xhat, axis=0, out=g["gamma"])
+                np.add.reduce(grad, axis=0, out=g["beta"])
             dxhat = grad * layer["gamma"]
             if train:
                 n = grad.shape[0]
@@ -262,15 +279,16 @@ def backward(params: ParameterSet, cache: tuple, grad_out: np.ndarray,
             else:
                 dz = dxhat * inv_std
             grad = dz
-        np.dot(x.T, grad, out=g["w"])
-        np.add.reduce(grad, axis=0, out=g["b"])
-        if l2:
-            g["w"] += l2 * layer["w"]
-        if idx or into is None:
+        if g is not None:
+            np.dot(x.T, grad, out=g["w"])
+            np.add.reduce(grad, axis=0, out=g["b"])
+            if l2:
+                g["w"] += l2 * layer["w"]
+        if idx or with_input:
             grad = grad @ layer["w"].T
-    if into is not None:
-        return Gradients(out_layers, None)
-    return Gradients(out_layers, grad[0] if squeeze else grad)
+    if not with_input:
+        return None
+    return grad[0] if squeeze else grad
 
 
 class AdamState:

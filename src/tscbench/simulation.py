@@ -169,6 +169,12 @@ class Simulation:
     that). The clock starts at 0 and only `step` advances it, one second per
     call; the arrival schedule is indexed by that count.
 
+    MoE series: while `run_episode` collects them, step (b) of each step
+    sums the queue and delay of the state the step before left (the row
+    for its clock time), in the same lane and vehicle order as
+    `collect_moe`, before it moves any vehicle. `collect_moe` stays the
+    reference sum and appends the episode's last row.
+
     Signals act on movements. A lane's head crosses the stop line only if
     the displayed phase gives a green to its movement (the lane and the
     next lane of its route); a head whose route ends on the lane leaves on
@@ -225,14 +231,25 @@ class Simulation:
         # child, so they never fall between two blocks of the parent stream.
         self._route_rng = self.rng.spawn(1)[0]
         self._arrival_block = ()
-        controlled = {lid for ix in net.intersections for lid in ix.incoming}
-        # (lane id, length, speed, jam spacing, queue stop lines or None for
-        # a sink lane), in lane order
-        self._lane_plan = tuple(
-            (lid, lane.length, lane.speed_limit, lane.spacing,
-             _stop_lines(lane.length, lane.spacing, lane.jam_capacity)
-             if lid in controlled else None)
-            for lid, lane in lanes.items())
+        # (iid, ((lane id, length, speed, jam spacing, queue stop lines),
+        # ...)): each intersection's incoming lanes, in `ix.incoming` order.
+        # The loader lists every lane as incoming at one intersection at
+        # most, so step (b) moves each controlled lane once.
+        def plan(lane):
+            return (lane.id, lane.length, lane.speed_limit, lane.spacing,
+                    _stop_lines(lane.length, lane.spacing, lane.jam_capacity))
+        self._lane_groups = tuple(
+            (ix.id, tuple(plan(lanes[lid]) for lid in ix.incoming))
+            for ix in net.intersections)
+        self._controlled_plan = tuple(
+            entry for _, group in self._lane_groups for entry in group)
+        controlled = {entry[0] for entry in self._controlled_plan}
+        # (lane id, length, speed) of the other (sink) lanes, in lane order
+        self._sink_plan = tuple(
+            (lid, lane.length, lane.speed_limit)
+            for lid, lane in lanes.items() if lid not in controlled)
+        # run_episode's MoELog while it collects the series, else None
+        self._moe_log = None
         # iid -> (incoming lanes, phase -> (green lanes as (lane id, stop
         # line, free-flow time, lanes its green movements lead to), red
         # lanes))
@@ -256,10 +273,6 @@ class Simulation:
             for lid, lane in lanes.items()
             for (iid, p), target in lane.downstream
             for to in (target, None))
-        # (iid, ((incoming lane id, speed), ...)) for collect_moe
-        self._incoming_speeds = tuple(
-            (ix.id, tuple((lid, lanes[lid].speed_limit) for lid in ix.incoming))
-            for ix in net.intersections)
 
     # -- queries used by controllers -------------------------------------
 
@@ -344,27 +357,18 @@ class Simulation:
                 self._next_vid += 1
                 self.injected += 1
 
-        # (b) advance free vehicles / join queues
-        for lid, length, speed, spacing, stops in self._lane_plan:
-            vehs = lane_vehicles[lid]
-            if not vehs:
-                continue
-            if stops is None:  # sink lane: free flow to the network exit
-                exit_at = length - _EPS
-                n_exit = 0
-                for v in vehs:
-                    pos = v.position + speed
-                    v.position = pos
-                    v.queued = False
-                    if pos >= exit_at:
-                        if v.leg == len(v.route) - 1:
-                            self._exit_vehicle(v)
-                            n_exit += 1
-                        else:
-                            v.position = length  # malformed route; pin at end
-                if n_exit:
-                    del vehs[:n_exit]
-            else:
+        # (b) advance free vehicles / join queues, controlled lanes grouped
+        # by intersection, then sink lanes. While run_episode collects the
+        # series, the controlled-lane pass first sums the queue and delay
+        # of the state the previous step left, reading each vehicle before
+        # it moves: the row collect_moe would have appended after that
+        # step. Arrivals of (a) add 0 to both (not queued, zero delay).
+        log = self._moe_log
+        if log is None or not t:
+            for lid, length, speed, spacing, stops in self._controlled_plan:
+                vehs = lane_vehicles[lid]
+                if not vehs:
+                    continue
                 limits, queued_at = stops
                 if len(vehs) > len(limits):  # over capacity: only set by hand
                     limits, queued_at = _stop_lines(length, spacing, len(vehs))
@@ -378,6 +382,54 @@ class Simulation:
                         v.queued = pos >= at
                     else:
                         v.queued = True
+        else:
+            log.times.append(t)
+            for iid, group in self._lane_groups:
+                q = 0
+                d = 0.0
+                for lid, length, speed, spacing, stops in group:
+                    vehs = lane_vehicles[lid]
+                    if not vehs:
+                        continue
+                    limits, queued_at = stops
+                    if len(vehs) > len(limits):
+                        limits, queued_at = _stop_lines(length, spacing,
+                                                        len(vehs))
+                    for v, limit, at in zip(vehs, limits, queued_at):
+                        if v.queued:
+                            q += 1
+                        pos = v.position
+                        x = t - v.entry_time - (v.ff_completed + pos / speed)
+                        if x > 0.0:
+                            d += x
+                        if pos < at:
+                            pos += speed
+                            if pos > limit:
+                                pos = limit
+                            v.position = pos
+                            v.queued = pos >= at
+                        else:
+                            v.queued = True
+                log.queue[iid].append(q)
+                log.delay[iid].append(d)
+        for lid, length, speed in self._sink_plan:  # free flow to the exit
+            vehs = lane_vehicles[lid]
+            if not vehs:
+                continue
+            exit_at = length - _EPS
+            n_exit = 0
+            for v in vehs:
+                pos = v.position + speed
+                v.position = pos
+                v.queued = False
+                if pos >= exit_at:
+                    if v.leg == len(v.route) - 1:
+                        self._exit_vehicle(v)
+                        n_exit += 1
+                    else:
+                        v.position = length  # malformed route; pin at end
+            if n_exit:
+                del vehs[:n_exit]
 
         # (c) saturation-headway discharge of green movements
         headway = self.headway
@@ -468,16 +520,18 @@ def _stop_lines(length: float, spacing: float, n: int) -> tuple:
 def collect_moe(sim: Simulation, log: MoELog) -> None:
     """Append one step's MoE increment; call once per step after step().
 
+    The reference for the series: run_episode sums every row but the last
+    inside the next `Simulation.step`, and calls this for the last row.
     The delay sum inlines vehicle_delay for vehicles still on a lane and
     skips its zero terms, which leaves the float sum unchanged.
     """
     now = sim.t
     log.times.append(now)
     lane_vehicles = sim.lane_vehicles
-    for iid, incoming in sim._incoming_speeds:
+    for iid, group in sim._lane_groups:
         q = 0
         d = 0.0
-        for lid, speed in incoming:
+        for lid, _, speed, _, _ in group:
             for v in lane_vehicles[lid]:
                 if v.queued:
                     q += 1
@@ -486,8 +540,7 @@ def collect_moe(sim: Simulation, log: MoELog) -> None:
                     d += x
         log.queue[iid].append(q)
         log.delay[iid].append(d)
-    for v in sim.exited_this_step:
-        log.travel_times.append((v.exit_time, v.exit_time - v.entry_time))
+    _collect_travel_times(sim, log)
     log.injected = sim.injected
     log.exited = sim.exited
     log.blocked = sim.blocked
@@ -530,17 +583,22 @@ def run_episode(net: NetworkModel, demand: DemandProfile, controllers: dict,
         ctrl.begin_episode()
 
     log = MoELog([ix.id for ix in net.intersections])
-    collect = collect_moe if moe_series else _collect_travel_times
+    if moe_series:
+        sim._moe_log = log  # each step appends the row of the step before
 
     def one_second():
+        _collect_travel_times(sim, log)  # of the step before
         sim.step({iid: advance() for iid, advance in advances})
-        collect(sim, log)
 
     while sim.t < horizon:
         one_second()
     deadline = horizon + drain
     while sim.t < deadline and sim.total_vehicles() > 0:
         one_second()
+    if moe_series and sim.t:
+        collect_moe(sim, log)  # the last row and the last travel times
+    else:
+        _collect_travel_times(sim, log)
 
     log.unfinished = sim.total_vehicles()
     log.injected, log.exited, log.blocked = \

@@ -61,9 +61,21 @@ def rank_score(per_seed_means) -> tuple:
 
 
 def mean_ci95(per_run_values) -> tuple:
-    """Mean and 95% normal-approximation half-width across runs."""
-    x = np.asarray(list(per_run_values), dtype=float)
-    if x.size == 0:
-        return float("nan"), float("nan")
-    half = 1.96 * x.std(ddof=1) / np.sqrt(x.size) if x.size > 1 else 0.0
-    return float(x.mean()), float(half)
+    """Mean and 95% normal-approximation half-width across runs.
+
+    A 2-D array holds one row per bin and one column per run; its rows are
+    reduced along the last axis, which gives each row the bits of the 1-D
+    call, and the means and half-widths come back as arrays.
+    """
+    x = np.asarray(per_run_values if isinstance(per_run_values, np.ndarray)
+                   else list(per_run_values), dtype=float)
+    n = x.shape[-1]
+    if n == 0:
+        mean = half = np.full(x.shape[:-1], np.nan)
+    else:
+        mean = x.mean(axis=-1)
+        half = (1.96 * x.std(ddof=1, axis=-1) / np.sqrt(n) if n > 1
+                else np.zeros_like(mean))
+    if x.ndim == 1:
+        return float(mean), float(half)
+    return mean, half

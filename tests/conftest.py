@@ -30,10 +30,11 @@ def double_demand():
     return load_demand(str(DATA / "double_demand.json"))
 
 
-def single_net_dict():
-    """Editable copy of the one-intersection network as a plain dict."""
+def single_net_dict(name="single.net"):
+    """Editable copy of the one-intersection network (or the bundled
+    network `name`) as a plain dict."""
     import json
-    with open(str(DATA / "single.net"), "r", encoding="utf-8") as fh:
+    with open(str(DATA / name), "r", encoding="utf-8") as fh:
         return json.load(fh)
 
 

@@ -287,3 +287,16 @@ class TestDdpg:
             DdpgConfig(g_min=10, g_max=5)
         with pytest.raises(ValueError):
             DdpgConfig(tau=0.0)
+
+
+@pytest.mark.parametrize("cls,field,value", [
+    (DqnConfig, "lr", float("nan")), (DqnConfig, "lr", float("inf")),
+    (DqnConfig, "a_repeat", float("inf")),
+    (DdpgConfig, "actor_lr", float("nan")),
+    (DdpgConfig, "critic_lr", float("inf")),
+    (DdpgConfig, "l2", float("nan")), (DdpgConfig, "g_max", float("inf")),
+])
+def test_config_rejects_non_finite_numbers(cls, field, value):
+    with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+        cls(**{field: value})
+

@@ -249,3 +249,21 @@ def test_all_classics_complete_an_episode(single_net, single_demand):
         s = log.summary()
         assert s["injected"] == s["exited"] + s["unfinished"]
         assert s["samples"] > 0
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("cls,hp", [
+    (SotlController, {"theta": NAN}), (SotlController, {"omega": INF}),
+    (SotlController, {"theta": -INF}), (WebsterController, {"s_sat": NAN}),
+    (WebsterController, {"R": INF}), (WebsterController, {"R": NAN}),
+    (MaxPressureController, {"g_min": INF}),
+    (MaxPressureController, {"g_min": NAN}),
+    (UniformController, {"u": INF}),
+], ids=lambda v: v.__name__ if isinstance(v, type) else repr(v))
+def test_non_finite_hyperparameter_rejected(cls, hp):
+    with pytest.raises(ValueError, match=f"{next(iter(hp))} must be a "
+                                         "finite number"):
+        cls(**hp)
+

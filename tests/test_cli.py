@@ -7,6 +7,7 @@ import pytest
 from tscbench.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, parse_hp
 
 import conftest
+from test_network import ONE_SIGNAL_PER_LANE
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +97,21 @@ class TestExitCodes:
                      "--out", str(tmp_path / "sim")]) == EXIT_USAGE
         assert "'n_in'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("iid,kind,lane", ONE_SIGNAL_PER_LANE,
+                             ids=["twice-incoming", "twice-outgoing",
+                                  "two-intersections"])
+    def test_lane_with_two_signals(self, paths, tmp_path, capsys, iid, kind,
+                                   lane):
+        data = conftest.single_net_dict("double.net")
+        data["intersections"][iid][kind].append(lane)
+        net = tmp_path / "bad.net"
+        net.write_text(json.dumps(data))
+        assert main(["simulate", "--net", str(net), "--demand",
+                     paths["ddemand"], "--tsc", "sotl",
+                     "--out", str(tmp_path / "sim")]) == EXIT_USAGE
+        assert f"'{lane}'" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+
     def test_network_section_shape(self, paths, tmp_path, capsys):
         data = conftest.single_net_dict()
         data["lanes"] = []
@@ -177,6 +193,49 @@ class TestTune:
         ranking = json.loads((out / "ranking.json").read_text())
         assert len(ranking["ranking"]) == 2
         assert (out / "trials.csv").exists()
+
+
+class TestNonFiniteHyperparameters:
+    @pytest.mark.parametrize("cmd,tsc,hp", [
+        ("simulate", "sotl", "theta=nan"), ("simulate", "sotl", "omega=inf"),
+        ("simulate", "webster", "s_sat=nan"),
+        ("simulate", "maxpressure", "g_min=inf"),
+        ("evaluate", "sotl", "theta=-inf"), ("train", "dqn", "lr=nan"),
+        ("train", "ddpg", "l2=inf"),
+    ])
+    def test_hp_flag(self, paths, tmp_path, capsys, cmd, tsc, hp):
+        out = tmp_path / "out"
+        assert main([cmd, "--net", paths["net"], "--demand",
+                     paths["demand"], "--tsc", tsc, "--hp", hp,
+                     "--out", str(out)]) == EXIT_USAGE
+        assert "must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tsc,values", [
+        ("sotl", {"theta": [50.0, float("nan")]}),
+        ("webster", {"R": [float("inf")]}),
+        ("dqn", {"lr": [float("nan")]}),
+    ])
+    def test_grid_file(self, paths, tmp_path, tsc, values):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(values))  # writes NaN / Infinity
+        assert "NaN" in grid.read_text() or "Infinity" in grid.read_text()
+        assert main(["tune", "--net", paths["net"], "--demand",
+                     paths["demand"], "--tsc", tsc, "--grid", str(grid),
+                     "--trials", "1", "--out",
+                     str(tmp_path / "tune")]) == EXIT_USAGE
+
+    def test_python_api(self, single_net, single_demand):
+        from tscbench import experiments
+        with pytest.raises(ValueError, match="theta"):
+            experiments.evaluate("sotl", {"theta": float("nan")}, single_net,
+                                 single_demand, runs=1)
+        with pytest.raises(ValueError, match="g_min"):
+            experiments.tune(experiments.GridSpec(
+                "maxpressure", {"g_min": [float("inf")]}, trials=1),
+                single_net, single_demand)
+        with pytest.raises(ValueError, match="critic_lr"):
+            experiments.agent_config("ddpg", {"critic_lr": float("inf")})
 
 
 class TestTrainEvaluateCompare:

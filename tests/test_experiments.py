@@ -193,6 +193,81 @@ class TestEvaluate:
         assert tts == res.travel_times
 
 
+def per_bin_reference(net, logs, bin_s):
+    """evaluate's MoE bins as the per-bin loop computed them: one slice
+    mean per run and bin, one mean_ci95 call per bin and series."""
+    moe = {}
+    for ix in net.intersections:
+        per_run_bins = {}
+        for log in logs:
+            bins = (np.asarray(log.times) // bin_s).astype(int)
+            if not len(bins):
+                continue
+            q = np.asarray(log.queue[ix.id])
+            d = np.asarray(log.delay[ix.id])
+            cuts = (np.flatnonzero(np.diff(bins)) + 1).tolist()
+            for lo, hi in zip([0] + cuts, cuts + [len(bins)]):
+                entry = per_run_bins.setdefault(int(bins[lo]),
+                                                {"queue": [], "delay": []})
+                entry["queue"].append(float(q[lo:hi].mean()))
+                entry["delay"].append(float(d[lo:hi].mean()))
+        rows = []
+        for b in sorted(per_run_bins):
+            qm, qc = mean_ci95(per_run_bins[b]["queue"])
+            dm, dc = mean_ci95(per_run_bins[b]["delay"])
+            rows.append({"bin_start_s": b * bin_s, "mean_queue": qm,
+                         "ci95_queue": qc, "mean_delay": dm,
+                         "ci95_delay": dc})
+        moe[ix.id] = rows
+    return moe
+
+
+class TestEvaluateBins:
+    """Ten runs whose drains end at different times: bins reached by 1 to
+    10 runs, means over 8 or more values, where a sequential sum and
+    numpy's pairwise sum differ."""
+
+    @pytest.mark.parametrize("bin_s", [60.0, 7.0])
+    def test_ten_runs_match_the_per_bin_loop(self, double_net, double_demand,
+                                             tmp_path, bin_s):
+        runs, horizon = 10, 240.0
+        res = experiments.evaluate("sotl", {}, double_net, double_demand,
+                                   runs=runs, base_seed=5, horizon=horizon,
+                                   bin_s=bin_s, out_dir=str(tmp_path / "new"))
+        logs = [experiments.run_episode(
+                    double_net, double_demand,
+                    make_classic_controllers(double_net, "sotl", {}),
+                    5 + i, horizon=horizon) for i in range(runs)]
+        assert len({log.times[-1] for log in logs}) > 5
+        want = per_bin_reference(double_net, logs, bin_s)
+        assert {k: [{c: float(v).hex() for c, v in row.items()}
+                    for row in rows] for k, rows in res.moe.items()} == \
+            {k: [{c: float(v).hex() for c, v in row.items()}
+                 for row in rows] for k, rows in want.items()}
+        ref = experiments.EvalResult(res.controller, res.hp, res.condition,
+                                     res.travel_times, res.box, moe=want,
+                                     unfinished=res.unfinished)
+        (tmp_path / "ref").mkdir()
+        experiments.write_eval(str(tmp_path / "ref"), ref)
+        assert (tmp_path / "new" / "moe.csv").read_bytes() == \
+            (tmp_path / "ref" / "moe.csv").read_bytes()
+
+    def test_one_run_bins_have_zero_half_width(self, tiny_net):
+        demand = constant_demand(["in_a", "in_b"], 600.0, horizon=90.0)
+        res = experiments.evaluate("uniform", {"u": 10}, tiny_net, demand,
+                                   runs=1, bin_s=60.0)
+        assert [r["ci95_delay"] for r in res.moe["x"]] == [0.0, 0.0]
+        assert [r["ci95_queue"] for r in res.moe["x"]] == [0.0, 0.0]
+
+    def test_mean_ci95_rows_match_one_dimensional_calls(self):
+        x = np.random.default_rng(3).normal(50.0, 20.0, size=(6, 32))
+        mean, half = mean_ci95(x)
+        for row, m, h in zip(x, mean, half):
+            assert (m, h) == mean_ci95(row.tolist())
+        mean, half = mean_ci95(x[:, :1])
+        assert mean.tolist() == x[:, 0].tolist() and not half.any()
+
+
 class TestCompare:
     def run_eval(self, net, demand, name, hp, runs=2, seed=0):
         return experiments.evaluate(name, hp, net, demand, runs=runs,

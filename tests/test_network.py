@@ -9,6 +9,8 @@ from tscbench.network import (NetworkParseError, NetworkValidationError,
                               default_jam_capacity, load_network,
                               network_from_dict, phase_lanes, write_network)
 
+import conftest
+
 
 def test_load_single(single_net):
     assert len(single_net.lanes) == 8
@@ -137,6 +139,24 @@ def test_lane_cannot_be_incoming_and_outgoing(net_dict):
     net_dict["intersections"]["i0"]["outgoing"][0] = "n_in"
     with pytest.raises(NetworkValidationError, match="n_in"):
         network_from_dict(net_dict)
+
+
+# (intersection, list, lane appended to it): each lane is signalled once
+ONE_SIGNAL_PER_LANE = [
+    ("a", "incoming", "w_in"),   # listed twice in one incoming list
+    ("a", "outgoing", "ab"),     # listed twice in one outgoing list
+    ("b", "incoming", "w_in"),   # incoming at both a and b
+]
+
+
+@pytest.mark.parametrize("iid,kind,lane", ONE_SIGNAL_PER_LANE,
+                         ids=["twice-incoming", "twice-outgoing",
+                              "two-intersections"])
+def test_lane_has_one_signal(iid, kind, lane):
+    data = conftest.single_net_dict("double.net")
+    data["intersections"][iid][kind].append(lane)
+    with pytest.raises(NetworkValidationError, match=f"'{lane}'"):
+        network_from_dict(data)
 
 
 def test_phase_movement_must_use_declared_lanes(net_dict):

@@ -8,8 +8,8 @@ import pytest
 
 from tscbench import nn
 from tscbench.nn import (AdamState, LayerSpec, adam_step, backward, forward,
-                         he_init, load_checkpoint, save_checkpoint,
-                         soft_update)
+                         he_init, input_gradient, load_checkpoint,
+                         save_checkpoint, soft_update)
 
 
 def small_net(seed=0, batch_norm=False):
@@ -432,6 +432,8 @@ class TestLeanUpdate:
             rgrads, rinput = reference_backward(ref, rcache, grad_out, l2=l2)
             dgrads = backward(default, dcache, grad_out, l2=l2)
             assert np.array_equal(dgrads.wrt_input, rinput), step
+            assert np.array_equal(input_gradient(lean, cache, grad_out),
+                                  rinput), step
             for g, rg in zip(dgrads.layers, rgrads):
                 assert sorted(g) == sorted(rg)
                 for key in rg:
@@ -464,6 +466,8 @@ class TestLeanUpdate:
         _, want = reference_backward(params, reference_forward(
             params, x, "infer")[1], np.ones_like(out))
         assert np.array_equal(grads.wrt_input, want)
+        assert np.array_equal(input_gradient(params, cache,
+                                             np.ones_like(out)), want)
 
     def test_into_a_mismatched_optimizer(self):
         params = value_net()
