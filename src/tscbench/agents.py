@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from . import nn
 from .control import (HOLD, Controller, NextPhase, RewardNormalizer,
-                      require_finite)
+                      require_finite, require_whole)
 
 
 @dataclass
@@ -112,6 +112,14 @@ class ExplorationSchedule:
         return max(self.end, start + (self.end - start) * frac)
 
 
+def _check_numbers(cfg) -> None:
+    """Finite floats, and whole numbers in int fields (10.0 becomes 10)."""
+    require_finite(**vars(cfg))
+    for f in fields(cfg):
+        if f.type in ("int", int):
+            setattr(cfg, f.name, require_whole(f.name, getattr(cfg, f.name)))
+
+
 @dataclass
 class DqnConfig:
     a_repeat: int = 10
@@ -125,7 +133,7 @@ class DqnConfig:
     replay_capacity: int = 50000
 
     def __post_init__(self):
-        require_finite(**vars(self))
+        _check_numbers(self)
         if self.a_repeat < 1:
             raise ValueError("a_repeat must be >= 1")
         if self.batch_size < 2:
@@ -187,8 +195,8 @@ class DqnAgent:
         loss = float(np.add.reduce(err * err)) / n  # np.mean's sum and divide
         grad_out = np.zeros_like(q)
         grad_out[rows, a] = 2.0 * err / n
-        grads = nn.backward(self.online, cache, grad_out, into=self.adam)
-        nn.adam_step(self.online, grads, self.adam)
+        nn.backward(self.online, cache, grad_out, self.adam)
+        nn.adam_step(self.online, self.adam)
         self.updates += 1
         if self.updates % self.cfg.target_sync == 0:
             self.target = self.online.copy()
@@ -224,7 +232,7 @@ class DdpgConfig:
     l2: float = 0.01              # critic weight regularization
 
     def __post_init__(self):
-        require_finite(**vars(self))
+        _check_numbers(self)
         if not 1 <= self.g_min <= self.g_max:
             raise ValueError("need 1 <= g_min <= g_max")
         if not 0.0 < self.tau <= 1.0:
@@ -298,9 +306,9 @@ class DdpgAgent:
         err = q[:, 0] - y
         critic_loss = float(np.mean(err * err))
         grad_out = (2.0 * err / n)[:, None]
-        cgrads = nn.backward(self.critic, cache, grad_out, l2=self.cfg.l2,
-                             into=self.critic_adam)
-        nn.adam_step(self.critic, cgrads, self.critic_adam)
+        nn.backward(self.critic, cache, grad_out, self.critic_adam,
+                    l2=self.cfg.l2)
+        nn.adam_step(self.critic, self.critic_adam)
 
         # actor: ascend Q(s, pi(s)) through the critic's action gradient
         a_pi, acache = nn.forward(self.actor, s, "train")
@@ -310,9 +318,8 @@ class DdpgAgent:
         gq = np.full((n, 1), -1.0 / n)
         d_action = nn.input_gradient(self.critic, qcache,
                                      gq)[:, self.state_width:]
-        agrads = nn.backward(self.actor, acache, d_action,
-                             into=self.actor_adam)
-        nn.adam_step(self.actor, agrads, self.actor_adam)
+        nn.backward(self.actor, acache, d_action, self.actor_adam)
+        nn.adam_step(self.actor, self.actor_adam)
 
         nn.soft_update(self.actor_target, self.actor, self.cfg.tau)
         nn.soft_update(self.critic_target, self.critic, self.cfg.tau)

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from .control import HOLD, Controller, NextPhase, require_finite
+from .control import (HOLD, Controller, NextPhase, require_finite,
+                      require_whole)
 from .simulation import DEFAULT_SATURATION_FLOW
 
 
@@ -11,9 +12,9 @@ class UniformController(Controller):
 
     def __init__(self, u: int = 10):
         require_finite(u=u)
-        if u <= 0:
+        self.u = require_whole("u", u)
+        if self.u <= 0:
             raise ValueError("u must be > 0")
-        self.u = int(u)
 
     def decide(self, view):
         if view.t_p < self.u:
@@ -68,9 +69,9 @@ class WebsterController(Controller):
     def __init__(self, W: int = 120, c_min: int = 40, c_max: int = 180,
                  s_sat: float = DEFAULT_SATURATION_FLOW, R: int | None = None):
         require_finite(W=W, c_min=c_min, c_max=c_max, s_sat=s_sat, R=R)
-        self.W = int(W)            # data-collection window, seconds
-        self.c_min = int(c_min)
-        self.c_max = int(c_max)
+        self.W = require_whole("W", W)  # data-collection window, seconds
+        self.c_min = require_whole("c_min", c_min)
+        self.c_max = require_whole("c_max", c_max)
         self.s_sat = float(s_sat)
         self.R = R                 # total cycle lost time; default |P| * 5 s
         if not 0 < self.c_min <= self.c_max:
@@ -118,9 +119,9 @@ class MaxPressureController(Controller):
 
     def __init__(self, g_min: int = 10):
         require_finite(g_min=g_min)
-        if g_min <= 0:
+        self.g_min = require_whole("g_min", g_min)
+        if self.g_min <= 0:
             raise ValueError("g_min must be > 0")
-        self.g_min = int(g_min)
 
     def decide(self, view):
         if view.t_p < self.g_min:
@@ -139,10 +140,10 @@ class SotlController(Controller):
     def __init__(self, g_min: int = 10, theta: float = 50.0,
                  omega: float = 100.0, mu: int = 3):
         require_finite(g_min=g_min, theta=theta, omega=omega, mu=mu)
-        self.g_min = int(g_min)
+        self.g_min = require_whole("g_min", g_min)
         self.theta = float(theta)   # vehicle-seconds integral threshold
         self.omega = float(omega)   # platoon look-back distance, meters
-        self.mu = int(mu)           # platoon size above which a change is allowed
+        self.mu = require_whole("mu", mu)  # platoon size allowing a change
         if min(self.g_min, self.theta, self.omega, self.mu) <= 0:
             raise ValueError("all SOTL parameters must be positive")
         self.kappa = 0.0

@@ -8,11 +8,12 @@ green (or sits idle in all-red). Distinct greens are always separated by a
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Intersection, NetworkModel
+from .network import NetworkModel
 from .simulation import ALLRED, GREEN, YELLOW, Simulation, vehicle_delay
 
 YELLOW_TIME = 2
@@ -97,26 +98,6 @@ def sequencer_advance(seq: SequencerState, decision):
 
 # -- observation and reward --------------------------------------------------
 
-def observe(unit: SignalUnit, force_all_red: bool = False) -> np.ndarray:
-    """Normalized densities + queues of incoming lanes plus phase one-hot."""
-    n_inc = len(unit.observed)
-    out = np.zeros(2 * n_inc + unit.n_phases + 1)
-    lane_vehicles = unit.sim.lane_vehicles
-    for i, (lid, cut, cap, _) in enumerate(unit.observed):
-        n = q = 0
-        for v in lane_vehicles[lid]:
-            if v.position < cut:
-                break
-            n += 1
-            if v.queued:
-                q += 1
-        out[i] = min(1.0, n / cap)
-        out[n_inc + i] = min(1.0, q / cap)
-    current = None if force_all_red else unit.current_phase
-    out[2 * n_inc + (unit.n_phases if current is None else current)] = 1.0
-    return out
-
-
 def state_width(net: NetworkModel, iid: str) -> int:
     ix = net.intersection(iid)
     return 2 * len(ix.incoming) + len(ix.phases) + 1
@@ -140,34 +121,6 @@ class RewardNormalizer:
         return max(-1.0, min(0.0, raw / self.r_min))
 
 
-def raw_reward(unit: SignalUnit) -> float:
-    """Minus the delay of the vehicles within the unit's bound, summed lane
-    by lane, head first (`Simulation.delay_sum` of the incoming lanes)."""
-    total = 0.0
-    now = unit.sim.t
-    lane_vehicles = unit.sim.lane_vehicles
-    for lid, cut, _, speed in unit.observed:
-        for v in lane_vehicles[lid]:
-            if v.position < cut:
-                break
-            total += vehicle_delay(v, now, speed)
-    return -total
-
-
-def cycle_next_phase(sim: Simulation, ix: Intersection,
-                     current: int | None) -> int | None:
-    """First phase after `current` in cycle order with any incoming vehicle;
-    None (all-red idle) when no incoming lane holds a vehicle."""
-    n = len(ix.phases)
-    start = 0 if current is None else (current + 1) % n
-    for k in range(n):
-        p = (start + k) % n
-        for lid in ix.phases[p].incoming:
-            if sim.lane_vehicles[lid]:
-                return p
-    return None
-
-
 # -- controller interface -----------------------------------------------------
 
 def require_finite(**values) -> None:
@@ -176,6 +129,15 @@ def require_finite(**values) -> None:
     for name, value in values.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{name} must be a finite number, not {value!r}")
+
+
+def require_whole(name: str, value) -> int:
+    """`value` as an int; ValueError naming `name` unless a whole number
+    (10 or 10.0; not 10.5, True or "10"), so none is silently truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not float(value).is_integer():
+        raise ValueError(f"{name} must be a whole number, not {value!r}")
+    return int(value)
 
 
 class Controller:
@@ -231,7 +193,8 @@ class SignalUnit:
             for lid in ix.incoming)
 
     def count_sum(self, lanes, bound: float) -> int:
-        """Sum of `Simulation.count_within(lid, bound)` over `lanes`."""
+        """Number of vehicles within `bound` meters of the stop line on
+        `lanes`; each lane's scan stops at the first vehicle behind it."""
         cuts = self._cuts.get(bound)
         if cuts is None:
             net, ix = self.sim.net, self.intersection
@@ -272,14 +235,53 @@ class SignalUnit:
         return any(lane_vehicles[lid] for lid in self.red_in[None])
 
     def observe(self, force_all_red: bool = False) -> np.ndarray:
-        return observe(self, force_all_red)
+        """Normalized densities + queues of incoming lanes plus phase
+        one-hot."""
+        n_inc = len(self.observed)
+        out = np.zeros(2 * n_inc + self.n_phases + 1)
+        lane_vehicles = self.sim.lane_vehicles
+        for i, (lid, cut, cap, _) in enumerate(self.observed):
+            n = q = 0
+            for v in lane_vehicles[lid]:
+                if v.position < cut:
+                    break
+                n += 1
+                if v.queued:
+                    q += 1
+            out[i] = min(1.0, n / cap)
+            out[n_inc + i] = min(1.0, q / cap)
+        current = None if force_all_red else self.current_phase
+        out[2 * n_inc + (self.n_phases if current is None else current)] = 1.0
+        return out
 
     def reward_raw(self) -> float:
-        return raw_reward(self)
+        """Minus the delay of the vehicles within the unit's bound, summed
+        lane by lane, head first."""
+        total = 0.0
+        now = self.sim.t
+        lane_vehicles = self.sim.lane_vehicles
+        for lid, cut, _, speed in self.observed:
+            for v in lane_vehicles[lid]:
+                if v.position < cut:
+                    break
+                total += vehicle_delay(v, now, speed)
+        return -total
 
     def cycle_next(self, current: int | None = None) -> int | None:
-        return cycle_next_phase(self.sim, self.intersection,
-                                self.seq.phase if current is None else current)
+        """First phase after `current` (by default the last green shown) in
+        cycle order with any incoming vehicle; None (all-red idle) when no
+        incoming lane holds a vehicle."""
+        if current is None:
+            current = self.seq.phase
+        n = self.n_phases
+        start = 0 if current is None else (current + 1) % n
+        lane_vehicles = self.sim.lane_vehicles
+        for k in range(n):
+            p = (start + k) % n
+            for lid in self.intersection.phases[p].incoming:
+                if lane_vehicles[lid]:
+                    return p
+        return None
 
     def crossings(self) -> dict:
         """Stop-line crossings of this intersection during the last step."""

@@ -6,7 +6,9 @@ import csv
 import functools
 import hashlib
 import inspect
+import itertools
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -114,6 +116,12 @@ def controller_factory(net: NetworkModel, name: str, hp: dict,
                           "object with \"algo\" and a \"files\" object")
     if meta["algo"] != name:
         raise ConfigError(f"checkpoint is for {meta['algo']!r}, not {name!r}")
+    r_min = meta.get("r_min", {})
+    if not isinstance(r_min, dict) or not all(
+            isinstance(v, (int, float)) and math.isfinite(v)
+            for v in r_min.values()):
+        raise ConfigError(f"{meta_path}: \"r_min\" must be an object "
+                          "mapping intersection id -> finite number")
     cfg = agent_config(name, meta.get("config", {}))
     agents = fabric.build_agents(net, name, cfg, seed=0)
     for iid, agent in agents.items():
@@ -122,8 +130,7 @@ def controller_factory(net: NetworkModel, name: str, hp: dict,
         named = load_checkpoint(os.path.join(checkpoint_dir,
                                              meta["files"][iid]))
         agent.load_checkpoint(named)
-    return functools.partial(greedy_controllers, net, name, agents,
-                             meta.get("r_min", {}))
+    return functools.partial(greedy_controllers, net, name, agents, r_min)
 
 
 # -- identities and seeding ----------------------------------------------------
@@ -161,28 +168,44 @@ class GridSpec:
     base_seed: int = 0
 
     def __post_init__(self):
+        """Check the grid's shape, then build every config's controller
+        (or agent configuration) once, so that a bad value fails here."""
         check_controller(self.controller)
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if not self.values or any(not v for v in self.values.values()):
-            raise ConfigError("grid value lists must be non-empty")
+        if not isinstance(self.values, dict) or not self.values:
+            raise ConfigError("a grid must be a non-empty object mapping "
+                              "hyperparameter -> list of values")
+        for key, vals in self.values.items():
+            if not isinstance(vals, (list, tuple)) or not vals:
+                raise ConfigError(f"grid values of {key!r} must be a "
+                                  "non-empty list")
+        for hp in self.expand():
+            _check_hp(self.controller, hp)
+            try:
+                CONTROLLERS[self.controller](**hp)
+            except ValueError as exc:
+                raise ConfigError(f"grid config "
+                                  f"{config_id(self.controller, hp)}: "
+                                  f"{exc}") from None
 
     def expand(self) -> list:
         """Cartesian product; a 'k1,k2' key assigns paired values."""
-        configs = [{}]
-        for key in sorted(self.values):
-            nxt = []
-            for cfg in configs:
-                for val in self.values[key]:
-                    new = dict(cfg)
-                    if "," in key:
-                        subkeys = [k.strip() for k in key.split(",")]
-                        for sk, sv in zip(subkeys, val):
-                            new[sk] = sv
-                    else:
-                        new[key] = val
-                    nxt.append(new)
-            configs = nxt
+        keys = sorted(self.values)
+        configs = []
+        for combo in itertools.product(*(self.values[k] for k in keys)):
+            hp = {}
+            for key, val in zip(keys, combo):
+                if "," not in key:
+                    hp[key] = val
+                    continue
+                subkeys = [k.strip() for k in key.split(",")]
+                if not isinstance(val, (list, tuple)) or \
+                        len(val) != len(subkeys):
+                    raise ConfigError(f"grid values of {key!r} must be "
+                                      f"lists of {len(subkeys)} values")
+                hp.update(zip(subkeys, val))
+            configs.append(hp)
         return configs
 
 
@@ -256,10 +279,7 @@ def tune(grid: GridSpec, net: NetworkModel, demand: DemandProfile,
          out_dir: str | None = None) -> list:
     """Grid search; returns TrialResults ranked ascending by mean + std."""
     name = grid.controller
-    configs = grid.expand()
-    for hp in configs:
-        _check_hp(name, hp)
-    cids = {config_id(name, hp): hp for hp in configs}
+    cids = {config_id(name, hp): hp for hp in grid.expand()}
     results = {}
 
     if name not in fabric.ALGOS:

@@ -294,18 +294,3 @@ def load_network(path) -> NetworkModel:
         raise NetworkParseError(f"{path}: not valid JSON ({exc})") from exc
     return network_from_dict(data)
 
-
-def write_network(net: NetworkModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(net.to_dict(), fh, indent=2)
-
-
-def phase_lanes(net: NetworkModel, intersection: str, phase: int):
-    """Incoming and outgoing lane ids induced by a phase's green movements."""
-    ix = net.intersection(intersection)
-    if not 0 <= phase < len(ix.phases):
-        raise IndexError(
-            f"intersection {intersection!r} has no phase {phase} "
-            f"(|P|={len(ix.phases)})")
-    p = ix.phases[phase]
-    return p.incoming, p.outgoing

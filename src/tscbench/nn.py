@@ -212,44 +212,31 @@ def forward(params: ParameterSet, x: np.ndarray, mode: str = "infer",
     return out, (train, squeeze, entries)
 
 
-class Gradients:
-    def __init__(self, layers: list, wrt_input: np.ndarray | None):
-        self.layers = layers
-        self.wrt_input = wrt_input
-
-
 def backward(params: ParameterSet, cache: tuple, grad_out: np.ndarray,
-             l2: float = 0.0, into: "AdamState | None" = None) -> Gradients:
-    """Backpropagate; returns per-parameter gradients and the input gradient.
+             adam: "AdamState", l2: float = 0.0) -> list:
+    """Backpropagate into `adam`'s gradient buffer, which `adam_step` then
+    applies; returns the buffer's per-layer views of the gradients.
 
-    `l2` adds weight decay lambda*w to every weight gradient. With `into`,
-    the parameter gradients are written straight into that optimizer's
-    gradient buffer, which `adam_step` then reads without a copy, and the
-    input gradient is not computed (`wrt_input` is None).
+    `l2` adds weight decay lambda*w to every weight gradient.
     """
-    if into is None:
-        out_layers = [{key: np.empty_like(layer[key]) for key in layer
-                       if key in TRAINABLE_KEYS} for layer in params.layers]
-    elif len(into._grad_views) == len(params.layers):
-        out_layers = into._grad_views
-    else:
+    if len(adam._grad_views) != len(params.layers) or \
+            adam.m.size != params.n_trainable:
         raise ValueError("optimizer state does not match the network")
-    wrt_input = _backprop(params, cache, grad_out, l2, out_layers,
-                          with_input=into is None)
-    return Gradients(out_layers, wrt_input)
+    _backprop(params, cache, grad_out, l2, adam._grad_views)
+    return adam._grad_views
 
 
 def input_gradient(params: ParameterSet, cache: tuple,
                    grad_out: np.ndarray) -> np.ndarray:
-    """The gradient with respect to the network's input alone: the same
-    bits as `backward(...).wrt_input`, without the parameter gradients."""
-    return _backprop(params, cache, grad_out, 0.0, None, with_input=True)
+    """The gradient with respect to the network's input alone, without the
+    parameter gradients."""
+    return _backprop(params, cache, grad_out, 0.0, None)
 
 
-def _backprop(params, cache, grad_out, l2, out_layers, with_input):
-    """The layer loop of `backward`: writes the parameter gradients into
-    `out_layers` unless it is None; returns the input gradient if
-    `with_input`, else None."""
+def _backprop(params, cache, grad_out, l2, out_layers):
+    """The layer loop of `backward` and `input_gradient`: writes the
+    parameter gradients into `out_layers`, or with `out_layers` None
+    returns the input gradient instead."""
     train, squeeze, entries = cache
     grad = np.asarray(grad_out, dtype=float)
     if squeeze and grad.ndim == 1:
@@ -284,9 +271,9 @@ def _backprop(params, cache, grad_out, l2, out_layers, with_input):
             np.add.reduce(grad, axis=0, out=g["b"])
             if l2:
                 g["w"] += l2 * layer["w"]
-        if idx or with_input:
+        if idx or g is None:
             grad = grad @ layer["w"].T
-    if not with_input:
+    if out_layers is not None:
         return None
     return grad[0] if squeeze else grad
 
@@ -315,28 +302,15 @@ class AdamState:
             for layer in params._layout]
 
 
-def adam_step(params: ParameterSet, grads: Gradients | list,
-              adam: AdamState) -> ParameterSet:
-    """Bias-corrected Adam update, in place; bumps the parameter version.
+def adam_step(params: ParameterSet, adam: AdamState) -> ParameterSet:
+    """Bias-corrected Adam update from the gradient `backward` left in
+    `adam`, in place; bumps the parameter version.
 
     Per element: m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
-    p = p - (lr*(m/bc1)) / (sqrt(v/bc2) + eps). Every trainable array
-    needs a gradient; other keys are ignored.
+    p = p - (lr*(m/bc1)) / (sqrt(v/bc2) + eps).
     """
-    glayers = grads.layers if isinstance(grads, Gradients) else grads
-    if len(glayers) != len(adam._grad_views) or \
-            params.n_trainable != adam.m.size:
-        raise ValueError("gradients do not match the network")
-    for g, views in zip(glayers, adam._grad_views):
-        for key, view in views.items():
-            gval = g.get(key)
-            if gval is None:
-                raise ValueError(f"no gradient for {key}")
-            if gval is view:  # written by backward(..., into=adam)
-                continue
-            if gval.shape != view.shape:
-                raise ValueError(f"gradient shape mismatch for {key}")
-            view[...] = gval
+    if params.n_trainable != adam.m.size:
+        raise ValueError("optimizer state does not match the network")
     adam.step += 1
     b1, b2 = adam.beta1, adam.beta2
     bc1 = 1.0 - b1 ** adam.step

@@ -66,15 +66,6 @@ class DemandProfile:
             fp = [r for _, r in pts]
             self._table[lane] = np.interp(ts, xp, fp)
 
-    def rate(self, lane: str, t: float) -> float:
-        tab = self._table.get(lane)
-        if tab is None:
-            return 0.0
-        i = int(t)
-        if i < 0 or i >= len(tab):
-            return 0.0
-        return float(tab[i])
-
     @property
     def entry_lanes(self):
         return tuple(self.breakpoints)
@@ -162,12 +153,12 @@ class Simulation:
     increase from the front of the list to its back. Vehicles join a lane
     at its tail at position 0, all vehicles of a lane move at the lane's
     speed, and each queue slot lies one jam spacing behind the slot ahead,
-    so no step can reorder a lane. `count_within`, `queued_within` and
-    `delay_sum` rely on this order: their scan stops at the first vehicle
-    behind the bound. A vehicle leaves its lane in the step it exits, so
-    every vehicle on a lane is still travelling (`collect_moe` relies on
-    that). The clock starts at 0 and only `step` advances it, one second per
-    call; the arrival schedule is indexed by that count.
+    so no step can reorder a lane; the `SignalUnit` scans rely on this and
+    stop at the first vehicle behind their bound. A vehicle leaves its
+    lane in the step it exits, so every vehicle on a lane is still
+    travelling (`collect_moe` relies on that). The clock starts at 0 and
+    only `step` advances it, one second per call; the arrival schedule is
+    indexed by that count.
 
     MoE series: while `run_episode` collects them, step (b) of each step
     sums the queue and delay of the state the step before left (the row
@@ -274,27 +265,7 @@ class Simulation:
             for (iid, p), target in lane.downstream
             for to in (target, None))
 
-    # -- queries used by controllers -------------------------------------
-
-    def count_within(self, lane_id: str, bound: float) -> int:
-        vehs = self.lane_vehicles[lane_id]
-        cut = self.net.lanes[lane_id].length - bound
-        if cut <= 0:
-            return len(vehs)
-        for n, v in enumerate(vehs):
-            if v.position < cut:
-                return n
-        return len(vehs)
-
-    def queued_within(self, lane_id: str, bound: float) -> int:
-        cut = self.net.lanes[lane_id].length - bound
-        q = 0
-        for v in self.lane_vehicles[lane_id]:
-            if v.position < cut:
-                break
-            if v.queued:
-                q += 1
-        return q
+    # -- queries ---------------------------------------------------------
 
     def capacity_within(self, lane_id: str, bound: float) -> int:
         lane = self.net.lanes[lane_id]
@@ -304,19 +275,6 @@ class Simulation:
 
     def total_vehicles(self) -> int:
         return sum(len(vs) for vs in self.lane_vehicles.values())
-
-    def delay_sum(self, lane_ids, bound: float | None = None) -> float:
-        total = 0.0
-        now = self.t
-        for lid in lane_ids:
-            lane = self.net.lanes[lid]
-            cut = -1.0 if bound is None else lane.length - bound
-            speed = lane.speed_limit
-            for v in self.lane_vehicles[lid]:
-                if v.position < cut:
-                    break
-                total += vehicle_delay(v, now, speed)
-        return total
 
     # -- dynamics ---------------------------------------------------------
 

@@ -132,13 +132,14 @@ class TestCriterion5Gradients:
     def check(params, x, l2=0.0, draws_per_layer=20):
         """Worst relative error between backprop and central differences."""
         out, cache = nn.forward(params, x, "train", update_running=False)
-        grads = nn.backward(params, cache, np.ones_like(out), l2=l2)
+        grads = nn.backward(params, cache, np.ones_like(out),
+                            nn.AdamState(params), l2=l2)
         rng = np.random.default_rng(0)
         h = 1e-5
         worst = 0.0
         checked = 0
         for li, layer in enumerate(params.layers):
-            for key in grads.layers[li]:
+            for key in grads[li]:
                 flat = layer[key].ravel()
                 idxs = rng.choice(flat.size,
                                   size=min(draws_per_layer, flat.size),
@@ -155,7 +156,7 @@ class TestCriterion5Gradients:
                     num = (up.sum() - dn.sum()) / (2 * h)
                     if l2 and key == "w":
                         num += l2 * orig  # penalty term, analytic in w
-                    ana = grads.layers[li][key].ravel()[i]
+                    ana = grads[li][key].ravel()[i]
                     # biases ahead of batch norm have an exactly-zero
                     # gradient; keep float noise out of the relative error
                     denom = max(abs(num), abs(ana), 1e-6)

@@ -239,11 +239,10 @@ class TestDdpg:
         s = np.array([[1.0], [1.0]])
         a_pi, acache = nn.forward(actor, s, "train")
         q, qcache = nn.forward(critic, np.hstack([s, a_pi]), "train")
-        through = nn.backward(critic, qcache, np.ones_like(q))
-        d_action = through.wrt_input[:, 1:]
+        d_action = nn.input_gradient(critic, qcache, np.ones_like(q))[:, 1:]
         assert np.allclose(d_action, 2.0)
-        agrads = nn.backward(actor, acache, d_action)
-        assert agrads.layers[0]["w"][0, 0] == pytest.approx(4.0)  # 2 rows * 2
+        agrads = nn.backward(actor, acache, d_action, nn.AdamState(actor))
+        assert agrads[0]["w"][0, 0] == pytest.approx(4.0)  # 2 rows * 2
 
     def test_soft_updates_after_batch(self):
         agent = self.make(tau=0.5)
@@ -300,3 +299,26 @@ def test_config_rejects_non_finite_numbers(cls, field, value):
     with pytest.raises(ValueError, match=f"{field} must be a finite number"):
         cls(**{field: value})
 
+
+
+@pytest.mark.parametrize("cls,field,value", [
+    (DqnConfig, "batch_size", 2.5), (DqnConfig, "a_repeat", 0.5),
+    (DqnConfig, "target_sync", 200.5), (DqnConfig, "eps_decay_steps", 1.5),
+    (DqnConfig, "replay_capacity", "big"),
+    (DdpgConfig, "g_min", 5.5), (DdpgConfig, "g_max", 60.5),
+    (DdpgConfig, "sigma_decay_steps", 0.5), (DdpgConfig, "batch_size", True),
+    (DdpgConfig, "replay_capacity", 100.5),
+])
+def test_config_rejects_fractional_counts(cls, field, value):
+    with pytest.raises(ValueError, match=f"{field} must be a whole number"):
+        cls(**{field: value})
+
+
+def test_config_accepts_whole_floats():
+    dqn = DqnConfig(a_repeat=5.0, batch_size=16.0, replay_capacity=100.0)
+    ddpg = DdpgConfig(g_min=5.0, g_max=30.0, sigma_decay_steps=100.0)
+    counts = [dqn.a_repeat, dqn.batch_size, dqn.replay_capacity,
+              ddpg.g_min, ddpg.g_max, ddpg.sigma_decay_steps]
+    assert counts == [5, 16, 100, 5, 30, 100]
+    assert all(type(n) is int for n in counts)
+    assert DqnConfig().lr == 1e-3 and type(DdpgConfig().tau) is float

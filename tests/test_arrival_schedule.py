@@ -1,4 +1,5 @@
-"""The block-drawn arrival schedule against the per-draw loop it replaced.
+"""The block-drawn arrival schedule against the per-draw loop it replaced,
+and the simulator's invariants on generated corridors.
 
 `Simulation` draws the arrival uniforms of a block of simulated seconds
 with one RNG call. `PerDrawSimulation` keeps the loop that drew one
@@ -7,17 +8,28 @@ rate and capacity checks; its route picks come from the same spawned child
 generator. On generated networks and demands both must inject the same
 vehicles at the same seconds, block the same arrivals and leave the parent
 generator in the same state, whatever the block size.
+
+The generated networks are corridors of one to three intersections with
+internal links and, optionally, split lanes. Controlled episodes on them
+must conserve vehicles, keep every lane within its jam capacity, cross no
+stop line on red, answer every signal-unit query as a full scan does, and
+repeat exactly under the same seed.
 """
 
 import math
 from unittest import mock
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tscbench import simulation
+from tscbench.experiments import make_classic_controllers
 from tscbench.network import network_from_dict
 from tscbench.simulation import (ALLRED, GREEN, DemandProfile, Simulation,
-                                 Vehicle)
+                                 Vehicle, run_episode)
+
+from test_lane_order import check_queries
 
 
 class PerDrawSimulation(Simulation):
@@ -33,7 +45,8 @@ class PerDrawSimulation(Simulation):
         t = self.t
         if t < self.ref_until:
             for entry in self.demand.entry_lanes:
-                rate = self.demand.rate(entry, t)
+                times, rates = zip(*self.demand.breakpoints[entry])
+                rate = float(np.interp(int(t), times, rates))
                 draw = self.rng.random()
                 if rate <= 0.0 or draw >= rate / 3600.0:
                     continue
@@ -52,25 +65,53 @@ class PerDrawSimulation(Simulation):
 
 
 def build(spec):
-    """Network and demand of a spec: one intersection, entry lanes in0..,
-    exit lanes out0..out2; entry lane i is served by phase i % 2 and
-    starts one route per exit in spec["outs"][i]."""
-    n_in = len(spec["caps"])
+    """Network and demand of a spec: a corridor of intersections x0, x1,
+    ... (spec["n_ix"] of them), where link lane link<m> leads from x<m> to
+    x<m+1> and exit lanes out0..out2 leave the last one. Entry lanes in<2m>
+    and in<2m+1> enter x<m>; the others enter the last intersection. Entry
+    lane i starts one route per exit in spec["outs"][i], through every
+    link downstream of it. A movement out of entry lane i is served by
+    phase i % 2; a movement out of a link lane, or out of an entry lane
+    past the first 2 * n_ix when spec["split"] is set, by the parity of
+    its target's number, so such a lane is split over both phases when
+    its routes reach exits of both parities."""
+    n_ix, n_in = spec["n_ix"], len(spec["caps"])
     lanes = {f"in{i}": {"length_m": 60.0, "speed_mps": 15.0,
                         "jam_capacity": cap}
              for i, cap in enumerate(spec["caps"])}
+    lanes.update({f"link{m}": {"length_m": 45.0, "speed_mps": 15.0,
+                               "jam_capacity": cap}
+                  for m, cap in enumerate(spec["link_caps"])})
     lanes.update({f"out{j}": {"length_m": 30.0, "speed_mps": 15.0}
                   for j in range(3)})
-    routes = [[f"in{i}", f"out{j}"]
-              for i in range(n_in) for j in spec["outs"][i]]
-    phases = [{"movements": [r for r in routes if int(r[0][2:]) % 2 == p]}
-              for p in range(2)]
+    at = [min(i // 2, n_ix - 1) for i in range(n_in)]
+    routes = [[f"in{i}"] + [f"link{m}" for m in range(at[i], n_ix - 1)]
+              + [f"out{j}"] for i in range(n_in) for j in spec["outs"][i]]
+
+    def number(lid):  # of a lane; every number has one digit
+        return int(lid[-1])
+
+    def phase(lane, target):
+        i = number(lane)
+        if lane.startswith("in") and not (spec["split"] and i >= 2 * n_ix):
+            return i % 2
+        return number(target) % 2
+
+    ixs = {f"x{m}": {
+        "incoming": [f"in{i}" for i in range(n_in) if at[i] == m]
+        + ([f"link{m - 1}"] if m else []),
+        "outgoing": [f"link{m}"] if m < n_ix - 1
+        else [f"out{j}" for j in range(3)],
+        "phases": [{"movements": []}, {"movements": []}]}
+        for m in range(n_ix)}
+    for route in routes:
+        for a, b in zip(route, route[1:]):
+            m = at[number(a)] if a.startswith("in") else number(a) + 1
+            movements = ixs[f"x{m}"]["phases"][phase(a, b)]["movements"]
+            if [a, b] not in movements:
+                movements.append([a, b])
     net = network_from_dict({
-        "lanes": lanes,
-        "intersections": {"x": {
-            "incoming": [f"in{i}" for i in range(n_in)],
-            "outgoing": [f"out{j}" for j in range(3)],
-            "phases": phases}},
+        "lanes": lanes, "intersections": ixs,
         "routes": [routes[k] for k in spec["route_order"]],
     })
     demand = DemandProfile({f"in{i}": spec["points"][i]
@@ -79,8 +120,13 @@ def build(spec):
 
 
 def command(spec, t):
-    phase = (int(t) // spec["period"]) % 3
-    return {"x": (ALLRED, None) if phase == 2 else (GREEN, phase)}
+    """Each intersection shows phase 0, phase 1 and all-red for
+    spec["period"] seconds each, x<m> m periods ahead of x0."""
+    out = {}
+    for m in range(spec["n_ix"]):
+        phase = (int(t) // spec["period"] + m) % 3
+        out[f"x{m}"] = (ALLRED, None) if phase == 2 else (GREEN, phase)
+    return out
 
 
 def run(cls, spec):
@@ -126,7 +172,8 @@ RATES = st.sampled_from([0.0, 0.0, 90.0, 900.0, 2500.0, 3600.0])
 
 @st.composite
 def specs(draw):
-    n_in = draw(st.integers(2, 4))
+    n_ix = draw(st.integers(1, 3))
+    n_in = draw(st.integers(2 * n_ix, 2 * n_ix + 2))
     outs = [draw(st.lists(st.integers(0, 2), min_size=1, max_size=3,
                           unique=True)) for _ in range(n_in)]
     n_routes = sum(len(o) for o in outs)
@@ -136,7 +183,11 @@ def specs(draw):
               + [(horizon, draw(RATES))] for _ in range(n_in)]
     lanes = draw(st.permutations(range(n_in)))
     return {
+        "n_ix": n_ix,
         "caps": [draw(st.sampled_from([1, 2, 3, 20])) for _ in range(n_in)],
+        "link_caps": [draw(st.sampled_from([1, 2, 6]))
+                      for _ in range(n_ix - 1)],
+        "split": draw(st.booleans()),
         "outs": outs,
         "route_order": draw(st.permutations(range(n_routes))),
         "points": points,
@@ -157,7 +208,10 @@ def test_schedule_matches_per_draw_reference(spec, block):
 # demand mixes zero segments with saturated ones and injection stops at a
 # non-integer second short of the demand horizon, after several blocks.
 SPEC = {
+    "n_ix": 1,
     "caps": [1, 1, 3, 20],
+    "link_caps": [],
+    "split": False,
     "outs": [[0, 1, 2], [2], [1], [0, 2]],
     "route_order": [6, 0, 3, 1, 5, 4, 2],
     "points": [[(0.0, 3600.0), (200.0, 0.0), (400.0, 0.0), (1100.0, 900.0)],
@@ -201,3 +255,65 @@ def test_no_draws_once_injection_ends():
     for _ in range(10):
         ref.step(command(SPEC, ref.t))
     assert ref.rng.bit_generator.state == state
+
+
+def run_audited(spec, name, drain):
+    """One episode of classic controller `name` on the spec's corridor,
+    checking the invariants after every step; returns what a second run
+    with the same seed must repeat."""
+    net, demand = build(spec)
+    step = Simulation.step
+    bounds = (10.0, 30.0, 50.0, 150.0)
+    steps = [0]
+
+    def audited(sim, commands):
+        step(sim, commands)
+        assert sim.conservation_ok()
+        for lid, vehs in sim.lane_vehicles.items():
+            assert len(vehs) <= net.lanes[lid].jam_capacity, (sim.t, lid)
+        assert sim.nongreen_crossings == 0
+        check_queries(sim, bounds)
+        steps[0] += 1
+
+    with mock.patch.object(Simulation, "step", audited):
+        log = run_episode(net, demand, make_classic_controllers(net, name, {}),
+                          spec["seed"], drain=drain)
+    assert steps[0] == len(log.times) > 0
+    return (log.travel_times, log.queue,
+            {iid: [d.hex() for d in ds] for iid, ds in log.delay.items()},
+            log.summary())
+
+
+# Three intersections; link1 into x2 and the extra entry lane in6 are split
+# over both phases, and link0 holds one vehicle.
+CORRIDOR = {
+    "n_ix": 3,
+    "caps": [3, 20, 2, 20, 3, 20, 20],
+    "link_caps": [1, 6],
+    "split": True,
+    "outs": [[0, 1], [2], [1], [0], [0, 1, 2], [1], [0, 1]],
+    "route_order": list(range(11)),
+    "points": [[(0.0, 900.0), (300.0, 900.0)]] * 7,
+    "demand_lanes": list(range(7)),
+    "inject_until": None,
+    "period": 9,
+    "seed": 7,
+}
+
+
+@pytest.mark.parametrize("name", ["uniform", "maxpressure", "sotl"])
+def test_corridor_invariants(name):
+    net, _ = build(CORRIDOR)
+    split = [lid for ix in net.intersections for lid in ix.incoming
+             if sum(lid in p.incoming for p in ix.phases) > 1]
+    assert split == ["in6", "link1"]
+    got = run_audited(CORRIDOR, name, drain=120.0)
+    assert run_audited(CORRIDOR, name, drain=120.0) == got
+    assert got[3]["exited"] > 100
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=specs(), name=st.sampled_from(["uniform", "maxpressure", "sotl"]))
+def test_generated_corridor_invariants(spec, name):
+    got = run_audited(spec, name, drain=60.0)
+    assert run_audited(spec, name, drain=60.0) == got

@@ -267,3 +267,31 @@ def test_non_finite_hyperparameter_rejected(cls, hp):
                                          "finite number"):
         cls(**hp)
 
+
+
+@pytest.mark.parametrize("cls,hp", [
+    (MaxPressureController, {"g_min": 0.5}),
+    (MaxPressureController, {"g_min": 2.5}),
+    (MaxPressureController, {"g_min": "10"}),
+    (UniformController, {"u": 0.5}), (UniformController, {"u": True}),
+    (SotlController, {"g_min": 7.5}), (SotlController, {"mu": 3.5}),
+    (WebsterController, {"W": 120.5}), (WebsterController, {"c_min": 40.5}),
+    (WebsterController, {"c_max": "180"}),
+], ids=lambda v: v.__name__ if isinstance(v, type) else repr(v))
+def test_fractional_integer_hyperparameter_rejected(cls, hp):
+    # a fractional value used to be truncated, 0.5 to a zero green time
+    with pytest.raises(ValueError, match=f"{next(iter(hp))} must be a "
+                                         "whole number"):
+        cls(**hp)
+
+
+def test_whole_float_hyperparameter_accepted():
+    ctrls = (MaxPressureController(g_min=10.0), UniformController(u=10.0),
+             SotlController(g_min=10.0, mu=3.0),
+             WebsterController(W=120.0, c_min=40.0, c_max=180.0))
+    values = [getattr(ctrl, name) for ctrl, names in
+              zip(ctrls, (["g_min"], ["u"], ["g_min", "mu"],
+                          ["W", "c_min", "c_max"]))
+              for name in names]
+    assert values == [10, 10, 10, 3, 120, 40, 180]
+    assert all(type(v) is int for v in values)

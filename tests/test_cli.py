@@ -151,6 +151,23 @@ class TestExitCodes:
                          "--checkpoint", str(ckpt), "--runs", "1",
                          "--out", str(tmp_path / "e")]) == EXIT_USAGE, meta
 
+    def test_malformed_checkpoint_meta_fields(self, paths, tmp_path, capsys):
+        train_out = tmp_path / "train"
+        assert main(["train", "--net", paths["net"], "--demand",
+                     paths["demand"], "--tsc", "dqn", "--episodes", "1",
+                     "--out", str(train_out)]) == EXIT_OK
+        ckpt = train_out / "checkpoints"
+        meta = json.loads((ckpt / "meta.json").read_text())
+        for r_min in ([1, 2], {"i0": "a"}, {"i0": [1.0]}, {"i0": None}):
+            (ckpt / "meta.json").write_text(json.dumps({**meta,
+                                                        "r_min": r_min}))
+            capsys.readouterr()
+            assert main(["evaluate", "--net", paths["net"], "--demand",
+                         paths["demand"], "--tsc", "dqn",
+                         "--checkpoint", str(ckpt), "--runs", "1",
+                         "--out", str(tmp_path / "e")]) == EXIT_USAGE, r_min
+            assert '"r_min"' in capsys.readouterr().err
+
     def test_learning_without_checkpoint(self, paths, tmp_path):
         assert main(["simulate", "--net", paths["net"], "--demand",
                      paths["demand"], "--tsc", "dqn",
@@ -193,6 +210,57 @@ class TestTune:
         ranking = json.loads((out / "ranking.json").read_text())
         assert len(ranking["ranking"]) == 2
         assert (out / "trials.csv").exists()
+
+
+class TestMalformedGrid:
+    @pytest.mark.parametrize("tsc,values,field", [
+        ("maxpressure", [10, 20], "object"),
+        ("maxpressure", {}, "object"),
+        ("maxpressure", {"g_min": 10}, "g_min"),
+        ("maxpressure", {"g_min": []}, "g_min"),
+        ("maxpressure", {"g_min": ["a"]}, "g_min"),
+        ("maxpressure", {"g_min": [10, 0.5]}, "g_min"),
+        ("sotl", {"mu": [3, 2.5]}, "mu"),
+        ("ddpg", {"g_min,g_max": [5, 30]}, "g_min,g_max"),
+        ("ddpg", {"g_min,g_max": [[5, 30, 60]]}, "g_min,g_max"),
+    ])
+    def test_exits_2_naming_the_field(self, paths, tmp_path, capsys, tsc,
+                                      values, field):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(values))
+        out = tmp_path / "tune"
+        assert main(["tune", "--net", paths["net"], "--demand",
+                     paths["demand"], "--tsc", tsc, "--grid", str(grid),
+                     "--trials", "1", "--out", str(out)]) == EXIT_USAGE
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_whole_floats_accepted(self, paths, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"g_min": [10.0]}))
+        out = tmp_path / "tune"
+        assert main(["tune", "--net", paths["net"], "--demand",
+                     paths["demand"], "--tsc", "maxpressure", "--grid",
+                     str(grid), "--trials", "1", "--out", str(out)]) == EXIT_OK
+        ranking = json.loads((out / "ranking.json").read_text())
+        assert [r["hp"] for r in ranking["ranking"]] == [{"g_min": 10.0}]
+
+
+class TestFractionalHyperparameters:
+    @pytest.mark.parametrize("cmd,tsc,hp", [
+        ("simulate", "maxpressure", "g_min=0.5"),
+        ("simulate", "uniform", "u=0.5"), ("simulate", "sotl", "mu=a"),
+        ("evaluate", "webster", "W=60.5"),
+        ("train", "dqn", "batch_size=2.5"), ("train", "ddpg", "g_max=45.5"),
+    ])
+    def test_hp_flag(self, paths, tmp_path, capsys, cmd, tsc, hp):
+        out = tmp_path / "out"
+        assert main([cmd, "--net", paths["net"], "--demand",
+                     paths["demand"], "--tsc", tsc, "--hp", hp,
+                     "--out", str(out)]) == EXIT_USAGE
+        name = hp.split("=")[0]
+        assert f"{name} must be a whole number" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestNonFiniteHyperparameters:

@@ -8,8 +8,8 @@ import pytest
 from tscbench import experiments, fabric
 from tscbench.agents import DqnConfig
 from tscbench.control import (HOLD, Controller, NextPhase, RewardNormalizer,
-                              SequencerState, SignalUnit, cycle_next_phase,
-                              observe, sequencer_advance, state_width)
+                              SequencerState, SignalUnit, sequencer_advance,
+                              state_width)
 from tscbench.network import NetworkModel
 from tscbench.simulation import (ALLRED, GREEN, YELLOW, DemandProfile,
                                  Simulation, Vehicle, run_episode)
@@ -86,7 +86,7 @@ class TestObservation:
     def test_empty_all_red(self, single_net):
         sim = make_sim(single_net)
         seq = SequencerState(start_green=None)
-        s = observe(make_unit(sim, seq))
+        s = make_unit(sim, seq).observe()
         assert s.shape == (11,)
         assert np.all(s[:8] == 0.0)
         assert s[10] == 1.0 and np.all(s[8:10] == 0.0)
@@ -101,7 +101,7 @@ class TestObservation:
             v.queued = i < 3
             sim.lane_vehicles["n_in"].append(v)
         seq = SequencerState(start_green=0)
-        s = observe(make_unit(sim, seq))
+        s = make_unit(sim, seq).observe()
         assert s[0] == pytest.approx(5 / 20)
         assert s[4] == pytest.approx(3 / 20)
         assert s[8] == 1.0 and s[9] == 0.0 and s[10] == 0.0
@@ -109,7 +109,7 @@ class TestObservation:
     def test_force_all_red_one_hot(self, single_net):
         sim = make_sim(single_net)
         seq = SequencerState(start_green=1)
-        s = observe(make_unit(sim, seq), force_all_red=True)
+        s = make_unit(sim, seq).observe(force_all_red=True)
         assert s[10] == 1.0 and s[8] == 0.0 and s[9] == 0.0
 
     def test_values_clamped(self, single_net):
@@ -120,7 +120,7 @@ class TestObservation:
             v.position = lane.length - lane.spacing * i
             v.queued = True
             sim.lane_vehicles["n_in"].append(v)
-        s = observe(make_unit(sim, SequencerState(0), bound=75.0))
+        s = make_unit(sim, SequencerState(0), bound=75.0).observe()
         assert 0.0 <= s[0] <= 1.0 and 0.0 <= s[4] <= 1.0
 
     def test_state_width(self, single_net, double_net):
@@ -163,25 +163,25 @@ class TestCycleNext:
     def test_vehicles_on_next_phase(self, single_net):
         sim = make_sim(single_net)
         self.place(sim, "e_in")  # phase 1 lane
-        assert cycle_next_phase(sim, single_net.intersection("i0"), 0) == 1
+        assert make_unit(sim, SequencerState(0)).cycle_next(0) == 1
 
     def test_full_wrap(self, single_net):
         # cycle [0,1], current 0, vehicles only on phase-0 lanes:
         # scan order is 1 then 0, so the wrap lands back on 0
         sim = make_sim(single_net)
         self.place(sim, "n_in")
-        assert cycle_next_phase(sim, single_net.intersection("i0"), 0) == 0
+        assert make_unit(sim, SequencerState(0)).cycle_next(0) == 0
 
     def test_empty_network_idles(self, single_net):
         sim = make_sim(single_net)
-        assert cycle_next_phase(sim, single_net.intersection("i0"), 0) is None
-        assert cycle_next_phase(sim, single_net.intersection("i0"),
-                                None) is None
+        assert make_unit(sim, SequencerState(0)).cycle_next(0) is None
+        assert make_unit(sim, SequencerState(None)).cycle_next() is None
 
     def test_start_from_idle(self, single_net):
+        # no green shown yet: the scan starts at phase 0
         sim = make_sim(single_net)
         self.place(sim, "n_in")
-        assert cycle_next_phase(sim, single_net.intersection("i0"), None) == 0
+        assert make_unit(sim, SequencerState(None)).cycle_next() == 0
 
 
 class TestSignalUnit:

@@ -1,21 +1,25 @@
 """Lane order invariant and the early-exit lane queries.
 
 Every lane list is ordered head first (positions never increase along it),
-and `count_within`, `queued_within` and `delay_sum` stop scanning at the
-first vehicle behind their bound. These tests check the order after every
-step of full episodes, and check the queries against full scans.
+and the signal unit's `count_sum`, `observe` and `reward_raw` stop scanning
+at the first vehicle behind their bound. These tests check the order after
+every step of full episodes, and check the queries and `collect_moe`
+against full scans.
 """
 
 import functools
 import importlib.resources as ir
+import math
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
+from tscbench.control import Controller, SignalUnit
 from tscbench.experiments import make_classic_controllers
 from tscbench.network import load_network
-from tscbench.simulation import (ALLRED, DemandProfile, Simulation, Vehicle,
-                                 load_demand, run_episode, vehicle_delay)
+from tscbench.simulation import (ALLRED, DemandProfile, MoELog, Simulation,
+                                 Vehicle, collect_moe, load_demand,
+                                 run_episode, vehicle_delay)
 
 DATA = ir.files("tscbench") / "data"
 SCENARIOS = {"single": ("single.net", "single_asym_demand.json"),
@@ -74,6 +78,16 @@ def scan_delay(sim, lane_ids, bound):
     return total
 
 
+def scan_cycle_next(sim, ix, current):
+    n = len(ix.phases)
+    start = 0 if current is None else (current + 1) % n
+    for k in range(n):
+        p = (start + k) % n
+        if any(sim.lane_vehicles[lid] for lid in ix.phases[p].incoming):
+            return p
+    return None
+
+
 def test_lanes_stay_head_first_over_full_episodes():
     seen = [0]
 
@@ -107,6 +121,45 @@ BOUNDS = st.one_of(st.floats(0.0, 400.0),
                    st.sampled_from([0.0, 7.5, 100.0, 150.0, 300.0, 1e9]))
 
 
+def unit_at(sim, iid, bound):
+    """A signal unit of `iid` on `sim` that observes `bound` meters."""
+    cls = type("BoundUnit", (SignalUnit,), {"bound": bound})
+    return cls(sim.net, iid, Controller(), sim)
+
+
+def check_queries(sim, bounds):
+    """Every early-exit query of the units of `sim`, their cycle
+    successors and the MoE row of `collect_moe`, against full scans."""
+    ixs = sim.net.intersections
+    row = MoELog([ix.id for ix in ixs])
+    collect_moe(sim, row)
+    for ix in ixs:
+        n_inc = len(ix.incoming)
+        for bound in bounds:
+            unit = unit_at(sim, ix.id, bound)
+            lanes = ix.incoming + ix.outgoing
+            for lid in lanes:
+                assert unit.count_sum((lid,), bound) == \
+                    scan_count(sim, lid, bound)
+            assert unit.count_sum(lanes, bound) == \
+                sum(scan_count(sim, lid, bound) for lid in lanes)
+            state = unit.observe()
+            for i, lid in enumerate(ix.incoming):
+                cap = sim.capacity_within(lid, bound)
+                assert state[i] == min(1.0, scan_count(sim, lid, bound) / cap)
+                assert state[n_inc + i] == \
+                    min(1.0, scan_queued(sim, lid, bound) / cap)
+            assert unit.reward_raw().hex() == \
+                (-scan_delay(sim, ix.incoming, bound)).hex()
+        for current in range(len(ix.phases)):
+            assert unit.cycle_next(current) == \
+                scan_cycle_next(sim, ix, current)
+        assert row.queue[ix.id] == \
+            [sum(scan_queued(sim, lid, math.inf) for lid in ix.incoming)]
+        assert row.delay[ix.id][0].hex() == \
+            scan_delay(sim, ix.incoming, None).hex()
+
+
 @settings(max_examples=25, deadline=None)
 @given(name=st.sampled_from(sorted(SCENARIOS)),
        controller=st.sampled_from(["uniform", "maxpressure", "sotl"]),
@@ -116,18 +169,7 @@ BOUNDS = st.one_of(st.floats(0.0, 400.0),
 def test_early_exit_queries_match_full_scans(name, controller, seed, bounds,
                                              period):
     def check(sim):
-        if int(sim.t) % period:
-            return
-        for ix in sim.net.intersections:
-            for bound in bounds:
-                for lid in ix.incoming + ix.outgoing:
-                    assert sim.count_within(lid, bound) == \
-                        scan_count(sim, lid, bound)
-                    assert sim.queued_within(lid, bound) == \
-                        scan_queued(sim, lid, bound)
-                assert sim.delay_sum(ix.incoming, bound).hex() == \
-                    scan_delay(sim, ix.incoming, bound).hex()
-            assert sim.delay_sum(ix.incoming).hex() == \
-                scan_delay(sim, ix.incoming, None).hex()
+        if int(sim.t) % period == 0:
+            check_queries(sim, bounds)
 
     run_checked(name, controller, seed, check, horizon=900.0)

@@ -1,12 +1,12 @@
-"""The signal unit's per-episode lane tables against per-lane queries.
+"""The signal unit's per-episode lane tables against per-lane full scans.
 
 A `SignalUnit` answers controllers from tables it builds once per episode:
 red-lane groups per phase, (lane, cut) tables per bound and an observation
 table. Here random phase commands drive episodes on the hand-built nets,
 the bundled nets and generated networks, and after every step each grouped
 count, the SOTL and max-pressure quantities, `observe`, `reward_raw`,
-`cycle_next` and `any_incoming_vehicle` must equal what the per-lane
-`Simulation` queries give.
+`cycle_next` and `any_incoming_vehicle` must equal what full scans of the
+lanes give.
 """
 
 import functools
@@ -25,10 +25,12 @@ from tscbench.simulation import GREEN, Simulation, load_demand
 
 from conftest import constant_demand, split_net_dict, tiny_net_dict
 from test_arrival_schedule import build, specs
+from test_lane_order import (scan_count, scan_cycle_next, scan_delay,
+                             scan_queued)
 
 DATA = ir.files("tscbench") / "data"
 OMEGAS = DEFAULT_GRIDS["sotl"]["omega"]
-EVERYTHING = math.inf  # a bound beyond every lane: count_within is len
+EVERYTHING = math.inf  # a bound beyond every lane: all its vehicles
 
 
 @functools.cache
@@ -54,7 +56,7 @@ def bounds(sim, ix):
 
 
 def ref_sum(sim, lanes, bound):
-    return sum(sim.count_within(lid, bound) for lid in lanes)
+    return sum(scan_count(sim, lid, bound) for lid in lanes)
 
 
 def ref_red(ix, current):
@@ -67,20 +69,10 @@ def ref_observe(sim, ix, current, bound):
     out = np.zeros(2 * n_inc + len(ix.phases) + 1)
     for i, lid in enumerate(ix.incoming):
         cap = sim.capacity_within(lid, bound)
-        out[i] = min(1.0, sim.count_within(lid, bound) / cap)
-        out[n_inc + i] = min(1.0, sim.queued_within(lid, bound) / cap)
+        out[i] = min(1.0, scan_count(sim, lid, bound) / cap)
+        out[n_inc + i] = min(1.0, scan_queued(sim, lid, bound) / cap)
     out[2 * n_inc + (len(ix.phases) if current is None else current)] = 1.0
     return out
-
-
-def ref_cycle_next(sim, ix, current):
-    n = len(ix.phases)
-    start = 0 if current is None else (current + 1) % n
-    for k in range(n):
-        p = (start + k) % n
-        if ref_sum(sim, ix.phases[p].incoming, EVERYTHING):
-            return p
-    return None
 
 
 class RefSotl:
@@ -92,7 +84,7 @@ class RefSotl:
 
     def tick(self, sim, ix, current):
         for lid in ref_red(ix, current):
-            self.kappa += sim.count_within(lid, self.ctrl.omega)
+            self.kappa += scan_count(sim, lid, self.ctrl.omega)
 
     def decide(self, sim, ix, current, t_p):
         c = self.ctrl
@@ -137,11 +129,11 @@ def check_unit(unit, sotl, ref, split):
         got = unit.observe(force_all_red=force)
         want = ref_observe(sim, ix, None if force else current, unit.bound)
         assert np.array_equal(got, want), (sim.t, force, got, want)
-    assert unit.reward_raw() == -sim.delay_sum(ix.incoming, unit.bound)
+    assert unit.reward_raw() == -scan_delay(sim, ix.incoming, unit.bound)
     for c in range(len(ix.phases)):
-        assert unit.cycle_next(c) == ref_cycle_next(sim, ix, c)
+        assert unit.cycle_next(c) == scan_cycle_next(sim, ix, c)
     # no argument (or None) continues from the last green shown
-    assert unit.cycle_next() == ref_cycle_next(sim, ix, unit.seq.phase)
+    assert unit.cycle_next() == scan_cycle_next(sim, ix, unit.seq.phase)
     assert unit.any_incoming_vehicle() == \
         (ref_sum(sim, ix.incoming, EVERYTHING) > 0)
 

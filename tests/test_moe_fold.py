@@ -92,11 +92,13 @@ def test_episode_stopped_by_the_drain_cap(split_net):
     assert log.unfinished > 0 and log.times[-1] == 170.0
 
 
-def reorder_incoming(net, order):
-    """`net` with its one intersection's incoming lanes listed in `order`."""
+def reorder_incoming(net, orders):
+    """`net` with each intersection's incoming lanes listed in the order
+    `orders[iid]`."""
     data = net.to_dict()
-    ix = data["intersections"]["x"]
-    ix["incoming"] = [ix["incoming"][i] for i in order]
+    for iid, order in orders.items():
+        ix = data["intersections"][iid]
+        ix["incoming"] = [ix["incoming"][i] for i in order]
     return network_from_dict(data)
 
 
@@ -104,8 +106,9 @@ def reorder_incoming(net, order):
 @given(spec=specs(), data=st.data())
 def test_generated_networks(spec, data):
     net, demand = build(spec)
-    n_in = len(net.intersection("x").incoming)
-    net = reorder_incoming(net, data.draw(st.permutations(range(n_in))))
+    net = reorder_incoming(net, {
+        ix.id: data.draw(st.permutations(range(len(ix.incoming))))
+        for ix in net.intersections})
     drain = data.draw(st.sampled_from([DEFAULT_DRAIN_CAP, 5.0]))
     horizon = data.draw(st.sampled_from([None, 0.0, 1.0, 37.0]))
     if horizon is not None:

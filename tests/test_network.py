@@ -7,7 +7,7 @@ import pytest
 
 from tscbench.network import (NetworkParseError, NetworkValidationError,
                               default_jam_capacity, load_network,
-                              network_from_dict, phase_lanes, write_network)
+                              network_from_dict)
 
 import conftest
 
@@ -29,12 +29,10 @@ def test_default_jam_capacity_and_spacing(single_net):
     assert default_jam_capacity(7.0) == 1  # floor would be 0; clamped
 
 
-def test_phase_lanes(single_net):
-    inc, out = phase_lanes(single_net, "i0", 0)
-    assert inc == ("n_in", "s_in")
-    assert out == ("s_out", "n_out")
-    with pytest.raises(IndexError):
-        phase_lanes(single_net, "i0", 2)
+def test_phase_incoming_and_outgoing(single_net):
+    phase = single_net.intersection("i0").phases[0]
+    assert phase.incoming == ("n_in", "s_in")
+    assert phase.outgoing == ("s_out", "n_out")
     with pytest.raises(KeyError):
         single_net.intersection("nope")
 
@@ -196,7 +194,7 @@ def test_invalid_json_is_parse_error(tmp_path):
 
 def test_round_trip(single_net, tmp_path):
     path = tmp_path / "copy.net"
-    write_network(single_net, str(path))
+    path.write_text(json.dumps(single_net.to_dict(), indent=2))
     again = load_network(str(path))
     assert again.to_dict() == single_net.to_dict()
     assert again.routes == single_net.routes

@@ -139,10 +139,10 @@ def finite_difference_check(params, x, mode="infer", l2=0.0, h=1e-5):
     """Max relative error between analytic and central-difference gradients."""
     out, cache = forward(params, x, mode)
     grad_out = np.ones_like(out)  # loss = sum of outputs
-    grads = backward(params, cache, grad_out, l2=l2)
+    grads = backward(params, cache, grad_out, AdamState(params), l2=l2)
     worst = 0.0
     rng = np.random.default_rng(0)
-    for layer, glayer in zip(params.layers, grads.layers):
+    for layer, glayer in zip(params.layers, grads):
         for key in glayer:
             flat = layer[key].ravel()
             idxs = rng.choice(flat.size, size=min(10, flat.size),
@@ -174,7 +174,7 @@ class TestBackward:
         x = np.random.default_rng(2).normal(size=(8, 4))
         # freeze running stats during the check: use update_running=False
         out, cache = forward(params, x, "train", update_running=False)
-        grads = backward(params, cache, np.ones_like(out))
+        grads = backward(params, cache, np.ones_like(out), AdamState(params))
         h = 1e-5
         worst = 0.0
         for li, layer in enumerate(params.layers):
@@ -187,7 +187,7 @@ class TestBackward:
                 dn, _ = forward(params, x, "train", update_running=False)
                 flat[i] = orig
                 num = (up.sum() - dn.sum()) / (2 * h)
-                ana = grads.layers[li]["w"].ravel()[i]
+                ana = grads[li]["w"].ravel()[i]
                 denom = max(abs(num), abs(ana), 1e-8)
                 worst = max(worst, abs(num - ana) / denom)
         assert worst <= 1e-4
@@ -196,7 +196,7 @@ class TestBackward:
         params = small_net(seed=7)
         x = np.random.default_rng(3).normal(size=4)
         out, cache = forward(params, x)
-        grads = backward(params, cache, np.ones_like(out))
+        grad = input_gradient(params, cache, np.ones_like(out))
         h = 1e-5
         for i in range(4):
             xp, xm = x.copy(), x.copy()
@@ -204,15 +204,16 @@ class TestBackward:
             xm[i] -= h
             num = (forward(params, xp)[0].sum()
                    - forward(params, xm)[0].sum()) / (2 * h)
-            ana = grads.wrt_input[i]
+            ana = grad[i]
             assert abs(num - ana) / max(abs(num), 1e-8) <= 1e-4
 
     def test_zero_grad_out(self):
         params = small_net()
         x = np.ones((2, 4))
         out, cache = forward(params, x)
-        grads = backward(params, cache, np.zeros_like(out))
-        for g in grads.layers:
+        grads = backward(params, cache, np.zeros_like(out),
+                         AdamState(params))
+        for g in grads:
             for v in g.values():
                 assert np.all(v == 0.0)
 
@@ -221,8 +222,9 @@ class TestBackward:
         x = np.ones((2, 4))
         out, cache = forward(params, x)
         lam = 0.01
-        g0 = backward(params, cache, np.zeros_like(out), l2=lam)
-        for layer, g in zip(params.layers, g0.layers):
+        g0 = backward(params, cache, np.zeros_like(out), AdamState(params),
+                      l2=lam)
+        for layer, g in zip(params.layers, g0):
             assert np.allclose(g["w"], lam * layer["w"])
             assert np.all(g["b"] == 0.0)
 
@@ -257,56 +259,44 @@ class TestAdam:
         rng = np.random.default_rng(0)
         for step in range(50):
             out, cache = forward(params, rng.normal(size=(6, 4)), "train")
-            grads = backward(params, cache, rng.normal(size=out.shape))
-            reference_adam(ref, grads.layers, state, lr=1e-3)
-            adam_step(params, grads, adam)
+            grads = backward(params, cache, rng.normal(size=out.shape), adam)
+            reference_adam(ref, grads, state, lr=1e-3)
+            adam_step(params, adam)
             for layer, want in zip(params.layers, ref):
                 for key in want:
                     assert np.array_equal(layer[key], want[key]), (step, key)
         assert params.version == 50
-
-    def test_missing_or_misshapen_gradient(self):
-        params = small_net()
-        adam = AdamState(params)
-        grads = [{k: np.zeros_like(v) for k, v in layer.items()}
-                 for layer in params.layers]
-        del grads[1]["b"]
-        with pytest.raises(ValueError, match="no gradient for b"):
-            adam_step(params, grads, adam)
-        grads[1]["b"] = np.zeros(3)
-        with pytest.raises(ValueError, match="shape mismatch"):
-            adam_step(params, grads, adam)
-        with pytest.raises(ValueError):
-            adam_step(params, grads[:2], adam)
 
     def test_first_step_magnitude(self):
         # bias correction makes the first update approximately lr * sign(g)
         params = he_init((LayerSpec(1, "linear"),), 1, 0)
         params.layers[0]["w"][:] = 0.5
         adam = AdamState(params, lr=1e-3)
-        grads = [{"w": np.array([[2.0]]), "b": np.array([0.0])}]
-        adam_step(params, grads, adam)
+        out, cache = forward(params, np.array([[2.0]]), "train")
+        grads = backward(params, cache, np.ones_like(out), adam)
+        assert grads[0]["w"][0, 0] == 2.0
+        adam_step(params, adam)
         assert params.layers[0]["w"][0, 0] == pytest.approx(0.5 - 1e-3,
                                                             rel=1e-6)
+
+    def zero_gradient(self, params):
+        """An optimizer holding an all-zero gradient for `params`."""
+        adam = AdamState(params)
+        out, cache = forward(params, np.ones((2, 4)), "train")
+        backward(params, cache, np.zeros_like(out), adam)
+        return adam
 
     def test_zero_gradient_no_change(self):
         params = small_net()
         before = params.copy()
-        adam = AdamState(params)
-        zeros = [{k: np.zeros_like(v) for k, v in layer.items()
-                  if k in nn.TRAINABLE_KEYS}
-                 for layer in params.layers]
-        adam_step(params, zeros, adam)
+        adam_step(params, self.zero_gradient(params))
         assert params.allclose(before)
 
     def test_version_bumps(self):
         params = small_net()
-        adam = AdamState(params)
-        zeros = [{k: np.zeros_like(v) for k, v in layer.items()
-                  if k in nn.TRAINABLE_KEYS}
-                 for layer in params.layers]
+        adam = self.zero_gradient(params)
         v0 = params.version
-        adam_step(params, zeros, adam)
+        adam_step(params, adam)
         assert params.version == v0 + 1
 
 
@@ -410,8 +400,7 @@ class TestLeanUpdate:
         make, batch = self.NETS[net]
         lean = make(3)
         ref = lean.copy()        # reference formulas, gathered into Adam
-        default = lean.copy()    # lean formulas without into=
-        adams = [AdamState(p, lr=1e-3) for p in (lean, ref, default)]
+        adams = [AdamState(p, lr=1e-3) for p in (lean, ref)]
         rng = np.random.default_rng(1)
         width = lean.input_width
         for step in range(50):
@@ -423,58 +412,52 @@ class TestLeanUpdate:
 
             out, cache = forward(lean, x, "train")
             rout, rcache = reference_forward(ref, x, "train")
-            dout, dcache = forward(default, x, "train")
-            assert np.array_equal(out, rout) and np.array_equal(out, dout)
+            assert np.array_equal(out, rout)
             grad_out = rng.normal(size=out.shape)
 
-            grads = backward(lean, cache, grad_out, l2=l2, into=adams[0])
-            assert grads.wrt_input is None
+            grads = backward(lean, cache, grad_out, adams[0], l2=l2)
             rgrads, rinput = reference_backward(ref, rcache, grad_out, l2=l2)
-            dgrads = backward(default, dcache, grad_out, l2=l2)
-            assert np.array_equal(dgrads.wrt_input, rinput), step
             assert np.array_equal(input_gradient(lean, cache, grad_out),
                                   rinput), step
-            for g, rg in zip(dgrads.layers, rgrads):
+            for g, rg, views in zip(grads, rgrads, adams[1]._grad_views):
                 assert sorted(g) == sorted(rg)
                 for key in rg:
                     assert np.array_equal(g[key], rg[key]), (step, key)
+                    views[key][...] = rg[key]
 
-            adam_step(lean, grads, adams[0])
-            adam_step(ref, rgrads, adams[1])       # list of dicts
-            adam_step(default, dgrads, adams[2])   # Gradients of new arrays
+            adam_step(lean, adams[0])
+            adam_step(ref, adams[1])
             assert np.array_equal(lean.flat, ref.flat), step
-            assert np.array_equal(default.flat, ref.flat), step
-        assert lean.version == ref.version == default.version == 50
+        assert lean.version == ref.version == 50
 
     def test_into_writes_the_optimizer_buffer(self):
         params = value_net()
         adam = AdamState(params)
         out, cache = forward(params, np.ones((3, 11)), "train")
-        grads = backward(params, cache, np.ones_like(out), into=adam)
-        assert grads.wrt_input is None
-        for g, views in zip(grads.layers, adam._grad_views):
+        grads = backward(params, cache, np.ones_like(out), adam)
+        for g, views in zip(grads, adam._grad_views):
             for key, view in views.items():
                 assert g[key] is view
         assert np.any(adam._grad != 0.0)
 
-    def test_default_path_returns_input_gradient(self):
+    def test_input_gradient_of_one_row(self):
         params = value_net()
         x = np.ones(11)
         out, cache = forward(params, x)
-        grads = backward(params, cache, np.ones_like(out))
-        assert grads.wrt_input.shape == (11,)
+        got = input_gradient(params, cache, np.ones_like(out))
+        assert got.shape == (11,)
         _, want = reference_backward(params, reference_forward(
             params, x, "infer")[1], np.ones_like(out))
-        assert np.array_equal(grads.wrt_input, want)
-        assert np.array_equal(input_gradient(params, cache,
-                                             np.ones_like(out)), want)
+        assert np.array_equal(got, want)
 
     def test_into_a_mismatched_optimizer(self):
         params = value_net()
         other = AdamState(he_init((LayerSpec(4, "linear"),), 11, 0))
         out, cache = forward(params, np.ones((2, 11)), "train")
         with pytest.raises(ValueError, match="does not match"):
-            backward(params, cache, np.ones_like(out), into=other)
+            backward(params, cache, np.ones_like(out), other)
+        with pytest.raises(ValueError, match="does not match"):
+            adam_step(params, other)
 
     def test_huge_pre_activations_do_not_warn(self):
         # expm1 overflows above ~709; ELU's positive side must not call it
@@ -485,10 +468,11 @@ class TestLeanUpdate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out, cache = forward(params, x, "train")
-            grads = backward(params, cache, np.ones_like(out))
+            grads = backward(params, cache, np.ones_like(out),
+                             AdamState(params))
         assert out[0].tolist() == [2399.0, 2399.0]
         assert (out[1] > 1e300).all()
-        assert all(np.isfinite(g["w"]).all() for g in grads.layers)
+        assert all(np.isfinite(g["w"]).all() for g in grads)
 
 
 class TestSoftUpdate:

