@@ -180,11 +180,16 @@ class SignalUnit:
         self.sim = sim
         self.seq = SequencerState(start_green=None if controller.start_idle
                                   else 0)
+        # the controller's tick, or None where it keeps the no-op hook
+        tick = controller.tick
+        self._tick = None if getattr(tick, "__func__", None) is \
+            Controller.tick else tick
         self.red_in = {None: ix.incoming}
         for p in ix.phases:
             self.red_in[p.id] = tuple(lid for lid in ix.incoming
                                       if lid not in p.incoming)
         self._cuts = {}  # bound -> {lane id: length - bound}
+        self._red_cuts = {}  # bound -> {phase: ((red lane id, cut), ...)}
         lanes = net.lanes
         # (lane id, cut, capacity, speed) per incoming lane at self.bound
         self.observed = tuple(
@@ -207,6 +212,25 @@ class SignalUnit:
             if cut <= 0:
                 n += len(lane_vehicles[lid])
                 continue
+            for v in lane_vehicles[lid]:  # head first: stop at the bound
+                if v.position < cut:
+                    break
+                n += 1
+        return n
+
+    def red_count(self, bound: float) -> int:
+        """`count_sum(self.red_in[self.current_phase], bound)`, read from
+        a per-phase table of (lane id, cut) pairs built once per bound."""
+        table = self._red_cuts.get(bound)
+        if table is None:
+            lanes = self.sim.net.lanes
+            table = self._red_cuts[bound] = {
+                p: tuple((lid, lanes[lid].length - bound) for lid in red)
+                for p, red in self.red_in.items()}
+        seq = self.seq
+        lane_vehicles = self.sim.lane_vehicles
+        n = 0
+        for lid, cut in table[seq.phase if seq.kind == GREEN else None]:
             for v in lane_vehicles[lid]:  # head first: stop at the bound
                 if v.position < cut:
                     break
@@ -289,8 +313,13 @@ class SignalUnit:
                 self.sim.crossings_this_step.items() if iid == self.iid}
 
     def advance(self):
-        controller, seq = self.controller, self.seq
-        controller.tick(self)
-        if seq.kind == GREEN or seq.idle:
-            return sequencer_advance(seq, controller.decide(self))
-        return sequencer_advance(seq, HOLD)  # interphase
+        seq = self.seq
+        if self._tick is not None:
+            self._tick(self)
+        if seq.kind != GREEN and not seq.idle:
+            return sequencer_advance(seq, HOLD)  # interphase
+        decision = self.controller.decide(self)
+        if decision is HOLD and seq.kind == GREEN:  # as sequencer_advance
+            seq.t_p += 1
+            return seq.green
+        return sequencer_advance(seq, decision)

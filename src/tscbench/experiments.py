@@ -435,23 +435,21 @@ def _moe_bins(iids, logs, bin_s) -> dict:
 def write_eval(out_dir: str, result: EvalResult) -> None:
     with open(os.path.join(out_dir, "summary.json"), "w",
               encoding="utf-8") as fh:
-        json.dump(result.summary(), fh, indent=2)
+        fh.write(json.dumps(result.summary(), indent=2))
     with open(os.path.join(out_dir, "travel_times.csv"), "w", newline="",
               encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["travel_time_s"])
-        for tt in result.travel_times:
-            w.writerow([repr(tt)])
+        w.writerows(zip(map(repr, result.travel_times)))  # one-field rows
     with open(os.path.join(out_dir, "moe.csv"), "w", newline="",
               encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["intersection_id", "bin_start_s", "mean_queue",
                     "ci95_queue", "mean_delay", "ci95_delay"])
-        for iid, rows in result.moe.items():
-            for r in rows:
-                w.writerow([iid, repr(r["bin_start_s"]),
-                            repr(r["mean_queue"]), repr(r["ci95_queue"]),
-                            repr(r["mean_delay"]), repr(r["ci95_delay"])])
+        w.writerows([iid, repr(r["bin_start_s"]),
+                     repr(r["mean_queue"]), repr(r["ci95_queue"]),
+                     repr(r["mean_delay"]), repr(r["ci95_delay"])]
+                    for iid, rows in result.moe.items() for r in rows)
 
 
 def load_eval_summary(out_dir: str) -> dict:

@@ -115,10 +115,6 @@ class ParameterSet:
         for layer in self.layers:
             yield from layer.items()
 
-    def allclose(self, other: "ParameterSet", atol: float = 0.0) -> bool:
-        return all(np.allclose(a, b, atol=atol, rtol=0.0)
-                   for (_, a), (_, b) in zip(self.arrays(), other.arrays()))
-
 
 def _viewing(flat: np.ndarray, input_width: int, specs: tuple,
              version: int = 0) -> ParameterSet:

@@ -157,8 +157,8 @@ class Simulation:
     stop at the first vehicle behind their bound. A vehicle leaves its
     lane in the step it exits, so every vehicle on a lane is still
     travelling (`collect_moe` relies on that). The clock starts at 0 and
-    only `step` advances it, one second per call; the arrival schedule is
-    indexed by that count.
+    only `step` advances it, one second per call; each call takes the next
+    second of the arrival schedule.
 
     MoE series: while `run_episode` collects them, step (b) of each step
     sums the queue and delay of the state the step before left (the row
@@ -192,7 +192,8 @@ class Simulation:
                              else min(inject_until, demand.horizon))
 
         self.lane_vehicles = {lid: [] for lid in net.lanes}
-        self.green_elapsed = {lid: 0.0 for lid in net.lanes}
+        # first second each lane may discharge in while its green continues
+        self.ready_at = {lid: 0.0 for lid in net.lanes}
         self._next_vid = 0
 
         # conservation ledger
@@ -221,7 +222,7 @@ class Simulation:
         # as k * n rng.random() calls). Route picks come from a spawned
         # child, so they never fall between two blocks of the parent stream.
         self._route_rng = self.rng.spawn(1)[0]
-        self._arrival_block = ()
+        self._arrival_block = []  # the block's seconds left, last first
         # (iid, ((lane id, length, speed, jam spacing, queue stop lines),
         # ...)): each intersection's incoming lanes, in `ix.incoming` order.
         # The loader lists every lane as incoming at one intersection at
@@ -241,20 +242,24 @@ class Simulation:
             for lid, lane in lanes.items() if lid not in controlled)
         # run_episode's MoELog while it collects the series, else None
         self._moe_log = None
-        # iid -> (incoming lanes, phase -> (green lanes as (lane id, stop
-        # line, free-flow time, lanes its green movements lead to), red
-        # lanes))
-        self._signals = {
-            ix.id: (ix.incoming, {
-                p.id: (tuple((lid, lanes[lid].length - 1e-6,
-                              lanes[lid].free_flow_time,
-                              frozenset(b for a, b in p.green_movements
-                                        if a == lid))
-                             for lid in p.incoming),
-                       tuple(lid for lid in ix.incoming
-                             if lid not in p.incoming))
-                for p in ix.phases})
-            for ix in net.intersections}
+        # iid -> phase -> (green lanes as (lane id, stop line, free-flow
+        # time, lanes its green movements lead to), the phase shown the
+        # step before, or None -> the green lanes it left red)
+        def signal(ix):
+            was_green = {None: ()}
+            was_green.update((q.id, q.incoming) for q in ix.phases)
+            return {p.id: (tuple((lid, lanes[lid].length - 1e-6,
+                                  lanes[lid].free_flow_time,
+                                  frozenset(b for a, b in p.green_movements
+                                            if a == lid))
+                                 for lid in p.incoming),
+                           {q: tuple(lid for lid in p.incoming
+                                     if lid not in before)
+                            for q, before in was_green.items()})
+                    for p in ix.phases}
+        self._signals = {ix.id: signal(ix) for ix in net.intersections}
+        # each intersection's green phase in the last step, None if not green
+        self._shown = dict.fromkeys(self._signals)
         # The safety audit's own table, from the lanes' movement pairs:
         # (iid, phase, lane, next lane) for every green movement, and
         # (iid, phase, lane, None) for a route that ends on a lane the
@@ -298,12 +303,10 @@ class Simulation:
 
         # (a) arrivals
         if t < self.inject_until:
-            i = int(t)
-            k = i % _ARRIVAL_BLOCK
-            if k == 0:
-                self._arrival_block = self._draw_arrivals(i)
-            for j in self._arrival_block[k]:
-                entry, capacity, routes = self._arrivals[j]
+            block = self._arrival_block
+            if not block:
+                block = self._arrival_block = self._draw_arrivals(int(t))
+            for entry, capacity, routes in block.pop():
                 vehs = lane_vehicles[entry]
                 if len(vehs) >= capacity:
                     self.blocked += 1
@@ -342,14 +345,14 @@ class Simulation:
                         v.queued = True
         else:
             log.times.append(t)
+            queue, delay = log.queue, log.delay
             for iid, group in self._lane_groups:
                 q = 0
                 d = 0.0
-                for lid, length, speed, spacing, stops in group:
+                for lid, length, speed, spacing, (limits, queued_at) in group:
                     vehs = lane_vehicles[lid]
                     if not vehs:
                         continue
-                    limits, queued_at = stops
                     if len(vehs) > len(limits):
                         limits, queued_at = _stop_lines(length, spacing,
                                                         len(vehs))
@@ -368,42 +371,46 @@ class Simulation:
                             v.queued = pos >= at
                         else:
                             v.queued = True
-                log.queue[iid].append(q)
-                log.delay[iid].append(d)
-        for lid, length, speed in self._sink_plan:  # free flow to the exit
+                queue[iid].append(q)
+                delay[iid].append(d)
+        # Sink lanes: free flow to the exit. Route hops are movements out
+        # of controlled lanes, so each vehicle here is on its last leg and
+        # not queued; all move at one speed, so the exits are a prefix.
+        for lid, length, speed in self._sink_plan:
             vehs = lane_vehicles[lid]
             if not vehs:
                 continue
-            exit_at = length - _EPS
-            n_exit = 0
             for v in vehs:
-                pos = v.position + speed
-                v.position = pos
-                v.queued = False
-                if pos >= exit_at:
-                    if v.leg == len(v.route) - 1:
-                        self._exit_vehicle(v)
-                        n_exit += 1
-                    else:
-                        v.position = length  # malformed route; pin at end
-            if n_exit:
+                v.position += speed
+            exit_at = length - _EPS
+            if vehs[0].position >= exit_at:
+                n_exit = 0
+                for v in vehs:
+                    if v.position < exit_at:
+                        break
+                    self._exit_vehicle(v)
+                    n_exit += 1
                 del vehs[:n_exit]
 
-        # (c) saturation-headway discharge of green movements
+        # (c) discharge of green movements at saturation headway: a lane may
+        # discharge once green headway seconds since it turned green or crossed
         headway = self.headway
-        green_elapsed = self.green_elapsed
+        ready_at = self.ready_at
+        shown = self._shown
         for iid, indication in commands.items():
-            incoming, phases = self._signals[iid]
             if indication[0] != GREEN:
-                for lid in incoming:
-                    green_elapsed[lid] = 0.0
+                shown[iid] = None
                 continue
-            green, red = phases[indication[1]]
-            for lid in red:
-                green_elapsed[lid] = 0.0
+            p = indication[1]
+            green, turned = self._signals[iid][p]
+            q = shown[iid]
+            if q != p:
+                shown[iid] = p
+                ready = t - 1.0 + headway
+                for lid in turned[q]:
+                    ready_at[lid] = ready
             for lid, stop_line, ff, targets in green:
-                elapsed = green_elapsed[lid] = green_elapsed[lid] + 1.0
-                if elapsed < headway:
+                if ready_at[lid] > t:
                     continue
                 vehs = lane_vehicles[lid]
                 if not vehs:
@@ -429,19 +436,19 @@ class Simulation:
                     head.position = 0.0
                     head.queued = False
                     target.append(head)
-                green_elapsed[lid] = 0.0
+                ready_at[lid] = t + headway
                 key = (iid, lid)
                 crossings[key] = crossings.get(key, 0) + 1
-                if (iid, indication[1], lid, nxt) not in self._served:
+                if (iid, p, lid, nxt) not in self._served:
                     self.nongreen_crossings += 1
 
         # (e) clock
         self.t = t + 1.0
 
     def _draw_arrivals(self, start: int) -> list:
-        """Arrivals of the block of seconds from `start`: for each second,
-        the indices into _arrivals of the entry lanes whose draw fell below
-        rate / 3600. The block is clipped at ceil(inject_until)."""
+        """Arrivals of the block of seconds from `start`, last second first:
+        the _arrivals entries whose draw fell below rate / 3600. The block
+        is clipped at ceil(inject_until)."""
         k = min(_ARRIVAL_BLOCK, math.ceil(self.inject_until) - start)
         tables = self.demand._table
         p = np.column_stack([tables[lane][start:start + k]
@@ -449,7 +456,7 @@ class Simulation:
         rows, cols = np.nonzero(self.rng.random(p.shape) < p)
         block = [()] * k
         for r, j in zip(rows.tolist(), cols.tolist()):
-            block[r] += (j,)
+            block[k - 1 - r] += (self._arrivals[j],)
         return block
 
     def _exit_vehicle(self, veh: Vehicle) -> None:
@@ -544,15 +551,15 @@ def run_episode(net: NetworkModel, demand: DemandProfile, controllers: dict,
     if moe_series:
         sim._moe_log = log  # each step appends the row of the step before
 
-    def one_second():
-        _collect_travel_times(sim, log)  # of the step before
-        sim.step({iid: advance() for iid, advance in advances})
-
-    while sim.t < horizon:
-        one_second()
+    step, travel_times = sim.step, log.travel_times
+    commands = {}  # the same keys every second: refilled, not rebuilt
     deadline = horizon + drain
-    while sim.t < deadline and sim.total_vehicles() > 0:
-        one_second()
+    while sim.t < horizon or (sim.t < deadline and sim.total_vehicles()):
+        for v in sim.exited_this_step:  # of the step before
+            travel_times.append((v.exit_time, v.exit_time - v.entry_time))
+        for iid, advance in advances:
+            commands[iid] = advance()
+        step(commands)
     if moe_series and sim.t:
         collect_moe(sim, log)  # the last row and the last travel times
     else:

@@ -336,11 +336,11 @@ class TestCriterion9SoftUpdate:
 
         copy_t = nn.he_init(specs, 4, 3)
         nn.soft_update(copy_t, online, 1.0)
-        assert copy_t.allclose(online)
+        assert np.array_equal(copy_t.flat, online.flat)
         frozen = nn.he_init(specs, 4, 4)
         before = frozen.copy()
         nn.soft_update(frozen, online, 0.0)
-        assert frozen.allclose(before)
+        assert np.array_equal(frozen.flat, before.flat)
         report(9, "soft update contracts the parameter gap elementwise by "
                   "(1-tau) per step over 30 steps (tol 1e-9); tau=1 copies, "
                   "tau=0 is a no-op")

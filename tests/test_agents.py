@@ -119,7 +119,7 @@ class TestDqn:
         assert agent.online.specs[0].width == 12  # 3 * state width
         assert agent.online.specs[-1].width == 2
         assert all(not s.batch_norm for s in agent.online.specs)
-        assert agent.online.allclose(agent.target)
+        assert np.array_equal(agent.online.flat, agent.target.flat)
 
     def test_target_oracle_non_terminal(self):
         # y = r + gamma * max_a' Q_target = -0.5 + 0.99 * 2.0 = 1.48
@@ -155,8 +155,8 @@ class TestDqn:
         for k in range(1, 4):
             agent.train_batch(batch_of(batch))
             if k < 3:
-                assert not agent.target.allclose(agent.online)
-        assert agent.target.allclose(agent.online)
+                assert not np.array_equal(agent.target.flat, agent.online.flat)
+        assert np.array_equal(agent.target.flat, agent.online.flat)
 
     def test_epsilon_one_uniform(self):
         agent = self.make()
@@ -184,8 +184,8 @@ class TestDqn:
         nn.save_checkpoint(str(path), agent.to_checkpoint())
         other = self.make()
         other.load_checkpoint(nn.load_checkpoint(str(path)))
-        assert other.online.allclose(agent.online)
-        assert other.target.allclose(agent.target)
+        assert np.array_equal(other.online.flat, agent.online.flat)
+        assert np.array_equal(other.target.flat, agent.target.flat)
 
 
 class TestDdpg:
@@ -250,8 +250,8 @@ class TestDdpg:
         batch = [exp([float(i)] * 4, 0.1 * i, -0.5, [0.2] * 4)
                  for i in range(4)]
         agent.train_batch(batch_of(batch))
-        assert not agent.actor_target.allclose(before)
-        assert not agent.actor_target.allclose(agent.actor)
+        assert not np.array_equal(agent.actor_target.flat, before.flat)
+        assert not np.array_equal(agent.actor_target.flat, agent.actor.flat)
 
     def test_critic_running_stats_single_update_per_batch(self):
         # the actor pass reuses the critic in train mode but must not
@@ -279,7 +279,8 @@ class TestDdpg:
         other = self.make()
         other.load_checkpoint(nn.load_checkpoint(str(path)))
         for name in ("actor", "critic", "actor_target", "critic_target"):
-            assert getattr(other, name).allclose(getattr(agent, name))
+            assert np.array_equal(getattr(other, name).flat,
+                                  getattr(agent, name).flat)
 
     def test_bad_config(self):
         with pytest.raises(ValueError):

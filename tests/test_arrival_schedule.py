@@ -11,9 +11,11 @@ generator in the same state, whatever the block size.
 
 The generated networks are corridors of one to three intersections with
 internal links and, optionally, split lanes. Controlled episodes on them
-must conserve vehicles, keep every lane within its jam capacity, cross no
-stop line on red, answer every signal-unit query as a full scan does, and
-repeat exactly under the same seed.
+must conserve vehicles, keep every lane within its jam capacity, carry on
+each sink lane (one no intersection controls) only unqueued vehicles on
+their route's last leg, cross no stop line on red, answer every
+signal-unit query as a full scan does, and repeat exactly under the same
+seed.
 """
 
 import math
@@ -264,6 +266,7 @@ def run_audited(spec, name, drain):
     net, demand = build(spec)
     step = Simulation.step
     bounds = (10.0, 30.0, 50.0, 150.0)
+    controlled = {lid for ix in net.intersections for lid in ix.incoming}
     steps = [0]
 
     def audited(sim, commands):
@@ -271,6 +274,9 @@ def run_audited(spec, name, drain):
         assert sim.conservation_ok()
         for lid, vehs in sim.lane_vehicles.items():
             assert len(vehs) <= net.lanes[lid].jam_capacity, (sim.t, lid)
+            if lid not in controlled:  # a sink lane: last legs only
+                assert all(v.leg == len(v.route) - 1 and not v.queued
+                           for v in vehs), (sim.t, lid)
         assert sim.nongreen_crossings == 0
         check_queries(sim, bounds)
         steps[0] += 1

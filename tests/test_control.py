@@ -208,3 +208,27 @@ class TestSignalUnit:
             calls.clear()
             run_episode(double_net, demand, ctrls, seed, moe_series=False)
             assert calls and max(calls.values()) <= 1, dict(calls)
+
+    def test_tick_called_only_when_overridden(self, single_net):
+        class Holding(Controller):
+            def decide(self, unit):
+                return HOLD
+
+        class Ticking(Holding):
+            def tick(self, unit):
+                seen.append(("class", unit.now))
+
+        seen = []
+        overridden = Holding()
+        overridden.tick = lambda unit: seen.append(("instance", unit.now))
+        for ctrl, tag in ((Ticking(), "class"), (overridden, "instance")):
+            sim = make_sim(single_net)
+            unit = SignalUnit(single_net, "i0", ctrl, sim)
+            seen.clear()
+            for _ in range(3):
+                assert unit.advance() == (GREEN, 0)
+                sim.step({"i0": (GREEN, 0)})
+            assert seen == [(tag, 0.0), (tag, 1.0), (tag, 2.0)]
+            assert unit.t_p == 3
+        plain = SignalUnit(single_net, "i0", Holding(), make_sim(single_net))
+        assert plain._tick is None

@@ -1,6 +1,8 @@
 """Statistics and experiment-harness tests."""
 
+import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -191,6 +193,44 @@ class TestEvaluate:
         tts = [float(line) for line in
                (tmp_path / "travel_times.csv").read_text().splitlines()[1:]]
         assert tts == res.travel_times
+
+    def test_files_match_the_row_by_row_writer(self, tiny_net, tmp_path):
+        demand = constant_demand(["in_a", "in_b"], 400.0, horizon=300.0)
+        res = experiments.evaluate("uniform", {"u": 10}, tiny_net, demand,
+                                   runs=2)
+        res.moe['x, "quoted"'] = res.moe["x"]  # an id the CSV must quote
+        res.travel_times += [1e-7, 12345678.25, float("inf")]
+        for d in ("new", "ref"):
+            (tmp_path / d).mkdir()
+        experiments.write_eval(str(tmp_path / "new"), res)
+        write_eval_rows(str(tmp_path / "ref"), res)
+        for name in ("summary.json", "travel_times.csv", "moe.csv"):
+            assert (tmp_path / "new" / name).read_bytes() == \
+                (tmp_path / "ref" / name).read_bytes(), name
+
+
+def write_eval_rows(out_dir, result):
+    """write_eval as it wrote its files: a streamed json.dump and one
+    writerow call per CSV row."""
+    with open(os.path.join(out_dir, "summary.json"), "w",
+              encoding="utf-8") as fh:
+        json.dump(result.summary(), fh, indent=2)
+    with open(os.path.join(out_dir, "travel_times.csv"), "w", newline="",
+              encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["travel_time_s"])
+        for tt in result.travel_times:
+            w.writerow([repr(tt)])
+    with open(os.path.join(out_dir, "moe.csv"), "w", newline="",
+              encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["intersection_id", "bin_start_s", "mean_queue",
+                    "ci95_queue", "mean_delay", "ci95_delay"])
+        for iid, rows in result.moe.items():
+            for r in rows:
+                w.writerow([iid, repr(r["bin_start_s"]),
+                            repr(r["mean_queue"]), repr(r["ci95_queue"]),
+                            repr(r["mean_delay"]), repr(r["ci95_delay"])])
 
 
 def per_bin_reference(net, logs, bin_s):

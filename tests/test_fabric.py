@@ -109,7 +109,7 @@ class TestSyncTraining:
         for iid in a.agents:
             pa, pb = a.agents[iid].online, b.agents[iid].online
             assert pa.version == pb.version
-            assert pa.allclose(pb, atol=0.0)  # bit-identical
+            assert np.array_equal(pa.flat, pb.flat)  # bit-identical
         assert a.r_min == b.r_min
         ckpt_a = (tmp_path / "rep0" / "checkpoints").iterdir()
         files_a = sorted(p.name for p in ckpt_a)
