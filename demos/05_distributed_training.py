@@ -1,12 +1,13 @@
 """Distributed acting with centralized learning.
 
-Runs the training fabric with 3 actor threads and 2 learner threads on the
+Runs the training fabric with 3 actor threads and 2 learners on the
 two-intersection corridor. Each actor simulates its own copy of the network
-and streams (state, action, reward, next state) experiences over bounded
-queues to the learner that owns the experience's intersection; learners
-train round-robin over their intersections and broadcast fresh parameters
-back through latest-wins mailboxes. Actors explore at different intensities
-so the replay data covers a wider slice of the state space.
+and puts (state, action, reward, next state) experiences on one bounded
+queue. The calling thread is the coordinator: it drains that queue, routes
+each experience to the learner that owns its intersection, lets that
+learner train round-robin over its intersections, and broadcasts fresh
+parameters back through latest-wins mailboxes. Actors explore at different
+intensities so the replay data covers a wider slice of the state space.
 
 The run prints the delivery ledger afterwards: every emitted experience
 must have been ingested exactly once, and each agent's parameter version

@@ -84,8 +84,12 @@ def build_parser() -> argparse.ArgumentParser:
     io_args(p)
     p.add_argument("--tsc", required=True, choices=list(fabric.ALGOS))
     p.add_argument("--hp", default="")
-    p.add_argument("--actors", type=int, default=1)
-    p.add_argument("--learners", type=int, default=1)
+    p.add_argument("--actors", type=int, default=1,
+                   help="simulating actors; more than 1 run on threads, "
+                        "and only a 1-actor run repeats bit for bit")
+    p.add_argument("--learners", type=int, default=1,
+                   help="learners the intersections are split between "
+                        "(round-robin); all train on the calling thread")
     p.add_argument("--episodes", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
 

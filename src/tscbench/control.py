@@ -148,9 +148,6 @@ class Controller:
     def begin_episode(self) -> None:
         pass
 
-    def end_episode(self) -> None:
-        pass
-
     def tick(self, unit) -> None:
         """Called once every simulation second, before decide()."""
 

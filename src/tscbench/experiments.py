@@ -228,16 +228,6 @@ class TrialResult:
                 "sigma": self.sigma, "score": self.score}
 
 
-def episode_mean_travel_time(net, demand, controllers, seed,
-                             horizon=None) -> float:
-    log = run_episode(net, demand, controllers, seed, horizon=horizon,
-                      moe_series=False)
-    tts = log.travel_time_values
-    if not tts:
-        return float("nan")
-    return float(np.mean(tts))
-
-
 def _map(fn, tasks: list, procs: int) -> list:
     if procs > 1:
         with ProcessPoolExecutor(max_workers=procs) as pool:
@@ -245,31 +235,28 @@ def _map(fn, tasks: list, procs: int) -> list:
     return [fn(t) for t in tasks]
 
 
-def _classic_trial_task(args):
-    net, demand, name, hp, cid, trial, base_seed, horizon = args
-    controllers = make_classic_controllers(net, name, hp)
-    seed = seed_for(cid, trial, base_seed)
-    return cid, trial, episode_mean_travel_time(net, demand, controllers,
-                                                seed, horizon)
+def _episode_task(args):
+    make_controllers, net, demand, seed, horizon, moe_series = args
+    return run_episode(net, demand, make_controllers(), seed, horizon=horizon,
+                       moe_series=moe_series)
 
 
-def _learning_config_task(args):
-    (net, demand, name, hp, cid, trials, base_seed, horizon,
-     train_episodes, train_horizon) = args
-    cfg = agent_config(name, hp)
-    train_seed = seed_for(cid, -1, base_seed)
+def _trial_mean(args) -> float:
+    """Mean travel time of one `_episode_task`; NaN if no trip finished."""
+    tts = _episode_task(args).travel_time_values
+    return float(np.mean(tts)) if tts else float("nan")
+
+
+def _trained_factory(args):
+    """Train one learning config; a factory of its greedy controllers."""
+    net, demand, name, hp, seed, train_episodes, train_horizon = args
     result = fabric.train(
-        net, demand, name, train_seed,
+        net, demand, name, seed,
         fabric=fabric.FabricConfig(episode_budget=train_episodes,
                                    horizon=train_horizon),
-        agent_cfg=cfg)
-    controllers = greedy_controllers(net, name, result.agents, result.r_min)
-    per_seed = []
-    for trial in range(trials):
-        seed = seed_for(cid, trial, base_seed)
-        per_seed.append(episode_mean_travel_time(net, demand, controllers,
-                                                 seed, horizon))
-    return cid, per_seed
+        agent_cfg=agent_config(name, hp))
+    return functools.partial(greedy_controllers, net, name, result.agents,
+                             result.r_min)
 
 
 def tune(grid: GridSpec, net: NetworkModel, demand: DemandProfile,
@@ -277,27 +264,28 @@ def tune(grid: GridSpec, net: NetworkModel, demand: DemandProfile,
          train_episodes: int = TUNE_TRAIN_EPISODES,
          train_horizon: float = TUNE_TRAIN_HORIZON,
          out_dir: str | None = None) -> list:
-    """Grid search; returns TrialResults ranked ascending by mean + std."""
+    """Grid search; returns TrialResults ranked ascending by mean + std.
+
+    A learning config first trains once, seeded like a trial numbered -1;
+    then every trial of every config is one greedy or classic episode."""
     name = grid.controller
     cids = {config_id(name, hp): hp for hp in grid.expand()}
-    results = {}
-
-    if name not in fabric.ALGOS:
-        tasks = [(net, demand, name, hp, cid, trial, grid.base_seed, horizon)
-                 for cid, hp in cids.items() for trial in range(grid.trials)]
-        per_cid = {cid: [None] * grid.trials for cid in cids}
-        for cid, trial, mean_tt in _map(_classic_trial_task, tasks, procs):
-            per_cid[cid][trial] = mean_tt
-        for cid, per_seed in per_cid.items():
-            results[cid] = TrialResult(cid, cids[cid], per_seed)
+    if name in fabric.ALGOS:
+        tasks = [(net, demand, name, hp, seed_for(cid, -1, grid.base_seed),
+                  train_episodes, train_horizon) for cid, hp in cids.items()]
+        factories = dict(zip(cids, _map(_trained_factory, tasks, procs)))
     else:
-        tasks = [(net, demand, name, hp, cid, grid.trials, grid.base_seed,
-                  horizon, train_episodes, train_horizon)
-                 for cid, hp in cids.items()]
-        for cid, per_seed in _map(_learning_config_task, tasks, procs):
-            results[cid] = TrialResult(cid, cids[cid], per_seed)
+        factories = {cid: controller_factory(net, name, hp)
+                     for cid, hp in cids.items()}
 
-    ranked = sorted(results.values(), key=lambda r: (r.score, r.config_id))
+    tasks = [(factories[cid], net, demand,
+              seed_for(cid, trial, grid.base_seed), horizon, False)
+             for cid in cids for trial in range(grid.trials)]
+    means = iter(_map(_trial_mean, tasks, procs))
+    results = [TrialResult(cid, hp, [next(means) for _ in range(grid.trials)])
+               for cid, hp in cids.items()]
+
+    ranked = sorted(results, key=lambda r: (r.score, r.config_id))
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         _write_tune(out_dir, name, grid, ranked)
@@ -343,11 +331,6 @@ class EvalResult:
         }
 
 
-def _eval_run_task(args):
-    make_controllers, net, demand, seed, horizon = args
-    return run_episode(net, demand, make_controllers(), seed, horizon=horizon)
-
-
 def evaluate(name: str, hp: dict, net: NetworkModel, demand: DemandProfile,
              runs: int = EVAL_RUNS, base_seed: int = 0,
              checkpoint_dir: str | None = None,
@@ -355,9 +338,9 @@ def evaluate(name: str, hp: dict, net: NetworkModel, demand: DemandProfile,
              procs: int = 1, out_dir: str | None = None) -> EvalResult:
     """Greedy multi-seed evaluation: pooled travel times plus MoE series."""
     make_controllers = controller_factory(net, name, hp, checkpoint_dir)
-    tasks = [(make_controllers, net, demand, base_seed + i, horizon)
+    tasks = [(make_controllers, net, demand, base_seed + i, horizon, True)
              for i in range(runs)]
-    logs = _map(_eval_run_task, tasks, procs)
+    logs = _map(_episode_task, tasks, procs)
 
     travel_times = [tt for log in logs for tt in log.travel_time_values]
     condition = condition_fingerprint(net, demand, runs, base_seed, horizon)

@@ -1,13 +1,22 @@
 """Distributed-acting, centralized-learning training fabric.
 
-Actors run their own simulator instances and emit experiences over bounded
-queues to the learner that owns the experience's intersection. Learners
-train round-robin over their assigned intersections and broadcast fresh
-parameter snapshots to every actor through latest-wins mailboxes.
+One coordinator, `train`, runs every episode of the budget. Actors run
+their own simulator episodes, taking episode indices from one shared queue;
+every experience goes through one `learn` step, which routes it to the
+learner that owns its intersection. Learners train round-robin over their
+assigned intersections.
 
-Only the 1-actor / 1-learner configuration is bit-reproducible; multi-worker
-runs keep the routing / delivery / version invariants but not identical
-floats.
+One actor runs on the calling thread with the learners' own agents, so
+every update acts at its next decision and no thread is started. Several
+actors run on threads with agents of their own and put their experiences
+on one bounded queue; the calling thread drains it through the same
+`learn` and offers each fresh parameter snapshot to every actor's
+latest-wins mailbox. If a worker fails, the coordinator drains the queue
+until every actor is done and then raises.
+
+Any 1-actor run is bit-reproducible, whatever its number of learners;
+multi-actor runs keep the routing / delivery / version invariants but not
+identical floats.
 """
 
 from __future__ import annotations
@@ -39,9 +48,7 @@ class FabricConfig:
     n_actors: int = 1
     n_learners: int = 1
     episode_budget: int = 100
-    queue_capacity: int = 256
-    assignment: dict | None = None   # intersection id -> learner index
-    warmup: int | None = None        # buffer size before training starts
+    queue_capacity: int = 256        # experiences in flight, multi-actor
     horizon: float | None = None     # training episode length, seconds
 
     def __post_init__(self):
@@ -106,13 +113,11 @@ class Learner:
     """Owns per-intersection replay buffers and training state."""
 
     def __init__(self, index: int, assigned: list, agents: dict,
-                 batch_size: int, warmup: int, replay_capacity: int,
-                 seed: int):
+                 batch_size: int, replay_capacity: int, seed: int):
         self.index = index
         self.assigned = list(assigned)
         self.agents = agents
         self.batch_size = batch_size
-        self.warmup = max(warmup, batch_size)
         self.buffers = {iid: ReplayBuffer(replay_capacity)
                         for iid in assigned}
         self.rng = np.random.default_rng(seed)
@@ -134,7 +139,8 @@ class Learner:
         self.received += 1
 
     def try_train(self, publish: bool = True) -> ParameterUpdateMsg | None:
-        """Train the next intersection in strict round-robin, if warm.
+        """Train the next intersection in strict round-robin, once its
+        buffer holds a batch.
 
         Returns the fresh acting parameters for the actors, or None if it
         did not train or `publish` is false.
@@ -142,7 +148,7 @@ class Learner:
         if not self.assigned:
             return None
         iid = self.assigned[self._rr]
-        if len(self.buffers[iid]) < self.warmup:
+        if len(self.buffers[iid]) < self.batch_size:
             return None
         batch = self.buffers[iid].sample(self.batch_size, self.rng)
         result = self.agents[iid].train_batch(batch)
@@ -175,6 +181,18 @@ class _Mailbox:
     def take(self, iid: str) -> ParameterUpdateMsg | None:
         with self._lock:
             return self._latest.pop(iid, None)
+
+
+_DONE = object()  # an actor's last item on the experience queue
+
+
+def _param_hook(mailbox: _Mailbox, iid: str, agent):
+    """Before each decision, act with the newest snapshot offered, if any."""
+    def hook():
+        msg = mailbox.take(iid)
+        if msg is not None:
+            agent.apply_acting_params(msg.params)
+    return hook
 
 
 def _exploration_scale(actor_index: int, n_actors: int) -> float:
@@ -216,152 +234,115 @@ def write_training_log(path, rows) -> None:
 def train(net: NetworkModel, demand: DemandProfile, algo: str, seed: int,
           fabric: FabricConfig | None = None, agent_cfg=None,
           out_dir: str | None = None) -> TrainResult:
-    """Run the full training fabric; returns trained per-intersection agents."""
+    """Run the training fabric; returns trained per-intersection agents."""
     fabric = fabric or FabricConfig()
     if agent_cfg is None:
         agent_cfg = DqnConfig() if algo == "dqn" else DdpgConfig()
-    assignment = fabric.assignment or default_assignment(net, fabric.n_learners)
-    iids = [ix.id for ix in net.intersections]
-    if set(assignment) != set(iids) or \
-            not set(assignment.values()) <= set(range(fabric.n_learners)):
-        raise ValueError("assignment must map every intersection to a learner")
-
+    assignment = default_assignment(net, fabric.n_learners)
     learner_agents = build_agents(net, algo, agent_cfg, seed)
-    warmup = fabric.warmup if fabric.warmup is not None else agent_cfg.batch_size
-    learners = [Learner(i, [iid for iid in iids if assignment[iid] == i],
-                        {iid: learner_agents[iid] for iid in iids
-                         if assignment[iid] == i},
-                        agent_cfg.batch_size, warmup,
-                        agent_cfg.replay_capacity, seed + 1000 + i)
-                for i in range(fabric.n_learners)]
+    learners = []
+    for i in range(fabric.n_learners):
+        owned = [iid for iid, k in assignment.items() if k == i]
+        learners.append(Learner(i, owned,
+                                {iid: learner_agents[iid] for iid in owned},
+                                agent_cfg.batch_size,
+                                agent_cfg.replay_capacity, seed + 1000 + i))
 
-    if fabric.n_actors == 1 and fabric.n_learners == 1:
-        result = _train_sync(net, demand, algo, seed, fabric, learners[0])
+    n_actors = fabric.n_actors
+    mailboxes = [_Mailbox() for _ in range(n_actors)] if n_actors > 1 else []
+    normalizers = [{iid: RewardNormalizer() for iid in assignment}
+                   for _ in range(n_actors)]
+    emitted = [0] * n_actors
+    episodes = queue.SimpleQueue()
+    for ep in range(fabric.episode_budget):
+        episodes.put(ep)
+
+    def learn(exp):
+        learner = learners[assignment[exp.intersection]]
+        learner.ingest(exp)
+        msg = learner.try_train(publish=bool(mailboxes))
+        if msg is not None:
+            for mb in mailboxes:
+                mb.offer(msg)
+
+    def act(actor_index, agents, send):
+        def on_experience(exp):
+            emitted[actor_index] += 1
+            send(exp)
+
+        controllers = build_controllers(
+            net, algo, agents, seed + 503 * actor_index, explore=True,
+            normalizers=normalizers[actor_index],
+            on_experience=on_experience,
+            exploration_scale=_exploration_scale(actor_index, n_actors))
+        if mailboxes:
+            for iid, ctrl in controllers.items():
+                ctrl.param_hook = _param_hook(mailboxes[actor_index],
+                                              iid, agents[iid])
+        while True:
+            try:
+                ep = episodes.get_nowait()
+            except queue.Empty:
+                return
+            run_episode(net, demand, controllers, seed + ep,
+                        horizon=fabric.horizon, moe_series=False)
+
+    if n_actors == 1:
+        # the actor shares the learners' agents: every update acts at its
+        # next decision with zero staleness
+        act(0, learner_agents, learn)
     else:
-        result = _train_threaded(net, demand, algo, seed, fabric, agent_cfg,
-                                 learners, assignment)
-    result.update_counts = {iid: n for lrn in learners
-                            for iid, n in lrn.update_counts.items()}
-    result.log = [row for lrn in learners for row in lrn.log]
+        experiences = queue.Queue(maxsize=fabric.queue_capacity)
+        errors = []
+
+        def fail(where, exc):
+            errors.append((where, exc))
+            while True:  # no actor starts another episode
+                try:
+                    episodes.get_nowait()
+                except queue.Empty:
+                    return
+
+        def actor_loop(actor_index):
+            try:
+                act(actor_index, build_agents(net, algo, agent_cfg, seed),
+                    experiences.put)
+            except Exception as exc:  # reported by the coordinator
+                fail(f"actor {actor_index}", exc)
+            finally:
+                experiences.put(_DONE)
+
+        threads = [threading.Thread(target=actor_loop, args=(i,),
+                                    daemon=True) for i in range(n_actors)]
+        for t in threads:
+            t.start()
+        running = n_actors
+        while running:  # to the end, after a failure too: no put blocks
+            exp = experiences.get()
+            if exp is _DONE:
+                running -= 1
+            elif not errors:
+                try:
+                    learn(exp)
+                except Exception as exc:
+                    fail(f"learner {assignment[exp.intersection]}", exc)
+        for t in threads:
+            t.join()
+        if errors:
+            where, exc = errors[0]
+            raise RuntimeError(
+                f"fabric worker failed in {where}: {exc}") from exc
+
+    result = TrainResult(
+        algo=algo, agents=learner_agents,
+        r_min={iid: n.r_min for iid, n in normalizers[0].items()},
+        log=[row for lrn in learners for row in lrn.log],
+        emitted=sum(emitted), received=sum(lrn.received for lrn in learners),
+        update_counts={iid: n for lrn in learners
+                       for iid, n in lrn.update_counts.items()})
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         _save_checkpoints(result, out_dir)
         write_training_log(os.path.join(out_dir, "training_log.csv"),
                            result.log)
     return result
-
-
-def _train_sync(net, demand, algo, seed, fabric, learner) -> TrainResult:
-    """Deterministic single-actor / single-learner loop: the actor's
-    controllers share the learner's agents, so every update is visible at
-    the next decision with zero staleness."""
-    emitted = [0]
-
-    def on_experience(exp):
-        emitted[0] += 1
-        learner.ingest(exp)
-        learner.try_train(publish=False)  # the actor shares these agents
-
-    normalizers = {iid: RewardNormalizer() for iid in learner.agents}
-    controllers = build_controllers(net, algo, learner.agents, seed,
-                                    explore=True, normalizers=normalizers,
-                                    on_experience=on_experience)
-    for ep in range(fabric.episode_budget):
-        run_episode(net, demand, controllers, seed + ep,
-                    horizon=fabric.horizon, moe_series=False)
-    return TrainResult(algo=algo, agents=learner.agents,
-                       r_min={iid: n.r_min for iid, n in normalizers.items()},
-                       log=[], emitted=emitted[0], received=learner.received)
-
-
-def _train_threaded(net, demand, algo, seed, fabric, agent_cfg, learners,
-                    assignment) -> TrainResult:
-    n_actors = fabric.n_actors
-    exp_queues = [queue.Queue(maxsize=fabric.queue_capacity)
-                  for _ in range(fabric.n_learners)]
-    mailboxes = [_Mailbox() for _ in range(n_actors)]
-    errors = []
-    emitted = [0] * n_actors
-    episode_counter = {"next": 0}
-    counter_lock = threading.Lock()
-    _SENTINEL = object()
-
-    normalizers_by_actor = [None] * n_actors
-
-    def actor_loop(actor_index: int):
-        try:
-            agents = build_agents(net, algo, agent_cfg, seed)
-            applied = {iid: 0 for iid in assignment}
-
-            def on_experience(exp):
-                emitted[actor_index] += 1
-                exp_queues[assignment[exp.intersection]].put(exp)
-
-            normalizers = {iid: RewardNormalizer() for iid in assignment}
-            normalizers_by_actor[actor_index] = normalizers
-            controllers = build_controllers(
-                net, algo, agents, seed + 503 * actor_index, explore=True,
-                normalizers=normalizers, on_experience=on_experience,
-                exploration_scale=_exploration_scale(actor_index, n_actors))
-
-            def make_hook(iid):
-                def hook():
-                    msg = mailboxes[actor_index].take(iid)
-                    if msg is not None and msg.version > applied[iid]:
-                        agents[iid].apply_acting_params(msg.params)
-                        applied[iid] = msg.version
-                return hook
-
-            for iid, ctrl in controllers.items():
-                ctrl.param_hook = make_hook(iid)
-
-            while True:
-                with counter_lock:
-                    ep = episode_counter["next"]
-                    if ep >= fabric.episode_budget:
-                        break
-                    episode_counter["next"] = ep + 1
-                run_episode(net, demand, controllers,
-                            seed + actor_index + 1000003 * ep,
-                            horizon=fabric.horizon, moe_series=False)
-        except Exception as exc:  # propagate to the coordinator
-            errors.append((f"actor {actor_index}", exc))
-        finally:
-            for q in exp_queues:
-                q.put(_SENTINEL)
-
-    def learner_loop(learner: Learner):
-        try:
-            done_actors = 0
-            q = exp_queues[learner.index]
-            while done_actors < n_actors:
-                item = q.get()
-                if item is _SENTINEL:
-                    done_actors += 1
-                    continue
-                learner.ingest(item)
-                msg = learner.try_train()
-                if msg is not None:
-                    for mb in mailboxes:
-                        mb.offer(msg)
-        except Exception as exc:
-            errors.append((f"learner {learner.index}", exc))
-
-    threads = [threading.Thread(target=actor_loop, args=(i,), daemon=True)
-               for i in range(n_actors)]
-    threads += [threading.Thread(target=learner_loop, args=(lrn,), daemon=True)
-                for lrn in learners]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if errors:
-        where, exc = errors[0]
-        raise RuntimeError(f"fabric worker failed in {where}: {exc}") from exc
-
-    agents = {iid: lrn.agents[iid] for lrn in learners for iid in lrn.agents}
-    r_min = {iid: normalizers_by_actor[0][iid].r_min for iid in assignment} \
-        if normalizers_by_actor[0] else {}
-    return TrainResult(algo=algo, agents=agents, r_min=r_min, log=[],
-                       emitted=sum(emitted),
-                       received=sum(lrn.received for lrn in learners))

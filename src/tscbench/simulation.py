@@ -568,6 +568,4 @@ def run_episode(net: NetworkModel, demand: DemandProfile, controllers: dict,
     log.unfinished = sim.total_vehicles()
     log.injected, log.exited, log.blocked = \
         sim.injected, sim.exited, sim.blocked
-    for ctrl in controllers.values():
-        ctrl.end_episode()
     return log

@@ -1,5 +1,8 @@
 """Training-fabric tests: determinism, routing, delivery, liveness."""
 
+import threading
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -22,17 +25,11 @@ class TestAssignment:
         assert sorted(a.values()) == [0, 1]
         assert default_assignment(double_net, 1) == {"a": 0, "b": 0}
 
-    def test_bad_assignment_rejected(self, double_net, double_demand):
-        with pytest.raises(ValueError, match="assignment"):
-            train(double_net, double_demand, "dqn", 0,
-                  fabric=FabricConfig(episode_budget=1,
-                                      assignment={"a": 0}))
-
 
 class TestLearner:
-    def make(self, warmup=4):
-        agents = {"x": DqnAgent(4, 2, 0, DqnConfig(batch_size=4))}
-        return Learner(0, ["x"], agents, batch_size=4, warmup=warmup,
+    def make(self, batch_size=4):
+        agents = {"x": DqnAgent(4, 2, 0, DqnConfig(batch_size=batch_size))}
+        return Learner(0, ["x"], agents, batch_size=batch_size,
                        replay_capacity=100, seed=0)
 
     def exp(self, iid="x"):
@@ -44,7 +41,7 @@ class TestLearner:
             lrn.ingest(self.exp("other"))
 
     def test_warmup_gate(self):
-        lrn = self.make(warmup=8)
+        lrn = self.make(batch_size=8)
         for _ in range(7):
             lrn.ingest(self.exp())
             assert lrn.try_train() is None
@@ -54,7 +51,7 @@ class TestLearner:
         assert lrn.update_counts["x"] == 1
 
     def test_unpublished_update_still_trains(self):
-        lrn = self.make(warmup=4)
+        lrn = self.make()
         for _ in range(4):
             lrn.ingest(self.exp())
         assert lrn.try_train(publish=False) is None
@@ -65,7 +62,7 @@ class TestLearner:
     def test_round_robin_training_balance(self):
         agents = {"a": DqnAgent(4, 2, 0, DqnConfig(batch_size=2)),
                   "b": DqnAgent(4, 2, 1, DqnConfig(batch_size=2))}
-        lrn = Learner(0, ["a", "b"], agents, batch_size=2, warmup=2,
+        lrn = Learner(0, ["a", "b"], agents, batch_size=2,
                       replay_capacity=100, seed=0)
         for _ in range(3):
             lrn.ingest(self.exp("a"))
@@ -121,6 +118,36 @@ class TestSyncTraining:
                 assert (tmp_path / "rep0" / "checkpoints" / name).read_bytes() \
                     == (tmp_path / "rep1" / "checkpoints" / name).read_bytes()
 
+    def test_one_actor_two_learners_repeat(self, double_net, double_demand):
+        def run():
+            return train(double_net, double_demand, "dqn", seed=7,
+                         fabric=FabricConfig(n_learners=2, episode_budget=3,
+                                             horizon=600.0),
+                         agent_cfg=DqnConfig(batch_size=8))
+
+        first = run()
+        assert set(first.update_counts) == {"a", "b"}
+        assert all(n > 0 for n in first.update_counts.values())
+        for _ in range(2):
+            again = run()
+            assert again.update_counts == first.update_counts
+            assert again.emitted == first.emitted == again.received
+            for iid, agent in first.agents.items():
+                pa, pb = agent.online, again.agents[iid].online
+                assert pa.version == pb.version
+                assert np.array_equal(pa.flat, pb.flat)
+
+    def test_one_actor_starts_no_thread(self, double_net, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a 1-actor run started a thread")
+
+        monkeypatch.setattr(fabric, "threading", SimpleNamespace(
+            Thread=no_thread, Lock=threading.Lock))
+        res = train(double_net, short_demand(double_net), "dqn", seed=0,
+                    fabric=FabricConfig(n_learners=2, episode_budget=2),
+                    agent_cfg=DqnConfig(batch_size=4))
+        assert res.emitted == res.received > 0
+
     def test_ddpg_trains(self, single_net, single_demand):
         res = train(single_net, single_demand, "ddpg", seed=1,
                     fabric=FabricConfig(episode_budget=2))
@@ -136,6 +163,50 @@ class TestSyncTraining:
         assert len(res.log) == sum(res.update_counts.values())
         wall = [row[0] for row in res.log]
         assert wall == sorted(wall)
+
+
+def run_with_timeout(fn, timeout=60.0):
+    """Run `fn` on a daemon thread; the exception it raised, or None.
+    Fails if it is still running after `timeout` seconds."""
+    raised = []
+
+    def target():
+        try:
+            fn()
+        except Exception as exc:  # handed to the test
+            raised.append(exc)
+
+    t = threading.Thread(target=target, daemon=True)
+    t.start()
+    t.join(timeout)
+    assert not t.is_alive(), f"still running after {timeout} s"
+    return raised[0] if raised else None
+
+
+class TestWorkerFailures:
+    def train_two_actors(self, double_net):
+        train(double_net, short_demand(double_net), "dqn", seed=0,
+              fabric=FabricConfig(n_actors=2, episode_budget=4,
+                                  queue_capacity=1),
+              agent_cfg=DqnConfig(batch_size=4))
+
+    def test_failed_learner_raises(self, double_net, monkeypatch):
+        def fail(self, batch):
+            raise FloatingPointError("diverged")
+
+        monkeypatch.setattr(DqnAgent, "train_batch", fail)
+        exc = run_with_timeout(lambda: self.train_two_actors(double_net))
+        assert isinstance(exc, RuntimeError)
+        assert "learner 0" in str(exc) and "diverged" in str(exc)
+
+    def test_failed_actor_raises(self, double_net, monkeypatch):
+        def fail(self, params):
+            raise FloatingPointError("bad snapshot")
+
+        monkeypatch.setattr(DqnAgent, "apply_acting_params", fail)
+        exc = run_with_timeout(lambda: self.train_two_actors(double_net))
+        assert isinstance(exc, RuntimeError)
+        assert "actor" in str(exc) and "bad snapshot" in str(exc)
 
 
 class TestThreadedTraining:

@@ -18,8 +18,8 @@ in_a carries a movement in each phase, so that the controllers' per-phase
 lane groups are pinned on a lane that two phases serve.
 
 The learned-controller digests cover the checkpoint path: a DQN and a DDPG
-agent are trained briefly on the bit-reproducible 1-actor/1-learner fabric,
-saved, and evaluated greedily from the checkpoint over several runs.
+agent are trained briefly on the bit-reproducible 1-actor fabric, saved,
+and evaluated greedily from the checkpoint over several runs.
 
 The training digests hash the trained weights themselves: every parameter
 array of every network with its version, and the update counts. The DQN
@@ -27,6 +27,9 @@ case uses a replay ring small enough to evict; the DDPG case trains
 batch-norm networks with soft-updated targets. The double.net DQN digest
 trains with the default `DqnConfig` and 1200 s episodes, the path the
 training benchmark times.
+
+The learning-tune digest hashes every per-seed mean of a short DQN and
+DDPG grid search: each config trains, then runs its greedy trials.
 """
 
 import hashlib
@@ -37,7 +40,8 @@ import pytest
 
 from tscbench import fabric
 from tscbench.agents import DdpgConfig, DqnConfig
-from tscbench.experiments import evaluate, make_classic_controllers
+from tscbench.experiments import (GridSpec, evaluate,
+                                  make_classic_controllers, tune)
 from tscbench.network import load_network, network_from_dict
 from tscbench.simulation import DemandProfile, load_demand, run_episode
 
@@ -112,6 +116,13 @@ TRAINING_CONFIGS = {"dqn": DqnConfig(replay_capacity=64),
 # Default DqnConfig, 2 episodes of 1200 s on double.net, seed 0. Recorded
 # before the learner update was cut to fewer numpy calls.
 GOLDEN_TRAINING_DOUBLE = "b4234c3bbd6fc5cdad92"
+
+# Two DQN configs and one DDPG config on double.net, 3 trials of 600 s,
+# each trained for 2 episodes of 600 s. Recorded before learning configs
+# and classic configs shared one grid-search path.
+GOLDEN_LEARNING_TUNE = "a1526019c9e056b6f313"
+LEARNING_TUNE_GRIDS = (("dqn", {"a_repeat": [5, 10]}),
+                       ("ddpg", {"g_min,g_max": [[5, 30]]}))
 
 
 def _hasher():
@@ -246,11 +257,31 @@ def test_golden_training_digest_double_dqn():
     assert double_training_digest() == GOLDEN_TRAINING_DOUBLE
 
 
+def learning_tune_digest(procs: int = 1) -> str:
+    """Tune the learning grids briefly; hash every config's per-seed means."""
+    net_file, demand_file = SCENARIOS["double"]
+    net = load_network(str(DATA / net_file))
+    demand = load_demand(str(DATA / demand_file))
+    h, put = _hasher()
+    for name, values in LEARNING_TUNE_GRIDS:
+        ranked = tune(GridSpec(name, values, trials=3), net, demand,
+                      procs=procs, horizon=600.0, train_episodes=2,
+                      train_horizon=600.0)
+        for r in ranked:
+            put(r.config_id, *r.per_seed)
+    return h.hexdigest()[:20]
+
+
+def test_golden_learning_tune_digest():
+    assert learning_tune_digest() == GOLDEN_LEARNING_TUNE
+
+
 if __name__ == "__main__":
     import tempfile
     for algo in sorted(GOLDEN_TRAINING):
         print(f'    "{algo}": "{training_digest(algo)}",')
     print(f'GOLDEN_TRAINING_DOUBLE = "{double_training_digest()}"')
+    print(f'GOLDEN_LEARNING_TUNE = "{learning_tune_digest()}"')
     for algo in sorted(GOLDEN_LEARNED):
         with tempfile.TemporaryDirectory() as tmp:
             print(f'    "{algo}": "{learned_eval_digest(algo, tmp)}",')
