@@ -83,19 +83,18 @@ class WebsterController(Controller):
         self.begin_episode()
 
     def begin_episode(self):
-        self._counts = {}
         self._window_start = 0.0
+        self._crossed_at_start = {}  # lane crossings when the window opened
         self._greens = None
 
     def tick(self, view):
-        for lid, n in view.crossings().items():
-            self._counts[lid] = self._counts.get(lid, 0) + n
         if view.now - self._window_start >= self.W:
-            flows = {lid: 3600.0 * n / self.W
-                     for lid, n in self._counts.items()}
+            crossed, before = view.crossed(), self._crossed_at_start
+            flows = {lid: 3600.0 * (n - before.get(lid, 0)) / self.W
+                     for lid, n in crossed.items()}
             _, self._greens = webster_timings(flows, self,
                                               view.intersection.phases)
-            self._counts = {}
+            self._crossed_at_start = crossed
             self._window_start = view.now
 
     def decide(self, view):

@@ -161,9 +161,10 @@ class SignalUnit:
 
     The unit is what `tick` and `decide` receive. It resolves its
     `Intersection` and builds its lane tables once per episode: `red_in[p]`
-    holds the incoming lanes phase p leaves red, `red_in[None]` all of them
-    (no green); a phase's green and outgoing lanes are its `Phase`'s own.
-    Tables hold lane ids: callers may rebind `Simulation.lane_vehicles`.
+    holds the incoming lanes phase p does not serve whole, those with a
+    movement p leaves red, and `red_in[None]` all of them (no green); a
+    phase's green and outgoing lanes are its `Phase`'s own. Tables hold
+    lane ids: callers may rebind `Simulation.lane_vehicles`.
     """
 
     bound = OBSERVATION_BOUND
@@ -181,13 +182,15 @@ class SignalUnit:
         tick = controller.tick
         self._tick = None if getattr(tick, "__func__", None) is \
             Controller.tick else tick
+        lanes = net.lanes
         self.red_in = {None: ix.incoming}
         for p in ix.phases:
-            self.red_in[p.id] = tuple(lid for lid in ix.incoming
-                                      if lid not in p.incoming)
+            green = set(p.green_movements)
+            self.red_in[p.id] = tuple(
+                lid for lid in ix.incoming if lid not in p.incoming or any(
+                    (lid, b) not in green for _, b in lanes[lid].downstream))
         self._cuts = {}  # bound -> {lane id: length - bound}
         self._red_cuts = {}  # bound -> {phase: ((red lane id, cut), ...)}
-        lanes = net.lanes
         # (lane id, cut, capacity, speed) per incoming lane at self.bound
         self.observed = tuple(
             (lid, lanes[lid].length - self.bound,
@@ -304,10 +307,10 @@ class SignalUnit:
                     return p
         return None
 
-    def crossings(self) -> dict:
-        """Stop-line crossings of this intersection during the last step."""
-        return {lid: n for (iid, lid), n in
-                self.sim.crossings_this_step.items() if iid == self.iid}
+    def crossed(self) -> dict:
+        """Stop-line crossings of each incoming lane so far this episode."""
+        crossed = self.sim.crossed
+        return {lid: crossed[lid] for lid in self.intersection.incoming}
 
     def advance(self):
         seq = self.seq

@@ -80,26 +80,20 @@ def load_demand(path) -> DemandProfile:
 
 class Vehicle:
     __slots__ = ("id", "route", "leg", "position", "queued", "entry_time",
-                 "exit_time", "free_flow_time", "ff_completed")
+                 "ff_completed")
 
-    def __init__(self, vid: int, route: tuple, entry_time: float,
-                 free_flow_time: float):
+    def __init__(self, vid: int, route: tuple, entry_time: float):
         self.id = vid
         self.route = route
         self.leg = 0
         self.position = 0.0
         self.queued = False
         self.entry_time = entry_time
-        self.exit_time = None
-        self.free_flow_time = free_flow_time
         self.ff_completed = 0.0  # free-flow seconds for completed legs
 
 
 def vehicle_delay(veh: Vehicle, now: float, lane_speed: float) -> float:
     """Elapsed time minus free-flow time for the distance covered so far."""
-    if veh.exit_time is not None:
-        elapsed = veh.exit_time - veh.entry_time
-        return max(0.0, elapsed - veh.free_flow_time)
     elapsed = now - veh.entry_time
     ff = veh.ff_completed + veh.position / lane_speed
     return max(0.0, elapsed - ff)
@@ -160,6 +154,12 @@ class Simulation:
     only `step` advances it, one second per call; each call takes the next
     second of the arrival schedule.
 
+    Episode records, each kept once: `travel_times` holds (exit time,
+    travel time) of every exit in exit order and becomes the `MoELog`'s
+    list; `crossed` maps each controlled lane to its stop-line crossings so
+    far, so a window's crossings are the difference of two readings. The
+    conservation ledger is `injected`, `exited` and `blocked`.
+
     MoE series: while `run_episode` collects them, step (b) of each step
     sums the queue and delay of the state the step before left (the row
     for its clock time), in the same lane and vehicle order as
@@ -200,21 +200,16 @@ class Simulation:
         self.injected = 0
         self.exited = 0
         self.blocked = 0
-        self.exited_this_step = []       # Vehicle objects that left this step
-        self.crossings_this_step = {}    # (iid, lane id) -> count
         self.nongreen_crossings = 0      # safety audit, must stay 0
+        self.travel_times = []           # (exit time, travel time) per exit
 
         # Static tables of the per-second loop. The vehicle lists stay in
         # lane_vehicles, which callers may rebind.
         lanes = net.lanes
         self._expected_cmd_keys = frozenset(ix.id for ix in net.intersections)
-        route_ff = {r: sum(lanes[l].free_flow_time for l in r)
-                    for r in net.routes}
-        # (entry lane, jam capacity, ((route, free-flow time), ...)), in
-        # demand.entry_lanes order
+        # (entry lane, jam capacity, its routes) in demand.entry_lanes order
         self._arrivals = tuple(
-            (lane, lanes[lane].jam_capacity,
-             tuple((r, route_ff[r]) for r in net.routes_from(lane)))
+            (lane, lanes[lane].jam_capacity, net.routes_from(lane))
             for lane in demand.entry_lanes)
         # Arrival stream: one uniform per entry lane per simulated second,
         # in entry-lane order, drawn _ARRIVAL_BLOCK seconds at a time (one
@@ -235,11 +230,13 @@ class Simulation:
             for ix in net.intersections)
         self._controlled_plan = tuple(
             entry for _, group in self._lane_groups for entry in group)
-        controlled = {entry[0] for entry in self._controlled_plan}
+        # controlled lane id -> its stop-line crossings so far
+        self.crossed = dict.fromkeys(
+            (entry[0] for entry in self._controlled_plan), 0)
         # (lane id, length, speed) of the other (sink) lanes, in lane order
         self._sink_plan = tuple(
             (lid, lane.length, lane.speed_limit)
-            for lid, lane in lanes.items() if lid not in controlled)
+            for lid, lane in lanes.items() if lid not in self.crossed)
         # run_episode's MoELog while it collects the series, else None
         self._moe_log = None
         # iid -> phase -> (green lanes as (lane id, stop line, free-flow
@@ -258,6 +255,8 @@ class Simulation:
                             for q, before in was_green.items()})
                     for p in ix.phases}
         self._signals = {ix.id: signal(ix) for ix in net.intersections}
+        # iid -> this step's phase table, None if not green; refilled
+        self._greens = dict.fromkeys(self._signals)
         # each intersection's green phase in the last step, None if not green
         self._shown = dict.fromkeys(self._signals)
         # The safety audit's own table, from the lanes' movement pairs:
@@ -285,7 +284,8 @@ class Simulation:
 
     def step(self, commands: dict) -> None:
         """Advance the simulation by one second under `commands`
-        (intersection id -> (indication, phase))."""
+        (intersection id -> (indication, phase)). A command for an
+        unknown intersection or phase raises before anything changes."""
         if commands.keys() != self._expected_cmd_keys:
             unknown = set(commands) - self._expected_cmd_keys
             if unknown:
@@ -294,12 +294,17 @@ class Simulation:
             missing = self._expected_cmd_keys - set(commands)
             raise KeyError(
                 f"missing command for intersection(s) {sorted(missing)}")
+        signals, greens = self._signals, self._greens
+        for iid, (kind, p) in commands.items():
+            try:
+                greens[iid] = signals[iid][p] if kind == GREEN else None
+            except KeyError:
+                raise ValueError(
+                    f"intersection {iid!r} has no phase {p!r}") from None
 
         t = self.t
         lanes = self.net.lanes
         lane_vehicles = self.lane_vehicles
-        self.exited_this_step = []
-        self.crossings_this_step = crossings = {}
 
         # (a) arrivals
         if t < self.inject_until:
@@ -311,10 +316,10 @@ class Simulation:
                 if len(vehs) >= capacity:
                     self.blocked += 1
                     continue
-                route, ff = \
+                route = \
                     routes[int(self._route_rng.integers(len(routes)))] \
                     if len(routes) > 1 else routes[0]
-                vehs.append(Vehicle(self._next_vid, route, t, ff))
+                vehs.append(Vehicle(self._next_vid, route, t))
                 self._next_vid += 1
                 self.injected += 1
 
@@ -397,12 +402,14 @@ class Simulation:
         headway = self.headway
         ready_at = self.ready_at
         shown = self._shown
+        crossed = self.crossed
         for iid, indication in commands.items():
-            if indication[0] != GREEN:
+            table = greens[iid]
+            if table is None:
                 shown[iid] = None
                 continue
             p = indication[1]
-            green, turned = self._signals[iid][p]
+            green, turned = table
             q = shown[iid]
             if q != p:
                 shown[iid] = p
@@ -437,8 +444,7 @@ class Simulation:
                     head.queued = False
                     target.append(head)
                 ready_at[lid] = t + headway
-                key = (iid, lid)
-                crossings[key] = crossings.get(key, 0) + 1
+                crossed[lid] += 1
                 if (iid, p, lid, nxt) not in self._served:
                     self.nongreen_crossings += 1
 
@@ -460,10 +466,9 @@ class Simulation:
         return block
 
     def _exit_vehicle(self, veh: Vehicle) -> None:
-        veh.exit_time = self.t + 1.0  # leaves during this step
-        veh.position = self.net.lanes[veh.route[veh.leg]].length
+        exit_time = self.t + 1.0  # leaves during this step
         self.exited += 1
-        self.exited_this_step.append(veh)
+        self.travel_times.append((exit_time, exit_time - veh.entry_time))
 
     def conservation_ok(self) -> bool:
         return self.injected == self.exited + self.total_vehicles()
@@ -483,12 +488,12 @@ def _stop_lines(length: float, spacing: float, n: int) -> tuple:
 
 
 def collect_moe(sim: Simulation, log: MoELog) -> None:
-    """Append one step's MoE increment; call once per step after step().
+    """Append one step's queue and delay row; call after each step().
 
     The reference for the series: run_episode sums every row but the last
     inside the next `Simulation.step`, and calls this for the last row.
-    The delay sum inlines vehicle_delay for vehicles still on a lane and
-    skips its zero terms, which leaves the float sum unchanged.
+    The delay sum inlines vehicle_delay and skips its zero terms, which
+    leaves the float sum unchanged.
     """
     now = sim.t
     log.times.append(now)
@@ -505,15 +510,6 @@ def collect_moe(sim: Simulation, log: MoELog) -> None:
                     d += x
         log.queue[iid].append(q)
         log.delay[iid].append(d)
-    _collect_travel_times(sim, log)
-    log.injected = sim.injected
-    log.exited = sim.exited
-    log.blocked = sim.blocked
-
-
-def _collect_travel_times(sim: Simulation, log: MoELog) -> None:
-    for v in sim.exited_this_step:
-        log.travel_times.append((v.exit_time, v.exit_time - v.entry_time))
 
 
 def run_episode(net: NetworkModel, demand: DemandProfile, controllers: dict,
@@ -521,13 +517,13 @@ def run_episode(net: NetworkModel, demand: DemandProfile, controllers: dict,
                 drain: float = DEFAULT_DRAIN_CAP,
                 saturation_flow: float = DEFAULT_SATURATION_FLOW,
                 moe_series: bool = True) -> MoELog:
-    """Full observe -> decide -> sequence -> step -> collect loop.
+    """Full observe -> decide -> sequence -> step loop.
 
-    `controllers` maps intersection id -> controller instance. Vehicles
-    still in the network after the drain window are reported as unfinished
-    and excluded from travel-time statistics. With `moe_series` false the
-    log holds the travel times and the conservation ledger only: its
-    per-second times, queue and delay series stay empty.
+    `controllers` maps intersection id -> controller instance. The log
+    takes the simulation's travel-time list; vehicles still in the network
+    after the drain window are reported as unfinished, with no travel time.
+    With `moe_series` false the log holds the travel times and the ledger
+    only: its per-second times, queue and delay series stay empty.
     """
     from .control import SignalUnit
 
@@ -551,20 +547,16 @@ def run_episode(net: NetworkModel, demand: DemandProfile, controllers: dict,
     if moe_series:
         sim._moe_log = log  # each step appends the row of the step before
 
-    step, travel_times = sim.step, log.travel_times
     commands = {}  # the same keys every second: refilled, not rebuilt
     deadline = horizon + drain
     while sim.t < horizon or (sim.t < deadline and sim.total_vehicles()):
-        for v in sim.exited_this_step:  # of the step before
-            travel_times.append((v.exit_time, v.exit_time - v.entry_time))
         for iid, advance in advances:
             commands[iid] = advance()
-        step(commands)
+        sim.step(commands)
     if moe_series and sim.t:
-        collect_moe(sim, log)  # the last row and the last travel times
-    else:
-        _collect_travel_times(sim, log)
+        collect_moe(sim, log)  # the last row
 
+    log.travel_times = sim.travel_times
     log.unfinished = sim.total_vehicles()
     log.injected, log.exited, log.blocked = \
         sim.injected, sim.exited, sim.blocked

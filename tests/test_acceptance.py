@@ -264,11 +264,12 @@ class TestCriterion7SimulationInvariants:
                 unit = SignalUnit(net, "x", UniformController(u=u), sim)
                 for _ in range(260):
                     cmd = unit.advance()
+                    crossed = dict(sim.crossed)
                     sim.step({"x": cmd})
                     assert sim.conservation_ok()
                     assert sim.nongreen_crossings == 0
                     if cmd[0] != GREEN:
-                        assert not sim.crossings_this_step
+                        assert sim.crossed == crossed
                     for lid, vehs in sim.lane_vehicles.items():
                         assert len(vehs) <= caps[lid]
                     steps_checked += 1

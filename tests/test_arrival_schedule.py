@@ -13,9 +13,9 @@ The generated networks are corridors of one to three intersections with
 internal links and, optionally, split lanes. Controlled episodes on them
 must conserve vehicles, keep every lane within its jam capacity, carry on
 each sink lane (one no intersection controls) only unqueued vehicles on
-their route's last leg, cross no stop line on red, answer every
-signal-unit query as a full scan does, and repeat exactly under the same
-seed.
+their route's last leg, cross no stop line on red, never lower a lane's
+crossing total, record one travel time per exit, answer every signal-unit
+query as a full scan does, and repeat exactly under the same seed.
 """
 
 import math
@@ -31,6 +31,7 @@ from tscbench.network import network_from_dict
 from tscbench.simulation import (ALLRED, GREEN, DemandProfile, Simulation,
                                  Vehicle, run_episode)
 
+from conftest import tiny_net_dict
 from test_lane_order import check_queries
 
 
@@ -59,8 +60,7 @@ class PerDrawSimulation(Simulation):
                 routes = self.net.routes_from(entry)
                 route = (routes[int(self._route_rng.integers(len(routes)))]
                          if len(routes) > 1 else routes[0])
-                ff = sum(self.net.lanes[lid].free_flow_time for lid in route)
-                vehs.append(Vehicle(self._next_vid, route, t, ff))
+                vehs.append(Vehicle(self._next_vid, route, t))
                 self._next_vid += 1
                 self.injected += 1
         super().step(commands)
@@ -131,6 +131,19 @@ def command(spec, t):
     return out
 
 
+def record_vehicles(sim, vehicles):
+    """Make `sim` put (route, entry time) into `vehicles`, by vehicle id, for
+    each vehicle that exits, so that one leaving in the step it enters is
+    seen too; the caller adds those still on a lane."""
+    exit_vehicle = sim._exit_vehicle
+
+    def recorded(v):
+        vehicles[v.id] = (v.route, v.entry_time)
+        exit_vehicle(v)
+
+    sim._exit_vehicle = recorded
+
+
 def run(cls, spec):
     """Step a simulation past its last arrival second; returns everything
     that must agree between the schedule and the reference."""
@@ -139,10 +152,11 @@ def run(cls, spec):
     until = (demand.horizon if spec["inject_until"] is None
              else min(spec["inject_until"], demand.horizon))
     vehicles, lanes_after = {}, []
+    record_vehicles(sim, vehicles)
     for _ in range(math.ceil(until) + 3):
         sim.step(command(spec, sim.t))
         assert sim.conservation_ok()
-        for vehs in list(sim.lane_vehicles.values()) + [sim.exited_this_step]:
+        for vehs in sim.lane_vehicles.values():
             for v in vehs:
                 vehicles[v.id] = (v.route, v.entry_time)
         lanes_after.append({lid: [v.id for v in vehs]
@@ -244,6 +258,23 @@ def test_routes_do_not_depend_on_block_size():
     assert all(r["vehicles"] == results[0]["vehicles"] for r in results)
 
 
+def test_vehicle_leaving_in_its_entry_step_is_recorded():
+    # a route of one sink lane shorter than a second of travel: its vehicle
+    # enters in step (a) and exits in step (b) of the same step
+    data = tiny_net_dict()
+    data["lanes"]["short"] = {"length_m": 10.0, "speed_mps": 15.0}
+    data["routes"].append(["short"])
+    demand = DemandProfile({"short": [[0.0, 3600.0], [5.0, 3600.0]]})
+    sim = Simulation(network_from_dict(data), demand, 0)
+    vehicles = {}
+    record_vehicles(sim, vehicles)
+    sim.step({"x": (ALLRED, None)})
+    sim.step({"x": (ALLRED, None)})
+    assert vehicles == {0: (("short",), 0.0), 1: (("short",), 1.0)}
+    assert sim.total_vehicles() == 0
+    assert sim.travel_times == [(1.0, 1.0), (2.0, 1.0)]
+
+
 def test_no_draws_once_injection_ends():
     net, demand = build(SPEC)
     sim = Simulation(net, demand, 0, inject_until=10.0)
@@ -270,8 +301,12 @@ def run_audited(spec, name, drain):
     steps = [0]
 
     def audited(sim, commands):
+        crossed = dict(sim.crossed)
         step(sim, commands)
         assert sim.conservation_ok()
+        assert sim.crossed.keys() == crossed.keys()
+        assert all(sim.crossed[lid] >= n for lid, n in crossed.items())
+        assert len(sim.travel_times) == sim.exited
         for lid, vehs in sim.lane_vehicles.items():
             assert len(vehs) <= net.lanes[lid].jam_capacity, (sim.t, lid)
             if lid not in controlled:  # a sink lane: last legs only

@@ -6,8 +6,9 @@ import pytest
 from tscbench.classic import (MaxPressureController, SotlController,
                               UniformController, WebsterController,
                               phase_pressure, webster_cycle, webster_timings)
-from tscbench.control import HOLD, Hold, NextPhase
-from tscbench.simulation import GREEN, run_episode
+from tscbench.control import (HOLD, Hold, NextPhase, SequencerState,
+                              SignalUnit)
+from tscbench.simulation import GREEN, Simulation, Vehicle, run_episode
 
 from conftest import constant_demand
 
@@ -32,20 +33,25 @@ class FakeIntersection:
 class FakeView:
     """Duck-typed stand-in for the `SignalUnit` a controller is handed:
     the members classic controllers read, with per-lane counts and
-    crossings set by the test."""
+    crossing totals set by the test.
 
-    def __init__(self, phases, counts=None, t_p=0, current=0, now=0.0,
-                 crossings=None):
+    A fake phase lists lanes, not movements: each listing stands for one
+    movement of the lane. So, as in `SignalUnit.red_in`, a lane is red in
+    phase p unless p lists it and no other phase does (a lane two phases
+    list has a movement each of them leaves red)."""
+
+    def __init__(self, phases, counts=None, t_p=0, current=0, now=0.0):
         ix = self.intersection = FakeIntersection(phases)
         self._counts = counts or {}
         self.t_p = t_p
         self.current_phase = current
         self.now = now
-        self._crossings = crossings or {}
+        self._crossed = {}
         self.n_phases = len(phases)
         self.bound = 150.0
         self.red_in = {p: tuple(lid for lid in ix.incoming
-                                if lid not in phase.incoming)
+                                if lid not in phase.incoming
+                                or sum(lid in q.incoming for q in phases) > 1)
                        for p, phase in enumerate(ix.phases)}
         self.red_in[None] = ix.incoming
 
@@ -55,8 +61,8 @@ class FakeView:
     def red_count(self, bound=None):
         return self.count_sum(self.red_in[self.current_phase])
 
-    def crossings(self):
-        return dict(self._crossings)
+    def crossed(self):
+        return dict(self._crossed)
 
 
 TWO_PHASES = (FakePhase(["a_in"], ["a_out"]), FakePhase(["b_in"], ["b_out"]))
@@ -78,8 +84,6 @@ class TestUniform:
         # each phase shows u green seconds followed by 5 s of interphase
         u = 7
         demand = constant_demand(["in_a", "in_b"], 0.0, horizon=120.0)
-        from tscbench.control import SignalUnit
-        from tscbench.simulation import DemandProfile, Simulation
         sim = Simulation(tiny_net, demand, 0)
         unit = SignalUnit(tiny_net, "x", UniformController(u=u), sim)
         shown = []
@@ -149,13 +153,24 @@ class TestWebster:
         assert ctrl.decide(view) is HOLD  # bootstrap greens are 15/15
         view.t_p = 15
         assert ctrl.decide(view) == NextPhase(1)
-        # feed a 30 s window of crossings: 0.2/0.3 flow ratios
-        for t in range(31):
+        # crossing totals of two 30 s windows: 3 crossings every 10 s on
+        # a_in throughout, and on b_in in the first window only
+        crossed = {"a_in": 0, "b_in": 0}
+        greens = {}
+        for t in range(60):
+            crossed["a_in"] += 3 * (t % 10 == 0)
+            crossed["b_in"] += 3 * (t % 10 == 5 and t < 30)
             view.now = float(t + 1)
-            view._crossings = {"a_in": 3, "b_in": 0} if t % 10 == 0 else \
-                ({"b_in": 3} if t % 10 == 5 else {})
+            view._crossed = dict(crossed)
             ctrl.tick(view)
-        assert ctrl._greens is not None
+            greens[view.now] = ctrl._greens
+        assert greens[29.0] == [15, 15]  # the bootstrap greens
+        # 9 crossings per lane in 30 s: 1080 veh/h, y = 0.6 each, so the
+        # cycle saturates at c_max = 180 with G = 170 split evenly
+        assert greens[30.0] == greens[59.0] == [85, 85]
+        # the second window counts only its own crossings: y = 0.6 and 0,
+        # C = (1.5 * 10 + 5) / 0.4 = 50, G = 40, b floored at 1 s
+        assert greens[60.0] == [39, 1]
 
     def test_bad_config(self):
         with pytest.raises(ValueError):
@@ -238,6 +253,32 @@ class TestSotl:
         view = FakeView(TWO_PHASES, {}, t_p=10, current=0)
         ctrl.decide(view)
         assert ctrl.kappa == 0.0
+
+    def test_split_lane_is_red_in_each_phase_that_leaves_a_movement_red(
+            self, split_net):
+        # in_a -> out_a is green in phase 0, in_a -> out_b in phase 1
+        sim = Simulation(split_net, constant_demand(["in_a"], 0.0), 0)
+        unit = SignalUnit(split_net, "x", SotlController(), sim)
+        assert unit.red_in == {0: ("in_a", "in_b"), 1: ("in_a",),
+                               None: ("in_a", "in_b")}
+
+    def test_split_lane_head_does_not_hold_sotl(self, split_net):
+        # Phase 1 serves in_a only in part: heads bound for out_a wait
+        # through it. Their red time must grow kappa until SOTL switches
+        # to phase 0, which lets them cross.
+        sim = Simulation(split_net, constant_demand(["in_a"], 0.0), 0)
+        lane = split_net.lanes["in_a"]
+        for i in range(5):
+            v = Vehicle(i, ("in_a", "out_a"), 0.0)
+            v.position = lane.length - lane.spacing * i
+            v.queued = True
+            sim.lane_vehicles["in_a"].append(v)
+            sim.injected += 1
+        unit = SignalUnit(split_net, "x", SotlController(), sim)
+        unit.seq = SequencerState(start_green=1)
+        for _ in range(300):
+            sim.step({"x": unit.advance()})
+        assert sim.exited == 5 and sim.total_vehicles() == 0
 
     def test_bad_config(self):
         with pytest.raises(ValueError):

@@ -96,7 +96,7 @@ class TestObservation:
         sim = make_sim(single_net)
         lane = single_net.lanes["n_in"]
         for i in range(5):
-            v = Vehicle(i, ("n_in", "s_out"), 0.0, lane.free_flow_time)
+            v = Vehicle(i, ("n_in", "s_out"), 0.0)
             v.position = lane.length - lane.spacing * i
             v.queued = i < 3
             sim.lane_vehicles["n_in"].append(v)
@@ -116,7 +116,7 @@ class TestObservation:
         sim = make_sim(single_net)
         lane = single_net.lanes["n_in"]
         for i in range(lane.jam_capacity):
-            v = Vehicle(i, ("n_in", "s_out"), 0.0, lane.free_flow_time)
+            v = Vehicle(i, ("n_in", "s_out"), 0.0)
             v.position = lane.length - lane.spacing * i
             v.queued = True
             sim.lane_vehicles["n_in"].append(v)
@@ -157,7 +157,7 @@ class TestReward:
 class TestCycleNext:
     def place(self, sim, lane_id):
         lane = sim.net.lanes[lane_id]
-        v = Vehicle(0, (lane_id,), 0.0, lane.free_flow_time)
+        v = Vehicle(0, (lane_id,), 0.0)
         sim.lane_vehicles[lane_id].append(v)
 
     def test_vehicles_on_next_phase(self, single_net):

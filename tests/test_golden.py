@@ -15,7 +15,8 @@ shorter route from one entry lane, so they also pin the route picks.
 
 The split-lane digests run max-pressure and SOTL on `split_net`, whose lane
 in_a carries a movement in each phase, so that the controllers' per-phase
-lane groups are pinned on a lane that two phases serve.
+lane groups are pinned on a lane that two phases serve. For SOTL that lane
+is red in both phases: each leaves one of its movements red.
 
 The learned-controller digests cover the checkpoint path: a DQN and a DDPG
 agent are trained briefly on the bit-reproducible 1-actor fabric, saved,
@@ -87,13 +88,17 @@ GOLDEN_MULTI_ROUTE = {
         "5126ca3909fcf89dad31", "08137586ab0892d3cb5e", "243933d8feb05360a51a"),
 }
 
-# split_net (conftest) under split_demand(). Recorded before the controllers
-# read per-episode lane tables.
+# split_net (conftest) under split_demand(). Max-pressure was recorded before
+# the controllers read per-episode lane tables. SOTL was re-recorded when its
+# kappa began counting a lane that the current phase serves only in part
+# (one of its movements red): until then SOTL held phase 1 for good while
+# in_a's head, bound for out_a, blocked the lane, and 20 vehicles of each
+# seed were left unfinished.
 GOLDEN_SPLIT = {
     "maxpressure": (
         "3e6d27a1368bccfe2faa", "100152d4aaa12cc6527c", "4dd2162b9bf79e58bcbf"),
     "sotl": (
-        "ae60eff989c935e09ec9", "452f4cbfb5de17010ed7", "5467d8e14d021fd41cb1"),
+        "a0dbc06a46d76224397a", "7be72dcc91237c085f52", "9952c3f8bed74b5bc4d8"),
 }
 
 # Recorded before the checkpoint was loaded once per evaluation.

@@ -109,7 +109,7 @@ def test_vehicles_beyond_jam_capacity_get_queue_slots(tiny_net):
     lane = tiny_net.lanes["in_a"]
     vehs = sim.lane_vehicles["in_a"]
     for i in range(lane.jam_capacity + 3):
-        vehs.append(Vehicle(i, ("in_a", "out_a"), 0.0, lane.free_flow_time))
+        vehs.append(Vehicle(i, ("in_a", "out_a"), 0.0))
     sim.step({"x": (ALLRED, None)})
     assert vehs[0].position == lane.speed_limit
     assert not vehs[0].queued

@@ -60,8 +60,13 @@ def ref_sum(sim, lanes, bound):
 
 
 def ref_red(ix, current):
-    green = () if current is None else ix.phases[current].incoming
-    return tuple(lid for lid in ix.incoming if lid not in green)
+    """The incoming lanes that phase `current` does not serve whole: those
+    with no green movement in it, or with a movement it leaves red."""
+    green = () if current is None else ix.phases[current].green_movements
+    movements = [m for q in ix.phases for m in q.green_movements]
+    return tuple(lid for lid in ix.incoming
+                 if not any(a == lid for a, _ in green)
+                 or any(m[0] == lid and m not in green for m in movements))
 
 
 def ref_observe(sim, ix, current, bound):

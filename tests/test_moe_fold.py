@@ -2,10 +2,11 @@
 `Simulation.step` against the step-by-step reference.
 
 `stepwise` keeps the loop that called `collect_moe` after every
-`Simulation.step`. On hand-built, bundled and generated networks both must
-give the same `times`, `queue`, `delay` and travel times, bit for bit,
-including episodes that take no step, end by draining, or stop at the
-drain cap with vehicles left.
+`Simulation.step`, and takes the travel times the simulation recorded. On
+hand-built, bundled and generated networks both must give the same
+`times`, `queue`, `delay` and travel times, bit for bit, including
+episodes that take no step, end by draining, or stop at the drain cap with
+vehicles left.
 """
 
 import pytest
@@ -36,6 +37,7 @@ def stepwise(net, demand, controllers, seed, horizon=None,
                               and sim.total_vehicles() > 0):
         sim.step({iid: advance() for iid, advance in advances})
         collect_moe(sim, log)
+    log.travel_times = sim.travel_times
     return log, sim
 
 
@@ -86,7 +88,7 @@ def test_episode_that_ends_by_draining(tiny_net):
 
 
 def test_episode_stopped_by_the_drain_cap(split_net):
-    # SOTL holds the split lane's blocked head (see the golden digests)
+    # 50 s of drain do not clear two minutes of 900 veh/h per lane
     demand = constant_demand(["in_a", "in_b"], 900.0, horizon=120.0)
     log = check_fold(split_net, demand, "sotl", 0, drain=50.0)
     assert log.unfinished > 0 and log.times[-1] == 170.0
@@ -146,7 +148,7 @@ def test_over_capacity_lane_keeps_its_fallback_stop_lines(tiny_net):
         sim = Simulation(tiny_net, demand, 0)
         sim.step(red)  # the clock leaves 0
         sim.lane_vehicles["in_a"].extend(
-            Vehicle(vid, ("in_a", "out_a"), 0.0, 20.0) for vid in range(n))
+            Vehicle(vid, ("in_a", "out_a"), 0.0) for vid in range(n))
         log = MoELog(["x"])
         if fold:
             sim._moe_log = log

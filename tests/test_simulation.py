@@ -21,7 +21,7 @@ def queue_up(sim, lane_id, n, route):
     """Place n queued vehicles stacked at the stop line of lane_id."""
     lane = sim.net.lanes[lane_id]
     for i in range(n):
-        v = Vehicle(10_000 + i, route, sim.t, lane.free_flow_time)
+        v = Vehicle(10_000 + i, route, sim.t)
         v.position = lane.length - lane.spacing * i
         v.queued = True
         sim.lane_vehicles[lane_id].append(v)
@@ -129,7 +129,7 @@ class TestDischarge:
         queue_up(sim, "in_a", 2, ("in_a", "out_a"))
         cap = tiny_net.lanes["out_a"].jam_capacity
         for i in range(cap):  # fill the target lane completely
-            v = Vehicle(50_000 + i, ("in_a", "out_a"), 0.0, 20.0)
+            v = Vehicle(50_000 + i, ("in_a", "out_a"), 0.0)
             v.leg = 1
             sim.lane_vehicles["out_a"].append(v)
             sim.injected += 1
@@ -144,17 +144,17 @@ class TestDischarge:
 class TestDelay:
     def test_delay_oracle(self):
         # 150 m at 15 m/s: free flow 10 s; 25 s elapsed -> 15 s delay
-        v = Vehicle(0, ("in_a", ), 0.0, 10.0)
-        v.exit_time = 25.0
+        v = Vehicle(0, ("in_a", ), 0.0)
+        v.position = 150.0
         assert vehicle_delay(v, 25.0, 15.0) == pytest.approx(15.0)
 
     def test_unimpeded_vehicle_has_zero_delay(self):
-        v = Vehicle(0, ("in_a",), 0.0, 10.0)
+        v = Vehicle(0, ("in_a",), 0.0)
         v.position = 75.0
         assert vehicle_delay(v, 5.0, 15.0) == pytest.approx(0.0)
 
     def test_delay_never_negative(self):
-        v = Vehicle(0, ("in_a",), 0.0, 10.0)
+        v = Vehicle(0, ("in_a",), 0.0)
         v.position = 150.0
         assert vehicle_delay(v, 1.0, 15.0) == 0.0
 
@@ -270,6 +270,30 @@ class TestEpisode:
             sim.step({"x": (GREEN, 0), "y": (GREEN, 0)})
         with pytest.raises(KeyError):
             sim.step({})
+
+    def test_unknown_phase_rejected_before_the_step_changes_anything(
+            self, tiny_net):
+        # 3600 veh/h: every second brings an arrival on in_a
+        sim = make_sim(tiny_net, {"in_a": [[0.0, 3600.0], [600.0, 3600.0]]})
+        for _ in range(40):
+            sim.step({"x": (GREEN, 0)})
+
+        def state():
+            return (sim.t, sim.injected, sim.exited, sim.blocked,
+                    dict(sim.crossed), list(sim.travel_times),
+                    sim.rng.bit_generator.state,
+                    {lid: [(v.id, v.leg, v.position, v.queued) for v in vehs]
+                     for lid, vehs in sim.lane_vehicles.items()})
+
+        before = state()
+        assert before[2] > 0 and any(before[-1].values())
+        for phase in (2, -1, "1", None):
+            message = f"intersection 'x' has no phase {phase!r}"
+            with pytest.raises(ValueError, match=message):
+                sim.step({"x": (GREEN, phase)})
+            assert state() == before
+        sim.step({"x": (GREEN, 1)})
+        assert sim.t == before[0] + 1.0 and sim.injected == before[1] + 1
 
     def test_moe_csv_round_trip(self, single_net, single_demand):
         log = run_episode(single_net, single_demand,
