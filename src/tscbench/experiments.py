@@ -10,7 +10,7 @@ import itertools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +57,11 @@ def check_controller(name: str) -> None:
     if name not in CONTROLLERS:
         raise ConfigError(f"unknown controller {name!r} "
                           f"(expected one of {tuple(CONTROLLERS)})")
+
+
+def _check_count(name: str, value: int) -> None:
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value}")
 
 
 @functools.cache
@@ -171,8 +176,7 @@ class GridSpec:
         """Check the grid's shape, then build every config's controller
         (or agent configuration) once, so that a bad value fails here."""
         check_controller(self.controller)
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        _check_count("trials", self.trials)
         if not isinstance(self.values, dict) or not self.values:
             raise ConfigError("a grid must be a non-empty object mapping "
                               "hyperparameter -> list of values")
@@ -228,28 +232,50 @@ class TrialResult:
                 "sigma": self.sigma, "score": self.score}
 
 
-def _map(fn, tasks: list, procs: int) -> list:
-    if procs > 1:
-        with ProcessPoolExecutor(max_workers=procs) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
+def _map(fn, shared: tuple, tasks: list, procs: int) -> list:
+    """`fn(*shared, *task)` for each task, in task order.
+
+    With procs > 1 and more than one task, the tasks run in a pool of
+    worker processes, imported only then. Each worker gets `fn` and the
+    `shared` arguments once, as it starts, so a task carries only its own
+    fields, never the network or the demand.
+    """
+    if procs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=min(procs, len(tasks)),
+                                 initializer=_share,
+                                 initargs=(fn, shared)) as pool:
+            return list(pool.map(_run_shared, tasks))
+    return [fn(*shared, *task) for task in tasks]
 
 
-def _episode_task(args):
-    make_controllers, net, demand, seed, horizon, moe_series = args
+_shared = None  # in a pool worker: (fn, shared arguments) of its _map
+
+
+def _share(fn, shared: tuple) -> None:
+    global _shared
+    _shared = fn, shared
+
+
+def _run_shared(task):
+    fn, shared = _shared
+    return fn(*shared, *task)
+
+
+def _episode_task(net, demand, make_controllers, seed, horizon, moe_series):
     return run_episode(net, demand, make_controllers(), seed, horizon=horizon,
                        moe_series=moe_series)
 
 
-def _trial_mean(args) -> float:
+def _trial_mean(*args) -> float:
     """Mean travel time of one `_episode_task`; NaN if no trip finished."""
-    tts = _episode_task(args).travel_time_values
+    tts = _episode_task(*args).travel_time_values
     return float(np.mean(tts)) if tts else float("nan")
 
 
-def _trained_factory(args):
+def _trained_factory(net, demand, name, train_episodes, train_horizon, hp,
+                     seed):
     """Train one learning config; a factory of its greedy controllers."""
-    net, demand, name, hp, seed, train_episodes, train_horizon = args
     result = fabric.train(
         net, demand, name, seed,
         fabric=fabric.FabricConfig(episode_budget=train_episodes,
@@ -268,20 +294,23 @@ def tune(grid: GridSpec, net: NetworkModel, demand: DemandProfile,
 
     A learning config first trains once, seeded like a trial numbered -1;
     then every trial of every config is one greedy or classic episode."""
+    _check_count("procs", procs)
     name = grid.controller
     cids = {config_id(name, hp): hp for hp in grid.expand()}
     if name in fabric.ALGOS:
-        tasks = [(net, demand, name, hp, seed_for(cid, -1, grid.base_seed),
-                  train_episodes, train_horizon) for cid, hp in cids.items()]
-        factories = dict(zip(cids, _map(_trained_factory, tasks, procs)))
+        tasks = [(hp, seed_for(cid, -1, grid.base_seed))
+                 for cid, hp in cids.items()]
+        factories = dict(zip(cids, _map(
+            _trained_factory,
+            (net, demand, name, train_episodes, train_horizon), tasks,
+            procs)))
     else:
         factories = {cid: controller_factory(net, name, hp)
                      for cid, hp in cids.items()}
 
-    tasks = [(factories[cid], net, demand,
-              seed_for(cid, trial, grid.base_seed), horizon, False)
-             for cid in cids for trial in range(grid.trials)]
-    means = iter(_map(_trial_mean, tasks, procs))
+    tasks = [(factories[cid], seed_for(cid, trial, grid.base_seed), horizon,
+              False) for cid in cids for trial in range(grid.trials)]
+    means = iter(_map(_trial_mean, (net, demand), tasks, procs))
     results = [TrialResult(cid, hp, [next(means) for _ in range(grid.trials)])
                for cid, hp in cids.items()]
 
@@ -314,7 +343,7 @@ class EvalResult:
     controller: str
     hp: dict
     condition: dict
-    travel_times: list
+    travel_times: array      # array("d"), the runs' travel times in run order
     box: BoxStats | None
     moe: dict = field(default_factory=dict)  # iid -> list of bin rows
     unfinished: int = 0
@@ -337,12 +366,15 @@ def evaluate(name: str, hp: dict, net: NetworkModel, demand: DemandProfile,
              horizon: float | None = None, bin_s: float = MOE_BIN_S,
              procs: int = 1, out_dir: str | None = None) -> EvalResult:
     """Greedy multi-seed evaluation: pooled travel times plus MoE series."""
+    _check_count("runs", runs)
+    _check_count("procs", procs)
     make_controllers = controller_factory(net, name, hp, checkpoint_dir)
-    tasks = [(make_controllers, net, demand, base_seed + i, horizon, True)
-             for i in range(runs)]
-    logs = _map(_episode_task, tasks, procs)
+    logs = _map(_episode_task, (net, demand, make_controllers),
+                [(base_seed + i, horizon, True) for i in range(runs)], procs)
 
-    travel_times = [tt for log in logs for tt in log.travel_time_values]
+    travel_times = array("d")
+    for log in logs:
+        travel_times.extend(log.travel_time_values)
     condition = condition_fingerprint(net, demand, runs, base_seed, horizon)
 
     moe = _moe_bins([ix.id for ix in net.intersections], logs, bin_s)

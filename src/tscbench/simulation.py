@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import statistics
+from array import array
 
 import numpy as np
 
@@ -100,13 +101,19 @@ def vehicle_delay(veh: Vehicle, now: float, lane_speed: float) -> float:
 
 
 class MoELog:
-    """Per-episode measures of effectiveness."""
+    """Per-episode measures of effectiveness, each a typed array (8 bytes
+    a value): `exit_times` and `travel_times` are parallel `array("d")`s,
+    one entry per exit in exit order; `times`, and each intersection's
+    `delay` (`array("d")`) and `queue` (`array("q")`), one row per second.
+    An array equals another array of the same values, never a list.
+    """
 
     def __init__(self, intersection_ids):
-        self.travel_times = []          # (exit time, travel time) pairs
-        self.times = []
-        self.queue = {iid: [] for iid in intersection_ids}
-        self.delay = {iid: [] for iid in intersection_ids}
+        self.exit_times = array("d")
+        self.travel_times = array("d")
+        self.times = array("d")
+        self.queue = {iid: array("q") for iid in intersection_ids}
+        self.delay = {iid: array("d") for iid in intersection_ids}
         self.unfinished = 0
         self.injected = 0
         self.exited = 0
@@ -114,7 +121,7 @@ class MoELog:
 
     @property
     def travel_time_values(self):
-        return [tt for _, tt in self.travel_times]
+        return self.travel_times
 
     def summary(self) -> dict:
         tts = self.travel_time_values
@@ -131,7 +138,7 @@ class MoELog:
 
     def csv_rows(self):
         rows = [("kind", "intersection_id", "time_s", "value")]
-        for t, tt in self.travel_times:
+        for t, tt in zip(self.exit_times, self.travel_times):
             rows.append(("travel_time", "network", repr(t), repr(tt)))
         for iid in self.queue:
             for t, q, d in zip(self.times, self.queue[iid], self.delay[iid]):
@@ -154,11 +161,12 @@ class Simulation:
     only `step` advances it, one second per call; each call takes the next
     second of the arrival schedule.
 
-    Episode records, each kept once: `travel_times` holds (exit time,
-    travel time) of every exit in exit order and becomes the `MoELog`'s
-    list; `crossed` maps each controlled lane to its stop-line crossings so
-    far, so a window's crossings are the difference of two readings. The
-    conservation ledger is `injected`, `exited` and `blocked`.
+    Episode records, each kept once: `exit_times` and `travel_times` are
+    parallel `array("d")`s with the exit time and travel time of every exit
+    in exit order, and become the `MoELog`'s records; `crossed` maps each
+    controlled lane to its stop-line crossings so far, so a window's
+    crossings are the difference of two readings. The conservation ledger
+    is `injected`, `exited` and `blocked`.
 
     MoE series: while `run_episode` collects them, step (b) of each step
     sums the queue and delay of the state the step before left (the row
@@ -201,7 +209,8 @@ class Simulation:
         self.exited = 0
         self.blocked = 0
         self.nongreen_crossings = 0      # safety audit, must stay 0
-        self.travel_times = []           # (exit time, travel time) per exit
+        self.exit_times = array("d")     # per exit, in exit order
+        self.travel_times = array("d")   # per exit, parallel to exit_times
 
         # Static tables of the per-second loop. The vehicle lists stay in
         # lane_vehicles, which callers may rebind.
@@ -468,7 +477,8 @@ class Simulation:
     def _exit_vehicle(self, veh: Vehicle) -> None:
         exit_time = self.t + 1.0  # leaves during this step
         self.exited += 1
-        self.travel_times.append((exit_time, exit_time - veh.entry_time))
+        self.exit_times.append(exit_time)
+        self.travel_times.append(exit_time - veh.entry_time)
 
     def conservation_ok(self) -> bool:
         return self.injected == self.exited + self.total_vehicles()
@@ -520,8 +530,9 @@ def run_episode(net: NetworkModel, demand: DemandProfile, controllers: dict,
     """Full observe -> decide -> sequence -> step loop.
 
     `controllers` maps intersection id -> controller instance. The log
-    takes the simulation's travel-time list; vehicles still in the network
-    after the drain window are reported as unfinished, with no travel time.
+    takes the simulation's exit-time and travel-time arrays; vehicles
+    still in the network after the drain window are reported as
+    unfinished, with no travel time.
     With `moe_series` false the log holds the travel times and the ledger
     only: its per-second times, queue and delay series stay empty.
     """
@@ -556,7 +567,7 @@ def run_episode(net: NetworkModel, demand: DemandProfile, controllers: dict,
     if moe_series and sim.t:
         collect_moe(sim, log)  # the last row
 
-    log.travel_times = sim.travel_times
+    log.exit_times, log.travel_times = sim.exit_times, sim.travel_times
     log.unfinished = sim.total_vehicles()
     log.injected, log.exited, log.blocked = \
         sim.injected, sim.exited, sim.blocked

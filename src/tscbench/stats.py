@@ -35,9 +35,10 @@ class BoxStats:
 def box_stats(samples) -> BoxStats | None:
     """Boxplot statistics; outliers lie strictly outside the 1.5 IQR fences.
 
-    Returns None for an empty sample set.
+    Returns None for an empty sample set. `samples` may be any iterable
+    of numbers; it is read once, with no intermediate list.
     """
-    x = np.asarray(list(samples), dtype=float)
+    x = np.fromiter(samples, dtype=float)
     if x.size == 0:
         return None
     q1, med, q3 = np.percentile(x, [25.0, 50.0, 75.0], method=QUARTILE_METHOD)

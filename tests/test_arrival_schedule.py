@@ -272,7 +272,8 @@ def test_vehicle_leaving_in_its_entry_step_is_recorded():
     sim.step({"x": (ALLRED, None)})
     assert vehicles == {0: (("short",), 0.0), 1: (("short",), 1.0)}
     assert sim.total_vehicles() == 0
-    assert sim.travel_times == [(1.0, 1.0), (2.0, 1.0)]
+    assert list(zip(sim.exit_times, sim.travel_times)) == \
+        [(1.0, 1.0), (2.0, 1.0)]
 
 
 def test_no_draws_once_injection_ends():
@@ -306,7 +307,7 @@ def run_audited(spec, name, drain):
         assert sim.conservation_ok()
         assert sim.crossed.keys() == crossed.keys()
         assert all(sim.crossed[lid] >= n for lid, n in crossed.items())
-        assert len(sim.travel_times) == sim.exited
+        assert len(sim.exit_times) == len(sim.travel_times) == sim.exited
         for lid, vehs in sim.lane_vehicles.items():
             assert len(vehs) <= net.lanes[lid].jam_capacity, (sim.t, lid)
             if lid not in controlled:  # a sink lane: last legs only
@@ -320,7 +321,7 @@ def run_audited(spec, name, drain):
         log = run_episode(net, demand, make_classic_controllers(net, name, {}),
                           spec["seed"], drain=drain)
     assert steps[0] == len(log.times) > 0
-    return (log.travel_times, log.queue,
+    return (log.exit_times, log.travel_times, log.queue,
             {iid: [d.hex() for d in ds] for iid, ds in log.delay.items()},
             log.summary())
 
@@ -350,7 +351,7 @@ def test_corridor_invariants(name):
     assert split == ["in6", "link1"]
     got = run_audited(CORRIDOR, name, drain=120.0)
     assert run_audited(CORRIDOR, name, drain=120.0) == got
-    assert got[3]["exited"] > 100
+    assert got[4]["exited"] > 100
 
 
 @settings(max_examples=25, deadline=None)

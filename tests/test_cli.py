@@ -212,6 +212,32 @@ class TestTune:
         assert (out / "trials.csv").exists()
 
 
+class TestCounts:
+    """A run or process count below 1 exits 2 and writes nothing: no
+    evaluation under a fingerprint of 0 or -3 runs, no silent serial run."""
+
+    @pytest.mark.parametrize("flag,value", [("--runs", "0"), ("--runs", "-3"),
+                                            ("--procs", "0"),
+                                            ("--procs", "-2")])
+    def test_evaluate(self, paths, tmp_path, capsys, flag, value):
+        out = tmp_path / "eval"
+        opts = {"--runs": "1", flag: value}
+        assert main(["evaluate", "--net", paths["net"], "--demand",
+                     paths["demand"], "--tsc", "uniform", "--out", str(out),
+                     *(x for kv in opts.items() for x in kv)]) == EXIT_USAGE
+        assert f"{flag[2:]} must be >= 1" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_tune(self, paths, tmp_path, capsys, value):
+        out = tmp_path / "tune"
+        assert main(["tune", "--net", paths["net"], "--demand",
+                     paths["demand"], "--tsc", "uniform", "--trials", "1",
+                     "--procs", value, "--out", str(out)]) == EXIT_USAGE
+        assert "procs must be >= 1" in capsys.readouterr().err
+        assert not (out / "ranking.json").exists()
+
+
 class TestMalformedGrid:
     @pytest.mark.parametrize("tsc,values,field", [
         ("maxpressure", [10, 20], "object"),

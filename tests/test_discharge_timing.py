@@ -12,8 +12,8 @@ Both are driven by the same commands on the generated corridors of
 `test_arrival_schedule`, which have split lanes and internal links: greens
 of one phase straight after another's, a green repeated segment after
 segment, yellow, all-red idle, and targets that fill up. After every step
-the per-lane crossing totals, the lane contents, the travel-time list and
-the non-green crossing audit must agree.
+the per-lane crossing totals, the lane contents, the exit-time and
+travel-time records and the non-green crossing audit must agree.
 """
 
 import math
@@ -102,6 +102,7 @@ def observed(sim):
         "lanes": {lid: [(v.id, v.route[v.leg:], v.position, v.queued)
                         for v in vehs]
                   for lid, vehs in sim.lane_vehicles.items()},
+        "exit_times": list(sim.exit_times),
         "travel_times": list(sim.travel_times),
         "nongreen": sim.nongreen_crossings,
     }

@@ -3,6 +3,9 @@
 import csv
 import json
 import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ import pytest
 from tscbench import experiments, fabric
 from tscbench.experiments import (ConfigError, GridSpec, config_id,
                                   make_classic_controllers, seed_for)
+from tscbench.simulation import DemandProfile
 from tscbench.stats import box_stats, mean_ci95, rank_score
 
 from conftest import constant_demand
@@ -192,14 +196,14 @@ class TestEvaluate:
         assert summary["box"] == res.box.to_dict()  # floats survive JSON
         tts = [float(line) for line in
                (tmp_path / "travel_times.csv").read_text().splitlines()[1:]]
-        assert tts == res.travel_times
+        assert tts == list(res.travel_times)
 
     def test_files_match_the_row_by_row_writer(self, tiny_net, tmp_path):
         demand = constant_demand(["in_a", "in_b"], 400.0, horizon=300.0)
         res = experiments.evaluate("uniform", {"u": 10}, tiny_net, demand,
                                    runs=2)
         res.moe['x, "quoted"'] = res.moe["x"]  # an id the CSV must quote
-        res.travel_times += [1e-7, 12345678.25, float("inf")]
+        res.travel_times.extend([1e-7, 12345678.25, float("inf")])
         for d in ("new", "ref"):
             (tmp_path / d).mkdir()
         experiments.write_eval(str(tmp_path / "new"), res)
@@ -207,6 +211,109 @@ class TestEvaluate:
         for name in ("summary.json", "travel_times.csv", "moe.csv"):
             assert (tmp_path / "new" / name).read_bytes() == \
                 (tmp_path / "ref" / name).read_bytes(), name
+
+
+class TestProcessPool:
+    """Runs in worker processes repeat the in-process runs bit for bit;
+    the network and the demand go to each worker once, not with each
+    task; the pool's modules load only when a pool starts."""
+
+    EVAL_FILES = ("summary.json", "travel_times.csv", "moe.csv")
+
+    def test_evaluate_procs_2_matches_procs_1(self, double_net,
+                                              double_demand, tmp_path):
+        results = [experiments.evaluate("sotl", {}, double_net,
+                                        double_demand, runs=3, base_seed=2,
+                                        horizon=300.0, procs=procs,
+                                        out_dir=str(tmp_path / str(procs)))
+                   for procs in (1, 2)]
+        one, two = results
+        assert two.travel_times.typecode == "d"
+        assert two.travel_times.tobytes() == one.travel_times.tobytes()
+        assert len(one.travel_times) > 0
+        assert two.unfinished == one.unfinished
+        assert {k: [{c: float(v).hex() for c, v in row.items()}
+                    for row in rows] for k, rows in two.moe.items()} == \
+            {k: [{c: float(v).hex() for c, v in row.items()}
+                 for row in rows] for k, rows in one.moe.items()}
+        assert all(one.moe.values())
+        for name in self.EVAL_FILES:
+            assert (tmp_path / "2" / name).read_bytes() == \
+                (tmp_path / "1" / name).read_bytes(), name
+
+    def test_tasks_stay_small_whatever_the_demand_horizon(
+            self, double_net, double_demand, monkeypatch):
+        seen = []
+        real_map = experiments._map
+
+        def spy(fn, shared, tasks, procs):
+            seen.append([len(pickle.dumps(task)) for task in tasks])
+            return real_map(fn, shared, tasks, procs)
+
+        monkeypatch.setattr(experiments, "_map", spy)
+        sizes = []
+        for scale in (1, 20):
+            demand = DemandProfile(double_demand.breakpoints,
+                                   horizon=scale * double_demand.horizon)
+            seen.clear()
+            experiments.evaluate("sotl", {}, double_net, demand, runs=2,
+                                 horizon=60.0)
+            experiments.tune(GridSpec("sotl", {"g_min": [5, 10]}, trials=2),
+                             double_net, demand, horizon=60.0)
+            sizes.append([list(s) for s in seen])
+        short, long = sizes
+        assert [len(s) for s in short] == [2, 4]
+        assert long == short
+        assert max(max(s) for s in short) < 8 * 1024
+        # the demand alone outweighs a task many times over
+        assert len(pickle.dumps(double_demand)) > 50 * max(map(max, short))
+
+    def test_import_loads_no_process_pool(self):
+        import tscbench
+        src = os.path.dirname(os.path.dirname(tscbench.__file__))
+        code = (
+            "import sys, importlib.resources as ir, tscbench\n"
+            "pool = ('multiprocessing', 'concurrent.futures.process')\n"
+            "print(sorted(m for m in pool if m in sys.modules))\n"
+            "data = ir.files('tscbench') / 'data'\n"
+            "net = tscbench.load_network(str(data / 'single.net'))\n"
+            "demand = tscbench.load_demand(\n"
+            "    str(data / 'single_asym_demand.json'))\n"
+            "for procs in (1, 2):\n"
+            "    tscbench.evaluate('sotl', {}, net, demand, runs=2,\n"
+            "                      horizon=60.0, procs=procs)\n"
+            "    print(sorted(m for m in pool if m in sys.modules))\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        # a pool run does load them, so the check can fail
+        assert out.stdout.splitlines() == [
+            "[]", "[]", "['concurrent.futures.process', 'multiprocessing']"]
+
+
+class TestCounts:
+    """A run or process count below 1 is refused before anything runs or
+    is written."""
+
+    @pytest.mark.parametrize("kw", [{"runs": 0}, {"runs": -3},
+                                    {"procs": 0}, {"procs": -2}])
+    def test_evaluate_rejects_counts_below_one(self, tiny_net, tmp_path,
+                                               kw):
+        demand = constant_demand(["in_a", "in_b"], 400.0, horizon=60.0)
+        name = next(iter(kw))
+        with pytest.raises(ConfigError, match=f"{name} must be >= 1"):
+            experiments.evaluate("uniform", {"u": 10}, tiny_net, demand,
+                                 out_dir=str(tmp_path / "out"), **kw)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("procs", [0, -2])
+    def test_tune_rejects_procs_below_one(self, tiny_net, tmp_path, procs):
+        demand = constant_demand(["in_a", "in_b"], 400.0, horizon=60.0)
+        with pytest.raises(ConfigError, match="procs must be >= 1"):
+            experiments.tune(GridSpec("uniform", {"u": [10]}, trials=1),
+                             tiny_net, demand, procs=procs,
+                             out_dir=str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
 
 
 def write_eval_rows(out_dir, result):

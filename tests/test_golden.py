@@ -174,7 +174,7 @@ def episode_digest(scenario: str, controller: str, seed: int) -> str:
     log = run_episode(net, demand, make_classic_controllers(net, controller, {}),
                       seed)
     h, put = _hasher()
-    for t, tt in log.travel_times:
+    for t, tt in zip(log.exit_times, log.travel_times):
         put(t, tt)
     put(*log.times)
     for iid in log.queue:

@@ -154,7 +154,7 @@ def check_queries(sim, bounds):
         for current in range(len(ix.phases)):
             assert unit.cycle_next(current) == \
                 scan_cycle_next(sim, ix, current)
-        assert row.queue[ix.id] == \
+        assert list(row.queue[ix.id]) == \
             [sum(scan_queued(sim, lid, math.inf) for lid in ix.incoming)]
         assert row.delay[ix.id][0].hex() == \
             scan_delay(sim, ix.incoming, None).hex()

@@ -37,7 +37,7 @@ def stepwise(net, demand, controllers, seed, horizon=None,
                               and sim.total_vehicles() > 0):
         sim.step({iid: advance() for iid, advance in advances})
         collect_moe(sim, log)
-    log.travel_times = sim.travel_times
+    log.exit_times, log.travel_times = sim.exit_times, sim.travel_times
     return log, sim
 
 
@@ -51,6 +51,7 @@ def check_fold(net, demand, name, seed, **kw):
     # == would let -0.0 pass for 0.0; the digests hash the bits
     assert {k: [x.hex() for x in v] for k, v in got.delay.items()} == \
         {k: [x.hex() for x in v] for k, v in want.delay.items()}
+    assert got.exit_times == want.exit_times
     assert got.travel_times == want.travel_times
     assert (got.injected, got.exited, got.blocked, got.unfinished) == \
         (sim.injected, sim.exited, sim.blocked, sim.total_vehicles())
@@ -78,7 +79,8 @@ def test_small_networks(name, net_fixture, request):
 def test_zero_step_episode(tiny_net):
     demand = constant_demand(["in_a", "in_b"], 900.0)
     log = check_fold(tiny_net, demand, "sotl", 0, horizon=0.0)
-    assert log.times == [] and log.queue == {"x": []}
+    assert list(log.times) == []
+    assert {k: list(v) for k, v in log.queue.items()} == {"x": []}
 
 
 def test_episode_that_ends_by_draining(tiny_net):
@@ -160,7 +162,7 @@ def test_over_capacity_lane_keeps_its_fallback_stop_lines(tiny_net):
                          for v in sim.lane_vehicles["in_a"]]))
     assert results[0] == results[1]
     times, _, delay, vehicles = results[0]
-    assert times == [1.0] and delay["x"] == [float(n)]
+    assert list(times) == [1.0] and list(delay["x"]) == [float(n)]
     # the last vehicle's fallback stop line lies behind the lane start, so
     # it counts as queued where it stands
     assert vehicles[-1] == (0.0, True)

@@ -1,5 +1,7 @@
 """Microsimulator tests: discharge timing, delay, arrivals, conservation."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -206,14 +208,15 @@ class TestEpisode:
                                       make_classic_controllers(net, name, {}),
                                       3, moe_series=series)
                           for series in (True, False))
+            assert lean.exit_times == full.exit_times
             assert lean.travel_times == full.travel_times
             assert full.travel_times and full.times
             ledger = ("injected", "exited", "blocked", "unfinished")
             assert [getattr(lean, k) for k in ledger] == \
                 [getattr(full, k) for k in ledger]
-            assert lean.times == []
-            assert all(q == [] for q in lean.queue.values())
-            assert all(d == [] for d in lean.delay.values())
+            assert list(lean.times) == []
+            assert all(list(q) == [] for q in lean.queue.values())
+            assert all(list(d) == [] for d in lean.delay.values())
 
     def test_zero_demand_zero_samples(self, tiny_net):
         demand = constant_demand(["in_a", "in_b"], 0.0)
@@ -280,7 +283,8 @@ class TestEpisode:
 
         def state():
             return (sim.t, sim.injected, sim.exited, sim.blocked,
-                    dict(sim.crossed), list(sim.travel_times),
+                    dict(sim.crossed), list(sim.exit_times),
+                    list(sim.travel_times),
                     sim.rng.bit_generator.state,
                     {lid: [(v.id, v.leg, v.position, v.queued) for v in vehs]
                      for lid, vehs in sim.lane_vehicles.items()})
@@ -300,11 +304,54 @@ class TestEpisode:
                           self.controllers(single_net), 11)
         rows = log.csv_rows()
         assert rows[0] == ("kind", "intersection_id", "time_s", "value")
-        tts = [float(v) for kind, _, _, v in rows[1:] if kind == "travel_time"]
-        assert tts == log.travel_time_values  # repr() floats re-parse exactly
+        trips = [(float(t), float(v)) for kind, _, t, v in rows[1:]
+                 if kind == "travel_time"]
+        # repr() floats re-parse exactly
+        assert trips == list(zip(log.exit_times, log.travel_time_values))
 
     def test_horizon_cap(self, tiny_net):
         demand = constant_demand(["in_a", "in_b"], 100.0, horizon=100.0)
         with pytest.raises(ValueError):
             run_episode(tiny_net, demand, self.controllers(tiny_net), 0,
                         horizon=1e6)
+
+
+class TestRecords:
+    """The episode records are typed arrays: 8 bytes a value, compared
+    and pickled as values."""
+
+    @staticmethod
+    def episode(net, demand, seed=3):
+        return run_episode(net, demand,
+                           make_classic_controllers(net, "sotl", {}), seed)
+
+    def test_typecodes(self, double_net, double_demand):
+        sim = Simulation(double_net, double_demand, 0)
+        assert (sim.exit_times.typecode, sim.travel_times.typecode) == \
+            ("d", "d")
+        log = self.episode(double_net, double_demand)
+        assert (log.exit_times.typecode, log.travel_times.typecode,
+                log.times.typecode) == ("d", "d", "d")
+        assert {q.typecode for q in log.queue.values()} == {"q"}
+        assert {d.typecode for d in log.delay.values()} == {"d"}
+        assert log.travel_time_values is log.travel_times
+        assert len(log.exit_times) == len(log.travel_times) == log.exited > 0
+        assert all(len(log.queue[iid]) == len(log.delay[iid]) ==
+                   len(log.times) > 0 for iid in log.queue)
+        assert list(log.exit_times) == sorted(log.exit_times)
+
+    def test_pickle_round_trip(self, double_net, double_demand):
+        log = self.episode(double_net, double_demand)
+        copy = pickle.loads(pickle.dumps(log))
+        for name in ("exit_times", "travel_times", "times"):
+            got, want = getattr(copy, name), getattr(log, name)
+            assert got.typecode == want.typecode
+            assert got.tobytes() == want.tobytes(), name
+        for name in ("queue", "delay"):
+            got, want = getattr(copy, name), getattr(log, name)
+            assert list(got) == list(want)
+            assert all(got[iid].typecode == want[iid].typecode and
+                       got[iid].tobytes() == want[iid].tobytes()
+                       for iid in want), name
+        assert copy.summary() == log.summary()
+        assert copy.csv_rows() == log.csv_rows()
