@@ -262,26 +262,37 @@ def _run_shared(task):
     return fn(*shared, *task)
 
 
-def _episode_task(net, demand, make_controllers, seed, horizon, moe_series):
-    return run_episode(net, demand, make_controllers(), seed, horizon=horizon,
-                       moe_series=moe_series)
-
-
-def _trial_mean(*args) -> float:
-    """Mean travel time of one `_episode_task`; NaN if no trip finished."""
-    tts = _episode_task(*args).travel_time_values
+def _trial_mean(net, demand, make_controllers, seed, horizon) -> float:
+    """Mean travel time of one episode; NaN if no trip finished."""
+    tts = run_episode(net, demand, make_controllers(), seed, horizon=horizon,
+                      moe_series=False).travel_time_values
     return float(np.mean(tts)) if tts else float("nan")
+
+
+def _acting_controllers(net: NetworkModel, name: str, cfg, params: dict,
+                        r_min: dict, seed: int = 0) -> dict:
+    """`greedy_controllers` from acting parameters alone (intersection id
+    -> `acting_params()`), all that greedy control reads of an agent."""
+    agents = fabric.build_agents(net, name, cfg, seed=0)
+    for iid, agent in agents.items():
+        agent.apply_acting_params(params[iid])
+    return greedy_controllers(net, name, agents, r_min, seed)
 
 
 def _trained_factory(net, demand, name, train_episodes, train_horizon, hp,
                      seed):
-    """Train one learning config; a factory of its greedy controllers."""
+    """Train one learning config; a factory of its greedy controllers that
+    carries the acting parameters, not the training state (target nets,
+    optimizer moments), into every trial task."""
+    cfg = agent_config(name, hp)
     result = fabric.train(
         net, demand, name, seed,
         fabric=fabric.FabricConfig(episode_budget=train_episodes,
                                    horizon=train_horizon),
-        agent_cfg=agent_config(name, hp))
-    return functools.partial(greedy_controllers, net, name, result.agents,
+        agent_cfg=cfg)
+    params = {iid: agent.acting_params()
+              for iid, agent in result.agents.items()}
+    return functools.partial(_acting_controllers, net, name, cfg, params,
                              result.r_min)
 
 
@@ -308,8 +319,8 @@ def tune(grid: GridSpec, net: NetworkModel, demand: DemandProfile,
         factories = {cid: controller_factory(net, name, hp)
                      for cid, hp in cids.items()}
 
-    tasks = [(factories[cid], seed_for(cid, trial, grid.base_seed), horizon,
-              False) for cid in cids for trial in range(grid.trials)]
+    tasks = [(factories[cid], seed_for(cid, trial, grid.base_seed), horizon)
+             for cid in cids for trial in range(grid.trials)]
     means = iter(_map(_trial_mean, (net, demand), tasks, procs))
     results = [TrialResult(cid, hp, [next(means) for _ in range(grid.trials)])
                for cid, hp in cids.items()]
@@ -369,23 +380,41 @@ def evaluate(name: str, hp: dict, net: NetworkModel, demand: DemandProfile,
     _check_count("runs", runs)
     _check_count("procs", procs)
     make_controllers = controller_factory(net, name, hp, checkpoint_dir)
-    logs = _map(_episode_task, (net, demand, make_controllers),
-                [(base_seed + i, horizon, True) for i in range(runs)], procs)
+    reduced = _map(_eval_run, (net, demand, make_controllers, bin_s),
+                   [(base_seed + i, horizon) for i in range(runs)], procs)
 
     travel_times = array("d")
-    for log in logs:
-        travel_times.extend(log.travel_time_values)
+    for tts, _, _ in reduced:
+        travel_times.extend(tts)
     condition = condition_fingerprint(net, demand, runs, base_seed, horizon)
 
-    moe = _moe_bins([ix.id for ix in net.intersections], logs, bin_s)
+    moe = _moe_bins([ix.id for ix in net.intersections],
+                    [bins for _, bins, _ in reduced], bin_s)
     result = EvalResult(controller=name, hp=dict(hp), condition=condition,
                         travel_times=travel_times,
                         box=box_stats(travel_times), moe=moe,
-                        unfinished=sum(log.unfinished for log in logs))
+                        unfinished=sum(n for _, _, n in reduced))
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         write_eval(out_dir, result)
     return result
+
+
+def _eval_run(net, demand, make_controllers, bin_s, seed, horizon) -> tuple:
+    """One evaluation run, reduced where it ran: its travel times, its
+    `_run_bin_means` (None if it logged no second) and its unfinished
+    count. The per-second series end with the run, so memory stays flat in
+    the number of runs and a worker sends back kilobytes, not the series."""
+    log = run_episode(net, demand, make_controllers(), seed, horizon=horizon)
+    iids = [ix.id for ix in net.intersections]
+    bins = _run_bin_means(log, iids, bin_s) if log.times else None
+    return log.travel_times, bins, log.unfinished
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """`np.unique` of a 1-D integer array, without the `numpy.ma` import
+    (about 1.7 MB) that `np.unique` makes on first use."""
+    return np.array(sorted(set(values.tolist())), dtype=values.dtype)
 
 
 def _run_bin_means(log, iids, bin_s) -> tuple:
@@ -400,7 +429,7 @@ def _run_bin_means(log, iids, bin_s) -> tuple:
     starts = np.flatnonzero(np.diff(bins, prepend=bins[0] - 1))
     lengths = np.diff(starts, append=len(bins))
     groups = [(sel, starts[sel, None] + np.arange(n))
-              for n in np.unique(lengths)
+              for n in _distinct(lengths)
               for sel in [np.flatnonzero(lengths == n)]]
     means = {}
     for iid in iids:
@@ -414,21 +443,22 @@ def _run_bin_means(log, iids, bin_s) -> tuple:
     return bins[starts], means
 
 
-def _moe_bins(iids, logs, bin_s) -> dict:
+def _moe_bins(iids, run_bins, bin_s) -> dict:
     """Per intersection, one row per bin: the mean across the runs that
-    reached it and its 95% half-width. Bins reached by the same number of
-    runs are reduced together, their runs in run order."""
-    runs = [_run_bin_means(log, iids, bin_s) for log in logs if log.times]
+    reached it and its 95% half-width, from each run's `_run_bin_means`
+    (None for a run that logged no second). Bins reached by the same
+    number of runs are reduced together, their runs in run order."""
+    runs = [r for r in run_bins if r is not None]
     if not runs:
         return {iid: [] for iid in iids}
-    all_bins = np.unique(np.concatenate([b for b, _ in runs]))
+    all_bins = _distinct(np.concatenate([b for b, _ in runs]))
     cols = [np.searchsorted(all_bins, b) for b, _ in runs]
     reached = np.zeros((len(all_bins), len(runs)), dtype=bool)
     for r, col in enumerate(cols):
         reached[col, r] = True
     n_runs = reached.sum(axis=1)
     groups = [(sel, reached[sel], int(n))
-              for n in np.unique(n_runs) for sel in [n_runs == n]]
+              for n in _distinct(n_runs) for sel in [n_runs == n]]
     moe = {}
     for iid in iids:
         stats = []

@@ -58,14 +58,19 @@ class DemandProfile:
         self.horizon = float(horizon) if horizon is not None else max_t
         if not 0 < self.horizon < math.inf:
             raise ValueError("demand horizon must be finite and > 0")
-        # per-second lookup tables, cheap enough for desk-scale horizons
+        # per-second lookup tables, cheap enough for desk-scale horizons;
+        # lanes with the same breakpoints share one read-only table
         n = int(math.ceil(self.horizon)) + 1
         ts = np.arange(n, dtype=float)
+        tables = {}
         self._table = {}
         for lane, pts in self.breakpoints.items():
-            xp = [t for t, _ in pts]
-            fp = [r for _, r in pts]
-            self._table[lane] = np.interp(ts, xp, fp)
+            key = tuple(pts)
+            if key not in tables:
+                tables[key] = np.interp(ts, [t for t, _ in pts],
+                                        [r for _, r in pts])
+                tables[key].flags.writeable = False
+            self._table[lane] = tables[key]
 
     @property
     def entry_lanes(self):

@@ -9,8 +9,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from tscbench import experiments, fabric
+from tscbench import experiments, fabric, stats
 from tscbench.experiments import (ConfigError, GridSpec, config_id,
                                   make_classic_controllers, seed_for)
 from tscbench.simulation import DemandProfile
@@ -38,6 +39,13 @@ class TestStats:
     def test_box_stats_empty(self):
         assert box_stats([]) is None
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     -float("inf")])
+    def test_box_stats_rejects_non_finite_samples(self, bad):
+        with pytest.raises(ValueError,
+                           match=f"non-finite sample {bad!r} at index 2"):
+            box_stats([3.0, 1.0, bad, float("nan"), 2.0])
+
     def test_rank_score_ordering(self):
         # (105, 2) -> 107 ranks above (100, 10) -> 110
         _, _, a = rank_score([90.0, 110.0])          # mu 100 sigma 10
@@ -52,6 +60,34 @@ class TestStats:
         assert half == pytest.approx(1.96 * np.std([1, 2, 3], ddof=1)
                                      / np.sqrt(3))
         assert mean_ci95([5.0]) == (5.0, 0.0)
+
+
+# positive finite samples (travel times are >= 1 s), with ties; on a tie
+# of -0.0 and 0.0 the sign of a quartile may differ from np.percentile's
+SAMPLES = st.lists(st.one_of(
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    st.sampled_from([1.0, 2.5, 60.0])), min_size=1, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=SAMPLES)
+@example(x=[7.0])
+@example(x=[2.0, 1.0])
+@example(x=[5.0, 5.0])
+@example(x=[1.0, 2.0, 2.0, 2.0, 9.5])
+def test_quartiles_equal_np_percentile(x):
+    got = stats._quartiles(np.sort(x))
+    want = np.percentile(np.array(x), [25.0, 50.0, 75.0], method="linear")
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.lists(st.integers(-2 ** 62, 2 ** 62)) |
+       st.lists(st.integers(-3, 3)))
+def test_distinct_equals_np_unique(x):
+    a = np.array(x, dtype=np.int64)
+    got, want = experiments._distinct(a), np.unique(a)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 class TestGrid:
@@ -268,6 +304,26 @@ class TestProcessPool:
         # the demand alone outweighs a task many times over
         assert len(pickle.dumps(double_demand)) > 50 * max(map(max, short))
 
+    @pytest.mark.parametrize("name", ["dqn", "ddpg"])
+    def test_learning_trial_tasks_carry_acting_parameters_only(
+            self, double_net, double_demand, monkeypatch, name):
+        seen = {}
+        real_map = experiments._map
+
+        def spy(fn, shared, tasks, procs):
+            seen[fn.__name__] = [len(pickle.dumps(task)) for task in tasks]
+            return real_map(fn, shared, tasks, procs)
+
+        monkeypatch.setattr(experiments, "_map", spy)
+        values = {k: v[:1] for k, v in experiments.DEFAULT_GRIDS[name].items()}
+        experiments.tune(GridSpec(name, values, trials=2), double_net,
+                         double_demand, horizon=60.0, train_episodes=1,
+                         train_horizon=60.0)
+        # whole agents (target nets, Adam moments) take 207 KB (DQN) and
+        # 484 KB (DDPG) here
+        assert len(seen["_trial_mean"]) == 2
+        assert max(seen["_trial_mean"]) <= 40 * 1024
+
     def test_import_loads_no_process_pool(self):
         import tscbench
         src = os.path.dirname(os.path.dirname(tscbench.__file__))
@@ -289,6 +345,50 @@ class TestProcessPool:
         # a pool run does load them, so the check can fail
         assert out.stdout.splitlines() == [
             "[]", "[]", "['concurrent.futures.process', 'multiprocessing']"]
+
+
+class TestEvaluateMemory:
+    """evaluate reduces each run where it ran, so its memory is flat in
+    the number of runs, and keeps numpy.ma (about 1.7 MB) unloaded."""
+
+    def test_peak_is_flat_in_runs(self, tiny_net):
+        import tracemalloc
+        # few trips and long series: the series are what a run leaves
+        demand = constant_demand(["in_a", "in_b"], 100.0, horizon=3600.0)
+        experiments.evaluate("uniform", {"u": 10}, tiny_net, demand, runs=1)
+        peaks = []
+        for runs in (2, 8):
+            tracemalloc.start()
+            try:
+                experiments.evaluate("uniform", {"u": 10}, tiny_net, demand,
+                                     runs=runs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.3 * peaks[0], peaks
+
+    def test_evaluate_leaves_numpy_ma_unloaded(self, tmp_path):
+        import tscbench
+        src = os.path.dirname(os.path.dirname(tscbench.__file__))
+        code = (
+            "import sys, importlib.resources as ir, numpy, tscbench\n"
+            "data = ir.files('tscbench') / 'data'\n"
+            "net = tscbench.load_network(str(data / 'single.net'))\n"
+            "demand = tscbench.load_demand(\n"
+            "    str(data / 'single_asym_demand.json'))\n"
+            "res = tscbench.evaluate('sotl', {}, net, demand, runs=3,\n"
+            "                        horizon=300.0, out_dir=sys.argv[1])\n"
+            "print(res.box is not None and all(res.moe.values()),\n"
+            "      'numpy.ma' in sys.modules)\n"
+            "numpy.percentile([1.0, 2.0], 50)\n"
+            "print('numpy.ma' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                             env=env, capture_output=True, text=True,
+                             check=True)
+        # np.percentile does load it, so the check can fail
+        assert out.stdout.splitlines() == ["True False", "True"]
+        assert (tmp_path / "moe.csv").exists()
 
 
 class TestCounts:

@@ -281,6 +281,11 @@ def test_golden_learning_tune_digest():
     assert learning_tune_digest() == GOLDEN_LEARNING_TUNE
 
 
+def test_golden_learning_tune_digest_in_two_processes():
+    # trained in workers, their acting parameters shipped to other workers
+    assert learning_tune_digest(procs=2) == GOLDEN_LEARNING_TUNE
+
+
 if __name__ == "__main__":
     import tempfile
     for algo in sorted(GOLDEN_TRAINING):

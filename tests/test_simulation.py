@@ -41,6 +41,20 @@ class TestDemandProfile:
         assert rates[100] == pytest.approx(600.0)
         assert d.horizon == 100.0
 
+    def test_lanes_with_equal_breakpoints_share_one_table(self,
+                                                           double_demand):
+        pts = [[0.0, 120.0], [100.0, 600.0]]
+        d = DemandProfile({"a": pts, "b": [[100, 600], [0, 120]],
+                           "c": [[0.0, 60.0]]})
+        tables = d._table
+        assert tables["a"] is tables["b"] and tables["c"] is not tables["a"]
+        assert not tables["a"].flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            tables["a"][0] = 1.0
+        # the bundled corridor: six entry lanes, two distinct profiles
+        assert len(double_demand._table) == 6
+        assert len({id(t) for t in double_demand._table.values()}) == 2
+
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             DemandProfile({"a": [[0.0, -1.0], [10.0, 0.0]]})
