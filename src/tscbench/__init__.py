@@ -13,8 +13,7 @@ from .network import (Intersection, Lane, NetworkModel, NetworkParseError,
 from .simulation import (DemandProfile, MoELog, Simulation, load_demand,
                          run_episode)
 from .control import (HOLD, Controller, Hold, NextPhase, RewardNormalizer,
-                      SequencerState, SignalUnit, sequencer_advance,
-                      state_width)
+                      SignalUnit, state_width)
 from .classic import (MaxPressureController, SotlController,
                       UniformController, WebsterController, webster_timings)
 from .agents import (DdpgAgent, DdpgConfig, DdpgController, DqnAgent,

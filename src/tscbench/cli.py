@@ -14,7 +14,7 @@ import sys
 
 from . import experiments, fabric
 from .experiments import ConfigError, GridSpec
-from .network import (NetworkParseError, NetworkValidationError, load_network)
+from .network import load_network
 from .simulation import load_demand, run_episode
 
 EXIT_OK = 0
@@ -113,9 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_inputs(args):
-    net = load_network(args.net)
-    demand = load_demand(args.demand)
-    return net, demand
+    return load_network(args.net), load_demand(args.demand)
 
 
 def cmd_simulate(args) -> int:
@@ -123,8 +121,8 @@ def cmd_simulate(args) -> int:
     hp = parse_hp(args.hp)
     controllers = experiments.controller_factory(net, args.tsc, hp,
                                                  args.checkpoint)()
-    log = run_episode(net, demand, controllers, args.seed)
     os.makedirs(args.out, exist_ok=True)
+    log = run_episode(net, demand, controllers, args.seed)
     with open(os.path.join(args.out, "summary.json"), "w",
               encoding="utf-8") as fh:
         json.dump({"controller": args.tsc, "hp": hp, "seed": args.seed,
@@ -210,14 +208,23 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        # before any work: refuse an --out that is a file or lies under one
+        head = os.path.abspath(args.out)
+        while not os.path.exists(head):
+            head = os.path.dirname(head)
+        if not os.path.isdir(head):
+            raise ConfigError(f"--out {args.out}: {head} is not a directory")
         return _COMMANDS[args.command](args)
-    except (ConfigError, NetworkParseError, NetworkValidationError,
-            FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except Exception as exc:  # unexpected runtime failure
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    except Exception as exc:
+        # configuration, network and JSON errors are ValueErrors; an
+        # OSError on a path given by flag (a directory as --net, an --out
+        # that cannot be made) is a usage error too
+        usage = isinstance(exc, (ValueError, FileNotFoundError)) or (
+            isinstance(exc, OSError) and exc.filename in
+            {getattr(args, k, None) for k in ("net", "demand", "grid", "out")})
+        print(f"{'error' if usage else 'runtime failure'}: {exc}",
+              file=sys.stderr)
+        return EXIT_USAGE if usage else EXIT_RUNTIME
 
 
 if __name__ == "__main__":

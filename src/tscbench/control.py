@@ -36,66 +36,6 @@ class NextPhase:
 HOLD = Hold()
 
 
-# -- sequencer --------------------------------------------------------------
-
-class SequencerState:
-    __slots__ = ("kind", "phase", "time_in", "pending", "t_p", "idle",
-                 "green")
-
-    def __init__(self, start_green: int | None = 0):
-        self.idle = start_green is None  # all-red with no green pending
-        self.kind = ALLRED if self.idle else GREEN
-        self.phase = start_green
-        # the indication of the current green, returned every second of it
-        self.green = None if self.idle else (GREEN, start_green)
-        self.time_in = self.t_p = 0
-        self.pending = None
-
-    @property
-    def in_interphase(self) -> bool:
-        return self.kind == YELLOW or (self.kind == ALLRED and not self.idle)
-
-
-def sequencer_advance(seq: SequencerState, decision):
-    """Advance one second; returns the indication displayed for that second.
-
-    The controller's decision is only honoured while green or idle; during
-    yellow/all-red clearance callers must pass Hold.
-    """
-    kind = seq.kind
-    if kind == GREEN:
-        if not isinstance(decision, NextPhase):
-            seq.t_p += 1
-            return seq.green
-        if decision.phase == seq.phase:
-            seq.t_p = 1  # re-enacted phase starts a fresh green interval
-            return seq.green
-        seq.kind, seq.pending, seq.time_in = YELLOW, decision.phase, 1
-        return (YELLOW, seq.phase)
-
-    if kind == YELLOW:
-        seq.time_in += 1
-        if seq.time_in >= YELLOW_TIME:
-            seq.kind, seq.time_in = ALLRED, 0
-        return (YELLOW, seq.phase)
-
-    if not seq.idle:  # all-red clearance
-        seq.time_in += 1
-        if seq.time_in >= ALLRED_TIME:
-            if seq.pending is None:
-                seq.idle = True
-            else:
-                seq.kind, seq.phase, seq.t_p = GREEN, seq.pending, 0
-                seq.green, seq.pending = (GREEN, seq.phase), None
-            seq.time_in = 0
-    elif isinstance(decision, NextPhase) and decision.phase is not None:
-        # idle: clearance already satisfied; start the green immediately
-        seq.kind, seq.phase, seq.idle, seq.t_p = GREEN, decision.phase, False, 1
-        seq.green = (GREEN, seq.phase)
-        return seq.green
-    return (ALLRED, None)
-
-
 # -- observation and reward --------------------------------------------------
 
 def state_width(net: NetworkModel, iid: str) -> int:
@@ -159,6 +99,12 @@ class SignalUnit:
     """One intersection's signal for one episode: its sequencer, its
     controller, and the controller's window onto the simulator.
 
+    Its sequencer state is plain attributes: `kind`, `phase` (the last
+    green shown), `pending` (the green a clearance leads to; None: idle),
+    `time_in` (seconds into the clearance), `green` (the green's
+    indication), and the three that controllers read: `t_p` (seconds of
+    the green interval), `current_phase` (None unless green), `is_idle`.
+
     The unit is what `tick` and `decide` receive. It resolves its
     `Intersection` and builds its lane tables once per episode: `red_in[p]`
     holds the incoming lanes phase p does not serve whole, those with a
@@ -176,8 +122,11 @@ class SignalUnit:
         self.n_phases = len(ix.phases)
         self.controller = controller
         self.sim = sim
-        self.seq = SequencerState(start_green=None if controller.start_idle
-                                  else 0)
+        self.is_idle = idle = controller.start_idle
+        self.kind = ALLRED if idle else GREEN
+        self.phase = self.current_phase = None if idle else 0
+        self.green = None if idle else (GREEN, 0)
+        self.time_in, self.t_p, self.pending = 0, 0, None
         # the controller's tick, or None where it keeps the no-op hook
         tick = controller.tick
         self._tick = None if getattr(tick, "__func__", None) is \
@@ -227,28 +176,14 @@ class SignalUnit:
             table = self._red_cuts[bound] = {
                 p: tuple((lid, lanes[lid].length - bound) for lid in red)
                 for p, red in self.red_in.items()}
-        seq = self.seq
         lane_vehicles = self.sim.lane_vehicles
         n = 0
-        for lid, cut in table[seq.phase if seq.kind == GREEN else None]:
+        for lid, cut in table[self.current_phase]:
             for v in lane_vehicles[lid]:  # head first: stop at the bound
                 if v.position < cut:
                     break
                 n += 1
         return n
-
-    @property
-    def t_p(self) -> int:
-        return self.seq.t_p
-
-    @property
-    def current_phase(self) -> int | None:
-        seq = self.seq
-        return seq.phase if seq.kind == GREEN else None
-
-    @property
-    def is_idle(self) -> bool:
-        return self.seq.idle
 
     @property
     def now(self) -> float:
@@ -296,7 +231,7 @@ class SignalUnit:
         cycle order with any incoming vehicle; None (all-red idle) when no
         incoming lane holds a vehicle."""
         if current is None:
-            current = self.seq.phase
+            current = self.phase
         n = self.n_phases
         start = 0 if current is None else (current + 1) % n
         lane_vehicles = self.sim.lane_vehicles
@@ -313,13 +248,44 @@ class SignalUnit:
         return {lid: crossed[lid] for lid in self.intersection.incoming}
 
     def advance(self):
-        seq = self.seq
+        """One second: the controller's tick, then its decision unless a
+        clearance runs; returns the indication shown. A green starts with
+        `t_p` 0 after a clearance (its first hold makes it 1), 1 from idle."""
         if self._tick is not None:
             self._tick(self)
-        if seq.kind != GREEN and not seq.idle:
-            return sequencer_advance(seq, HOLD)  # interphase
+        if self.kind == GREEN:
+            decision = self.controller.decide(self)
+            if not isinstance(decision, NextPhase):
+                self.t_p += 1
+                return self.green
+            if decision.phase == self.phase:
+                self.t_p = 1  # re-enacted phase starts a fresh green interval
+                return self.green
+            self.kind, self.pending, self.time_in = YELLOW, decision.phase, 1
+            self.current_phase = None
+            return (YELLOW, self.phase)
+        if self.kind == YELLOW:
+            self.time_in += 1
+            if self.time_in >= YELLOW_TIME:
+                self.kind, self.time_in = ALLRED, 0
+            return (YELLOW, self.phase)
+        if not self.is_idle:  # all-red clearance
+            self.time_in += 1
+            if self.time_in >= ALLRED_TIME:
+                if self.pending is None:
+                    self.is_idle = True
+                else:
+                    self.kind, self.phase, self.t_p = GREEN, self.pending, 0
+                    self.current_phase = self.phase
+                    self.green = (GREEN, self.phase)
+                self.time_in = 0
+            return (ALLRED, None)
         decision = self.controller.decide(self)
-        if decision is HOLD and seq.kind == GREEN:  # as sequencer_advance
-            seq.t_p += 1
-            return seq.green
-        return sequencer_advance(seq, decision)
+        if isinstance(decision, NextPhase) and decision.phase is not None:
+            # idle: clearance already satisfied; start the green at once
+            self.kind, self.phase, self.is_idle, self.t_p = \
+                GREEN, decision.phase, False, 1
+            self.current_phase = self.phase
+            self.green = (GREEN, self.phase)
+            return self.green
+        return (ALLRED, None)

@@ -132,10 +132,22 @@ def controller_factory(net: NetworkModel, name: str, hp: dict,
     for iid, agent in agents.items():
         if iid not in meta["files"]:
             raise ConfigError(f"checkpoint missing intersection {iid!r}")
-        named = load_checkpoint(os.path.join(checkpoint_dir,
-                                             meta["files"][iid]))
+        path = os.path.join(checkpoint_dir, meta["files"][iid])
+        named = load_checkpoint(path)
+        for key, want in agent.to_checkpoint().items():
+            got, need = _net_shape(named.get(key)), _net_shape(want)
+            if got != need:
+                raise ConfigError(f"{path}: network {key!r} is {got}, but "
+                                  f"intersection {iid!r} needs {need}")
         agent.load_checkpoint(named)
     return functools.partial(greedy_controllers, net, name, agents, r_min)
+
+
+def _net_shape(params) -> str:
+    return "missing" if params is None else " -> ".join(
+        [f"input {params.input_width}"] + [
+            f"{s.width} {s.activation}" + " bn" * s.batch_norm
+            for s in params.specs])
 
 
 # -- identities and seeding ----------------------------------------------------
@@ -480,7 +492,7 @@ def _moe_bins(iids, run_bins, bin_s) -> dict:
 def write_eval(out_dir: str, result: EvalResult) -> None:
     with open(os.path.join(out_dir, "summary.json"), "w",
               encoding="utf-8") as fh:
-        fh.write(json.dumps(result.summary(), indent=2))
+        fh.write(json.dumps(result.summary(), indent=2, allow_nan=False))
     with open(os.path.join(out_dir, "travel_times.csv"), "w", newline="",
               encoding="utf-8") as fh:
         w = csv.writer(fh)

@@ -38,7 +38,8 @@ def box_stats(samples) -> BoxStats | None:
 
     Returns None for an empty sample set. `samples` may be any iterable
     of finite numbers; it is read once, with no intermediate list. A NaN
-    or infinite sample raises ValueError.
+    or infinite sample raises ValueError, and so does a statistic that
+    overflows even so (quartiles of [-1e308, 1e308]).
     """
     x = np.fromiter(samples, dtype=float)
     if x.size == 0:
@@ -47,16 +48,30 @@ def box_stats(samples) -> BoxStats | None:
     if bad.size:
         raise ValueError(f"non-finite sample {float(x[bad[0]])!r} at "
                          f"index {bad[0]}")
-    q1, med, q3 = _quartiles(np.sort(x))
-    iqr = q3 - q1
-    lo = q1 - 1.5 * iqr
-    hi = q3 + 1.5 * iqr
+    with np.errstate(over="ignore", invalid="ignore"):
+        q1, med, q3 = _quartiles(np.sort(x))
+        iqr = q3 - q1
+        lo = q1 - 1.5 * iqr
+        hi = q3 + 1.5 * iqr
+        mean, std = float(x.mean()), float(x.std())
+        if not (math.isfinite(mean) and math.isfinite(std)):
+            # the sum or the squares overflowed; only then scale by the
+            # largest magnitude, so ordinary samples keep their bits
+            scale = max(x.max(), -x.min())
+            if not math.isfinite(mean):
+                mean = float((x / scale).mean() * scale)
+            if not math.isfinite(std):
+                std = float((x / scale).std() * scale)
     outliers = sorted(float(v) for v in x[(x < lo) | (x > hi)])
-    return BoxStats(n=int(x.size), mean=float(x.mean()),
-                    std=float(x.std()), median=float(med),
-                    q1=float(q1), q3=float(q3), iqr=float(iqr),
-                    lower_fence=float(lo), upper_fence=float(hi),
-                    outliers=outliers)
+    stats = BoxStats(n=int(x.size), mean=mean, std=std, median=float(med),
+                     q1=float(q1), q3=float(q3), iqr=float(iqr),
+                     lower_fence=float(lo), upper_fence=float(hi),
+                     outliers=outliers)
+    inf = [k for k, v in vars(stats).items()
+           if isinstance(v, float) and not math.isfinite(v)]
+    if inf:
+        raise ValueError(f"samples overflow {', '.join(inf)}")
+    return stats
 
 
 def _quartiles(s: np.ndarray) -> tuple:

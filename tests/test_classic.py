@@ -6,8 +6,7 @@ import pytest
 from tscbench.classic import (MaxPressureController, SotlController,
                               UniformController, WebsterController,
                               phase_pressure, webster_cycle, webster_timings)
-from tscbench.control import (HOLD, Hold, NextPhase, SequencerState,
-                              SignalUnit)
+from tscbench.control import HOLD, Hold, NextPhase, SignalUnit
 from tscbench.simulation import GREEN, Simulation, Vehicle, run_episode
 
 from conftest import constant_demand
@@ -63,6 +62,13 @@ class FakeView:
 
     def crossed(self):
         return dict(self._crossed)
+
+
+def show_green(unit, phase):
+    """Put `unit` at the start of green `phase`, as the end of a
+    clearance leaves it: `t_p` 0, nothing pending."""
+    unit.kind, unit.phase, unit.current_phase = GREEN, phase, phase
+    unit.green, unit.t_p, unit.is_idle = (GREEN, phase), 0, False
 
 
 TWO_PHASES = (FakePhase(["a_in"], ["a_out"]), FakePhase(["b_in"], ["b_out"]))
@@ -275,7 +281,7 @@ class TestSotl:
             sim.lane_vehicles["in_a"].append(v)
             sim.injected += 1
         unit = SignalUnit(split_net, "x", SotlController(), sim)
-        unit.seq = SequencerState(start_green=1)
+        show_green(unit, 1)
         for _ in range(300):
             sim.step({"x": unit.advance()})
         assert sim.exited == 5 and sim.total_vehicles() == 0

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from tscbench import cli, experiments, fabric
 from tscbench.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, parse_hp
 
 import conftest
@@ -172,6 +173,85 @@ class TestExitCodes:
         assert main(["simulate", "--net", paths["net"], "--demand",
                      paths["demand"], "--tsc", "dqn",
                      "--out", str(tmp_path)]) == EXIT_USAGE
+
+
+@pytest.fixture
+def episodes(monkeypatch):
+    """Records every episode that the CLI, the harness or the training
+    fabric starts."""
+    started = []
+    for module in (cli, experiments, fabric):
+        def counted(*args, real=module.run_episode, name=module.__name__,
+                    **kwargs):
+            started.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, "run_episode", counted)
+    return started
+
+
+class TestPaths:
+    """A path that cannot serve its flag exits 2 naming it, and an --out
+    that cannot be a directory does so before any episode runs."""
+
+    @pytest.mark.parametrize("flag", ["--net", "--demand", "--grid"])
+    def test_directory_given_as_file(self, paths, tmp_path, capsys, flag):
+        files = {"--net": paths["net"], "--demand": paths["demand"],
+                 "--grid": str(tmp_path / "grid.json")}
+        (tmp_path / "grid.json").write_text('{"u": [10]}')
+        files[flag] = str(tmp_path)
+        assert main(["tune", "--tsc", "uniform", "--trials", "1",
+                     "--out", str(tmp_path / "tune"),
+                     *(x for kv in files.items() for x in kv)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Is a directory" in err and str(tmp_path) in err
+        assert not (tmp_path / "tune").exists()
+
+    @pytest.mark.parametrize("cmd,tsc,extra", [
+        ("simulate", "uniform", []), ("evaluate", "uniform", ["--runs", "1"]),
+        ("tune", "uniform", ["--trials", "1"]),
+        ("train", "dqn", ["--episodes", "1"]),
+    ])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "in-file"])
+    def test_out_that_cannot_be_a_directory(self, paths, tmp_path, capsys,
+                                            episodes, cmd, tsc, extra,
+                                            under):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker / "out" if under else blocker
+        assert main([cmd, "--net", paths["net"], "--demand",
+                     paths["demand"], "--tsc", tsc, *extra,
+                     "--out", str(out)]) == EXIT_USAGE
+        assert f"{blocker} is not a directory" in capsys.readouterr().err
+        assert episodes == []
+
+    def test_checkpoint_for_another_network(self, paths, tmp_path, capsys,
+                                            episodes):
+        # trained on single.net; evaluated on a copy whose i0 has a third
+        # phase, so its state is 12 wide, not 11
+        train_out = tmp_path / "train"
+        assert main(["train", "--net", paths["net"], "--demand",
+                     paths["demand"], "--tsc", "dqn", "--episodes", "1",
+                     "--out", str(train_out)]) == EXIT_OK
+        data = conftest.single_net_dict()
+        data["intersections"]["i0"]["phases"].append(
+            {"movements": [["n_in", "s_out"]]})
+        net = tmp_path / "three_phases.net"
+        net.write_text(json.dumps(data))
+        ckpt = train_out / "checkpoints"
+        blob = ckpt / json.loads((ckpt / "meta.json").read_text())["files"][
+            "i0"]
+        episodes.clear()
+        capsys.readouterr()
+        assert main(["evaluate", "--net", str(net), "--demand",
+                     paths["demand"], "--tsc", "dqn", "--checkpoint",
+                     str(ckpt), "--runs", "1",
+                     "--out", str(tmp_path / "e")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(blob) in err and "'i0'" in err
+        assert "input 11 -> 33 elu -> 33 elu -> 2 linear" in err
+        assert "input 12 -> 36 elu -> 36 elu -> 3 linear" in err
+        assert episodes == []
+        assert not (tmp_path / "e").exists()
 
 
 class TestSimulate:

@@ -4,11 +4,12 @@ import collections
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tscbench import experiments, fabric
 from tscbench.agents import DqnConfig
-from tscbench.control import (HOLD, Controller, NextPhase, RewardNormalizer,
-                              SequencerState, SignalUnit, sequencer_advance,
+from tscbench.control import (ALLRED_TIME, HOLD, YELLOW_TIME, Controller,
+                              NextPhase, RewardNormalizer, SignalUnit,
                               state_width)
 from tscbench.network import NetworkModel
 from tscbench.simulation import (ALLRED, GREEN, YELLOW, DemandProfile,
@@ -22,71 +23,179 @@ def make_sim(net, seed=0):
     return Simulation(net, DemandProfile(rates), seed)
 
 
-def make_unit(sim, seq, bound=None):
-    """The unit of single.net's i0 showing `seq`; `bound` overrides the
-    unit's observation bound."""
+class Scripted(Controller):
+    """Returns the decisions of `script` in turn, then HOLD."""
+
+    def __init__(self, script=(), start_idle=False):
+        self.script = iter(script)
+        self.start_idle = start_idle
+
+    def decide(self, unit):
+        return next(self.script, HOLD)
+
+
+def make_unit(sim, green, bound=None):
+    """The unit of single.net's i0 showing green `green` (None: idle in
+    all-red), reached through `advance`; `bound` overrides the unit's
+    observation bound."""
     cls = SignalUnit if bound is None else \
         type("NearUnit", (SignalUnit,), {"bound": bound})
-    unit = cls(sim.net, "i0", Controller(), sim)
-    unit.seq = seq
+    unit = cls(sim.net, "i0", Scripted([NextPhase(green)], start_idle=True),
+               sim)
+    assert unit.advance() == ((ALLRED, None) if green is None
+                              else (GREEN, green))
     return unit
 
 
+# -- the sequencer as a free function: the reference `advance` must match ----
+
+class RefSequencer:
+    __slots__ = ("kind", "phase", "time_in", "pending", "t_p", "idle",
+                 "green")
+
+    def __init__(self, start_green=0):
+        self.idle = start_green is None  # all-red with no green pending
+        self.kind = ALLRED if self.idle else GREEN
+        self.phase = start_green
+        self.green = None if self.idle else (GREEN, start_green)
+        self.time_in = self.t_p = 0
+        self.pending = None
+
+    @property
+    def in_interphase(self):
+        return self.kind == YELLOW or (self.kind == ALLRED and not self.idle)
+
+
+def ref_advance(seq, decision):
+    """One second; the indication shown. During a clearance callers pass
+    HOLD."""
+    kind = seq.kind
+    if kind == GREEN:
+        if not isinstance(decision, NextPhase):
+            seq.t_p += 1
+            return seq.green
+        if decision.phase == seq.phase:
+            seq.t_p = 1
+            return seq.green
+        seq.kind, seq.pending, seq.time_in = YELLOW, decision.phase, 1
+        return (YELLOW, seq.phase)
+    if kind == YELLOW:
+        seq.time_in += 1
+        if seq.time_in >= YELLOW_TIME:
+            seq.kind, seq.time_in = ALLRED, 0
+        return (YELLOW, seq.phase)
+    if not seq.idle:  # all-red clearance
+        seq.time_in += 1
+        if seq.time_in >= ALLRED_TIME:
+            if seq.pending is None:
+                seq.idle = True
+            else:
+                seq.kind, seq.phase, seq.t_p = GREEN, seq.pending, 0
+                seq.green, seq.pending = (GREEN, seq.phase), None
+            seq.time_in = 0
+    elif isinstance(decision, NextPhase) and decision.phase is not None:
+        seq.kind, seq.phase, seq.idle, seq.t_p = GREEN, decision.phase, \
+            False, 1
+        seq.green = (GREEN, seq.phase)
+        return seq.green
+    return (ALLRED, None)
+
+
+DECISION = st.one_of(st.just(HOLD),
+                     st.builds(NextPhase, st.sampled_from([None, 0, 1])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(script=st.lists(DECISION, max_size=80), start_idle=st.booleans(),
+       tail=st.integers(0, 10))
+def test_advance_matches_reference_sequencer(single_net, script, start_idle,
+                                             tail):
+    unit = SignalUnit(single_net, "i0", Scripted(script, start_idle),
+                      make_sim(single_net))
+    ref = RefSequencer(None if start_idle else 0)
+    ref_script = iter(script)
+    # a decision second and at most one clearance per decision, then more
+    per_decision = 1 + YELLOW_TIME + ALLRED_TIME
+    for t in range(per_decision * (len(script) + 1) + tail):
+        decision = HOLD if ref.in_interphase else next(ref_script, HOLD)
+        want = ref_advance(ref, decision)
+        assert unit.advance() == want, t
+        assert unit.t_p == ref.t_p, t
+        assert unit.is_idle == ref.idle, t
+        assert unit.current_phase == \
+            (ref.phase if ref.kind == GREEN else None), t
+    # both read the whole script
+    assert next(unit.controller.script, None) is next(ref_script, None) \
+        is None
+
+
+def run(unit, seconds):
+    return [unit.advance() for _ in range(seconds)]
+
+
 class TestSequencer:
-    def test_green_to_green_takes_five_seconds(self):
+    def unit(self, single_net, script, start_idle=False):
+        return SignalUnit(single_net, "i0", Scripted(script, start_idle),
+                          make_sim(single_net))
+
+    def test_green_to_green_takes_five_seconds(self, single_net):
         # decision at t -> 2 s yellow + 3 s all-red -> green B shown at t+5
-        seq = SequencerState(start_green=0)
-        shown = [sequencer_advance(seq, NextPhase(1))]
-        for _ in range(5):
-            shown.append(sequencer_advance(seq, HOLD))
+        unit = self.unit(single_net, [NextPhase(1)])
+        shown = run(unit, 6)
         kinds = [s[0] for s in shown]
         assert kinds == [YELLOW, YELLOW, ALLRED, ALLRED, ALLRED, GREEN]
         assert shown[-1] == (GREEN, 1)
-        assert seq.t_p == 1
+        assert unit.t_p == 1
 
-    def test_hold_accumulates_t_p(self):
-        seq = SequencerState(start_green=0)
+    def test_hold_accumulates_t_p(self, single_net):
+        unit = self.unit(single_net, [])
         for k in range(1, 6):
-            assert sequencer_advance(seq, HOLD) == (GREEN, 0)
-            assert seq.t_p == k
+            assert unit.advance() == (GREEN, 0)
+            assert unit.t_p == k
 
-    def test_same_phase_restarts_green_interval(self):
-        seq = SequencerState(start_green=0)
-        for _ in range(10):
-            sequencer_advance(seq, HOLD)
-        assert sequencer_advance(seq, NextPhase(0)) == (GREEN, 0)
-        assert seq.t_p == 1  # no interphase, but the interval restarts
+    def test_same_phase_restarts_green_interval(self, single_net):
+        unit = self.unit(single_net, [HOLD] * 10 + [NextPhase(0)])
+        run(unit, 10)
+        assert unit.t_p == 10
+        assert unit.advance() == (GREEN, 0)
+        assert unit.t_p == 1  # no interphase, but the interval restarts
 
-    def test_next_phase_none_goes_idle(self):
-        seq = SequencerState(start_green=0)
-        shown = [sequencer_advance(seq, NextPhase(None))]
-        for _ in range(4):
-            shown.append(sequencer_advance(seq, HOLD))
+    def test_next_phase_none_goes_idle(self, single_net):
+        unit = self.unit(single_net, [NextPhase(None)])
+        shown = run(unit, 5)
         assert [s[0] for s in shown] == [YELLOW, YELLOW, ALLRED, ALLRED,
                                          ALLRED]
-        assert sequencer_advance(seq, HOLD) == (ALLRED, None)
-        assert seq.idle
+        assert unit.is_idle and unit.current_phase is None
+        assert unit.advance() == (ALLRED, None)
+        assert unit.is_idle
 
-    def test_idle_green_is_immediate(self):
-        seq = SequencerState(start_green=None)
-        assert seq.idle
-        assert sequencer_advance(seq, HOLD) == (ALLRED, None)
-        assert sequencer_advance(seq, NextPhase(1)) == (GREEN, 1)
-        assert seq.t_p == 1 and not seq.idle
+    def test_idle_green_is_immediate(self, single_net):
+        unit = self.unit(single_net, [HOLD, NextPhase(1)], start_idle=True)
+        assert unit.is_idle
+        assert unit.advance() == (ALLRED, None)
+        assert unit.advance() == (GREEN, 1)
+        assert unit.t_p == 1 and not unit.is_idle
 
-    def test_interphase_flag(self):
-        seq = SequencerState(start_green=0)
-        sequencer_advance(seq, NextPhase(1))
-        assert seq.in_interphase
-        idle = SequencerState(start_green=None)
-        assert not idle.in_interphase
+    def test_clearance_does_not_consult_the_controller(self, single_net):
+        # the controller is asked at the switch and at the new green only
+        unit = self.unit(single_net, [NextPhase(1)])
+        asked = []
+        decide = unit.controller.decide
+        unit.controller.decide = lambda u: asked.append(u.now) or decide(u)
+        run(unit, 6)
+        assert len(asked) == 2
+        assert unit.current_phase == 1 and not unit.is_idle
+        idle = self.unit(single_net, [], start_idle=True)
+        idle.controller.decide = lambda u: asked.append(u.now) or HOLD
+        asked.clear()
+        run(idle, 3)
+        assert len(asked) == 3  # idle is not a clearance: asked each second
 
 
 class TestObservation:
     def test_empty_all_red(self, single_net):
         sim = make_sim(single_net)
-        seq = SequencerState(start_green=None)
-        s = make_unit(sim, seq).observe()
+        s = make_unit(sim, None).observe()
         assert s.shape == (11,)
         assert np.all(s[:8] == 0.0)
         assert s[10] == 1.0 and np.all(s[8:10] == 0.0)
@@ -100,16 +209,14 @@ class TestObservation:
             v.position = lane.length - lane.spacing * i
             v.queued = i < 3
             sim.lane_vehicles["n_in"].append(v)
-        seq = SequencerState(start_green=0)
-        s = make_unit(sim, seq).observe()
+        s = make_unit(sim, 0).observe()
         assert s[0] == pytest.approx(5 / 20)
         assert s[4] == pytest.approx(3 / 20)
         assert s[8] == 1.0 and s[9] == 0.0 and s[10] == 0.0
 
     def test_force_all_red_one_hot(self, single_net):
         sim = make_sim(single_net)
-        seq = SequencerState(start_green=1)
-        s = make_unit(sim, seq).observe(force_all_red=True)
+        s = make_unit(sim, 1).observe(force_all_red=True)
         assert s[10] == 1.0 and s[8] == 0.0 and s[9] == 0.0
 
     def test_values_clamped(self, single_net):
@@ -120,7 +227,7 @@ class TestObservation:
             v.position = lane.length - lane.spacing * i
             v.queued = True
             sim.lane_vehicles["n_in"].append(v)
-        s = make_unit(sim, SequencerState(0), bound=75.0).observe()
+        s = make_unit(sim, 0, bound=75.0).observe()
         assert 0.0 <= s[0] <= 1.0 and 0.0 <= s[4] <= 1.0
 
     def test_state_width(self, single_net, double_net):
@@ -163,25 +270,25 @@ class TestCycleNext:
     def test_vehicles_on_next_phase(self, single_net):
         sim = make_sim(single_net)
         self.place(sim, "e_in")  # phase 1 lane
-        assert make_unit(sim, SequencerState(0)).cycle_next(0) == 1
+        assert make_unit(sim, 0).cycle_next(0) == 1
 
     def test_full_wrap(self, single_net):
         # cycle [0,1], current 0, vehicles only on phase-0 lanes:
         # scan order is 1 then 0, so the wrap lands back on 0
         sim = make_sim(single_net)
         self.place(sim, "n_in")
-        assert make_unit(sim, SequencerState(0)).cycle_next(0) == 0
+        assert make_unit(sim, 0).cycle_next(0) == 0
 
     def test_empty_network_idles(self, single_net):
         sim = make_sim(single_net)
-        assert make_unit(sim, SequencerState(0)).cycle_next(0) is None
-        assert make_unit(sim, SequencerState(None)).cycle_next() is None
+        assert make_unit(sim, 0).cycle_next(0) is None
+        assert make_unit(sim, None).cycle_next() is None
 
     def test_start_from_idle(self, single_net):
         # no green shown yet: the scan starts at phase 0
         sim = make_sim(single_net)
         self.place(sim, "n_in")
-        assert make_unit(sim, SequencerState(None)).cycle_next() == 0
+        assert make_unit(sim, None).cycle_next() == 0
 
 
 class TestSignalUnit:

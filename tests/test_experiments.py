@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,17 @@ class TestStats:
         with pytest.raises(ValueError,
                            match=f"non-finite sample {bad!r} at index 2"):
             box_stats([3.0, 1.0, bad, float("nan"), 2.0])
+
+    def test_box_stats_scales_an_overflowing_mean_or_std(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning either
+            b = box_stats([1.0, 2.7e154])
+            assert b.std == pytest.approx(1.35e154, rel=1e-15)
+            assert box_stats([1.7e308, 1.7e308]).mean == 1.7e308
+
+    def test_box_stats_rejects_overflowing_quartiles(self):
+        with pytest.raises(ValueError, match="median, q1, q3"):
+            box_stats([-1e308, 1e308])
 
     def test_rank_score_ordering(self):
         # (105, 2) -> 107 ranks above (100, 10) -> 110

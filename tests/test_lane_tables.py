@@ -18,7 +18,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from tscbench.classic import SotlController, phase_pressure
-from tscbench.control import HOLD, NextPhase, SignalUnit, sequencer_advance
+from tscbench.control import HOLD, Controller, NextPhase, SignalUnit
 from tscbench.experiments import DEFAULT_GRIDS
 from tscbench.network import load_network, network_from_dict
 from tscbench.simulation import GREEN, Simulation, load_demand
@@ -105,8 +105,8 @@ class RefSotl:
 def check_unit(unit, sotl, ref, split):
     """Compare everything the unit answers from tables; add to `split` each
     bound that separated the incoming vehicles into counted and not."""
-    sim, ix, seq = unit.sim, unit.intersection, unit.seq
-    current = seq.phase if seq.kind == GREEN else None
+    sim, ix = unit.sim, unit.intersection
+    current = unit.phase if unit.kind == GREEN else None
     assert unit.current_phase == current
     for b in bounds(sim, ix):
         if 0 < ref_sum(sim, ix.incoming, b) < \
@@ -138,33 +138,43 @@ def check_unit(unit, sotl, ref, split):
     for c in range(len(ix.phases)):
         assert unit.cycle_next(c) == scan_cycle_next(sim, ix, c)
     # no argument (or None) continues from the last green shown
-    assert unit.cycle_next() == scan_cycle_next(sim, ix, unit.seq.phase)
+    assert unit.cycle_next() == scan_cycle_next(sim, ix, unit.phase)
     assert unit.any_incoming_vehicle() == \
         (ref_sum(sim, ix.incoming, EVERYTHING) > 0)
 
 
+class RandomSwitch(Controller):
+    """With probability `switch`, requests a random phase or idle."""
+
+    def __init__(self, rng, switch):
+        self.rng = rng
+        self.switch = switch
+
+    def decide(self, unit):
+        if self.rng.random() < self.switch:
+            return NextPhase(self.rng.choice(
+                [None] + list(range(unit.n_phases))))
+        return HOLD
+
+
 def drive(net, demand, seed, steps, switch, omega, g_min):
     """Random phase commands through each unit's sequencer, checking the
-    tables after every step; returns the bounds that split a lane group."""
+    tables (and a SOTL controller reading them) after every step; returns
+    the bounds that split a lane group."""
     sim = Simulation(net, demand, seed)
     split = set()
     rng = random.Random(seed)
-    units, refs = [], []
+    units, checks = [], []
     for ix in net.intersections:
         sotl = SotlController(g_min=g_min, theta=rng.choice([1.0, 50.0]),
                               omega=omega, mu=rng.choice([1, 3]))
-        unit = SignalUnit(net, ix.id, sotl, sim)
-        units.append(unit)
-        refs.append(RefSotl(sotl))
+        units.append(SignalUnit(net, ix.id, RandomSwitch(rng, switch), sim))
+        checks.append((sotl, RefSotl(sotl)))
     for _ in range(steps):
         commands = {}
-        for unit, ref in zip(units, refs):
-            check_unit(unit, unit.controller, ref, split)
-            decision = HOLD
-            if not unit.seq.in_interphase and rng.random() < switch:
-                decision = NextPhase(rng.choice(
-                    [None] + list(range(unit.n_phases))))
-            commands[unit.iid] = sequencer_advance(unit.seq, decision)
+        for unit, (sotl, ref) in zip(units, checks):
+            check_unit(unit, sotl, ref, split)
+            commands[unit.iid] = unit.advance()
         sim.step(commands)
     return split
 
