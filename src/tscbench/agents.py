@@ -97,21 +97,6 @@ class ReplayBuffer:
         return Batch(*(col[:self._len].copy() for col in self._cols))
 
 
-@dataclass
-class ExplorationSchedule:
-    """Linear decay from start to end over decay_steps decisions."""
-
-    start: float
-    end: float
-    decay_steps: int
-    scale: float = 1.0  # per-actor diversity factor applied to the start value
-
-    def value(self, step: int) -> float:
-        frac = min(1.0, step / max(1, self.decay_steps))
-        start = self.start * self.scale
-        return max(self.end, start + (self.end - start) * frac)
-
-
 def _check_numbers(cfg) -> None:
     """Finite floats, and whole numbers in int fields (10.0 becomes 10)."""
     require_finite(**vars(cfg))
@@ -344,117 +329,102 @@ class DdpgAgent:
         self.critic_target = named["critic_target"].copy()
 
 
-# -- controller wrappers ----------------------------------------------------------
+# -- controllers -----------------------------------------------------------------
 
-class _LearningController(Controller):
+class LearningController(Controller):
+    """The one decision loop of the learning controllers.
+
+    Starting idle, it draws once a vehicle waits. It then holds each green
+    for `green_s` seconds. At the green's end it emits the experience the
+    last draw opened: the state now (all-red one-hot on the terminal
+    decision), the normalized reward and whether the intersection drains
+    to all-red idle. Unless it drains, it draws again. A subclass supplies
+    the (start, end, decay steps) of its exploration value (`_schedule`),
+    its terminal test (`_terminal`) and its draw (`_draw`), which returns
+    the action to store, the next green and that green's length.
+    """
+
     start_idle = True
 
     def __init__(self, agent, iid: str, seed: int, explore: bool = True,
-                 schedule: ExplorationSchedule | None = None,
                  normalizer: RewardNormalizer | None = None,
-                 on_experience=None):
+                 on_experience=None, exploration_scale: float = 1.0):
         self.agent = agent
         self.iid = iid
         self.rng = np.random.default_rng(seed)
         self.explore = explore
-        self.schedule = schedule
         self.normalizer = normalizer or RewardNormalizer()
         self.on_experience = on_experience
         self.param_hook = None  # fabric: apply pending updates pre-decision
         self.decision_steps = 0
+        self.green_s = None  # set by each draw; the first draw is made idle
         self._pending = None  # (state, action) awaiting its transition
+        start, self._end, self._decay_steps = self._schedule(agent.cfg)
+        self._start = start * exploration_scale  # per-actor diversity
 
     def begin_episode(self):
         self._pending = None
 
     def exploration(self) -> float:
-        if not self.explore or self.schedule is None:
+        """Linear decay from start to end over the decay steps, by decision
+        count; 0 when not exploring."""
+        if not self.explore:
             return 0.0
-        return self.schedule.value(self.decision_steps)
+        frac = min(1.0, self.decision_steps / max(1, self._decay_steps))
+        start, end = self._start, self._end
+        return max(end, start + (end - start) * frac)
 
-    def _emit(self, next_state: np.ndarray, reward: float, terminal: bool):
-        if self._pending is None:
-            return
-        s, a = self._pending
-        exp = Experience(s, a, reward, next_state, terminal, self.iid)
-        self._pending = None
-        if self.on_experience is not None:
-            self.on_experience(exp)
-
-
-class DqnController(_LearningController):
-    """Acyclic phase choice, re-decided every a_repeat green seconds."""
-
-    def __init__(self, agent: DqnAgent, iid: str, seed: int,
-                 explore: bool = True, normalizer=None, on_experience=None,
-                 exploration_scale: float = 1.0):
-        cfg = agent.cfg
-        schedule = ExplorationSchedule(cfg.eps_start, cfg.eps_end,
-                                       cfg.eps_decay_steps,
-                                       scale=exploration_scale)
-        super().__init__(agent, iid, seed, explore, schedule, normalizer,
-                         on_experience)
-
-    def _choose(self, state: np.ndarray):
+    def decide(self, view):
+        if view.is_idle:
+            if not view.any_incoming_vehicle():
+                return HOLD
+            state = view.observe()
+        elif view.t_p < self.green_s:
+            return HOLD
+        else:
+            terminal = self._terminal(view)
+            state = view.observe(force_all_red=terminal)
+            reward = self.normalizer.normalize(view.reward_raw())
+            if self._pending is not None:
+                exp = Experience(*self._pending, reward, state, terminal,
+                                 self.iid)
+                self._pending = None
+                if self.on_experience is not None:
+                    self.on_experience(exp)
+            if terminal:
+                return NextPhase(None)
         if self.param_hook is not None:
             self.param_hook()
-        action = self.agent.act(state, self.exploration(), self.rng)
+        action, phase, self.green_s = self._draw(state, view)
         self.decision_steps += 1
         self._pending = (state, action)
-        return NextPhase(action)
-
-    def decide(self, view):
-        if view.is_idle:
-            if not view.any_incoming_vehicle():
-                return HOLD
-            return self._choose(view.observe())
-        if view.t_p < self.agent.cfg.a_repeat:
-            return HOLD
-        terminal = not view.any_incoming_vehicle()
-        state = view.observe(force_all_red=terminal)
-        self._emit(state, self.normalizer.normalize(view.reward_raw()),
-                   terminal)
-        if terminal:
-            return NextPhase(None)
-        return self._choose(state)
+        return NextPhase(phase)
 
 
-class DdpgController(_LearningController):
+class DqnController(LearningController):
+    """Acyclic phase choice, re-decided every a_repeat green seconds;
+    drains once no incoming lane holds a vehicle."""
+
+    def _schedule(self, cfg: DqnConfig) -> tuple:
+        return cfg.eps_start, cfg.eps_end, cfg.eps_decay_steps
+
+    def _terminal(self, view) -> bool:
+        return not view.any_incoming_vehicle()
+
+    def _draw(self, state: np.ndarray, view) -> tuple:
+        phase = self.agent.act(state, self.exploration(), self.rng)
+        return phase, phase, self.agent.cfg.a_repeat
+
+
+class DdpgController(LearningController):
     """Cycle with learned per-phase durations; skips empty phases."""
 
-    def __init__(self, agent: DdpgAgent, iid: str, seed: int,
-                 explore: bool = True, normalizer=None, on_experience=None,
-                 exploration_scale: float = 1.0):
-        cfg = agent.cfg
-        schedule = ExplorationSchedule(cfg.sigma_start, cfg.sigma_end,
-                                       cfg.sigma_decay_steps,
-                                       scale=exploration_scale)
-        super().__init__(agent, iid, seed, explore, schedule, normalizer,
-                         on_experience)
-        self._duration = cfg.g_min
+    def _schedule(self, cfg: DdpgConfig) -> tuple:
+        return cfg.sigma_start, cfg.sigma_end, cfg.sigma_decay_steps
 
-    def _choose(self, state: np.ndarray, next_phase: int):
-        if self.param_hook is not None:
-            self.param_hook()
-        raw, dur = self.agent.act(state, self.exploration(), self.rng)
-        self.decision_steps += 1
-        self._pending = (state, raw)
-        self._duration = dur
-        return NextPhase(next_phase)
+    def _terminal(self, view) -> bool:
+        return view.cycle_next() is None
 
-    def decide(self, view):
-        if view.is_idle:
-            if not view.any_incoming_vehicle():
-                return HOLD
-            nxt = view.cycle_next(None)
-            return self._choose(view.observe(), nxt)
-        if view.t_p < self._duration:
-            return HOLD
-        nxt = view.cycle_next(view.current_phase)
-        terminal = nxt is None
-        state = view.observe(force_all_red=terminal)
-        self._emit(state, self.normalizer.normalize(view.reward_raw()),
-                   terminal)
-        if terminal:
-            return NextPhase(None)
-        return self._choose(state, nxt)
+    def _draw(self, state: np.ndarray, view) -> tuple:
+        raw, duration = self.agent.act(state, self.exploration(), self.rng)
+        return raw, view.cycle_next(), duration

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -145,8 +146,12 @@ def cmd_tune(args) -> int:
     ranked = experiments.tune(grid, net, demand, procs=args.procs,
                               out_dir=args.out)
     best = ranked[0]
-    print(f"best config: {best.config_id} "
-          f"(mean {best.mu:.2f}s, std {best.sigma:.2f}s)")
+    if not math.isfinite(best.score):  # NaN ranks last: all are NaN
+        print(f"best config: {best.config_id} (no score: every config had "
+              "a trial that finished no trip)")
+    else:
+        print(f"best config: {best.config_id} "
+              f"(mean {best.mu:.2f}s, std {best.sigma:.2f}s)")
     return EXIT_OK
 
 

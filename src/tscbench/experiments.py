@@ -103,10 +103,12 @@ def controller_factory(net: NetworkModel, name: str, hp: dict,
                        checkpoint_dir: str | None = None):
     """Picklable callable building fresh per-intersection controllers:
     classic ones from `hp`, or greedy learning ones sharing the agents of
-    `checkpoint_dir` (`hp` unused), which is read and checked once, here."""
+    `checkpoint_dir` (`hp` unused). The hyperparameters or the checkpoint
+    are read and checked once, here."""
     check_controller(name)
     if name not in fabric.ALGOS:
         _check_hp(name, hp)
+        CONTROLLERS[name](**hp)  # a bad value fails here, before any run
         return functools.partial(make_classic_controllers, net, name, hp)
     if checkpoint_dir is None:
         raise ConfigError(f"{name!r} needs a trained checkpoint")
@@ -239,9 +241,23 @@ class TrialResult:
             self.mu, self.sigma, self.score = rank_score(self.per_seed)
 
     def to_dict(self) -> dict:
+        """The result as JSON values: NaN (a trial that finished no trip)
+        becomes None."""
         return {"config_id": self.config_id, "hp": self.hp,
-                "per_seed": list(self.per_seed), "mu": self.mu,
-                "sigma": self.sigma, "score": self.score}
+                "per_seed": [_finite(v) for v in self.per_seed],
+                "mu": _finite(self.mu), "sigma": _finite(self.sigma),
+                "score": _finite(self.score)}
+
+
+def _finite(x: float) -> float | None:
+    return x if math.isfinite(x) else None
+
+
+def _rank_key(r: TrialResult) -> tuple:
+    """Ascending score, ties by config id; a non-finite score ranks after
+    every finite one."""
+    finite = math.isfinite(r.score)
+    return not finite, r.score if finite else 0.0, r.config_id
 
 
 def _map(fn, shared: tuple, tasks: list, procs: int) -> list:
@@ -313,13 +329,16 @@ def tune(grid: GridSpec, net: NetworkModel, demand: DemandProfile,
          train_episodes: int = TUNE_TRAIN_EPISODES,
          train_horizon: float = TUNE_TRAIN_HORIZON,
          out_dir: str | None = None) -> list:
-    """Grid search; returns TrialResults ranked ascending by mean + std.
+    """Grid search; returns TrialResults ranked ascending by mean + std,
+    configs with a trial that finished no trip (score NaN) last.
 
     A learning config first trains once, seeded like a trial numbered -1;
     then every trial of every config is one greedy or classic episode."""
     _check_count("procs", procs)
     name = grid.controller
     cids = {config_id(name, hp): hp for hp in grid.expand()}
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
     if name in fabric.ALGOS:
         tasks = [(hp, seed_for(cid, -1, grid.base_seed))
                  for cid, hp in cids.items()]
@@ -337,9 +356,8 @@ def tune(grid: GridSpec, net: NetworkModel, demand: DemandProfile,
     results = [TrialResult(cid, hp, [next(means) for _ in range(grid.trials)])
                for cid, hp in cids.items()]
 
-    ranked = sorted(results, key=lambda r: (r.score, r.config_id))
+    ranked = sorted(results, key=_rank_key)
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         _write_tune(out_dir, name, grid, ranked)
     return ranked
 
@@ -349,7 +367,8 @@ def _write_tune(out_dir, name, grid, ranked):
               encoding="utf-8") as fh:
         json.dump({"controller": name, "trials": grid.trials,
                    "base_seed": grid.base_seed,
-                   "ranking": [r.to_dict() for r in ranked]}, fh, indent=2)
+                   "ranking": [r.to_dict() for r in ranked]}, fh, indent=2,
+                  allow_nan=False)
     with open(os.path.join(out_dir, "trials.csv"), "w", newline="",
               encoding="utf-8") as fh:
         w = csv.writer(fh)
@@ -392,6 +411,8 @@ def evaluate(name: str, hp: dict, net: NetworkModel, demand: DemandProfile,
     _check_count("runs", runs)
     _check_count("procs", procs)
     make_controllers = controller_factory(net, name, hp, checkpoint_dir)
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
     reduced = _map(_eval_run, (net, demand, make_controllers, bin_s),
                    [(base_seed + i, horizon) for i in range(runs)], procs)
 
@@ -407,7 +428,6 @@ def evaluate(name: str, hp: dict, net: NetworkModel, demand: DemandProfile,
                         box=box_stats(travel_times), moe=moe,
                         unfinished=sum(n for _, _, n in reduced))
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         write_eval(out_dir, result)
     return result
 
@@ -509,12 +529,28 @@ def write_eval(out_dir: str, result: EvalResult) -> None:
                     for iid, rows in result.moe.items() for r in rows)
 
 
+_SUMMARY_KEYS = ("controller", "hp", "condition", "samples", "box")
+
+
 def load_eval_summary(out_dir: str) -> dict:
+    """The `summary.json` of an evaluation; ConfigError naming the file
+    unless it is an object with every key of _SUMMARY_KEYS and a `box`
+    that is an object or null."""
     path = os.path.join(out_dir, "summary.json")
     if not os.path.exists(path):
         raise ConfigError(f"no evaluation summary at {path}")
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            summary = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: not JSON: {exc}") from None
+    if not isinstance(summary, dict) or \
+            any(k not in summary for k in _SUMMARY_KEYS) or \
+            not isinstance(summary["box"], (dict, type(None))):
+        raise ConfigError(f"{path}: an evaluation summary is an object with "
+                          f"{', '.join(map(repr, _SUMMARY_KEYS))} and a box "
+                          "that is an object or null")
+    return summary
 
 
 # -- comparison -------------------------------------------------------------------
@@ -529,6 +565,8 @@ def compare(summaries: list, out_dir: str | None = None) -> list:
             raise ConfigError(
                 "evaluations were run under different conditions: "
                 f"{first} vs {s['condition']}")
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
     rows = []
     for s in summaries:
         box = s.get("box") or {}
@@ -544,7 +582,6 @@ def compare(summaries: list, out_dir: str | None = None) -> list:
         })
     rows.sort(key=lambda r: (r["mean"] is None, r["mean"]))
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "comparison.json"), "w",
                   encoding="utf-8") as fh:
             json.dump({"condition": first, "ranking": rows}, fh, indent=2)

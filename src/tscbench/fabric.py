@@ -248,6 +248,8 @@ def train(net: NetworkModel, demand: DemandProfile, algo: str, seed: int,
                                 agent_cfg.batch_size,
                                 agent_cfg.replay_capacity, seed + 1000 + i))
 
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
     n_actors = fabric.n_actors
     mailboxes = [_Mailbox() for _ in range(n_actors)] if n_actors > 1 else []
     normalizers = [{iid: RewardNormalizer() for iid in assignment}
@@ -341,7 +343,6 @@ def train(net: NetworkModel, demand: DemandProfile, algo: str, seed: int,
         update_counts={iid: n for lrn in learners
                        for iid, n in lrn.update_counts.items()})
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         _save_checkpoints(result, out_dir)
         write_training_log(os.path.join(out_dir, "training_log.csv"),
                            result.log)

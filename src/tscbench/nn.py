@@ -17,6 +17,9 @@ import numpy as np
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.99  # running-statistics decay
+ADAM_BETA1 = 0.9      # Adam's first-moment decay
+ADAM_BETA2 = 0.999    # and second-moment decay
+ADAM_EPS = 1e-8
 ACTIVATIONS = ("linear", "elu", "tanh")
 
 
@@ -278,12 +281,8 @@ class AdamState:
     """Adam moments over a network's trainable prefix, plus the scratch
     buffers the in-place update works in."""
 
-    def __init__(self, params: ParameterSet, lr: float = 1e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: ParameterSet, lr: float = 1e-4):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step = 0
         n = params.n_trainable
         self.m = np.zeros(n)
@@ -308,7 +307,7 @@ def adam_step(params: ParameterSet, adam: AdamState) -> ParameterSet:
     if params.n_trainable != adam.m.size:
         raise ValueError("optimizer state does not match the network")
     adam.step += 1
-    b1, b2 = adam.beta1, adam.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** adam.step
     bc2 = 1.0 - b2 ** adam.step
     g, m, v, t, t2 = adam._grad, adam.m, adam.v, adam._tmp, adam._tmp2
@@ -323,7 +322,7 @@ def adam_step(params: ParameterSet, adam: AdamState) -> ParameterSet:
     t *= adam.lr
     np.divide(v, bc2, out=t2)
     np.sqrt(t2, out=t2)
-    t2 += adam.eps
+    t2 += ADAM_EPS
     t /= t2
     params.flat[:params.n_trainable] -= t
     params.version += 1

@@ -530,7 +530,6 @@ def collect_moe(sim: Simulation, log: MoELog) -> None:
 def run_episode(net: NetworkModel, demand: DemandProfile, controllers: dict,
                 seed: int, horizon: float | None = None,
                 drain: float = DEFAULT_DRAIN_CAP,
-                saturation_flow: float = DEFAULT_SATURATION_FLOW,
                 moe_series: bool = True) -> MoELog:
     """Full observe -> decide -> sequence -> step loop.
 
@@ -551,8 +550,7 @@ def run_episode(net: NetworkModel, demand: DemandProfile, controllers: dict,
     if missing:
         raise ValueError(f"no controller for intersection(s) {missing}")
 
-    sim = Simulation(net, demand, seed, saturation_flow=saturation_flow,
-                     inject_until=horizon)
+    sim = Simulation(net, demand, seed, inject_until=horizon)
     advances = tuple((ix.id, SignalUnit(net, ix.id, controllers[ix.id],
                                         sim).advance)
                      for ix in net.intersections)

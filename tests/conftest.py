@@ -10,6 +10,21 @@ from tscbench.simulation import DemandProfile, load_demand
 DATA = ir.files("tscbench") / "data"
 
 
+@pytest.fixture
+def episodes(monkeypatch):
+    """Records every episode that the CLI, the harness or the training
+    fabric starts."""
+    from tscbench import cli, experiments, fabric
+    started = []
+    for module in (cli, experiments, fabric):
+        def counted(*args, real=module.run_episode, name=module.__name__,
+                    **kwargs):
+            started.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, "run_episode", counted)
+    return started
+
+
 @pytest.fixture(scope="session")
 def single_net():
     return load_network(str(DATA / "single.net"))

@@ -1,12 +1,18 @@
-"""DQN / DDPG agent tests: targets, exploration, replay, action scaling."""
+"""DQN / DDPG agent tests: targets, exploration, replay, action scaling,
+and the learning controllers' decision loop."""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tscbench import nn
-from tscbench.agents import (Batch, DdpgAgent, DdpgConfig, DqnAgent,
-                             DqnConfig, Experience, ExplorationSchedule,
+from tscbench.agents import (Batch, DdpgAgent, DdpgConfig, DdpgController,
+                             DqnAgent, DqnConfig, DqnController, Experience,
                              ReplayBuffer, scale_duration)
+from tscbench.control import (ALLRED_TIME, HOLD, YELLOW_TIME, Controller,
+                              NextPhase, RewardNormalizer)
 
 
 def exp(state, action, reward, next_state, terminal=False):
@@ -96,18 +102,420 @@ class TestReplayBuffer:
         assert len(buf._cols.state) == 512
 
 
+def dqn_controller(explore=True, scale=1.0, **cfg):
+    agent = DqnAgent(STATE_WIDTH, N_PHASES, seed=0, cfg=DqnConfig(**cfg))
+    return DqnController(agent, "i0", seed=1, explore=explore,
+                         exploration_scale=scale)
+
+
+def ddpg_controller(explore=True, scale=1.0, **cfg):
+    agent = DdpgAgent(STATE_WIDTH, seed=0, cfg=DdpgConfig(**cfg))
+    return DdpgController(agent, "i0", seed=1, explore=explore,
+                          exploration_scale=scale)
+
+
 class TestExplorationSchedule:
+    """`LearningController.exploration()`: linear decay by decision count
+    from start x exploration_scale to end."""
+
     def test_linear_decay(self):
-        s = ExplorationSchedule(1.0, 0.05, 100)
-        assert s.value(0) == 1.0
-        assert s.value(50) == pytest.approx(0.525)
-        assert s.value(100) == pytest.approx(0.05)
-        assert s.value(10_000) == pytest.approx(0.05)
+        ctrl = dqn_controller(eps_start=1.0, eps_end=0.05,
+                              eps_decay_steps=100)
+        values = {}
+        for step in (0, 50, 100, 10_000):
+            ctrl.decision_steps = step
+            values[step] = ctrl.exploration()
+        assert values[0] == 1.0
+        assert values[50] == pytest.approx(0.525)
+        assert values[100] == pytest.approx(0.05)
+        assert values[10_000] == pytest.approx(0.05)
 
     def test_actor_scale(self):
-        s = ExplorationSchedule(1.0, 0.05, 100, scale=0.4)
-        assert s.value(0) == pytest.approx(0.4)
-        assert s.value(100) == pytest.approx(0.05)
+        ctrl = dqn_controller(scale=0.4, eps_start=1.0, eps_end=0.05,
+                              eps_decay_steps=100)
+        assert ctrl.exploration() == pytest.approx(0.4)
+        ctrl.decision_steps = 100
+        assert ctrl.exploration() == pytest.approx(0.05)
+
+    def test_ddpg_reads_sigma(self):
+        ctrl = ddpg_controller(scale=0.5, sigma_start=0.4, sigma_end=0.1,
+                               sigma_decay_steps=10)
+        assert ctrl.exploration() == pytest.approx(0.2)
+        ctrl.decision_steps = 5
+        assert ctrl.exploration() == pytest.approx(0.15)
+        ctrl.decision_steps = 10
+        assert ctrl.exploration() == pytest.approx(0.1)
+
+    def test_greedy_is_zero(self):
+        assert dqn_controller(explore=False).exploration() == 0.0
+        assert ddpg_controller(explore=False).exploration() == 0.0
+
+    def test_same_bits_as_reference(self):
+        for make, ref, cfg in ((dqn_controller, RefDqnController,
+                                {"eps_decay_steps": 7}),
+                               (ddpg_controller, RefDdpgController,
+                                {"sigma_decay_steps": 7})):
+            for scale in (1.0, 0.7, 0.4):
+                ctrl = make(scale=scale, **cfg)
+                want = ref(ctrl.agent, "i0", 1, exploration_scale=scale)
+                for step in range(10):
+                    ctrl.decision_steps = want.decision_steps = step
+                    assert ctrl.exploration().hex() == \
+                        want.exploration().hex()
+
+
+# -- the decision loop against the two controllers it replaced ---------------
+
+@dataclass
+class RefSchedule:
+    """Linear decay from start to end over decay_steps decisions."""
+
+    start: float
+    end: float
+    decay_steps: int
+    scale: float = 1.0
+
+    def value(self, step: int) -> float:
+        frac = min(1.0, step / max(1, self.decay_steps))
+        start = self.start * self.scale
+        return max(self.end, start + (self.end - start) * frac)
+
+
+class RefLearningController(Controller):
+    start_idle = True
+
+    def __init__(self, agent, iid, seed, explore=True, schedule=None,
+                 normalizer=None, on_experience=None):
+        self.agent = agent
+        self.iid = iid
+        self.rng = np.random.default_rng(seed)
+        self.explore = explore
+        self.schedule = schedule
+        self.normalizer = normalizer or RewardNormalizer()
+        self.on_experience = on_experience
+        self.param_hook = None
+        self.decision_steps = 0
+        self._pending = None
+
+    def begin_episode(self):
+        self._pending = None
+
+    def exploration(self):
+        if not self.explore or self.schedule is None:
+            return 0.0
+        return self.schedule.value(self.decision_steps)
+
+    def _emit(self, next_state, reward, terminal):
+        if self._pending is None:
+            return
+        s, a = self._pending
+        exp = Experience(s, a, reward, next_state, terminal, self.iid)
+        self._pending = None
+        if self.on_experience is not None:
+            self.on_experience(exp)
+
+
+class RefDqnController(RefLearningController):
+    def __init__(self, agent, iid, seed, explore=True, normalizer=None,
+                 on_experience=None, exploration_scale=1.0):
+        cfg = agent.cfg
+        schedule = RefSchedule(cfg.eps_start, cfg.eps_end,
+                               cfg.eps_decay_steps, scale=exploration_scale)
+        super().__init__(agent, iid, seed, explore, schedule, normalizer,
+                         on_experience)
+
+    def _choose(self, state):
+        if self.param_hook is not None:
+            self.param_hook()
+        action = self.agent.act(state, self.exploration(), self.rng)
+        self.decision_steps += 1
+        self._pending = (state, action)
+        return NextPhase(action)
+
+    def decide(self, view):
+        if view.is_idle:
+            if not view.any_incoming_vehicle():
+                return HOLD
+            return self._choose(view.observe())
+        if view.t_p < self.agent.cfg.a_repeat:
+            return HOLD
+        terminal = not view.any_incoming_vehicle()
+        state = view.observe(force_all_red=terminal)
+        self._emit(state, self.normalizer.normalize(view.reward_raw()),
+                   terminal)
+        if terminal:
+            return NextPhase(None)
+        return self._choose(state)
+
+
+class RefDdpgController(RefLearningController):
+    def __init__(self, agent, iid, seed, explore=True, normalizer=None,
+                 on_experience=None, exploration_scale=1.0):
+        cfg = agent.cfg
+        schedule = RefSchedule(cfg.sigma_start, cfg.sigma_end,
+                               cfg.sigma_decay_steps,
+                               scale=exploration_scale)
+        super().__init__(agent, iid, seed, explore, schedule, normalizer,
+                         on_experience)
+        self._duration = cfg.g_min
+
+    def _choose(self, state, next_phase):
+        if self.param_hook is not None:
+            self.param_hook()
+        raw, dur = self.agent.act(state, self.exploration(), self.rng)
+        self.decision_steps += 1
+        self._pending = (state, raw)
+        self._duration = dur
+        return NextPhase(next_phase)
+
+    def decide(self, view):
+        if view.is_idle:
+            if not view.any_incoming_vehicle():
+                return HOLD
+            nxt = view.cycle_next(None)
+            return self._choose(view.observe(), nxt)
+        if view.t_p < self._duration:
+            return HOLD
+        nxt = view.cycle_next(view.current_phase)
+        terminal = nxt is None
+        state = view.observe(force_all_red=terminal)
+        self._emit(state, self.normalizer.normalize(view.reward_raw()),
+                   terminal)
+        if terminal:
+            return NextPhase(None)
+        return self._choose(state, nxt)
+
+
+N_PHASES = 2
+UNSERVED = "x"  # an incoming lane that no phase serves
+STATE_WIDTH = 2 * 3 + N_PHASES + 1  # lanes of phase 0, phase 1, UNSERVED
+
+
+class ScriptedView:
+    """Duck-typed `SignalUnit` for the learning loop. Each second's
+    `waiting` set names the phases whose lanes hold a vehicle (and
+    UNSERVED for a vehicle on a lane no phase serves); `rewards` gives
+    each second's raw reward. `step` runs `SignalUnit.advance`'s
+    sequencer: a switch takes YELLOW_TIME + ALLRED_TIME seconds, the new
+    green starts with `t_p` 0, from idle with 1."""
+
+    def __init__(self, waiting, rewards):
+        self.waiting, self.rewards = waiting, rewards
+        self.t = 0
+        self.is_idle, self.phase, self.current_phase = True, None, None
+        self.t_p, self.clearance, self.pending = 0, 0, None
+
+    def any_incoming_vehicle(self):
+        return bool(self.waiting[self.t])
+
+    def cycle_next(self, current=None):
+        if current is None:
+            current = self.phase
+        start = 0 if current is None else (current + 1) % N_PHASES
+        for k in range(N_PHASES):
+            if (start + k) % N_PHASES in self.waiting[self.t]:
+                return (start + k) % N_PHASES
+        return None
+
+    def observe(self, force_all_red=False):
+        lanes = (0, 1, UNSERVED)
+        out = np.zeros(STATE_WIDTH)
+        out[:3] = [(lane in self.waiting[self.t]) * 0.5 for lane in lanes]
+        out[3:6] = [(self.t * 7 + 3 * k) % 11 / 11 for k in range(3)]
+        current = None if force_all_red else self.current_phase
+        out[6 + (N_PHASES if current is None else current)] = 1.0
+        return out
+
+    def reward_raw(self):
+        return self.rewards[self.t]
+
+    def step(self, controller):
+        """One second; the controller's decision, or None in a clearance."""
+        decision = None
+        if self.clearance:
+            self.clearance -= 1
+            if not self.clearance:
+                if self.pending is None:
+                    self.is_idle = True
+                else:
+                    self.phase = self.current_phase = self.pending
+                    self.t_p = 0
+        else:
+            decision = controller.decide(self)
+            if not isinstance(decision, NextPhase):
+                if not self.is_idle:
+                    self.t_p += 1
+            elif self.is_idle:
+                if decision.phase is not None:
+                    self.phase = self.current_phase = decision.phase
+                    self.is_idle, self.t_p = False, 1
+            elif decision.phase == self.phase:
+                self.t_p = 1
+            else:
+                self.pending, self.current_phase = decision.phase, None
+                self.clearance = YELLOW_TIME + ALLRED_TIME - 1
+        self.t += 1
+        return decision
+
+
+def fresh_params(agent, seed):
+    """The acting parameters of a new agent like `agent`."""
+    if isinstance(agent, DqnAgent):
+        return DqnAgent(STATE_WIDTH, N_PHASES, seed, agent.cfg).acting_params()
+    return DdpgAgent(STATE_WIDTH, seed, agent.cfg).acting_params()
+
+
+def drive(cls, agent, waiting, rewards, resets=(), explore=True, scale=1.0):
+    """Run `cls` on a ScriptedView of the script; `resets` are the seconds
+    before which `begin_episode` is called. Returns the controller, its
+    decisions, its experiences and the decision count at each
+    `param_hook` call."""
+    emitted, hooks = [], []
+    ctrl = cls(agent, "i0", seed=3, explore=explore,
+               normalizer=RewardNormalizer(), on_experience=emitted.append,
+               exploration_scale=scale)
+
+    def param_hook():  # as the fabric's: new acting parameters, at times
+        hooks.append(ctrl.decision_steps)
+        if len(hooks) % 2:
+            agent.apply_acting_params(fresh_params(agent, 100 + len(hooks)))
+
+    ctrl.param_hook = param_hook
+    view = ScriptedView(waiting, rewards)
+    decisions = []
+    for t in range(len(waiting)):
+        if t in resets:
+            ctrl.begin_episode()
+        decisions.append(view.step(ctrl))
+    return ctrl, decisions, emitted, hooks
+
+
+def assert_same_run(got, want):
+    (ctrl, decisions, emitted, hooks), (ref, ref_decisions, ref_emitted,
+                                       ref_hooks) = got, want
+    assert decisions == ref_decisions
+    assert len(emitted) == len(ref_emitted)
+    for e, r in zip(emitted, ref_emitted):
+        assert e.state.tobytes() == r.state.tobytes()
+        assert e.next_state.tobytes() == r.next_state.tobytes()
+        assert (type(e.action), e.action) == (type(r.action), r.action)
+        assert (e.reward.hex(), e.terminal, e.intersection) == \
+            (r.reward.hex(), r.terminal, r.intersection)
+    assert hooks == ref_hooks
+    assert ctrl.decision_steps == ref.decision_steps
+    assert ctrl.normalizer.r_min.hex() == ref.normalizer.r_min.hex()
+    assert ctrl.rng.bit_generator.state == ref.rng.bit_generator.state
+
+
+def make_agents(algo):
+    """Two agents with the same weights: one for each controller."""
+    if algo == "dqn":
+        cfg = DqnConfig(a_repeat=3, eps_start=0.9, eps_end=0.1,
+                        eps_decay_steps=12)
+        return [DqnAgent(STATE_WIDTH, N_PHASES, 5, cfg) for _ in range(2)]
+    cfg = DdpgConfig(g_min=2, g_max=7, sigma_start=0.8, sigma_end=0.05,
+                     sigma_decay_steps=12)
+    return [DdpgAgent(STATE_WIDTH, 5, cfg) for _ in range(2)]
+
+
+FOLDED_AND_REF = {"dqn": (DqnController, RefDqnController),
+                  "ddpg": (DdpgController, RefDdpgController)}
+
+W = frozenset
+
+
+def compare_runs(algo, waiting, rewards, **kw):
+    (cls, ref_cls), (agent, ref_agent) = FOLDED_AND_REF[algo], \
+        make_agents(algo)
+    got = drive(cls, agent, waiting, rewards, **kw)
+    assert_same_run(got, drive(ref_cls, ref_agent, waiting, rewards, **kw))
+    return got
+
+
+# no vehicle 3 s, both phases busy 30 s, no vehicle 12 s (a drain, then
+# idle), one phase busy 20 s
+STORY = [W()] * 3 + [W({0, 1})] * 30 + [W()] * 12 + [W({1})] * 20
+STORY_REWARDS = [-float((3 * t) % 17) for t in range(len(STORY))]
+
+
+class TestDecisionLoop:
+    """`LearningController.decide` makes the decisions, experiences and
+    random draws of the DqnController and DdpgController it replaced."""
+
+    @pytest.mark.parametrize("algo", ["dqn", "ddpg"])
+    @pytest.mark.parametrize("explore,scale", [(True, 1.0), (True, 0.6),
+                                               (False, 1.0)])
+    def test_story(self, algo, explore, scale):
+        ctrl, decisions, emitted, _ = compare_runs(
+            algo, STORY, STORY_REWARDS, explore=explore, scale=scale)
+        # idle start: hold until a vehicle waits, then draw a green
+        assert decisions[:3] == [HOLD] * 3
+        assert isinstance(decisions[3], NextPhase)
+        assert decisions[3].phase is not None
+        # a terminal drain once the lanes are empty at a green's end
+        drains = [t for t, d in enumerate(decisions)
+                  if d == NextPhase(None)]
+        assert drains and all(33 <= t < 45 for t in drains)
+        terminal = [e for e in emitted if e.terminal]
+        assert len(terminal) == len(drains)
+        assert all(e.next_state[6 + N_PHASES] == 1.0 for e in terminal)
+        assert ctrl.decision_steps == len(emitted) + 1
+
+    def test_dqn_holds_a_repeat(self):
+        _, decisions, _, _ = compare_runs("dqn", STORY, STORY_REWARDS)
+        # from idle the green starts with t_p 1: decide again at t_p 3
+        assert decisions[4:6] == [HOLD, HOLD]
+        assert isinstance(decisions[6], NextPhase)
+
+    def test_ddpg_holds_its_drawn_duration(self):
+        ctrl, decisions, emitted, _ = compare_runs(
+            "ddpg", STORY, STORY_REWARDS)
+        cfg = ctrl.agent.cfg
+        first = scale_duration(emitted[0].action, cfg.g_min, cfg.g_max)
+        # the green drawn at second 3 starts at once with t_p 1
+        assert decisions[4:3 + first] == [HOLD] * (first - 1)
+        assert isinstance(decisions[3 + first], NextPhase)
+        assert len({e.action for e in emitted}) > 1
+
+    def test_dqn_drains_on_vehicles_not_cycle(self):
+        # a vehicle only on a lane no phase serves: DQN keeps deciding
+        # (cycle_next would be None), DDPG drains
+        waiting = [W({0})] * 10 + [W({UNSERVED})] * 30
+        rewards = [-1.0] * len(waiting)
+        _, dqn, _, _ = compare_runs("dqn", waiting, rewards)
+        _, ddpg, _, _ = compare_runs("ddpg", waiting, rewards)
+        assert NextPhase(None) not in dqn[10:]
+        assert NextPhase(None) in ddpg[10:]
+
+    def test_reward_normalized_without_a_pending_draw(self):
+        # a reset mid-green leaves no pending experience at the green's
+        # end; its raw reward still sets the normalizer's scale
+        # (a_repeat 3: greens end at seconds 3, 6 and 9)
+        waiting = [W({0, 1})] * 12
+        rewards = [-1.0] * 12
+        rewards[6] = -9.0
+        ctrl, decisions, emitted, _ = compare_runs("dqn", waiting, rewards,
+                                                   resets={5})
+        assert [t for t, d in enumerate(decisions) if d != HOLD] == \
+            [0, 3, 6, 9]
+        assert ctrl.normalizer.r_min == 9.0
+        assert [e.reward for e in emitted] == [-1.0, -1.0 / 9.0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(algo=st.sampled_from(["dqn", "ddpg"]),
+           script=st.lists(st.tuples(
+               st.sampled_from([W(), W({0}), W({1}), W({0, 1}),
+                                W({UNSERVED}), W({1, UNSERVED})]),
+               st.integers(1, 12),
+               st.sampled_from([0.0, -0.5, -2.0, -7.25, -30.0])),
+               min_size=1, max_size=12),
+           resets=st.sets(st.integers(0, 150), max_size=3),
+           explore=st.booleans(), scale=st.sampled_from([1.0, 0.4]))
+    def test_scripted(self, algo, script, resets, explore, scale):
+        waiting = [w for w, n, _ in script for _ in range(n)]
+        rewards = [r + 0.125 * k for _, n, r in script for k in range(n)]
+        compare_runs(algo, waiting, rewards, resets=resets,
+                     explore=explore, scale=scale)
 
 
 class TestDqn:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from tscbench import cli, experiments, fabric
+from tscbench import experiments
 from tscbench.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, parse_hp
 
 import conftest
@@ -175,20 +175,6 @@ class TestExitCodes:
                      "--out", str(tmp_path)]) == EXIT_USAGE
 
 
-@pytest.fixture
-def episodes(monkeypatch):
-    """Records every episode that the CLI, the harness or the training
-    fabric starts."""
-    started = []
-    for module in (cli, experiments, fabric):
-        def counted(*args, real=module.run_episode, name=module.__name__,
-                    **kwargs):
-            started.append(name)
-            return real(*args, **kwargs)
-        monkeypatch.setattr(module, "run_episode", counted)
-    return started
-
-
 class TestPaths:
     """A path that cannot serve its flag exits 2 naming it, and an --out
     that cannot be a directory does so before any episode runs."""
@@ -290,6 +276,17 @@ class TestTune:
         ranking = json.loads((out / "ranking.json").read_text())
         assert len(ranking["ranking"]) == 2
         assert (out / "trials.csv").exists()
+
+    def test_best_config_without_a_trip(self, paths, tmp_path, capsys,
+                                        monkeypatch):
+        monkeypatch.setattr(experiments, "_trial_mean",
+                            lambda *args: float("nan"))
+        assert main(["tune", "--net", paths["net"], "--demand",
+                     paths["demand"], "--tsc", "maxpressure", "--trials",
+                     "1", "--out", str(tmp_path / "tune")]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "best config: maxpressure;g_min=10 (no score" in out
+        assert "finished no trip" in out and "nan" not in out
 
 
 class TestCounts:
@@ -456,6 +453,24 @@ class TestTrainEvaluateCompare:
                      "--checkpoint", str(train_out / "checkpoints"),
                      "--runs", "1", "--out", str(tmp_path / "e")])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda s: [s], lambda s: {k: v for k, v in s.items()
+                                  if k != "condition"}])
+    def test_compare_corrupt_summary(self, paths, tmp_path, capsys,
+                                     corrupt):
+        for d in ("a", "b"):
+            main(["evaluate", "--net", paths["net"], "--demand",
+                  paths["demand"], "--tsc", "uniform", "--hp", "u=10",
+                  "--runs", "1", "--out", str(tmp_path / d)])
+        path = tmp_path / "b" / "summary.json"
+        path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+        capsys.readouterr()
+        assert main(["compare", "--in", f"{tmp_path / 'a'},{tmp_path / 'b'}",
+                     "--out", str(tmp_path / "c")]) == EXIT_USAGE
+        assert f"error: {path}: an evaluation summary is" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
 
     def test_compare_mismatched_runs(self, paths, tmp_path):
         a = tmp_path / "a"

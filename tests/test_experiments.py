@@ -184,6 +184,28 @@ class TestTune:
         parsed = [float(v) for _, _, v in rows]
         assert parsed == ranked[0].per_seed
 
+    def test_non_finite_scores_rank_last(self, tiny_net, tmp_path,
+                                         monkeypatch):
+        # a config with a trial that finished no trip scores NaN: it ranks
+        # after every finite score, by config id, and is written as null
+        means = {5: 3.0, 10: float("nan"), 15: 1.0, 20: float("nan")}
+        monkeypatch.setattr(
+            experiments, "_trial_mean",
+            lambda net, demand, make, seed, horizon: means[make.args[2]["u"]])
+        grid = GridSpec("uniform", {"u": [20, 15, 10, 5]}, trials=2)
+        ranked = experiments.tune(grid, tiny_net, constant_demand(
+            ["in_a", "in_b"], 400.0), out_dir=str(tmp_path))
+        assert [r.config_id for r in ranked] == [
+            "uniform;u=15", "uniform;u=5", "uniform;u=10", "uniform;u=20"]
+
+        def refuse(token):
+            raise AssertionError(f"{token} in ranking.json")
+
+        data = json.loads((tmp_path / "ranking.json").read_text(),
+                          parse_constant=refuse)
+        assert [r["score"] for r in data["ranking"]] == [1.0, 3.0, None, None]
+        assert data["ranking"][2]["per_seed"] == [None, None]
+
     def test_learning_tune(self, tiny_net):
         demand = constant_demand(["in_a", "in_b"], 400.0, horizon=200.0)
         grid = GridSpec("dqn", {"a_repeat": [10]}, trials=2)
@@ -428,6 +450,66 @@ class TestCounts:
         assert not (tmp_path / "out").exists()
 
 
+class TestOutDir:
+    """An output directory is made and checked after the arguments are,
+    and before the first episode: one that cannot be made (a file, or a
+    path under one) fails with no episode run."""
+
+    @pytest.fixture(params=["file", "under-file"])
+    def blocked(self, request, tmp_path):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        return str(blocker if request.param == "file" else blocker / "out")
+
+    def demand(self):
+        return constant_demand(["in_a", "in_b"], 400.0, horizon=60.0)
+
+    def test_evaluate(self, tiny_net, blocked, episodes):
+        with pytest.raises(OSError):
+            experiments.evaluate("uniform", {"u": 10}, tiny_net,
+                                 self.demand(), runs=2, out_dir=blocked)
+        assert episodes == []
+
+    @pytest.mark.parametrize("name,values", [("uniform", {"u": [10]}),
+                                             ("dqn", {"a_repeat": [10]})])
+    def test_tune(self, tiny_net, blocked, episodes, name, values):
+        with pytest.raises(OSError):
+            experiments.tune(GridSpec(name, values, trials=1), tiny_net,
+                             self.demand(), train_episodes=1,
+                             out_dir=blocked)
+        assert episodes == []
+
+    def test_train(self, tiny_net, blocked, episodes):
+        with pytest.raises(OSError):
+            fabric.train(tiny_net, self.demand(), "dqn", 0,
+                         fabric=fabric.FabricConfig(episode_budget=1),
+                         out_dir=blocked)
+        assert episodes == []
+
+    def test_compare(self, tiny_net, blocked):
+        s = experiments.evaluate("uniform", {"u": 10}, tiny_net,
+                                 self.demand(), runs=1).summary()
+        with pytest.raises(OSError):
+            experiments.compare([s, s], out_dir=blocked)
+
+    def test_usage_errors_make_no_directory(self, tiny_net, tmp_path,
+                                            episodes):
+        out = str(tmp_path / "out")
+        s = experiments.evaluate("uniform", {"u": 10}, tiny_net,
+                                 self.demand(), runs=1).summary()
+        episodes.clear()
+        with pytest.raises(ConfigError):
+            experiments.compare([s], out_dir=out)
+        with pytest.raises(ConfigError):
+            experiments.compare([s, dict(s, condition={})], out_dir=out)
+        with pytest.raises(ConfigError):
+            experiments.evaluate("dqn", {}, tiny_net, self.demand(),
+                                 out_dir=out)
+        with pytest.raises(ValueError):
+            fabric.train(tiny_net, self.demand(), "a2c", 0, out_dir=out)
+        assert not os.path.exists(out) and episodes == []
+
+
 def write_eval_rows(out_dir, result):
     """write_eval as it wrote its files: a streamed json.dump and one
     writerow call per CSV row."""
@@ -556,6 +638,22 @@ class TestCompare:
                           seed=99).summary()
         with pytest.raises(ConfigError, match="different conditions"):
             experiments.compare([a, b])
+
+    @pytest.mark.parametrize("text", [
+        "[]", '{"controller": "uniform", "hp": {}, "samples": 1, "box": null}',
+        '{"controller": "u", "hp": {}, "condition": {}, "samples": 1, '
+        '"box": [1]}', "{", "null"])
+    def test_corrupt_summary_refused_naming_it(self, tmp_path, text):
+        (tmp_path / "summary.json").write_text(text)
+        with pytest.raises(ConfigError) as err:
+            experiments.load_eval_summary(str(tmp_path))
+        assert str(tmp_path / "summary.json") in str(err.value)
+
+    def test_summary_with_null_box_loads(self, tiny_net, tmp_path):
+        demand = constant_demand(["in_a", "in_b"], 0.0, horizon=60.0)
+        experiments.evaluate("uniform", {"u": 10}, tiny_net, demand, runs=1,
+                             out_dir=str(tmp_path))
+        assert experiments.load_eval_summary(str(tmp_path))["box"] is None
 
     def test_needs_two(self, tiny_net):
         demand = constant_demand(["in_a", "in_b"], 400.0, horizon=300.0)
