@@ -45,7 +45,7 @@ def main():
         result = fabric.train(
             net, demand, algo, seed=0,
             fabric=fabric.FabricConfig(episode_budget=200))
-        ctrls = greedy_controllers(net, algo, result.agents, result.r_min)
+        ctrls = greedy_controllers(net, algo, *result.policy())
         learned = mean_delay(net, demand, lambda s, c=ctrls: c)
         print(f"{algo} after 200 training episodes:  {learned:7.1f} veh*s "
               f"({100 * (1 - learned / baseline):.0f}% below the baseline)")

@@ -141,13 +141,35 @@ def dqn_specs(state_width: int, n_phases: int) -> tuple:
             nn.LayerSpec(n_phases, "linear"))
 
 
-class DqnAgent:
+class PolicyAgent:
+    """Parameter bookkeeping of an agent: its networks are the attributes
+    named in `_NETS`, the acting network first. Greedy control reads the
+    acting network alone; a checkpoint holds them all, in `_NETS` order."""
+
+    _NETS: tuple = ()
+
+    def acting_params(self) -> nn.ParameterSet:
+        return getattr(self, self._NETS[0]).copy()
+
+    def apply_acting_params(self, params: nn.ParameterSet) -> None:
+        setattr(self, self._NETS[0], params.copy())
+
+    def to_checkpoint(self) -> dict:
+        return {name: getattr(self, name) for name in self._NETS}
+
+    def load_checkpoint(self, named: dict) -> None:
+        for name in self._NETS:
+            setattr(self, name, named[name].copy())
+
+
+class DqnAgent(PolicyAgent):
     """Action-value network with a hard-synced target copy."""
+
+    _NETS = ("online", "target")
 
     def __init__(self, state_width: int, n_phases: int, seed: int,
                  cfg: DqnConfig | None = None):
         self.cfg = cfg or DqnConfig()
-        self.state_width = state_width
         self.n_phases = n_phases
         self.online = nn.he_init(dqn_specs(state_width, n_phases),
                                  state_width, seed)
@@ -155,15 +177,12 @@ class DqnAgent:
         self.adam = nn.AdamState(self.online, lr=self.cfg.lr)
         self.updates = 0
 
-    def q_values(self, state: np.ndarray) -> np.ndarray:
-        out, _ = nn.forward(self.online, state, "infer")
-        return out
-
     def act(self, state: np.ndarray, eps: float,
             rng: np.random.Generator) -> int:
         if eps > 0.0 and rng.random() < eps:
             return int(rng.integers(self.n_phases))
-        return int(np.argmax(self.q_values(state)))  # first max = lowest index
+        q, _ = nn.forward(self.online, state, "infer")
+        return int(np.argmax(q))  # first max = lowest index
 
     def train_batch(self, batch: Batch) -> float:
         n = len(batch.reward)
@@ -186,19 +205,6 @@ class DqnAgent:
         if self.updates % self.cfg.target_sync == 0:
             self.target = self.online.copy()
         return loss
-
-    def acting_params(self) -> nn.ParameterSet:
-        return self.online.copy()
-
-    def apply_acting_params(self, params: nn.ParameterSet) -> None:
-        self.online = params.copy()
-
-    def to_checkpoint(self) -> dict:
-        return {"online": self.online, "target": self.target}
-
-    def load_checkpoint(self, named: dict) -> None:
-        self.online = named["online"].copy()
-        self.target = named["target"].copy()
 
 
 @dataclass
@@ -246,8 +252,10 @@ def scale_duration(raw: float, g_min: int, g_max: int) -> int:
     return int(math.floor(dur + 0.5))
 
 
-class DdpgAgent:
+class DdpgAgent(PolicyAgent):
     """Actor-critic pair with soft-updated target copies."""
+
+    _NETS = ("actor", "critic", "actor_target", "critic_target")
 
     def __init__(self, state_width: int, seed: int,
                  cfg: DdpgConfig | None = None):
@@ -262,17 +270,14 @@ class DdpgAgent:
         self.critic_adam = nn.AdamState(self.critic, lr=self.cfg.critic_lr)
         self.updates = 0
 
-    def act_raw(self, state: np.ndarray, sigma: float,
-                rng: np.random.Generator | None = None) -> float:
+    def act(self, state: np.ndarray, sigma: float,
+            rng: np.random.Generator | None = None):
+        """The raw action, clipped to [-1, 1], and its green duration."""
         out, _ = nn.forward(self.actor, state, "infer")
         raw = float(out[0])
         if sigma > 0.0:
             raw += float(rng.normal(0.0, sigma))
-        return max(-1.0, min(1.0, raw))
-
-    def act(self, state: np.ndarray, sigma: float,
-            rng: np.random.Generator | None = None):
-        raw = self.act_raw(state, sigma, rng)
+        raw = max(-1.0, min(1.0, raw))
         return raw, scale_duration(raw, self.cfg.g_min, self.cfg.g_max)
 
     def train_batch(self, batch: Batch):
@@ -311,23 +316,6 @@ class DdpgAgent:
         self.updates += 1
         return critic_loss, actor_loss
 
-    def acting_params(self) -> nn.ParameterSet:
-        return self.actor.copy()
-
-    def apply_acting_params(self, params: nn.ParameterSet) -> None:
-        self.actor = params.copy()
-
-    def to_checkpoint(self) -> dict:
-        return {"actor": self.actor, "critic": self.critic,
-                "actor_target": self.actor_target,
-                "critic_target": self.critic_target}
-
-    def load_checkpoint(self, named: dict) -> None:
-        self.actor = named["actor"].copy()
-        self.critic = named["critic"].copy()
-        self.actor_target = named["actor_target"].copy()
-        self.critic_target = named["critic_target"].copy()
-
 
 # -- controllers -----------------------------------------------------------------
 
@@ -336,12 +324,14 @@ class LearningController(Controller):
 
     Starting idle, it draws once a vehicle waits. It then holds each green
     for `green_s` seconds. At the green's end it emits the experience the
-    last draw opened: the state now (all-red one-hot on the terminal
-    decision), the normalized reward and whether the intersection drains
-    to all-red idle. Unless it drains, it draws again. A subclass supplies
-    the (start, end, decay steps) of its exploration value (`_schedule`),
-    its terminal test (`_terminal`) and its draw (`_draw`), which returns
-    the action to store, the next green and that green's length.
+    last draw opened to its `on_experience` sink: the state now (all-red
+    one-hot on the terminal decision), the normalized reward and whether
+    the intersection drains to all-red idle. Without a sink (greedy
+    control) it reads no reward. Unless it drains, it draws again. A
+    subclass supplies the (start, end, decay steps) of its exploration
+    value (`_schedule`), its terminal test (`_terminal`) and its draw
+    (`_draw`), which returns the action to store, the next green and that
+    green's length.
     """
 
     start_idle = True
@@ -384,13 +374,12 @@ class LearningController(Controller):
         else:
             terminal = self._terminal(view)
             state = view.observe(force_all_red=terminal)
-            reward = self.normalizer.normalize(view.reward_raw())
-            if self._pending is not None:
-                exp = Experience(*self._pending, reward, state, terminal,
-                                 self.iid)
-                self._pending = None
-                if self.on_experience is not None:
-                    self.on_experience(exp)
+            if self.on_experience is not None:
+                reward = self.normalizer.normalize(view.reward_raw())
+                if self._pending is not None:
+                    self.on_experience(Experience(*self._pending, reward,
+                                                  state, terminal, self.iid))
+            self._pending = None
             if terminal:
                 return NextPhase(None)
         if self.param_hook is not None:

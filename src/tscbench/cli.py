@@ -158,7 +158,7 @@ def cmd_tune(args) -> int:
 def cmd_train(args) -> int:
     net, demand = _load_inputs(args)
     hp = parse_hp(args.hp)
-    cfg = experiments.agent_config(args.tsc, hp)
+    cfg = fabric.agent_config(args.tsc, hp)
     result = fabric.train(
         net, demand, args.tsc, args.seed,
         fabric=fabric.FabricConfig(n_actors=args.actors,

@@ -7,6 +7,8 @@ green (or sits idle in all-red). Distinct greens are always separated by a
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 import numbers
 from dataclasses import dataclass
@@ -49,8 +51,7 @@ class RewardNormalizer:
     The running maximum persists across episodes within one training run.
     """
 
-    def __init__(self, r_min: float = 0.0):
-        self.r_min = float(r_min)  # magnitude of most negative reward seen
+    r_min = 0.0  # magnitude of the most negative reward seen
 
     def normalize(self, raw: float) -> float:
         mag = abs(raw)
@@ -62,6 +63,24 @@ class RewardNormalizer:
 
 
 # -- controller interface -----------------------------------------------------
+
+class ConfigError(ValueError):
+    """Unknown controller, hyperparameter, or inconsistent experiment setup."""
+
+
+@functools.cache
+def _hp_names(cls) -> frozenset:
+    return frozenset(inspect.signature(cls).parameters)
+
+
+def check_hp(name: str, cls, hp: dict) -> None:
+    """ConfigError unless every key of `hp` names a parameter of `cls`, the
+    controller class or agent config of controller `name`."""
+    unknown = set(hp) - _hp_names(cls)
+    if unknown:
+        raise ConfigError(f"unknown hyperparameter(s) {sorted(unknown)} "
+                          f"for controller {name!r}")
+
 
 def require_finite(**values) -> None:
     """Raise ValueError naming the first float hyperparameter that is NaN

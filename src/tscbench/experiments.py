@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
-import inspect
 import itertools
 import json
 import math
@@ -18,9 +17,8 @@ import numpy as np
 from . import fabric
 from .classic import (MaxPressureController, SotlController,
                       UniformController, WebsterController)
-from .control import RewardNormalizer
+from .control import ConfigError, check_hp
 from .network import NetworkModel
-from .nn import load_checkpoint
 from .simulation import DemandProfile, run_episode
 from .stats import BoxStats, box_stats, mean_ci95, rank_score
 
@@ -49,10 +47,6 @@ EVAL_RUNS = 32
 MOE_BIN_S = 60.0
 
 
-class ConfigError(ValueError):
-    """Unknown controller, hyperparameter, or inconsistent experiment setup."""
-
-
 def check_controller(name: str) -> None:
     if name not in CONTROLLERS:
         raise ConfigError(f"unknown controller {name!r} "
@@ -64,92 +58,45 @@ def _check_count(name: str, value: int) -> None:
         raise ConfigError(f"{name} must be >= 1, got {value}")
 
 
-@functools.cache
-def _hp_names(name: str) -> frozenset:
-    return frozenset(inspect.signature(CONTROLLERS[name]).parameters)
-
-
-def _check_hp(name: str, hp: dict) -> None:
-    unknown = set(hp) - _hp_names(name)
-    if unknown:
-        raise ConfigError(f"unknown hyperparameter(s) {sorted(unknown)} "
-                          f"for controller {name!r}")
-
-
 def make_classic_controllers(net: NetworkModel, name: str, hp: dict) -> dict:
     check_controller(name)
     if name in fabric.ALGOS:
         raise ConfigError(f"{name!r} is a learning controller; "
                           "train it or supply a checkpoint")
-    _check_hp(name, hp)
+    check_hp(name, CONTROLLERS[name], hp)
     cls = CONTROLLERS[name]
     return {ix.id: cls(**hp) for ix in net.intersections}
 
 
-def agent_config(name: str, hp: dict):
-    _check_hp(name, hp)
-    return fabric.ALGOS[name](**hp)
-
-
-def greedy_controllers(net: NetworkModel, name: str, agents: dict,
-                       r_min: dict, seed: int = 0) -> dict:
-    normalizers = {iid: RewardNormalizer(r_min.get(iid, 0.0))
-                   for iid in agents}
-    return fabric.build_controllers(net, name, agents, seed, explore=False,
-                                    normalizers=normalizers)
+def greedy_controllers(net: NetworkModel, name: str, cfg, params: dict,
+                       seed: int = 0) -> dict:
+    """Non-exploring controllers of learning algorithm `name` with agent
+    config `cfg`, acting on `params` (intersection id -> acting
+    parameters), all that greedy control reads of an agent."""
+    agents = fabric.build_agents(net, name, cfg, seed=0)
+    for iid, agent in agents.items():
+        agent.apply_acting_params(params[iid])
+    return fabric.build_controllers(net, name, agents, seed, explore=False)
 
 
 def controller_factory(net: NetworkModel, name: str, hp: dict,
                        checkpoint_dir: str | None = None):
     """Picklable callable building fresh per-intersection controllers:
-    classic ones from `hp`, or greedy learning ones sharing the agents of
-    `checkpoint_dir` (`hp` unused). The hyperparameters or the checkpoint
-    are read and checked once, here."""
+    classic ones from `hp`, or greedy learning ones from `checkpoint_dir`,
+    whose config fixes every hyperparameter (`hp` must be empty). The
+    hyperparameters or the checkpoint are read and checked once, here."""
     check_controller(name)
     if name not in fabric.ALGOS:
-        _check_hp(name, hp)
+        check_hp(name, CONTROLLERS[name], hp)
         CONTROLLERS[name](**hp)  # a bad value fails here, before any run
         return functools.partial(make_classic_controllers, net, name, hp)
+    if hp:
+        raise ConfigError(f"{name!r} takes its hyperparameters from its "
+                          f"checkpoint; got {sorted(hp)}")
     if checkpoint_dir is None:
         raise ConfigError(f"{name!r} needs a trained checkpoint")
-    meta_path = os.path.join(checkpoint_dir, "meta.json")
-    if not os.path.exists(meta_path):
-        raise ConfigError(f"no checkpoint metadata at {meta_path}")
-    with open(meta_path, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    if not isinstance(meta, dict) or "algo" not in meta or \
-            not isinstance(meta.get("files"), dict):
-        raise ConfigError(f"{meta_path}: checkpoint metadata needs an "
-                          "object with \"algo\" and a \"files\" object")
-    if meta["algo"] != name:
-        raise ConfigError(f"checkpoint is for {meta['algo']!r}, not {name!r}")
-    r_min = meta.get("r_min", {})
-    if not isinstance(r_min, dict) or not all(
-            isinstance(v, (int, float)) and math.isfinite(v)
-            for v in r_min.values()):
-        raise ConfigError(f"{meta_path}: \"r_min\" must be an object "
-                          "mapping intersection id -> finite number")
-    cfg = agent_config(name, meta.get("config", {}))
-    agents = fabric.build_agents(net, name, cfg, seed=0)
-    for iid, agent in agents.items():
-        if iid not in meta["files"]:
-            raise ConfigError(f"checkpoint missing intersection {iid!r}")
-        path = os.path.join(checkpoint_dir, meta["files"][iid])
-        named = load_checkpoint(path)
-        for key, want in agent.to_checkpoint().items():
-            got, need = _net_shape(named.get(key)), _net_shape(want)
-            if got != need:
-                raise ConfigError(f"{path}: network {key!r} is {got}, but "
-                                  f"intersection {iid!r} needs {need}")
-        agent.load_checkpoint(named)
-    return functools.partial(greedy_controllers, net, name, agents, r_min)
-
-
-def _net_shape(params) -> str:
-    return "missing" if params is None else " -> ".join(
-        [f"input {params.input_width}"] + [
-            f"{s.width} {s.activation}" + " bn" * s.batch_norm
-            for s in params.specs])
+    return functools.partial(greedy_controllers, net, name,
+                             *fabric.load_policy(checkpoint_dir, net, name))
 
 
 # -- identities and seeding ----------------------------------------------------
@@ -199,7 +146,7 @@ class GridSpec:
                 raise ConfigError(f"grid values of {key!r} must be a "
                                   "non-empty list")
         for hp in self.expand():
-            _check_hp(self.controller, hp)
+            check_hp(self.controller, CONTROLLERS[self.controller], hp)
             try:
                 CONTROLLERS[self.controller](**hp)
             except ValueError as exc:
@@ -297,31 +244,17 @@ def _trial_mean(net, demand, make_controllers, seed, horizon) -> float:
     return float(np.mean(tts)) if tts else float("nan")
 
 
-def _acting_controllers(net: NetworkModel, name: str, cfg, params: dict,
-                        r_min: dict, seed: int = 0) -> dict:
-    """`greedy_controllers` from acting parameters alone (intersection id
-    -> `acting_params()`), all that greedy control reads of an agent."""
-    agents = fabric.build_agents(net, name, cfg, seed=0)
-    for iid, agent in agents.items():
-        agent.apply_acting_params(params[iid])
-    return greedy_controllers(net, name, agents, r_min, seed)
-
-
 def _trained_factory(net, demand, name, train_episodes, train_horizon, hp,
                      seed):
     """Train one learning config; a factory of its greedy controllers that
     carries the acting parameters, not the training state (target nets,
     optimizer moments), into every trial task."""
-    cfg = agent_config(name, hp)
     result = fabric.train(
         net, demand, name, seed,
         fabric=fabric.FabricConfig(episode_budget=train_episodes,
                                    horizon=train_horizon),
-        agent_cfg=cfg)
-    params = {iid: agent.acting_params()
-              for iid, agent in result.agents.items()}
-    return functools.partial(_acting_controllers, net, name, cfg, params,
-                             result.r_min)
+        agent_cfg=fabric.agent_config(name, hp))
+    return functools.partial(greedy_controllers, net, name, *result.policy())
 
 
 def tune(grid: GridSpec, net: NetworkModel, demand: DemandProfile,
@@ -410,6 +343,8 @@ def evaluate(name: str, hp: dict, net: NetworkModel, demand: DemandProfile,
     """Greedy multi-seed evaluation: pooled travel times plus MoE series."""
     _check_count("runs", runs)
     _check_count("procs", procs)
+    if not (math.isfinite(bin_s) and bin_s > 0):
+        raise ConfigError(f"bin_s must be a finite number > 0, got {bin_s!r}")
     make_controllers = controller_factory(net, name, hp, checkpoint_dir)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import collections
 import csv
 import json
+import math
 import os
 import queue
 import threading
@@ -34,9 +35,9 @@ import numpy as np
 
 from .agents import (DdpgAgent, DdpgConfig, DdpgController, DqnAgent,
                      DqnConfig, DqnController, ReplayBuffer)
-from .control import RewardNormalizer, state_width
+from .control import ConfigError, RewardNormalizer, check_hp, state_width
 from .network import NetworkModel
-from .nn import ParameterSet, save_checkpoint
+from .nn import ParameterSet, load_checkpoint, save_checkpoint
 from .simulation import DemandProfile, run_episode
 
 # learning algorithm -> its agent config, whose fields are its hyperparameters
@@ -75,6 +76,17 @@ class TrainResult:
     received: int = 0                 # experiences ingested by learners
     update_counts: dict = field(default_factory=dict)
     checkpoint_dir: str | None = None
+
+    def policy(self) -> tuple:
+        """(agent config, intersection id -> acting parameters): all that
+        greedy control reads, as `load_policy` reads it from a checkpoint."""
+        cfg = next(iter(self.agents.values())).cfg
+        return cfg, {iid: a.acting_params() for iid, a in self.agents.items()}
+
+
+def agent_config(algo: str, hp: dict):
+    check_hp(algo, ALGOS[algo], hp)
+    return ALGOS[algo](**hp)
 
 
 def default_assignment(net: NetworkModel, n_learners: int) -> dict:
@@ -202,25 +214,69 @@ def _exploration_scale(actor_index: int, n_actors: int) -> float:
 
 
 def _save_checkpoints(result: TrainResult, out_dir: str) -> None:
+    """`checkpoints/`: `<iid>_v<acting version>.ckpt`, all networks of each
+    intersection's agent, and `meta.json` (algo, files, r_min, config)."""
     ckpt_dir = os.path.join(out_dir, "checkpoints")
     os.makedirs(ckpt_dir, exist_ok=True)
     files = {}
     for iid, agent in result.agents.items():
-        named = agent.to_checkpoint()
-        version = agent.acting_params().version
-        fname = f"{iid}_v{version}.ckpt"
+        named = agent.to_checkpoint()  # the acting network first
+        fname = f"{iid}_v{next(iter(named.values())).version}.ckpt"
         save_checkpoint(os.path.join(ckpt_dir, fname), named)
         files[iid] = fname
     meta = {
         "algo": result.algo,
         "files": files,
         "r_min": result.r_min,
-        "config": {k: v for k, v in vars(
-            next(iter(result.agents.values())).cfg).items()},
+        "config": dict(vars(next(iter(result.agents.values())).cfg)),
     }
     with open(os.path.join(ckpt_dir, "meta.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)
     result.checkpoint_dir = ckpt_dir
+
+
+def load_policy(checkpoint_dir: str, net: NetworkModel, algo: str) -> tuple:
+    """`TrainResult.policy()` of the training that wrote `checkpoint_dir`;
+    ConfigError unless its metadata is well formed and names `algo` and
+    each intersection of `net`, whose agent's networks its file holds."""
+    meta_path = os.path.join(checkpoint_dir, "meta.json")
+    if not os.path.exists(meta_path):
+        raise ConfigError(f"no checkpoint metadata at {meta_path}")
+    with open(meta_path, "r", encoding="utf-8") as fh:
+        meta = json.load(fh)
+    if not isinstance(meta, dict) or "algo" not in meta or \
+            not isinstance(meta.get("files"), dict):
+        raise ConfigError(f"{meta_path}: checkpoint metadata needs an "
+                          "object with \"algo\" and a \"files\" object")
+    if meta["algo"] != algo:
+        raise ConfigError(f"checkpoint is for {meta['algo']!r}, not {algo!r}")
+    r_min = meta.get("r_min", {})
+    if not isinstance(r_min, dict) or not all(
+            isinstance(v, (int, float)) and math.isfinite(v)
+            for v in r_min.values()):
+        raise ConfigError(f"{meta_path}: \"r_min\" must be an object "
+                          "mapping intersection id -> finite number")
+    cfg = agent_config(algo, meta.get("config", {}))
+    agents = build_agents(net, algo, cfg, seed=0)
+    for iid, agent in agents.items():
+        if iid not in meta["files"]:
+            raise ConfigError(f"checkpoint missing intersection {iid!r}")
+        path = os.path.join(checkpoint_dir, meta["files"][iid])
+        named = load_checkpoint(path)
+        for key, want in agent.to_checkpoint().items():
+            got, need = _net_shape(named.get(key)), _net_shape(want)
+            if got != need:
+                raise ConfigError(f"{path}: network {key!r} is {got}, but "
+                                  f"intersection {iid!r} needs {need}")
+        agent.load_checkpoint(named)
+    return cfg, {iid: a.acting_params() for iid, a in agents.items()}
+
+
+def _net_shape(params) -> str:
+    return "missing" if params is None else " -> ".join(
+        [f"input {params.input_width}"] + [
+            f"{s.width} {s.activation}" + " bn" * s.batch_norm
+            for s in params.specs])
 
 
 def write_training_log(path, rows) -> None:

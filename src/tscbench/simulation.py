@@ -191,7 +191,6 @@ class Simulation:
     """
 
     def __init__(self, net: NetworkModel, demand: DemandProfile, seed: int,
-                 saturation_flow: float = DEFAULT_SATURATION_FLOW,
                  inject_until: float | None = None):
         unknown = sorted(set(demand.entry_lanes) - set(net.entry_lanes))
         if unknown:
@@ -200,7 +199,7 @@ class Simulation:
         self.demand = demand
         self.rng = np.random.default_rng(seed)
         self.t = 0.0
-        self.headway = math.ceil(3600.0 / saturation_flow)
+        self.headway = math.ceil(3600.0 / DEFAULT_SATURATION_FLOW)
         self.inject_until = (demand.horizon if inject_until is None
                              else min(inject_until, demand.horizon))
 

@@ -230,8 +230,8 @@ class TestCriterion6LearningSmoke:
             result = fabric.train(
                 single_net, single_demand, algo, seed=0,
                 fabric=fabric.FabricConfig(episode_budget=200))
-            ctrls = experiments.greedy_controllers(
-                single_net, algo, result.agents, result.r_min)
+            ctrls = experiments.greedy_controllers(single_net, algo,
+                                                   *result.policy())
             learned = self.mean_delay(single_net, single_demand,
                                       lambda s, c=ctrls: c)
             wall = time.monotonic() - t0

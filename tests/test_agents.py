@@ -627,8 +627,10 @@ class TestDdpg:
         agent = self.make()
         rng = np.random.default_rng(0)
         for _ in range(50):
-            raw = agent.act_raw(rng.normal(size=4), sigma=5.0, rng=rng)
+            raw, duration = agent.act(rng.normal(size=4), sigma=5.0,
+                                      rng=rng)
             assert -1.0 <= raw <= 1.0
+            assert agent.cfg.g_min <= duration <= agent.cfg.g_max
 
     def test_critic_terminal_target(self):
         # terminal: y = r = -0.2; critic pinned to 0 -> loss 0.04
@@ -731,3 +733,34 @@ def test_config_accepts_whole_floats():
     assert counts == [5, 16, 100, 5, 30, 100]
     assert all(type(n) is int for n in counts)
     assert DqnConfig().lr == 1e-3 and type(DdpgConfig().tau) is float
+
+
+class TestPolicyAgent:
+    """The parameter bookkeeping both agents inherit: the acting network
+    first, every network in a checkpoint, copies in and out."""
+
+    AGENTS = {"dqn": lambda: DqnAgent(4, 2, 0),
+              "ddpg": lambda: DdpgAgent(4, 0, DdpgConfig(batch_size=2))}
+    NETS = {"dqn": ["online", "target"],
+            "ddpg": ["actor", "critic", "actor_target", "critic_target"]}
+
+    @pytest.mark.parametrize("algo", sorted(AGENTS))
+    def test_checkpoint_names_every_network_in_order(self, algo):
+        agent = self.AGENTS[algo]()
+        named = agent.to_checkpoint()
+        assert list(named) == self.NETS[algo]
+        assert all(named[k] is getattr(agent, k) for k in named)
+
+    @pytest.mark.parametrize("algo", sorted(AGENTS))
+    def test_acting_params_are_copies_of_the_acting_network(self, algo):
+        agent = self.AGENTS[algo]()
+        acting = getattr(agent, self.NETS[algo][0])
+        params = agent.acting_params()
+        assert params is not acting
+        assert params.flat.tobytes() == acting.flat.tobytes()
+        params.flat[:] = 0.5
+        agent.apply_acting_params(params)
+        params.flat[:] = 0.25  # the agent holds its own copy
+        assert (getattr(agent, self.NETS[algo][0]).flat == 0.5).all()
+        for name in self.NETS[algo][1:]:  # only the acting network moves
+            assert not (getattr(agent, name).flat == 0.5).all()

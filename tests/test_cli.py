@@ -169,6 +169,25 @@ class TestExitCodes:
                          "--out", str(tmp_path / "e")]) == EXIT_USAGE, r_min
             assert '"r_min"' in capsys.readouterr().err
 
+    def test_hp_with_checkpoint(self, paths, tmp_path, capsys, episodes):
+        # a checkpoint's config fixes every hyperparameter: --hp beside it
+        # is refused, not ignored and recorded
+        train_out = tmp_path / "train"
+        assert main(["train", "--net", paths["net"], "--demand",
+                     paths["demand"], "--tsc", "dqn", "--episodes", "1",
+                     "--out", str(train_out)]) == EXIT_OK
+        for cmd, extra in (("evaluate", ["--runs", "1"]), ("simulate", [])):
+            episodes.clear()
+            capsys.readouterr()
+            out = tmp_path / cmd
+            assert main([cmd, "--net", paths["net"], "--demand",
+                         paths["demand"], "--tsc", "dqn",
+                         "--hp", "bogus=7,a_repeat=99", "--checkpoint",
+                         str(train_out / "checkpoints"), *extra,
+                         "--out", str(out)]) == EXIT_USAGE, cmd
+            assert "['a_repeat', 'bogus']" in capsys.readouterr().err
+            assert episodes == [] and not out.exists()
+
     def test_learning_without_checkpoint(self, paths, tmp_path):
         assert main(["simulate", "--net", paths["net"], "--demand",
                      paths["demand"], "--tsc", "dqn",
@@ -397,7 +416,7 @@ class TestNonFiniteHyperparameters:
                      str(tmp_path / "tune")]) == EXIT_USAGE
 
     def test_python_api(self, single_net, single_demand):
-        from tscbench import experiments
+        from tscbench import experiments, fabric
         with pytest.raises(ValueError, match="theta"):
             experiments.evaluate("sotl", {"theta": float("nan")}, single_net,
                                  single_demand, runs=1)
@@ -406,7 +425,7 @@ class TestNonFiniteHyperparameters:
                 "maxpressure", {"g_min": [float("inf")]}, trials=1),
                 single_net, single_demand)
         with pytest.raises(ValueError, match="critic_lr"):
-            experiments.agent_config("ddpg", {"critic_lr": float("inf")})
+            fabric.agent_config("ddpg", {"critic_lr": float("inf")})
 
 
 class TestTrainEvaluateCompare:

@@ -240,7 +240,8 @@ class TestObservation:
 class TestReward:
     def test_normalizer_oracle(self):
         # delays {2.0, 3.5} with |r_min| = 11 -> -5.5/11 = -0.5
-        norm = RewardNormalizer(11.0)
+        norm = RewardNormalizer()
+        norm.normalize(-11.0)
         assert norm.normalize(-(2.0 + 3.5)) == pytest.approx(-0.5)
 
     def test_first_nonzero_is_minus_one(self):
@@ -257,7 +258,8 @@ class TestReward:
         assert norm.normalize(-8.0) == pytest.approx(-0.5)
 
     def test_clamped_to_unit_interval(self):
-        norm = RewardNormalizer(10.0)
+        norm = RewardNormalizer()
+        norm.normalize(-10.0)
         assert norm.normalize(-100.0) == -1.0
 
 
@@ -298,8 +300,9 @@ class TestSignalUnit:
                                                     monkeypatch):
         if name == "dqn":
             agents = fabric.build_agents(double_net, "dqn", DqnConfig(), 0)
-            ctrls = experiments.greedy_controllers(double_net, "dqn",
-                                                   agents, {})
+            ctrls = experiments.greedy_controllers(
+                double_net, "dqn", DqnConfig(),
+                {iid: agent.acting_params() for iid, agent in agents.items()})
         else:
             ctrls = experiments.make_classic_controllers(double_net, name, {})
         demand = constant_demand(double_net.entry_lanes, 600.0, horizon=300.0)

@@ -26,7 +26,8 @@ from test_arrival_schedule import CORRIDOR, build, specs
 
 INDICATIONS = ((GREEN, 0), (GREEN, 1), (YELLOW, 0), (YELLOW, 1),
                (ALLRED, None))
-SATURATION_FLOWS = (3600.0, 1800.0, 1200.0, 700.0)  # headways 1, 2, 3, 6 s
+# 3600, 1800 (the simulator's own), 1200 and 700 veh/h saturation flows
+HEADWAYS = (1, 2, 3, 6)
 
 
 class CounterSimulation(Simulation):
@@ -108,14 +109,15 @@ def observed(sim):
     }
 
 
-def check_against_counter(spec, scripts, saturation_flow, max_steps=400):
-    """Step both simulators under the scripts' commands, comparing after
-    every step; returns the commands and the reference's observations."""
+def check_against_counter(spec, scripts, headway, max_steps=400):
+    """Step both simulators, discharging at `headway` seconds, under the
+    scripts' commands, comparing after every step; returns the commands
+    and the reference's observations."""
     net, demand = build(spec)
     got, want = (cls(net, demand, spec["seed"],
-                     saturation_flow=saturation_flow,
                      inject_until=spec["inject_until"])
                  for cls in (Simulation, CounterSimulation))
+    got.headway = want.headway = headway
     lines = {f"x{m}": timeline(script) for m, script in enumerate(scripts)}
     n_steps = min(max_steps, math.ceil(demand.horizon) + 30)
     history = []
@@ -138,14 +140,14 @@ SEGMENTS = st.lists(st.tuples(st.sampled_from(INDICATIONS),
 def cases(draw):
     spec = draw(specs())
     scripts = [draw(SEGMENTS) for _ in range(spec["n_ix"])]
-    return spec, scripts, draw(st.sampled_from(SATURATION_FLOWS))
+    return spec, scripts, draw(st.sampled_from(HEADWAYS))
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=cases())
 def test_ready_second_matches_counter(case):
-    spec, scripts, saturation_flow = case
-    check_against_counter(spec, scripts, saturation_flow)
+    spec, scripts, headway = case
+    check_against_counter(spec, scripts, headway)
 
 
 # Phase 0 then phase 1 with no clearance, the same green in two segments,
@@ -162,14 +164,13 @@ SCRIPTS = [
 
 def test_scripted_corridor_covers_each_case():
     net, _ = build(CORRIDOR)
-    for saturation_flow in SATURATION_FLOWS:
-        history = check_against_counter(CORRIDOR, SCRIPTS, saturation_flow)
+    for headway in HEADWAYS:
+        history = check_against_counter(CORRIDOR, SCRIPTS, headway)
         totals = [sum(seen["crossed"].values()) for _, seen in history]
         crossings = [b - a for a, b in zip([0] + totals, totals)]
         assert sum(crossings) >= 20
         # a crossing in the first headway seconds of a green that directly
         # follows another phase's green
-        headway = math.ceil(3600.0 / saturation_flow)
         switches = [i for i in range(1, len(history))
                     if any(history[i][0][iid] != history[i - 1][0][iid]
                            and history[i - 1][0][iid][0] == GREEN

@@ -283,6 +283,64 @@ class TestEvaluate:
                 (tmp_path / "ref" / name).read_bytes(), name
 
 
+class TestGreedyPolicy:
+    """Greedy learning control acts on the acting parameters alone: it
+    reads no reward, and the same parameters act the same whether they
+    come from the trained agents in memory or from their checkpoint."""
+
+    @pytest.fixture(scope="class", params=["dqn", "ddpg"])
+    def trained(self, request, double_net, double_demand, tmp_path_factory):
+        from tscbench.agents import DdpgConfig
+        cfg = DdpgConfig(batch_size=4) if request.param == "ddpg" else None
+        out = tmp_path_factory.mktemp(request.param)
+        result = fabric.train(double_net, double_demand, request.param, 0,
+                              fabric=fabric.FabricConfig(episode_budget=2,
+                                                         horizon=300.0),
+                              agent_cfg=cfg, out_dir=str(out))
+        assert sum(result.update_counts.values()) > 0
+        return result
+
+    def test_reads_no_reward(self, trained, double_net, double_demand,
+                             monkeypatch):
+        from tscbench.control import SignalUnit
+
+        def refuse(unit):
+            raise AssertionError("greedy control read a reward")
+
+        monkeypatch.setattr(SignalUnit, "reward_raw", refuse)
+        res = experiments.evaluate(trained.algo, {}, double_net,
+                                   double_demand, runs=2, horizon=300.0,
+                                   checkpoint_dir=trained.checkpoint_dir)
+        assert len(res.travel_times) > 0
+        log = experiments.run_episode(
+            double_net, double_demand, experiments.greedy_controllers(
+                double_net, trained.algo, *trained.policy()), 0,
+            horizon=300.0)
+        assert len(log.travel_times) > 0
+
+    def test_checkpoint_acts_as_the_trained_agents(self, trained,
+                                                   double_net,
+                                                   double_demand):
+        def episode(controllers):
+            log = experiments.run_episode(double_net, double_demand,
+                                          controllers, 3, horizon=300.0)
+            series = [log.queue[iid] for iid in log.queue] + \
+                [log.delay[iid] for iid in log.delay]
+            return [np.asarray(x, dtype=float).tobytes()
+                    for x in [log.travel_times, log.times, *series]]
+
+        in_memory = episode(experiments.greedy_controllers(
+            double_net, trained.algo, *trained.policy()))
+        cfg, params = fabric.load_policy(trained.checkpoint_dir, double_net,
+                                         trained.algo)
+        assert cfg == trained.policy()[0]
+        assert episode(experiments.greedy_controllers(
+            double_net, trained.algo, cfg, params)) == in_memory
+        assert episode(experiments.controller_factory(
+            double_net, trained.algo, {}, trained.checkpoint_dir)()) == \
+            in_memory
+
+
 class TestProcessPool:
     """Runs in worker processes repeat the in-process runs bit for bit;
     the network and the demand go to each worker once, not with each
@@ -599,6 +657,18 @@ class TestEvaluateBins:
                                    runs=1, bin_s=60.0)
         assert [r["ci95_delay"] for r in res.moe["x"]] == [0.0, 0.0]
         assert [r["ci95_queue"] for r in res.moe["x"]] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("bin_s", [0.0, 0, -60.0, float("nan"),
+                                       float("inf")])
+    def test_bin_width_must_be_finite_and_positive(self, tiny_net, tmp_path,
+                                                   episodes, bin_s):
+        demand = constant_demand(["in_a", "in_b"], 400.0, horizon=60.0)
+        with pytest.raises(ConfigError, match="bin_s must be a finite"):
+            experiments.evaluate("uniform", {"u": 10}, tiny_net, demand,
+                                 runs=1, bin_s=bin_s,
+                                 out_dir=str(tmp_path / "out"))
+        assert episodes == []
+        assert not (tmp_path / "out").exists()
 
     def test_mean_ci95_rows_match_one_dimensional_calls(self):
         x = np.random.default_rng(3).normal(50.0, 20.0, size=(6, 32))

@@ -22,6 +22,10 @@ The learned-controller digests cover the checkpoint path: a DQN and a DDPG
 agent are trained briefly on the bit-reproducible 1-actor fabric, saved,
 and evaluated greedily from the checkpoint over several runs.
 
+The checkpoint-bytes digests hash the files of the checkpoint directory
+that the same short training writes: `meta.json` and every `.ckpt`, by
+name and content, so the saved format stays byte-identical.
+
 The training digests hash the trained weights themselves: every parameter
 array of every network with its version, and the update counts. The DQN
 case uses a replay ring small enough to evict; the DDPG case trains
@@ -36,6 +40,7 @@ DDPG grid search: each config trains, then runs its greedy trials.
 import hashlib
 import importlib.resources as ir
 import json
+import os
 
 import pytest
 
@@ -108,6 +113,13 @@ GOLDEN_LEARNED = {
 }
 # DDPG's default batch would not fill in two short episodes.
 LEARNED_CONFIGS = {"dqn": DqnConfig(), "ddpg": DdpgConfig(batch_size=4)}
+
+# Checkpoint directory bytes of the GOLDEN_LEARNED training. Recorded before
+# the checkpoint reader moved next to its writer.
+GOLDEN_CHECKPOINT_BYTES = {
+    "dqn": "663060f6edb087a1d641",
+    "ddpg": "2ecbc022a6bc8555ec02",
+}
 
 # Recorded before the parameters moved into one flat buffer per network.
 GOLDEN_TRAINING = {
@@ -184,8 +196,8 @@ def episode_digest(scenario: str, controller: str, seed: int) -> str:
     return h.hexdigest()[:20]
 
 
-def learned_eval_digest(algo: str, out_dir: str) -> str:
-    """Train 2 short episodes, checkpoint, then evaluate 3 greedy runs."""
+def learned_training(algo: str, out_dir: str):
+    """Train 2 short episodes on single.net and checkpoint them."""
     net = load_network(str(DATA / "single.net"))
     demand = load_demand(str(DATA / "single_asym_demand.json"))
     trained = fabric.train(
@@ -193,6 +205,12 @@ def learned_eval_digest(algo: str, out_dir: str) -> str:
         fabric=fabric.FabricConfig(episode_budget=2, horizon=200.0),
         agent_cfg=LEARNED_CONFIGS[algo], out_dir=out_dir)
     assert sum(trained.update_counts.values()) > 0
+    return net, demand, trained
+
+
+def learned_eval_digest(algo: str, out_dir: str) -> str:
+    """Train 2 short episodes, checkpoint, then evaluate 3 greedy runs."""
+    net, demand, trained = learned_training(algo, out_dir)
     result = evaluate(algo, {}, net, demand, runs=3,
                       checkpoint_dir=trained.checkpoint_dir)
     h, put = _hasher()
@@ -201,6 +219,18 @@ def learned_eval_digest(algo: str, out_dir: str) -> str:
         for row in rows:
             put(iid, *(row[k] for k in sorted(row)))
     put(result.unfinished)
+    return h.hexdigest()[:20]
+
+
+def checkpoint_bytes_digest(algo: str, out_dir: str) -> str:
+    """Hash every file of the checkpoint directory, by name and bytes."""
+    ckpt_dir = learned_training(algo, out_dir)[2].checkpoint_dir
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(ckpt_dir)):
+        with open(os.path.join(ckpt_dir, name), "rb") as fh:
+            data = fh.read()
+        h.update(f"{name} {len(data)}\n".encode())
+        h.update(data)
     return h.hexdigest()[:20]
 
 
@@ -246,6 +276,12 @@ def test_golden_split_lane_digest(controller):
 @pytest.mark.parametrize("algo", sorted(GOLDEN_LEARNED))
 def test_golden_learned_eval_digest(algo, tmp_path):
     assert learned_eval_digest(algo, str(tmp_path)) == GOLDEN_LEARNED[algo]
+
+
+@pytest.mark.parametrize("algo", sorted(GOLDEN_CHECKPOINT_BYTES))
+def test_golden_checkpoint_bytes_digest(algo, tmp_path):
+    assert checkpoint_bytes_digest(algo, str(tmp_path)) == \
+        GOLDEN_CHECKPOINT_BYTES[algo]
 
 
 @pytest.mark.parametrize("algo", sorted(GOLDEN_TRAINING))
@@ -295,6 +331,9 @@ if __name__ == "__main__":
     for algo in sorted(GOLDEN_LEARNED):
         with tempfile.TemporaryDirectory() as tmp:
             print(f'    "{algo}": "{learned_eval_digest(algo, tmp)}",')
+    for algo in sorted(GOLDEN_CHECKPOINT_BYTES):
+        with tempfile.TemporaryDirectory() as tmp:
+            print(f'    "{algo}": "{checkpoint_bytes_digest(algo, tmp)}",')
     for scenario in sorted(SCENARIOS):
         for controller in CONTROLLERS:
             digests = ", ".join(f'"{episode_digest(scenario, controller, s)}"'
