@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import nn
 from .control import (HOLD, Controller, NextPhase, RewardNormalizer,
-                      require_finite, require_whole)
+                      check_numbers)
 
 
 @dataclass
@@ -97,12 +97,12 @@ class ReplayBuffer:
         return Batch(*(col[:self._len].copy() for col in self._cols))
 
 
-def _check_numbers(cfg) -> None:
-    """Finite floats, and whole numbers in int fields (10.0 becomes 10)."""
-    require_finite(**vars(cfg))
-    for f in fields(cfg):
-        if f.type in ("int", int):
-            setattr(cfg, f.name, require_whole(f.name, getattr(cfg, f.name)))
+def _check_replay(cfg) -> None:
+    """A batch of at least 2 rows, and a replay buffer that can hold one."""
+    if cfg.batch_size < 2:
+        raise ValueError("batch size must be >= 2")
+    if cfg.replay_capacity < cfg.batch_size:
+        raise ValueError("replay_capacity must be >= batch_size")
 
 
 @dataclass
@@ -118,13 +118,16 @@ class DqnConfig:
     replay_capacity: int = 50000
 
     def __post_init__(self):
-        _check_numbers(self)
+        check_numbers(self)
         if self.a_repeat < 1:
             raise ValueError("a_repeat must be >= 1")
-        if self.batch_size < 2:
-            raise ValueError("batch size must be >= 2")
+        if self.target_sync < 1:
+            raise ValueError("target_sync must be >= 1")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must be in [0, 1)")
+        if self.lr <= 0.0:
+            raise ValueError("lr must be > 0")
+        _check_replay(self)
 
 
 @functools.lru_cache(maxsize=8)
@@ -223,13 +226,14 @@ class DdpgConfig:
     l2: float = 0.01              # critic weight regularization
 
     def __post_init__(self):
-        _check_numbers(self)
+        check_numbers(self)
         if not 1 <= self.g_min <= self.g_max:
             raise ValueError("need 1 <= g_min <= g_max")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError("tau must be in (0, 1]")
-        if self.batch_size < 2:
-            raise ValueError("batch size must be >= 2")
+        if self.actor_lr <= 0.0 or self.critic_lr <= 0.0:
+            raise ValueError("actor_lr and critic_lr must be > 0")
+        _check_replay(self)
 
 
 def actor_specs(state_width: int) -> tuple:

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
-from .control import (HOLD, Controller, NextPhase, require_finite,
-                      require_whole)
+from dataclasses import dataclass
+
+from .control import HOLD, Controller, NextPhase, check_numbers
 from .simulation import DEFAULT_SATURATION_FLOW
 
 
+@dataclass(eq=False)
 class UniformController(Controller):
     """Fixed cycle, one green duration `u` shared by every phase."""
 
-    def __init__(self, u: int = 10):
-        require_finite(u=u)
-        self.u = require_whole("u", u)
+    u: int = 10
+
+    def __post_init__(self):
+        check_numbers(self)
         if self.u <= 0:
             raise ValueError("u must be > 0")
 
@@ -47,7 +50,7 @@ def webster_timings(flows: dict, ctrl: WebsterController, phases) -> tuple:
     highest-ratio phase, and floored at 1 s.
     """
     n = len(phases)
-    R = float(ctrl.R) if ctrl.R is not None else 5.0 * n
+    R = ctrl.R if ctrl.R is not None else 5.0 * n
     Y = [max(flows.get(lid, 0.0) / ctrl.s_sat for lid in p.incoming)
          for p in phases]
     C = webster_cycle(Y, ctrl, R)
@@ -63,17 +66,18 @@ def webster_timings(flows: dict, ctrl: WebsterController, phases) -> tuple:
     return C, greens
 
 
+@dataclass(eq=False)
 class WebsterController(Controller):
     """Cycle controller re-timed from the flows of the last W-second window."""
 
-    def __init__(self, W: int = 120, c_min: int = 40, c_max: int = 180,
-                 s_sat: float = DEFAULT_SATURATION_FLOW, R: int | None = None):
-        require_finite(W=W, c_min=c_min, c_max=c_max, s_sat=s_sat, R=R)
-        self.W = require_whole("W", W)  # data-collection window, seconds
-        self.c_min = require_whole("c_min", c_min)
-        self.c_max = require_whole("c_max", c_max)
-        self.s_sat = float(s_sat)
-        self.R = R                 # total cycle lost time; default |P| * 5 s
+    W: int = 120                   # data-collection window, seconds
+    c_min: int = 40
+    c_max: int = 180
+    s_sat: float = DEFAULT_SATURATION_FLOW
+    R: float | None = None         # total cycle lost time; default |P| * 5 s
+
+    def __post_init__(self):
+        check_numbers(self)
         if not 0 < self.c_min <= self.c_max:
             raise ValueError("need 0 < c_min <= c_max")
         if self.W <= 0 or self.s_sat <= 0:
@@ -113,12 +117,14 @@ def phase_pressure(view, phase) -> int:
             - view.count_sum(phase.outgoing, view.bound))
 
 
+@dataclass(eq=False)
 class MaxPressureController(Controller):
     """Acyclic: after g_min green seconds, switch to the max-pressure phase."""
 
-    def __init__(self, g_min: int = 10):
-        require_finite(g_min=g_min)
-        self.g_min = require_whole("g_min", g_min)
+    g_min: int = 10
+
+    def __post_init__(self):
+        check_numbers(self)
         if self.g_min <= 0:
             raise ValueError("g_min must be > 0")
 
@@ -132,20 +138,21 @@ class MaxPressureController(Controller):
 
 # -- SOTL -----------------------------------------------------------------------
 
+@dataclass(eq=False)
 class SotlController(Controller):
     """Self-organizing: change phase once the red-side vehicle-time integral
     exceeds theta, unless a small platoon is about to cross."""
 
-    def __init__(self, g_min: int = 10, theta: float = 50.0,
-                 omega: float = 100.0, mu: int = 3):
-        require_finite(g_min=g_min, theta=theta, omega=omega, mu=mu)
-        self.g_min = require_whole("g_min", g_min)
-        self.theta = float(theta)   # vehicle-seconds integral threshold
-        self.omega = float(omega)   # platoon look-back distance, meters
-        self.mu = require_whole("mu", mu)  # platoon size allowing a change
+    g_min: int = 10
+    theta: float = 50.0            # vehicle-seconds integral threshold
+    omega: float = 100.0           # platoon look-back distance, meters
+    mu: int = 3                    # platoon size allowing a change
+
+    def __post_init__(self):
+        check_numbers(self)
         if min(self.g_min, self.theta, self.omega, self.mu) <= 0:
             raise ValueError("all SOTL parameters must be positive")
-        self.kappa = 0.0
+        self.begin_episode()
 
     def begin_episode(self):
         self.kappa = 0.0

@@ -1,4 +1,5 @@
-"""Controller contract: observations, reward, and the safety sequencer.
+"""Controller contract: hyperparameters, observations, reward, and the
+safety sequencer.
 
 Every controller is consulted once per second while its intersection shows
 green (or sits idle in all-red). Distinct greens are always separated by a
@@ -8,10 +9,10 @@ green (or sits idle in all-red). Distinct greens are always separated by a
 from __future__ import annotations
 
 import functools
-import inspect
 import math
 import numbers
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -69,34 +70,60 @@ class ConfigError(ValueError):
 
 
 @functools.cache
-def _hp_names(cls) -> frozenset:
-    return frozenset(inspect.signature(cls).parameters)
+def _hp_fields(cls) -> dict:
+    """Hyperparameter name -> (int or float, whether None is allowed) for
+    every init field of dataclass `cls`, read from its declared types."""
+    hints = typing.get_type_hints(cls)
+    table = {}
+    for f in fields(cls):
+        if f.init:
+            kinds = typing.get_args(hints[f.name]) or (hints[f.name],)
+            table[f.name] = (int if int in kinds else float,
+                             type(None) in kinds)
+    return table
 
 
-def check_hp(name: str, cls, hp: dict) -> None:
-    """ConfigError unless every key of `hp` names a parameter of `cls`, the
-    controller class or agent config of controller `name`."""
-    unknown = set(hp) - _hp_names(cls)
-    if unknown:
-        raise ConfigError(f"unknown hyperparameter(s) {sorted(unknown)} "
+def check_numbers(obj) -> None:
+    """Make each hyperparameter field of `obj` a finite real number of its
+    declared type, or raise ValueError naming the first that is not: an
+    int field needs a whole number and stores an int (10.0 becomes 10), a
+    float field stores a float, None passes only where the type allows it,
+    and a bool or a string never passes."""
+    for name, (kind, optional) in _hp_fields(type(obj)).items():
+        value = getattr(obj, name)
+        if type(value) is kind and (kind is int or math.isfinite(value)) \
+                or value is None and optional:
+            continue  # already the declared type: nothing to convert
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        try:
+            finite = real and math.isfinite(value)
+        except OverflowError:  # an int too large for a float
+            finite = kind is int
+        if finite and kind is float:
+            setattr(obj, name, float(value))
+        elif finite and (isinstance(value, numbers.Integral)
+                         or float(value).is_integer()):
+            setattr(obj, name, int(value))
+        else:
+            what = "whole" if kind is int and (finite or not real) \
+                else "finite"
+            raise ValueError(f"{name} must be a {what} number, "
+                             f"not {value!r}")
+
+
+def configure(name: str, cls, hp):
+    """`cls(**hp)`, the controller class or agent config of controller
+    `name` built from hyperparameters `hp`; ConfigError unless `hp` is an
+    object naming only fields of `cls`."""
+    if not isinstance(hp, dict):
+        raise ConfigError(f"hyperparameters of controller {name!r} must be "
+                          f"an object, not {hp!r}")
+    names = _hp_fields(cls).keys()
+    if not hp.keys() <= names:
+        unknown = sorted(hp.keys() - names, key=str)
+        raise ConfigError(f"unknown hyperparameter(s) {unknown} "
                           f"for controller {name!r}")
-
-
-def require_finite(**values) -> None:
-    """Raise ValueError naming the first float hyperparameter that is NaN
-    or infinite: range checks such as `x <= 0` let NaN through."""
-    for name, value in values.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{name} must be a finite number, not {value!r}")
-
-
-def require_whole(name: str, value) -> int:
-    """`value` as an int; ValueError naming `name` unless a whole number
-    (10 or 10.0; not 10.5, True or "10"), so none is silently truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not float(value).is_integer():
-        raise ValueError(f"{name} must be a whole number, not {value!r}")
-    return int(value)
+    return cls(**hp)
 
 
 class Controller:

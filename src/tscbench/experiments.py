@@ -17,12 +17,12 @@ import numpy as np
 from . import fabric
 from .classic import (MaxPressureController, SotlController,
                       UniformController, WebsterController)
-from .control import ConfigError, check_hp
+from .control import ConfigError, configure
 from .network import NetworkModel
 from .simulation import DemandProfile, run_episode
 from .stats import BoxStats, box_stats, mean_ci95, rank_score
 
-# controller name -> the callable whose signature lists its hyperparameters
+# controller name -> the dataclass whose fields are its hyperparameters
 CONTROLLERS = {
     "uniform": UniformController,
     "webster": WebsterController,
@@ -63,9 +63,8 @@ def make_classic_controllers(net: NetworkModel, name: str, hp: dict) -> dict:
     if name in fabric.ALGOS:
         raise ConfigError(f"{name!r} is a learning controller; "
                           "train it or supply a checkpoint")
-    check_hp(name, CONTROLLERS[name], hp)
     cls = CONTROLLERS[name]
-    return {ix.id: cls(**hp) for ix in net.intersections}
+    return {ix.id: configure(name, cls, hp) for ix in net.intersections}
 
 
 def greedy_controllers(net: NetworkModel, name: str, cfg, params: dict,
@@ -87,8 +86,7 @@ def controller_factory(net: NetworkModel, name: str, hp: dict,
     hyperparameters or the checkpoint are read and checked once, here."""
     check_controller(name)
     if name not in fabric.ALGOS:
-        check_hp(name, CONTROLLERS[name], hp)
-        CONTROLLERS[name](**hp)  # a bad value fails here, before any run
+        configure(name, CONTROLLERS[name], hp)  # fails here, before any run
         return functools.partial(make_classic_controllers, net, name, hp)
     if hp:
         raise ConfigError(f"{name!r} takes its hyperparameters from its "
@@ -146,9 +144,8 @@ class GridSpec:
                 raise ConfigError(f"grid values of {key!r} must be a "
                                   "non-empty list")
         for hp in self.expand():
-            check_hp(self.controller, CONTROLLERS[self.controller], hp)
             try:
-                CONTROLLERS[self.controller](**hp)
+                configure(self.controller, CONTROLLERS[self.controller], hp)
             except ValueError as exc:
                 raise ConfigError(f"grid config "
                                   f"{config_id(self.controller, hp)}: "

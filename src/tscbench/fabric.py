@@ -35,7 +35,7 @@ import numpy as np
 
 from .agents import (DdpgAgent, DdpgConfig, DdpgController, DqnAgent,
                      DqnConfig, DqnController, ReplayBuffer)
-from .control import ConfigError, RewardNormalizer, check_hp, state_width
+from .control import ConfigError, RewardNormalizer, configure, state_width
 from .network import NetworkModel
 from .nn import ParameterSet, load_checkpoint, save_checkpoint
 from .simulation import DemandProfile, run_episode
@@ -85,8 +85,7 @@ class TrainResult:
 
 
 def agent_config(algo: str, hp: dict):
-    check_hp(algo, ALGOS[algo], hp)
-    return ALGOS[algo](**hp)
+    return configure(algo, ALGOS[algo], hp)
 
 
 def default_assignment(net: NetworkModel, n_learners: int) -> dict:
@@ -244,10 +243,14 @@ def load_policy(checkpoint_dir: str, net: NetworkModel, algo: str) -> tuple:
         raise ConfigError(f"no checkpoint metadata at {meta_path}")
     with open(meta_path, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
-    if not isinstance(meta, dict) or "algo" not in meta or \
-            not isinstance(meta.get("files"), dict):
+    if not isinstance(meta, dict) or "algo" not in meta:
         raise ConfigError(f"{meta_path}: checkpoint metadata needs an "
                           "object with \"algo\" and a \"files\" object")
+    files = meta.get("files")
+    if not isinstance(files, dict) or not all(
+            isinstance(v, str) for v in files.values()):
+        raise ConfigError(f"{meta_path}: \"files\" must be an object "
+                          "mapping intersection id -> file name")
     if meta["algo"] != algo:
         raise ConfigError(f"checkpoint is for {meta['algo']!r}, not {algo!r}")
     r_min = meta.get("r_min", {})
@@ -256,12 +259,15 @@ def load_policy(checkpoint_dir: str, net: NetworkModel, algo: str) -> tuple:
             for v in r_min.values()):
         raise ConfigError(f"{meta_path}: \"r_min\" must be an object "
                           "mapping intersection id -> finite number")
-    cfg = agent_config(algo, meta.get("config", {}))
+    try:
+        cfg = configure(algo, ALGOS[algo], meta.get("config", {}))
+    except ValueError as exc:
+        raise ConfigError(f"{meta_path}: \"config\": {exc}") from None
     agents = build_agents(net, algo, cfg, seed=0)
     for iid, agent in agents.items():
-        if iid not in meta["files"]:
+        if iid not in files:
             raise ConfigError(f"checkpoint missing intersection {iid!r}")
-        path = os.path.join(checkpoint_dir, meta["files"][iid])
+        path = os.path.join(checkpoint_dir, files[iid])
         named = load_checkpoint(path)
         for key, want in agent.to_checkpoint().items():
             got, need = _net_shape(named.get(key)), _net_shape(want)

@@ -711,6 +711,23 @@ def test_config_rejects_non_finite_numbers(cls, field, value):
         cls(**{field: value})
 
 
+@pytest.mark.parametrize("cls,hp,message", [
+    (DqnConfig, {"target_sync": 0}, "target_sync must be >= 1"),
+    (DqnConfig, {"lr": -1}, "lr must be > 0"),
+    (DqnConfig, {"lr": 0.0}, "lr must be > 0"),
+    (DqnConfig, {"replay_capacity": 10}, "replay_capacity must be >= batch"),
+    (DqnConfig, {"batch_size": 1}, "batch size must be >= 2"),
+    (DdpgConfig, {"actor_lr": -1e-4}, "actor_lr and critic_lr must be > 0"),
+    (DdpgConfig, {"critic_lr": 0}, "actor_lr and critic_lr must be > 0"),
+    (DdpgConfig, {"replay_capacity": 64, "batch_size": 65},
+     "replay_capacity must be >= batch"),
+], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+def test_config_rejects_out_of_range_values(cls, hp, message):
+    # each used to pass construction and fail (or train nothing) later
+    with pytest.raises(ValueError, match=message):
+        cls(**hp)
+
+
 
 @pytest.mark.parametrize("cls,field,value", [
     (DqnConfig, "batch_size", 2.5), (DqnConfig, "a_repeat", 0.5),

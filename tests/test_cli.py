@@ -159,15 +159,20 @@ class TestExitCodes:
                      "--out", str(train_out)]) == EXIT_OK
         ckpt = train_out / "checkpoints"
         meta = json.loads((ckpt / "meta.json").read_text())
-        for r_min in ([1, 2], {"i0": "a"}, {"i0": [1.0]}, {"i0": None}):
+        for key, value in (
+                ("r_min", [1, 2]), ("r_min", {"i0": "a"}),
+                ("r_min", {"i0": [1.0]}), ("r_min", {"i0": None}),
+                ("files", {"i0": 3}), ("files", {"i0": None}),
+                ("config", 5), ("config", "ab"), ("config", {"lr": "x"}),
+                ("config", {"target_sync": 0})):
             (ckpt / "meta.json").write_text(json.dumps({**meta,
-                                                        "r_min": r_min}))
+                                                        key: value}))
             capsys.readouterr()
             assert main(["evaluate", "--net", paths["net"], "--demand",
                          paths["demand"], "--tsc", "dqn",
                          "--checkpoint", str(ckpt), "--runs", "1",
-                         "--out", str(tmp_path / "e")]) == EXIT_USAGE, r_min
-            assert '"r_min"' in capsys.readouterr().err
+                         "--out", str(tmp_path / "e")]) == EXIT_USAGE, value
+            assert f'"{key}"' in capsys.readouterr().err
 
     def test_hp_with_checkpoint(self, paths, tmp_path, capsys, episodes):
         # a checkpoint's config fixes every hyperparameter: --hp beside it
@@ -391,15 +396,17 @@ class TestNonFiniteHyperparameters:
         ("simulate", "webster", "s_sat=nan"),
         ("simulate", "maxpressure", "g_min=inf"),
         ("evaluate", "sotl", "theta=-inf"), ("train", "dqn", "lr=nan"),
-        ("train", "ddpg", "l2=inf"),
+        ("train", "ddpg", "l2=inf"), ("train", "dqn", "lr=x"),
+        ("simulate", "sotl", "theta=x"),
     ])
-    def test_hp_flag(self, paths, tmp_path, capsys, cmd, tsc, hp):
+    def test_hp_flag(self, paths, tmp_path, capsys, episodes, cmd, tsc, hp):
         out = tmp_path / "out"
         assert main([cmd, "--net", paths["net"], "--demand",
                      paths["demand"], "--tsc", tsc, "--hp", hp,
                      "--out", str(out)]) == EXIT_USAGE
-        assert "must be a finite number" in capsys.readouterr().err
-        assert not out.exists()
+        assert f"{hp.split('=')[0]} must be a finite number" in \
+            capsys.readouterr().err
+        assert episodes == [] and not out.exists()
 
     @pytest.mark.parametrize("tsc,values", [
         ("sotl", {"theta": [50.0, float("nan")]}),
@@ -426,6 +433,23 @@ class TestNonFiniteHyperparameters:
                 single_net, single_demand)
         with pytest.raises(ValueError, match="critic_lr"):
             fabric.agent_config("ddpg", {"critic_lr": float("inf")})
+
+
+class TestOutOfRangeHyperparameters:
+    @pytest.mark.parametrize("tsc,hp,message", [
+        ("dqn", "target_sync=0", "target_sync must be >= 1"),
+        ("dqn", "lr=-1", "lr must be > 0"),
+        ("dqn", "replay_capacity=10", "replay_capacity must be >= batch"),
+        ("ddpg", "critic_lr=0", "critic_lr must be > 0"),
+    ])
+    def test_hp_flag(self, paths, tmp_path, capsys, episodes, tsc, hp,
+                     message):
+        out = tmp_path / "out"
+        assert main(["train", "--net", paths["net"], "--demand",
+                     paths["demand"], "--tsc", tsc, "--hp", hp,
+                     "--out", str(out)]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert episodes == [] and not out.exists()
 
 
 class TestTrainEvaluateCompare:

@@ -1,6 +1,9 @@
-"""Sequencer, observation, reward, cycle-successor and signal-unit tests."""
+"""Sequencer, observation, reward, cycle-successor, signal-unit and
+hyperparameter-contract tests."""
 
 import collections
+import dataclasses
+import typing
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from tscbench import experiments, fabric
 from tscbench.agents import DqnConfig
 from tscbench.control import (ALLRED_TIME, HOLD, YELLOW_TIME, Controller,
                               NextPhase, RewardNormalizer, SignalUnit,
-                              state_width)
+                              configure, state_width)
 from tscbench.network import NetworkModel
 from tscbench.simulation import (ALLRED, GREEN, YELLOW, DemandProfile,
                                  Simulation, Vehicle, run_episode)
@@ -342,3 +345,37 @@ class TestSignalUnit:
             assert unit.t_p == 3
         plain = SignalUnit(single_net, "i0", Holding(), make_sim(single_net))
         assert plain._tick is None
+
+
+@pytest.mark.parametrize("name", list(experiments.CONTROLLERS))
+def test_every_hyperparameter_is_checked_by_its_declared_type(name):
+    """Each field of a registered controller refuses a string, a bool and
+    NaN (and 2.5 in an int field) with one message, whether the class is
+    called directly or through `configure`; a valid value is stored as the
+    declared type."""
+    cls = experiments.CONTROLLERS[name]
+    hints = typing.get_type_hints(cls)
+    hps = [f for f in dataclasses.fields(cls) if f.init]
+    assert hps
+    for f in hps:
+        kind = int if int in (typing.get_args(hints[f.name])
+                              or (hints[f.name],)) else float
+        cases = {"x": "finite", True: "finite", float("nan"): "finite"}
+        if kind is int:
+            cases.update({"x": "whole", True: "whole", 2.5: "whole"})
+        for value, word in cases.items():
+            with pytest.raises(ValueError) as direct:
+                cls(**{f.name: value})
+            with pytest.raises(ValueError) as built:
+                configure(name, cls, {f.name: value})
+            assert str(direct.value) == str(built.value) == \
+                f"{f.name} must be a {word} number, not {value!r}"
+        default = getattr(cls(), f.name)
+        if default is None:
+            continue
+        assert type(default) is kind, f.name
+        # a whole float fills an int field, an int a float field
+        if kind is int or float(default).is_integer():
+            other = float(default) if kind is int else int(default)
+            stored = getattr(configure(name, cls, {f.name: other}), f.name)
+            assert type(stored) is kind and stored == default, f.name
