@@ -15,7 +15,7 @@ import sys
 
 from . import experiments, fabric
 from .experiments import ConfigError, GridSpec
-from .network import load_network
+from .network import load_network, read_input
 from .simulation import load_demand, run_episode
 
 EXIT_OK = 0
@@ -136,11 +136,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_tune(args) -> int:
     net, demand = _load_inputs(args)
-    if args.grid:
-        with open(args.grid, "r", encoding="utf-8") as fh:
-            values = json.load(fh)
-    else:
-        values = experiments.DEFAULT_GRIDS[args.tsc]
+    values = read_input(args.grid) if args.grid else \
+        experiments.DEFAULT_GRIDS[args.tsc]
     grid = GridSpec(controller=args.tsc, values=values, trials=args.trials,
                     base_seed=args.seed)
     ranked = experiments.tune(grid, net, demand, procs=args.procs,
@@ -221,12 +218,10 @@ def main(argv=None) -> int:
             raise ConfigError(f"--out {args.out}: {head} is not a directory")
         return _COMMANDS[args.command](args)
     except Exception as exc:
-        # configuration, network and JSON errors are ValueErrors; an
-        # OSError on a path given by flag (a directory as --net, an --out
-        # that cannot be made) is a usage error too
-        usage = isinstance(exc, (ValueError, FileNotFoundError)) or (
-            isinstance(exc, OSError) and exc.filename in
-            {getattr(args, k, None) for k in ("net", "demand", "grid", "out")})
+        # configuration errors and unreadable or corrupt input files are
+        # ValueErrors; an --out that cannot be made is a usage error too
+        usage = isinstance(exc, ValueError) or (
+            isinstance(exc, OSError) and exc.filename == args.out)
         print(f"{'error' if usage else 'runtime failure'}: {exc}",
               file=sys.stderr)
         return EXIT_USAGE if usage else EXIT_RUNTIME

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .network import NetworkModel
+from .network import ConfigError, NetworkModel
 from .simulation import ALLRED, GREEN, YELLOW, Simulation, vehicle_delay
 
 YELLOW_TIME = 2
@@ -64,10 +64,6 @@ class RewardNormalizer:
 
 
 # -- controller interface -----------------------------------------------------
-
-class ConfigError(ValueError):
-    """Unknown controller, hyperparameter, or inconsistent experiment setup."""
-
 
 @functools.cache
 def _hp_fields(cls) -> dict:

@@ -18,7 +18,7 @@ from . import fabric
 from .classic import (MaxPressureController, SotlController,
                       UniformController, WebsterController)
 from .control import ConfigError, configure
-from .network import NetworkModel
+from .network import NetworkModel, read_input
 from .simulation import DemandProfile, run_episode
 from .stats import BoxStats, box_stats, mean_ci95, rank_score
 
@@ -67,15 +67,15 @@ def make_classic_controllers(net: NetworkModel, name: str, hp: dict) -> dict:
     return {ix.id: configure(name, cls, hp) for ix in net.intersections}
 
 
-def greedy_controllers(net: NetworkModel, name: str, cfg, params: dict,
-                       seed: int = 0) -> dict:
+def greedy_controllers(net: NetworkModel, name: str, cfg,
+                       params: dict) -> dict:
     """Non-exploring controllers of learning algorithm `name` with agent
     config `cfg`, acting on `params` (intersection id -> acting
     parameters), all that greedy control reads of an agent."""
     agents = fabric.build_agents(net, name, cfg, seed=0)
     for iid, agent in agents.items():
         agent.apply_acting_params(params[iid])
-    return fabric.build_controllers(net, name, agents, seed, explore=False)
+    return fabric.build_controllers(net, name, agents, 0, explore=False)
 
 
 def controller_factory(net: NetworkModel, name: str, hp: dict,
@@ -210,14 +210,21 @@ def _map(fn, shared: tuple, tasks: list, procs: int) -> list:
     With procs > 1 and more than one task, the tasks run in a pool of
     worker processes, imported only then. Each worker gets `fn` and the
     `shared` arguments once, as it starts, so a task carries only its own
-    fields, never the network or the demand.
+    fields, never the network or the demand. A worker that dies is a
+    RuntimeError.
     """
     if procs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(procs, len(tasks)),
-                                 initializer=_share,
-                                 initargs=(fn, shared)) as pool:
-            return list(pool.map(_run_shared, tasks))
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+        try:
+            with ProcessPoolExecutor(max_workers=min(procs, len(tasks)),
+                                     initializer=_share,
+                                     initargs=(fn, shared)) as pool:
+                return list(pool.map(_run_shared, tasks))
+        except BrokenExecutor:
+            raise RuntimeError(
+                "a worker process died; under spawn or forkserver, the likely "
+                "cause is a script without an `if __name__ == \"__main__\":` "
+                "guard") from None
     return [fn(*shared, *task) for task in tasks]
 
 
@@ -335,17 +342,15 @@ class EvalResult:
 def evaluate(name: str, hp: dict, net: NetworkModel, demand: DemandProfile,
              runs: int = EVAL_RUNS, base_seed: int = 0,
              checkpoint_dir: str | None = None,
-             horizon: float | None = None, bin_s: float = MOE_BIN_S,
+             horizon: float | None = None,
              procs: int = 1, out_dir: str | None = None) -> EvalResult:
-    """Greedy multi-seed evaluation: pooled travel times plus MoE series."""
+    """Greedy multi-seed evaluation: pooled travel times plus MoE bins."""
     _check_count("runs", runs)
     _check_count("procs", procs)
-    if not (math.isfinite(bin_s) and bin_s > 0):
-        raise ConfigError(f"bin_s must be a finite number > 0, got {bin_s!r}")
     make_controllers = controller_factory(net, name, hp, checkpoint_dir)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-    reduced = _map(_eval_run, (net, demand, make_controllers, bin_s),
+    reduced = _map(_eval_run, (net, demand, make_controllers),
                    [(base_seed + i, horizon) for i in range(runs)], procs)
 
     travel_times = array("d")
@@ -354,7 +359,7 @@ def evaluate(name: str, hp: dict, net: NetworkModel, demand: DemandProfile,
     condition = condition_fingerprint(net, demand, runs, base_seed, horizon)
 
     moe = _moe_bins([ix.id for ix in net.intersections],
-                    [bins for _, bins, _ in reduced], bin_s)
+                    [bins for _, bins, _ in reduced])
     result = EvalResult(controller=name, hp=dict(hp), condition=condition,
                         travel_times=travel_times,
                         box=box_stats(travel_times), moe=moe,
@@ -364,14 +369,14 @@ def evaluate(name: str, hp: dict, net: NetworkModel, demand: DemandProfile,
     return result
 
 
-def _eval_run(net, demand, make_controllers, bin_s, seed, horizon) -> tuple:
+def _eval_run(net, demand, make_controllers, seed, horizon) -> tuple:
     """One evaluation run, reduced where it ran: its travel times, its
     `_run_bin_means` (None if it logged no second) and its unfinished
     count. The per-second series end with the run, so memory stays flat in
     the number of runs and a worker sends back kilobytes, not the series."""
     log = run_episode(net, demand, make_controllers(), seed, horizon=horizon)
     iids = [ix.id for ix in net.intersections]
-    bins = _run_bin_means(log, iids, bin_s) if log.times else None
+    bins = _run_bin_means(log, iids) if log.times else None
     return log.travel_times, bins, log.unfinished
 
 
@@ -381,7 +386,7 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return np.array(sorted(set(values.tolist())), dtype=values.dtype)
 
 
-def _run_bin_means(log, iids, bin_s) -> tuple:
+def _run_bin_means(log, iids) -> tuple:
     """The bins one run reached and, per intersection, its queue and delay
     means over each bin.
 
@@ -389,7 +394,7 @@ def _run_bin_means(log, iids, bin_s) -> tuple:
     equal length become the rows of one C-contiguous array, reduced along
     its last axis: each row gets the bits of the slice's own `mean()`.
     """
-    bins = (np.asarray(log.times) // bin_s).astype(int)
+    bins = (np.asarray(log.times) // MOE_BIN_S).astype(int)
     starts = np.flatnonzero(np.diff(bins, prepend=bins[0] - 1))
     lengths = np.diff(starts, append=len(bins))
     groups = [(sel, starts[sel, None] + np.arange(n))
@@ -407,7 +412,7 @@ def _run_bin_means(log, iids, bin_s) -> tuple:
     return bins[starts], means
 
 
-def _moe_bins(iids, run_bins, bin_s) -> dict:
+def _moe_bins(iids, run_bins) -> dict:
     """Per intersection, one row per bin: the mean across the runs that
     reached it and its 95% half-width, from each run's `_run_bin_means`
     (None for a run that logged no second). Bins reached by the same
@@ -435,7 +440,7 @@ def _moe_bins(iids, run_bins, bin_s) -> dict:
                 per_run = table[sel][mask].reshape(-1, n)  # in run order
                 mean[sel], half[sel] = mean_ci95(per_run)
             stats += [mean.tolist(), half.tolist()]
-        moe[iid] = [{"bin_start_s": b * bin_s, "mean_queue": qm,
+        moe[iid] = [{"bin_start_s": b * MOE_BIN_S, "mean_queue": qm,
                      "ci95_queue": qc, "mean_delay": dm, "ci95_delay": dc}
                     for b, qm, qc, dm, dc in zip(all_bins.tolist(), *stats)]
     return moe
@@ -469,13 +474,7 @@ def load_eval_summary(out_dir: str) -> dict:
     unless it is an object with every key of _SUMMARY_KEYS and a `box`
     that is an object or null."""
     path = os.path.join(out_dir, "summary.json")
-    if not os.path.exists(path):
-        raise ConfigError(f"no evaluation summary at {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            summary = json.load(fh)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: not JSON: {exc}") from None
+    summary = read_input(path)
     if not isinstance(summary, dict) or \
             any(k not in summary for k in _SUMMARY_KEYS) or \
             not isinstance(summary["box"], (dict, type(None))):

@@ -36,7 +36,7 @@ import numpy as np
 from .agents import (DdpgAgent, DdpgConfig, DdpgController, DqnAgent,
                      DqnConfig, DqnController, ReplayBuffer)
 from .control import ConfigError, RewardNormalizer, configure, state_width
-from .network import NetworkModel
+from .network import NetworkModel, read_input
 from .nn import ParameterSet, load_checkpoint, save_checkpoint
 from .simulation import DemandProfile, run_episode
 
@@ -239,10 +239,7 @@ def load_policy(checkpoint_dir: str, net: NetworkModel, algo: str) -> tuple:
     ConfigError unless its metadata is well formed and names `algo` and
     each intersection of `net`, whose agent's networks its file holds."""
     meta_path = os.path.join(checkpoint_dir, "meta.json")
-    if not os.path.exists(meta_path):
-        raise ConfigError(f"no checkpoint metadata at {meta_path}")
-    with open(meta_path, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = read_input(meta_path)
     if not isinstance(meta, dict) or "algo" not in meta:
         raise ConfigError(f"{meta_path}: checkpoint metadata needs an "
                           "object with \"algo\" and a \"files\" object")

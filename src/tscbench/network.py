@@ -14,6 +14,10 @@ from functools import cached_property
 JAM_SPACING_M = 7.5  # 5 m vehicle + 2.5 m standstill gap
 
 
+class ConfigError(ValueError):
+    """Unknown controller, hyperparameter, or inconsistent experiment setup."""
+
+
 class NetworkError(ValueError):
     """Base class for network file problems."""
 
@@ -286,11 +290,22 @@ def network_from_dict(data: dict) -> NetworkModel:
                         routes=tuple(routes))
 
 
-def load_network(path) -> NetworkModel:
+def read_input(path, binary: bool = False, error: type = ConfigError):
+    """Input file `path`'s bytes (`binary`) or its UTF-8 JSON; `error`, a
+    ValueError whose message starts with the path, if it fails to read."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise NetworkParseError(f"{path}: not valid JSON ({exc})") from exc
-    return network_from_dict(data)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return data if binary else json.loads(data.decode("utf-8"))
+    except OSError as exc:
+        reason = exc.strerror
+    except UnicodeDecodeError as exc:
+        reason = f"not UTF-8 ({exc})"
+    except (json.JSONDecodeError, RecursionError) as exc:
+        reason = f"not JSON ({exc})"
+    raise error(f"{path}: {reason}")
+
+
+def load_network(path) -> NetworkModel:
+    return network_from_dict(read_input(path, error=NetworkParseError))
 

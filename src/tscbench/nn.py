@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .network import read_input
+
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.99  # running-statistics decay
 ADAM_BETA1 = 0.9      # Adam's first-moment decay
@@ -368,8 +370,7 @@ def save_checkpoint(path, named_params: dict) -> None:
 
 def load_checkpoint(path) -> dict:
     """Inverse of save_checkpoint; a short or overlong file is an error."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = read_input(path, binary=True)
     pos = 0
 
     def take(n: int) -> bytes:

@@ -15,7 +15,7 @@ from array import array
 
 import numpy as np
 
-from .network import NetworkModel
+from .network import NetworkModel, read_input
 
 GREEN = "green"
 YELLOW = "yellow"
@@ -78,10 +78,7 @@ class DemandProfile:
 
 
 def load_demand(path) -> DemandProfile:
-    import json
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return DemandProfile(data)
+    return DemandProfile(read_input(path))
 
 
 class Vehicle:
@@ -528,14 +525,13 @@ def collect_moe(sim: Simulation, log: MoELog) -> None:
 
 def run_episode(net: NetworkModel, demand: DemandProfile, controllers: dict,
                 seed: int, horizon: float | None = None,
-                drain: float = DEFAULT_DRAIN_CAP,
                 moe_series: bool = True) -> MoELog:
     """Full observe -> decide -> sequence -> step loop.
 
     `controllers` maps intersection id -> controller instance. The log
     takes the simulation's exit-time and travel-time arrays; vehicles
-    still in the network after the drain window are reported as
-    unfinished, with no travel time.
+    still in the network `DEFAULT_DRAIN_CAP` seconds after the horizon are
+    reported as unfinished, with no travel time.
     With `moe_series` false the log holds the travel times and the ledger
     only: its per-second times, queue and delay series stay empty.
     """
@@ -543,7 +539,7 @@ def run_episode(net: NetworkModel, demand: DemandProfile, controllers: dict,
 
     if horizon is None:
         horizon = demand.horizon
-    if horizon > demand.horizon + drain:
+    if horizon > demand.horizon + DEFAULT_DRAIN_CAP:
         raise ValueError("horizon exceeds demand horizon plus drain allowance")
     missing = [ix.id for ix in net.intersections if ix.id not in controllers]
     if missing:
@@ -561,7 +557,7 @@ def run_episode(net: NetworkModel, demand: DemandProfile, controllers: dict,
         sim._moe_log = log  # each step appends the row of the step before
 
     commands = {}  # the same keys every second: refilled, not rebuilt
-    deadline = horizon + drain
+    deadline = horizon + DEFAULT_DRAIN_CAP
     while sim.t < horizon or (sim.t < deadline and sim.total_vehicles()):
         for iid, advance in advances:
             commands[iid] = advance()

@@ -293,8 +293,8 @@ def test_no_draws_once_injection_ends():
 
 def run_audited(spec, name, drain):
     """One episode of classic controller `name` on the spec's corridor,
-    checking the invariants after every step; returns what a second run
-    with the same seed must repeat."""
+    checking the invariants after every step, with a drain cap of `drain`
+    seconds; returns what a second run with the same seed must repeat."""
     net, demand = build(spec)
     step = Simulation.step
     bounds = (10.0, 30.0, 50.0, 150.0)
@@ -317,9 +317,10 @@ def run_audited(spec, name, drain):
         check_queries(sim, bounds)
         steps[0] += 1
 
-    with mock.patch.object(Simulation, "step", audited):
+    with mock.patch.object(Simulation, "step", audited), \
+            mock.patch.object(simulation, "DEFAULT_DRAIN_CAP", drain):
         log = run_episode(net, demand, make_classic_controllers(net, name, {}),
-                          spec["seed"], drain=drain)
+                          spec["seed"])
     assert steps[0] == len(log.times) > 0
     return (log.exit_times, log.travel_times, log.queue,
             {iid: [d.hex() for d in ds] for iid, ds in log.delay.items()},

@@ -1,6 +1,7 @@
 """Command-line interface tests: flags, outputs, exit codes."""
 
 import json
+import shutil
 
 import pytest
 
@@ -262,6 +263,71 @@ class TestPaths:
         assert "input 12 -> 36 elu -> 36 elu -> 3 linear" in err
         assert episodes == []
         assert not (tmp_path / "e").exists()
+
+
+BREAK = {
+    "missing": lambda path: path.unlink(),
+    "directory": lambda path: (path.unlink(), path.mkdir()),
+    "not-utf8": lambda path: path.write_bytes(b'{"u": "\xff"}'),
+    "not-json": lambda path: path.write_text("{not json"),
+}
+
+
+class TestReadFailures:
+    """Every input file that is missing, a directory, not UTF-8 or not
+    JSON exits 2 naming the file, before --out is made."""
+
+    @pytest.fixture(scope="class")
+    def checkpoint(self, paths, tmp_path_factory):
+        out = tmp_path_factory.mktemp("train")
+        assert main(["train", "--net", paths["net"], "--demand",
+                     paths["demand"], "--tsc", "dqn", "--episodes", "1",
+                     "--out", str(out)]) == EXIT_OK
+        return out / "checkpoints"
+
+    @pytest.mark.parametrize("target,failure", [
+        *((target, failure) for target in ("net", "demand", "grid", "meta",
+                                           "summary") for failure in BREAK),
+        ("ckpt", "missing"), ("ckpt", "directory")])
+    def test_exits_2_naming_the_file(self, paths, checkpoint, tmp_path,
+                                     capsys, target, failure):
+        ckpt = tmp_path / "checkpoints"
+        shutil.copytree(checkpoint, ckpt)
+        files = {
+            "net": tmp_path / "single.net",
+            "demand": tmp_path / "demand.json",
+            "grid": tmp_path / "grid.json",
+            "meta": ckpt / "meta.json",
+            "ckpt": ckpt / json.loads((ckpt / "meta.json").read_text())[
+                "files"]["i0"],
+            "summary": tmp_path / "bad" / "summary.json",
+        }
+        shutil.copy(paths["net"], files["net"])
+        shutil.copy(paths["demand"], files["demand"])
+        files["grid"].write_text('{"u": [10]}')
+        summary = json.dumps({"controller": "uniform", "hp": {},
+                              "condition": {}, "samples": 0, "box": None})
+        for name in ("bad", "good"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "summary.json").write_text(summary)
+        BREAK[failure](files[target])
+
+        out = tmp_path / "out"
+        inputs = ["--net", str(files["net"]), "--demand", str(files["demand"]),
+                  "--out", str(out)]
+        argv = {
+            "ckpt": ["evaluate", "--tsc", "dqn", "--runs", "1",
+                     "--checkpoint", str(ckpt), *inputs],
+            "summary": ["compare", "--in",
+                        f"{tmp_path / 'bad'},{tmp_path / 'good'}",
+                        "--out", str(out)],
+        }
+        argv["meta"] = argv["ckpt"]
+        default = ["tune", "--tsc", "uniform", "--trials", "1", "--grid",
+                   str(files["grid"]), *inputs]
+        assert main(argv.get(target, default)) == EXIT_USAGE
+        assert str(files[target]) in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSimulate:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import multiprocessing
 import os
 import pickle
 import subprocess
@@ -235,7 +236,7 @@ class TestEvaluate:
     def test_moe_bins_and_ci(self, tiny_net):
         demand = constant_demand(["in_a", "in_b"], 600.0, horizon=300.0)
         res = experiments.evaluate("uniform", {"u": 10}, tiny_net, demand,
-                                   runs=3, bin_s=60.0)
+                                   runs=3)
         rows = res.moe["x"]
         assert rows[0]["bin_start_s"] == 0.0
         assert rows[1]["bin_start_s"] == 60.0
@@ -340,6 +341,25 @@ class TestGreedyPolicy:
             double_net, trained.algo, {}, trained.checkpoint_dir)()) == \
             in_memory
 
+    def test_draws_no_random_number(self, trained, double_net,
+                                    double_demand):
+        # greedy controllers are seeded 0; any other seed acts the same
+        cfg, params = trained.policy()
+
+        def episode(seed):
+            agents = fabric.build_agents(double_net, trained.algo, cfg, 0)
+            for iid, agent in agents.items():
+                agent.apply_acting_params(params[iid])
+            log = experiments.run_episode(
+                double_net, double_demand, fabric.build_controllers(
+                    double_net, trained.algo, agents, seed, explore=False),
+                3, horizon=300.0)
+            return [np.asarray(x, dtype=float).tobytes()
+                    for x in [log.travel_times, log.times,
+                              *log.queue.values(), *log.delay.values()]]
+
+        assert episode(0) == episode(12345)
+
 
 class TestProcessPool:
     """Runs in worker processes repeat the in-process runs bit for bit;
@@ -437,6 +457,34 @@ class TestProcessPool:
         # a pool run does load them, so the check can fail
         assert out.stdout.splitlines() == [
             "[]", "[]", "['concurrent.futures.process', 'multiprocessing']"]
+
+    @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+    def test_unguarded_script(self, tmp_path, method):
+        # a script with no main guard: fork runs it; under spawn and
+        # forkserver each worker runs the script again and dies, which
+        # must end in one clear error (exit 3), not a hang or a traceback
+        import tscbench
+        data = os.path.join(os.path.dirname(tscbench.__file__), "data")
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "import multiprocessing, sys\n"
+            "from tscbench.cli import main\n"
+            f"multiprocessing.set_start_method({method!r}, force=True)\n"
+            "sys.exit(main(['evaluate', '--tsc', 'sotl', '--runs', '2',\n"
+            f"           '--procs', '2', '--net', {data + '/single.net'!r},\n"
+            f"           '--demand', {data + '/single_asym_demand.json'!r},\n"
+            f"           '--out', {str(tmp_path / 'out')!r}]))\n")
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(data)))
+        out = subprocess.run([sys.executable, str(script)], env=env,
+                             capture_output=True, text=True, timeout=120)
+        if method == "fork":
+            assert out.returncode == 0, out.stderr
+        else:
+            assert out.returncode == 3, out.stderr
+            last = out.stderr.splitlines()[-1]
+            assert last.startswith("runtime failure: a worker process died")
+            assert 'if __name__ == "__main__":' in last
 
 
 class TestEvaluateMemory:
@@ -592,9 +640,10 @@ def write_eval_rows(out_dir, result):
                             repr(r["mean_delay"]), repr(r["ci95_delay"])])
 
 
-def per_bin_reference(net, logs, bin_s):
+def per_bin_reference(net, logs):
     """evaluate's MoE bins as the per-bin loop computed them: one slice
     mean per run and bin, one mean_ci95 call per bin and series."""
+    bin_s = experiments.MOE_BIN_S
     moe = {}
     for ix in net.intersections:
         per_run_bins = {}
@@ -626,19 +675,18 @@ class TestEvaluateBins:
     10 runs, means over 8 or more values, where a sequential sum and
     numpy's pairwise sum differ."""
 
-    @pytest.mark.parametrize("bin_s", [60.0, 7.0])
     def test_ten_runs_match_the_per_bin_loop(self, double_net, double_demand,
-                                             tmp_path, bin_s):
+                                             tmp_path):
         runs, horizon = 10, 240.0
         res = experiments.evaluate("sotl", {}, double_net, double_demand,
                                    runs=runs, base_seed=5, horizon=horizon,
-                                   bin_s=bin_s, out_dir=str(tmp_path / "new"))
+                                   out_dir=str(tmp_path / "new"))
         logs = [experiments.run_episode(
                     double_net, double_demand,
                     make_classic_controllers(double_net, "sotl", {}),
                     5 + i, horizon=horizon) for i in range(runs)]
         assert len({log.times[-1] for log in logs}) > 5
-        want = per_bin_reference(double_net, logs, bin_s)
+        want = per_bin_reference(double_net, logs)
         assert {k: [{c: float(v).hex() for c, v in row.items()}
                     for row in rows] for k, rows in res.moe.items()} == \
             {k: [{c: float(v).hex() for c, v in row.items()}
@@ -654,21 +702,9 @@ class TestEvaluateBins:
     def test_one_run_bins_have_zero_half_width(self, tiny_net):
         demand = constant_demand(["in_a", "in_b"], 600.0, horizon=90.0)
         res = experiments.evaluate("uniform", {"u": 10}, tiny_net, demand,
-                                   runs=1, bin_s=60.0)
+                                   runs=1)
         assert [r["ci95_delay"] for r in res.moe["x"]] == [0.0, 0.0]
         assert [r["ci95_queue"] for r in res.moe["x"]] == [0.0, 0.0]
-
-    @pytest.mark.parametrize("bin_s", [0.0, 0, -60.0, float("nan"),
-                                       float("inf")])
-    def test_bin_width_must_be_finite_and_positive(self, tiny_net, tmp_path,
-                                                   episodes, bin_s):
-        demand = constant_demand(["in_a", "in_b"], 400.0, horizon=60.0)
-        with pytest.raises(ConfigError, match="bin_s must be a finite"):
-            experiments.evaluate("uniform", {"u": 10}, tiny_net, demand,
-                                 runs=1, bin_s=bin_s,
-                                 out_dir=str(tmp_path / "out"))
-        assert episodes == []
-        assert not (tmp_path / "out").exists()
 
     def test_mean_ci95_rows_match_one_dimensional_calls(self):
         x = np.random.default_rng(3).normal(50.0, 20.0, size=(6, 32))

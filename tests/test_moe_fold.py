@@ -9,11 +9,14 @@ episodes that take no step, end by draining, or stop at the drain cap with
 vehicles left.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import constant_demand
 from test_arrival_schedule import build, specs
+from tscbench import simulation
 from tscbench.control import SignalUnit
 from tscbench.experiments import make_classic_controllers
 from tscbench.network import network_from_dict
@@ -41,11 +44,14 @@ def stepwise(net, demand, controllers, seed, horizon=None,
     return log, sim
 
 
-def check_fold(net, demand, name, seed, **kw):
-    got = run_episode(net, demand, make_classic_controllers(net, name, {}),
-                      seed, **kw)
+def check_fold(net, demand, name, seed, horizon=None,
+               drain=DEFAULT_DRAIN_CAP):
+    with mock.patch.object(simulation, "DEFAULT_DRAIN_CAP", drain):
+        got = run_episode(net, demand,
+                          make_classic_controllers(net, name, {}), seed,
+                          horizon=horizon)
     want, sim = stepwise(net, demand, make_classic_controllers(net, name, {}),
-                         seed, **kw)
+                         seed, horizon=horizon, drain=drain)
     assert got.times == want.times
     assert got.queue == want.queue
     # == would let -0.0 pass for 0.0; the digests hash the bits

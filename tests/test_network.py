@@ -192,6 +192,14 @@ def test_invalid_json_is_parse_error(tmp_path):
         load_network(str(path))
 
 
+def test_too_deeply_nested_json_is_parse_error(tmp_path):
+    path = tmp_path / "deep.net"
+    path.write_text("[" * 100_000)
+    with pytest.raises(NetworkParseError, match="not JSON") as err:
+        load_network(str(path))
+    assert str(err.value).startswith(f"{path}: ")
+
+
 def test_round_trip(single_net, tmp_path):
     path = tmp_path / "copy.net"
     path.write_text(json.dumps(single_net.to_dict(), indent=2))

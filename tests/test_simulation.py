@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+from tscbench import simulation
 from tscbench.classic import UniformController
 from tscbench.experiments import make_classic_controllers
 from tscbench.simulation import (ALLRED, GREEN, DemandProfile, MoELog,
@@ -267,7 +268,7 @@ class TestEpisode:
             for lid, vehs in sim.lane_vehicles.items():
                 assert len(vehs) <= caps[lid]
 
-    def test_drain_reports_unfinished(self, tiny_net):
+    def test_drain_reports_unfinished(self, tiny_net, monkeypatch):
         demand = constant_demand(["in_a", "in_b"], 1500.0, horizon=1200.0)
 
         class Frozen(UniformController):
@@ -276,7 +277,8 @@ class TestEpisode:
                 return HOLD
 
         ctrl = {"x": Frozen(u=10)}
-        log = run_episode(tiny_net, demand, ctrl, 2, drain=30.0)
+        monkeypatch.setattr(simulation, "DEFAULT_DRAIN_CAP", 30.0)
+        log = run_episode(tiny_net, demand, ctrl, 2)
         assert log.unfinished > 0
         assert log.summary()["injected"] == \
             log.summary()["exited"] + log.unfinished
