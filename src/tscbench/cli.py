@@ -7,15 +7,13 @@ success, 2 on usage or configuration errors, 3 on runtime failures.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import os
 import sys
 
 from . import experiments, fabric
 from .experiments import ConfigError, GridSpec
-from .network import load_network, read_input
+from .network import load_network, make_out_dir, read_input, write_output
 from .simulation import load_demand, run_episode
 
 EXIT_OK = 0
@@ -39,6 +37,8 @@ def parse_hp(text: str | None) -> dict:
         val = val.strip()
         if not key or not val:
             raise ConfigError(f"bad hyperparameter {item!r}, expected k=v")
+        if key in hp:
+            raise ConfigError(f"hyperparameter {key!r} given twice")
         try:
             hp[key] = int(val)
         except ValueError:
@@ -122,15 +122,13 @@ def cmd_simulate(args) -> int:
     hp = parse_hp(args.hp)
     controllers = experiments.controller_factory(net, args.tsc, hp,
                                                  args.checkpoint)()
-    os.makedirs(args.out, exist_ok=True)
+    fabric.check_seed(args.seed)
+    make_out_dir(args.out)
     log = run_episode(net, demand, controllers, args.seed)
-    with open(os.path.join(args.out, "summary.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump({"controller": args.tsc, "hp": hp, "seed": args.seed,
-                   **log.summary()}, fh, indent=2)
-    with open(os.path.join(args.out, "moe.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        csv.writer(fh).writerows(log.csv_rows())
+    write_output(os.path.join(args.out, "summary.json"),
+                 {"controller": args.tsc, "hp": hp, "seed": args.seed,
+                  **log.summary()})
+    write_output(os.path.join(args.out, "moe.csv"), log.csv_rows())
     return EXIT_OK
 
 
@@ -210,18 +208,11 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        # before any work: refuse an --out that is a file or lies under one
-        head = os.path.abspath(args.out)
-        while not os.path.exists(head):
-            head = os.path.dirname(head)
-        if not os.path.isdir(head):
-            raise ConfigError(f"--out {args.out}: {head} is not a directory")
         return _COMMANDS[args.command](args)
     except Exception as exc:
-        # configuration errors and unreadable or corrupt input files are
-        # ValueErrors; an --out that cannot be made is a usage error too
-        usage = isinstance(exc, ValueError) or (
-            isinstance(exc, OSError) and exc.filename == args.out)
+        # configuration errors, unusable input files and an --out that
+        # cannot be made are ValueErrors
+        usage = isinstance(exc, ValueError)
         print(f"{'error' if usage else 'runtime failure'}: {exc}",
               file=sys.stderr)
         return EXIT_USAGE if usage else EXIT_RUNTIME

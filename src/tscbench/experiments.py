@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import functools
 import hashlib
 import itertools
@@ -18,7 +17,7 @@ from . import fabric
 from .classic import (MaxPressureController, SotlController,
                       UniformController, WebsterController)
 from .control import ConfigError, configure
-from .network import NetworkModel, read_input
+from .network import NetworkModel, make_out_dir, read_input, write_output
 from .simulation import DemandProfile, run_episode
 from .stats import BoxStats, box_stats, mean_ci95, rank_score
 
@@ -275,7 +274,7 @@ def tune(grid: GridSpec, net: NetworkModel, demand: DemandProfile,
     name = grid.controller
     cids = {config_id(name, hp): hp for hp in grid.expand()}
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
+        make_out_dir(out_dir)
     if name in fabric.ALGOS:
         tasks = [(hp, seed_for(cid, -1, grid.base_seed))
                  for cid, hp in cids.items()]
@@ -295,24 +294,15 @@ def tune(grid: GridSpec, net: NetworkModel, demand: DemandProfile,
 
     ranked = sorted(results, key=_rank_key)
     if out_dir:
-        _write_tune(out_dir, name, grid, ranked)
+        write_output(os.path.join(out_dir, "ranking.json"),
+                     {"controller": name, "trials": grid.trials,
+                      "base_seed": grid.base_seed,
+                      "ranking": [r.to_dict() for r in ranked]})
+        write_output(os.path.join(out_dir, "trials.csv"),
+                     [["config_id", "trial", "seed_mean_travel_time"]] +
+                     [[r.config_id, trial, repr(v)] for r in ranked
+                      for trial, v in enumerate(r.per_seed)])
     return ranked
-
-
-def _write_tune(out_dir, name, grid, ranked):
-    with open(os.path.join(out_dir, "ranking.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump({"controller": name, "trials": grid.trials,
-                   "base_seed": grid.base_seed,
-                   "ranking": [r.to_dict() for r in ranked]}, fh, indent=2,
-                  allow_nan=False)
-    with open(os.path.join(out_dir, "trials.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["config_id", "trial", "seed_mean_travel_time"])
-        for r in ranked:
-            for trial, v in enumerate(r.per_seed):
-                w.writerow([r.config_id, trial, repr(v)])
 
 
 # -- evaluation -------------------------------------------------------------------
@@ -347,9 +337,10 @@ def evaluate(name: str, hp: dict, net: NetworkModel, demand: DemandProfile,
     """Greedy multi-seed evaluation: pooled travel times plus MoE bins."""
     _check_count("runs", runs)
     _check_count("procs", procs)
+    fabric.check_seed(base_seed)
     make_controllers = controller_factory(net, name, hp, checkpoint_dir)
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
+        make_out_dir(out_dir)
     reduced = _map(_eval_run, (net, demand, make_controllers),
                    [(base_seed + i, horizon) for i in range(runs)], procs)
 
@@ -446,33 +437,29 @@ def _moe_bins(iids, run_bins) -> dict:
     return moe
 
 
+_MOE_COLUMNS = ("bin_start_s", "mean_queue", "ci95_queue", "mean_delay",
+                "ci95_delay")
+
+
 def write_eval(out_dir: str, result: EvalResult) -> None:
-    with open(os.path.join(out_dir, "summary.json"), "w",
-              encoding="utf-8") as fh:
-        fh.write(json.dumps(result.summary(), indent=2, allow_nan=False))
-    with open(os.path.join(out_dir, "travel_times.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["travel_time_s"])
-        w.writerows(zip(map(repr, result.travel_times)))  # one-field rows
-    with open(os.path.join(out_dir, "moe.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["intersection_id", "bin_start_s", "mean_queue",
-                    "ci95_queue", "mean_delay", "ci95_delay"])
-        w.writerows([iid, repr(r["bin_start_s"]),
-                     repr(r["mean_queue"]), repr(r["ci95_queue"]),
-                     repr(r["mean_delay"]), repr(r["ci95_delay"])]
-                    for iid, rows in result.moe.items() for r in rows)
+    write_output(os.path.join(out_dir, "summary.json"), result.summary())
+    write_output(os.path.join(out_dir, "travel_times.csv"), itertools.chain(
+        [["travel_time_s"]], zip(map(repr, result.travel_times))))
+    write_output(os.path.join(out_dir, "moe.csv"), itertools.chain(
+        [["intersection_id", *_MOE_COLUMNS]],
+        ([iid, *(repr(r[k]) for k in _MOE_COLUMNS)]
+         for iid, rows in result.moe.items() for r in rows)))
 
 
 _SUMMARY_KEYS = ("controller", "hp", "condition", "samples", "box")
+_BOX_NUMBERS = ("mean", "std", "median", "iqr")
 
 
 def load_eval_summary(out_dir: str) -> dict:
     """The `summary.json` of an evaluation; ConfigError naming the file
     unless it is an object with every key of _SUMMARY_KEYS and a `box`
-    that is an object or null."""
+    that is null or an object whose _BOX_NUMBERS are finite numbers or
+    null and whose `outliers` are a list."""
     path = os.path.join(out_dir, "summary.json")
     summary = read_input(path)
     if not isinstance(summary, dict) or \
@@ -481,6 +468,13 @@ def load_eval_summary(out_dir: str) -> dict:
         raise ConfigError(f"{path}: an evaluation summary is an object with "
                           f"{', '.join(map(repr, _SUMMARY_KEYS))} and a box "
                           "that is an object or null")
+    box = summary["box"] or {}
+    if not all(v is None or type(v) in (int, float) and math.isfinite(v)
+               for v in map(box.get, _BOX_NUMBERS)) or \
+            not isinstance(box.get("outliers", []), list):
+        raise ConfigError(f"{path}: the box's "
+                          f"{', '.join(map(repr, _BOX_NUMBERS))} must be "
+                          "finite numbers or null, and its 'outliers' a list")
     return summary
 
 
@@ -497,32 +491,23 @@ def compare(summaries: list, out_dir: str | None = None) -> list:
                 "evaluations were run under different conditions: "
                 f"{first} vs {s['condition']}")
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
+        make_out_dir(out_dir)
     rows = []
     for s in summaries:
         box = s.get("box") or {}
         rows.append({
             "controller": s["controller"],
             "hp": s["hp"],
-            "mean": box.get("mean"),
-            "std": box.get("std"),
-            "median": box.get("median"),
-            "iqr": box.get("iqr"),
+            **{k: box.get(k) for k in _BOX_NUMBERS},
             "outliers": len(box.get("outliers", [])),
             "samples": s.get("samples", 0),
         })
     rows.sort(key=lambda r: (r["mean"] is None, r["mean"]))
     if out_dir:
-        with open(os.path.join(out_dir, "comparison.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump({"condition": first, "ranking": rows}, fh, indent=2)
-        with open(os.path.join(out_dir, "comparison.csv"), "w", newline="",
-                  encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["controller", "mean", "std", "median", "iqr",
-                        "outliers", "samples"])
-            for r in rows:
-                w.writerow([r["controller"], repr(r["mean"]), repr(r["std"]),
-                            repr(r["median"]), repr(r["iqr"]),
-                            r["outliers"], r["samples"]])
+        write_output(os.path.join(out_dir, "comparison.json"),
+                     {"condition": first, "ranking": rows})
+        columns = ("controller", *_BOX_NUMBERS, "outliers", "samples")
+        write_output(os.path.join(out_dir, "comparison.csv"), [columns] + [
+            [repr(r[k]) if k in _BOX_NUMBERS else r[k] for k in columns]
+            for r in rows])
     return rows

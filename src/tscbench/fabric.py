@@ -22,8 +22,6 @@ identical floats.
 from __future__ import annotations
 
 import collections
-import csv
-import json
 import math
 import os
 import queue
@@ -36,7 +34,7 @@ import numpy as np
 from .agents import (DdpgAgent, DdpgConfig, DdpgController, DqnAgent,
                      DqnConfig, DqnController, ReplayBuffer)
 from .control import ConfigError, RewardNormalizer, configure, state_width
-from .network import NetworkModel, read_input
+from .network import NetworkModel, make_out_dir, read_input, write_output
 from .nn import ParameterSet, load_checkpoint, save_checkpoint
 from .simulation import DemandProfile, run_episode
 
@@ -86,6 +84,12 @@ class TrainResult:
 
 def agent_config(algo: str, hp: dict):
     return configure(algo, ALGOS[algo], hp)
+
+
+def check_seed(seed: int) -> None:
+    """ConfigError unless `seed` can seed a numpy generator."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
 def default_assignment(net: NetworkModel, n_learners: int) -> dict:
@@ -216,7 +220,7 @@ def _save_checkpoints(result: TrainResult, out_dir: str) -> None:
     """`checkpoints/`: `<iid>_v<acting version>.ckpt`, all networks of each
     intersection's agent, and `meta.json` (algo, files, r_min, config)."""
     ckpt_dir = os.path.join(out_dir, "checkpoints")
-    os.makedirs(ckpt_dir, exist_ok=True)
+    make_out_dir(ckpt_dir)
     files = {}
     for iid, agent in result.agents.items():
         named = agent.to_checkpoint()  # the acting network first
@@ -229,8 +233,7 @@ def _save_checkpoints(result: TrainResult, out_dir: str) -> None:
         "r_min": result.r_min,
         "config": dict(vars(next(iter(result.agents.values())).cfg)),
     }
-    with open(os.path.join(ckpt_dir, "meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2)
+    write_output(os.path.join(ckpt_dir, "meta.json"), meta)
     result.checkpoint_dir = ckpt_dir
 
 
@@ -282,18 +285,11 @@ def _net_shape(params) -> str:
             for s in params.specs])
 
 
-def write_training_log(path, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["wall_s", "learner", "intersection", "update_count",
-                    "loss", "mean_segment_reward"])
-        w.writerows(rows)
-
-
 def train(net: NetworkModel, demand: DemandProfile, algo: str, seed: int,
           fabric: FabricConfig | None = None, agent_cfg=None,
           out_dir: str | None = None) -> TrainResult:
     """Run the training fabric; returns trained per-intersection agents."""
+    check_seed(seed)
     fabric = fabric or FabricConfig()
     if agent_cfg is None:
         agent_cfg = DqnConfig() if algo == "dqn" else DdpgConfig()
@@ -308,7 +304,7 @@ def train(net: NetworkModel, demand: DemandProfile, algo: str, seed: int,
                                 agent_cfg.replay_capacity, seed + 1000 + i))
 
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
+        make_out_dir(out_dir)
     n_actors = fabric.n_actors
     mailboxes = [_Mailbox() for _ in range(n_actors)] if n_actors > 1 else []
     normalizers = [{iid: RewardNormalizer() for iid in assignment}
@@ -403,6 +399,7 @@ def train(net: NetworkModel, demand: DemandProfile, algo: str, seed: int,
                        for iid, n in lrn.update_counts.items()})
     if out_dir:
         _save_checkpoints(result, out_dir)
-        write_training_log(os.path.join(out_dir, "training_log.csv"),
-                           result.log)
+        write_output(os.path.join(out_dir, "training_log.csv"), [
+            ["wall_s", "learner", "intersection", "update_count", "loss",
+             "mean_segment_reward"], *result.log])
     return result

@@ -6,8 +6,10 @@ treated as immutable and may be shared freely between simulator instances.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -304,6 +306,35 @@ def read_input(path, binary: bool = False, error: type = ConfigError):
     except (json.JSONDecodeError, RecursionError) as exc:
         reason = f"not JSON ({exc})"
     raise error(f"{path}: {reason}")
+
+
+def make_out_dir(path) -> None:
+    """Make output directory `path` and its parents; a ConfigError naming
+    `path` and what blocks it (a file on the way) if it cannot be made."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        head = os.path.abspath(path)
+        while not os.path.exists(head):
+            head = os.path.dirname(head)
+        reason = exc.strerror if os.path.isdir(head) else \
+            f"{head} is not a directory"
+        raise ConfigError(f"{path}: {reason}") from None
+
+
+def write_output(path, content) -> None:
+    """Write output file `path`: its CSV rows if `path` ends in .csv, else
+    `content` itself if bytes, else its JSON (indented 2). The JSON is
+    made first, so a value JSON cannot hold (NaN, Infinity) is a
+    ValueError that leaves no file."""
+    if os.fspath(path).endswith(".csv"):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(content)
+        return
+    if not isinstance(content, bytes):
+        content = json.dumps(content, indent=2, allow_nan=False).encode()
+    with open(path, "wb") as fh:
+        fh.write(content)
 
 
 def load_network(path) -> NetworkModel:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import read_input
+from .network import read_input, write_output
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.99  # running-statistics decay
@@ -351,21 +351,17 @@ _MAGIC = b"TSCNET1\n"
 
 def save_checkpoint(path, named_params: dict) -> None:
     """Write named parameter sets as a versioned binary blob."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(named_params)))
-        for name, params in named_params.items():
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<IQI", params.input_width, params.version,
-                                 len(params.specs)))
-            for spec in params.specs:
-                fh.write(struct.pack("<IBB", spec.width,
-                                     ACTIVATIONS.index(spec.activation),
-                                     int(spec.batch_norm)))
-            for _, arr in params.arrays():
-                fh.write(arr.tobytes())
+    parts = [_MAGIC, struct.pack("<I", len(named_params))]
+    for name, params in named_params.items():
+        raw = name.encode("utf-8")
+        parts += [struct.pack("<H", len(raw)), raw,
+                  struct.pack("<IQI", params.input_width, params.version,
+                              len(params.specs))]
+        parts += [struct.pack("<IBB", spec.width,
+                              ACTIVATIONS.index(spec.activation),
+                              int(spec.batch_norm)) for spec in params.specs]
+        parts += [arr.tobytes() for _, arr in params.arrays()]
+    write_output(path, b"".join(parts))
 
 
 def load_checkpoint(path) -> dict:
@@ -390,7 +386,11 @@ def load_checkpoint(path) -> dict:
     out = {}
     for _ in range(count):
         (nlen,) = unpack("<H")
-        name = take(nlen).decode("utf-8")
+        try:
+            name = take(nlen).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: network name is not UTF-8 "
+                             f"({exc})") from None
         input_width, version, n_layers = unpack("<IQI")
         specs = []
         for _ in range(n_layers):

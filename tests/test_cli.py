@@ -59,6 +59,14 @@ class TestExitCodes:
                      paths["demand"], "--tsc", "uniform", "--hp", "q=1",
                      "--out", str(tmp_path)]) == EXIT_USAGE
 
+    def test_repeated_hp(self, paths, tmp_path, capsys, episodes):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--net", paths["net"], "--demand",
+                     paths["demand"], "--tsc", "uniform", "--hp",
+                     "u=5,u=10", "--out", str(out)]) == EXIT_USAGE
+        assert "hyperparameter 'u' given twice" in capsys.readouterr().err
+        assert not out.exists() and episodes == []
+
     def test_demand_lane_without_route(self, paths, tmp_path):
         demand = tmp_path / "demand.json"
         demand.write_text(json.dumps({"nope": [[0, 600], [600, 600]]}))
@@ -380,8 +388,9 @@ class TestTune:
 
 
 class TestCounts:
-    """A run or process count below 1 exits 2 and writes nothing: no
-    evaluation under a fingerprint of 0 or -3 runs, no silent serial run."""
+    """A run or process count below 1, or a negative seed, exits 2 and
+    writes nothing: no evaluation under a fingerprint of 0 or -3 runs, no
+    silent serial run, no empty --out."""
 
     @pytest.mark.parametrize("flag,value", [("--runs", "0"), ("--runs", "-3"),
                                             ("--procs", "0"),
@@ -403,6 +412,20 @@ class TestCounts:
                      "--procs", value, "--out", str(out)]) == EXIT_USAGE
         assert "procs must be >= 1" in capsys.readouterr().err
         assert not (out / "ranking.json").exists()
+
+
+    @pytest.mark.parametrize("cmd,tsc,extra", [
+        ("simulate", "uniform", []), ("evaluate", "uniform", ["--runs", "1"]),
+        ("train", "dqn", ["--episodes", "1"]),
+    ])
+    def test_negative_seed(self, paths, tmp_path, capsys, episodes, cmd, tsc,
+                           extra):
+        out = tmp_path / "out"
+        assert main([cmd, "--net", paths["net"], "--demand", paths["demand"],
+                     "--tsc", tsc, *extra, "--seed", "-4",
+                     "--out", str(out)]) == EXIT_USAGE
+        assert "seed must be >= 0, got -4" in capsys.readouterr().err
+        assert not out.exists() and episodes == []
 
 
 class TestMalformedGrid:
@@ -579,6 +602,23 @@ class TestTrainEvaluateCompare:
                      "--out", str(tmp_path / "c")]) == EXIT_USAGE
         assert f"error: {path}: an evaluation summary is" in \
             capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("mean", ['"fast"', "NaN"])
+    def test_compare_box_mean_not_a_number(self, paths, tmp_path, capsys,
+                                           mean):
+        for d in ("a", "b"):
+            main(["evaluate", "--net", paths["net"], "--demand",
+                  paths["demand"], "--tsc", "uniform", "--hp", "u=10",
+                  "--runs", "1", "--out", str(tmp_path / d)])
+        path = tmp_path / "b" / "summary.json"
+        text = path.read_text()
+        start = text.index('"mean": ') + len('"mean": ')
+        path.write_text(text[:start] + mean + text[text.index(",", start):])
+        capsys.readouterr()
+        assert main(["compare", "--in", f"{tmp_path / 'a'},{tmp_path / 'b'}",
+                     "--out", str(tmp_path / "c")]) == EXIT_USAGE
+        assert f"error: {path}: the box's 'mean'" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
 
     def test_compare_mismatched_runs(self, paths, tmp_path):

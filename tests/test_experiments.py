@@ -559,7 +559,8 @@ class TestCounts:
 class TestOutDir:
     """An output directory is made and checked after the arguments are,
     and before the first episode: one that cannot be made (a file, or a
-    path under one) fails with no episode run."""
+    path under one) is a ConfigError naming the file, with no episode
+    run."""
 
     @pytest.fixture(params=["file", "under-file"])
     def blocked(self, request, tmp_path):
@@ -571,7 +572,7 @@ class TestOutDir:
         return constant_demand(["in_a", "in_b"], 400.0, horizon=60.0)
 
     def test_evaluate(self, tiny_net, blocked, episodes):
-        with pytest.raises(OSError):
+        with pytest.raises(ConfigError, match="taken is not a directory"):
             experiments.evaluate("uniform", {"u": 10}, tiny_net,
                                  self.demand(), runs=2, out_dir=blocked)
         assert episodes == []
@@ -579,14 +580,14 @@ class TestOutDir:
     @pytest.mark.parametrize("name,values", [("uniform", {"u": [10]}),
                                              ("dqn", {"a_repeat": [10]})])
     def test_tune(self, tiny_net, blocked, episodes, name, values):
-        with pytest.raises(OSError):
+        with pytest.raises(ConfigError, match="taken is not a directory"):
             experiments.tune(GridSpec(name, values, trials=1), tiny_net,
                              self.demand(), train_episodes=1,
                              out_dir=blocked)
         assert episodes == []
 
     def test_train(self, tiny_net, blocked, episodes):
-        with pytest.raises(OSError):
+        with pytest.raises(ConfigError, match="taken is not a directory"):
             fabric.train(tiny_net, self.demand(), "dqn", 0,
                          fabric=fabric.FabricConfig(episode_budget=1),
                          out_dir=blocked)
@@ -595,7 +596,7 @@ class TestOutDir:
     def test_compare(self, tiny_net, blocked):
         s = experiments.evaluate("uniform", {"u": 10}, tiny_net,
                                  self.demand(), runs=1).summary()
-        with pytest.raises(OSError):
+        with pytest.raises(ConfigError, match="taken is not a directory"):
             experiments.compare([s, s], out_dir=blocked)
 
     def test_usage_errors_make_no_directory(self, tiny_net, tmp_path,

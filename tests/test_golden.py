@@ -35,6 +35,10 @@ training benchmark times.
 
 The learning-tune digest hashes every per-seed mean of a short DQN and
 DDPG grid search: each config trains, then runs its greedy trials.
+
+The output-file digests hash, by name and bytes, every file that each CLI
+command writes for fixed seeds on single.net, so the results files stay
+byte-identical. `training_log.csv` is hashed without its wall-clock column.
 """
 
 import hashlib
@@ -44,7 +48,7 @@ import os
 
 import pytest
 
-from tscbench import fabric
+from tscbench import cli, fabric
 from tscbench.agents import DdpgConfig, DqnConfig
 from tscbench.experiments import (GridSpec, evaluate,
                                   make_classic_controllers, tune)
@@ -141,6 +145,49 @@ GOLDEN_LEARNING_TUNE = "a1526019c9e056b6f313"
 LEARNING_TUNE_GRIDS = (("dqn", {"a_repeat": [5, 10]}),
                        ("ddpg", {"g_min,g_max": [[5, 30]]}))
 
+# Every file each command writes, by path under its --out: the first 20
+# hex digits of its sha256. Recorded before every writer of the package
+# went through one output gate.
+GOLDEN_OUTPUT_FILES = {
+    "compare": {
+        "comparison.csv": "6deea0996f4af9794935",
+        "comparison.json": "f4bf0e705f9315406f3a",
+    },
+    "evaluate": {
+        "moe.csv": "523274b35ccb528ff5b5",
+        "summary.json": "1444aeb779eb2ad0015f",
+        "travel_times.csv": "a2dfe5d7ccd685c7249c",
+    },
+    "simulate": {
+        "moe.csv": "3175cb8593ec38ff2056",
+        "summary.json": "2cced47a06644db7f3da",
+    },
+    "train": {
+        "checkpoints/i0_v86.ckpt": "362b15defc197edcec73",
+        "checkpoints/meta.json": "0990c44a0a3c484a9683",
+        "training_log.csv": "7c2fa1f3bca04b1f1bf3",
+    },
+    "tune": {
+        "ranking.json": "8b336c035bb85da35cdc",
+        "trials.csv": "0d2522659423c9c39ebb",
+    },
+}
+SINGLE = ["--net", str(DATA / "single.net"),
+          "--demand", str(DATA / "single_asym_demand.json")]
+EVAL_ARGS = ["evaluate", *SINGLE, "--runs", "2", "--seed", "5"]
+OUTPUT_COMMANDS = {
+    "simulate": [["simulate", *SINGLE, "--tsc", "sotl", "--hp", "mu=5",
+                  "--seed", "3"]],
+    "tune": [["tune", *SINGLE, "--tsc", "uniform", "--grid", "{grid}",
+              "--trials", "2", "--seed", "1"]],
+    "evaluate": [[*EVAL_ARGS, "--tsc", "maxpressure"]],
+    "compare": [[*EVAL_ARGS, "--tsc", "sotl", "--out", "{tmp}/sotl"],
+                [*EVAL_ARGS, "--tsc", "uniform", "--out", "{tmp}/uniform"],
+                ["compare", "--in", "{tmp}/sotl,{tmp}/uniform"]],
+    "train": [["train", *SINGLE, "--tsc", "dqn", "--episodes", "2",
+               "--seed", "0"]],
+}
+
 
 def _hasher():
     h = hashlib.sha256()
@@ -234,6 +281,32 @@ def checkpoint_bytes_digest(algo: str, out_dir: str) -> str:
     return h.hexdigest()[:20]
 
 
+def output_file_digests(command: str, tmp: str) -> dict:
+    """Run `command`'s CLI invocations (the last one into `tmp`/out); the
+    digest of each file it wrote, by path under its --out."""
+    grid = os.path.join(tmp, "grid.json")
+    with open(grid, "w", encoding="utf-8") as fh:
+        json.dump({"u": [10, 20]}, fh)
+    out = os.path.join(tmp, "out")
+    for argv in OUTPUT_COMMANDS[command]:
+        if "--out" not in argv:
+            argv = [*argv, "--out", out]
+        argv = [a.format(tmp=tmp, grid=grid) for a in argv]
+        assert cli.main(argv) == cli.EXIT_OK
+    digests = {}
+    for root, _, names in os.walk(out):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                data = fh.read()
+            if name == "training_log.csv":  # drop wall_s, the first column
+                data = b"".join(line.partition(b",")[2]
+                                for line in data.splitlines(keepends=True))
+            digests[os.path.relpath(path, out)] = \
+                hashlib.sha256(data).hexdigest()[:20]
+    return dict(sorted(digests.items()))
+
+
 def training_digest(algo: str, scenario: str = "single", episodes: int = 3,
                     horizon: float = 600.0, cfg=None) -> str:
     """Train on one bundled scenario; hash the trained weights."""
@@ -294,6 +367,12 @@ def double_training_digest() -> str:
                            cfg=DqnConfig())
 
 
+@pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
+def test_golden_output_files(command, tmp_path):
+    assert output_file_digests(command, str(tmp_path)) == \
+        GOLDEN_OUTPUT_FILES[command]
+
+
 def test_golden_training_digest_double_dqn():
     assert double_training_digest() == GOLDEN_TRAINING_DOUBLE
 
@@ -334,6 +413,9 @@ if __name__ == "__main__":
     for algo in sorted(GOLDEN_CHECKPOINT_BYTES):
         with tempfile.TemporaryDirectory() as tmp:
             print(f'    "{algo}": "{checkpoint_bytes_digest(algo, tmp)}",')
+    for command in sorted(OUTPUT_COMMANDS):
+        with tempfile.TemporaryDirectory() as tmp:
+            print(f'    "{command}": {output_file_digests(command, tmp)},')
     for scenario in sorted(SCENARIOS):
         for controller in CONTROLLERS:
             digests = ", ".join(f'"{episode_digest(scenario, controller, s)}"'

@@ -5,9 +5,10 @@ import math
 
 import pytest
 
-from tscbench.network import (NetworkParseError, NetworkValidationError,
-                              default_jam_capacity, load_network,
-                              network_from_dict)
+from tscbench.network import (ConfigError, NetworkParseError,
+                              NetworkValidationError, default_jam_capacity,
+                              load_network, make_out_dir, network_from_dict,
+                              write_output)
 
 import conftest
 
@@ -211,3 +212,34 @@ def test_round_trip(single_net, tmp_path):
 def test_downstream_movements(single_net):
     lane = single_net.lanes["n_in"]
     assert lane.downstream == ((("i0", 0), "s_out"),)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_write_output_refuses_non_finite_json(tmp_path, value):
+    path = tmp_path / "summary.json"
+    with pytest.raises(ValueError):
+        write_output(str(path), {"box": {"mean": value}})
+    assert not path.exists()
+
+
+def test_write_output_formats(tmp_path):
+    write_output(str(tmp_path / "a.json"), {"x": [1, 2.5]})
+    write_output(str(tmp_path / "a.csv"), [["x", "y"], [1, "a,b"]])
+    write_output(str(tmp_path / "a.ckpt"), b"\x00\xff")
+    assert (tmp_path / "a.json").read_text() == \
+        '{\n  "x": [\n    1,\n    2.5\n  ]\n}'
+    assert (tmp_path / "a.csv").read_bytes() == b'x,y\r\n1,"a,b"\r\n'
+    assert (tmp_path / "a.ckpt").read_bytes() == b"\x00\xff"
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "in-file"])
+def test_make_out_dir_names_the_blocking_file(tmp_path, under):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = str(blocker / "out" if under else blocker)
+    with pytest.raises(ConfigError) as exc:
+        make_out_dir(out)
+    assert str(exc.value) == f"{out}: {blocker} is not a directory"
+    make_out_dir(str(tmp_path / "a" / "b"))
+    make_out_dir(str(tmp_path / "a" / "b"))  # already there
+    assert (tmp_path / "a" / "b").is_dir()

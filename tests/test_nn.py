@@ -568,6 +568,16 @@ class TestCheckpoint:
                 load_checkpoint(str(path))
             assert str(path) in str(exc.value), where
 
+    def test_network_name_not_utf8(self, tmp_path):
+        path, data, _, _ = self.saved(tmp_path)
+        data = bytearray(data)
+        data[8 + 4 + 2] = 0xff  # magic, count, name length: the name's first
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="network name is not UTF-8") \
+                as exc:
+            load_checkpoint(str(path))
+        assert str(exc.value).startswith(f"{path}: ")
+
     def test_bad_activation_code(self, tmp_path):
         path, data, _, _ = self.saved(tmp_path)
         data = bytearray(data)
