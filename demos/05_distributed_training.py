@@ -1,12 +1,12 @@
 """Distributed acting with centralized learning.
 
-Runs the training fabric with 3 actor threads and 2 learners on the
+Runs the training fabric with 3 actor threads and its one learner on the
 two-intersection corridor. Each actor simulates its own copy of the network
 and puts (state, action, reward, next state) experiences on one bounded
-queue. The calling thread is the coordinator: it drains that queue, routes
-each experience to the learner that owns its intersection, lets that
-learner train round-robin over its intersections, and broadcasts fresh
-parameters back through latest-wins mailboxes. Actors explore at different
+queue. The calling thread is the coordinator: it drains that queue into the
+learner, which owns every intersection's replay buffer and trains them
+round-robin, and broadcasts fresh parameters back through latest-wins
+mailboxes. Actors explore at different
 intensities so the replay data covers a wider slice of the state space.
 
 The run prints the delivery ledger afterwards: every emitted experience
@@ -28,10 +28,10 @@ def main():
     net = load_network(str(DATA / "double.net"))
     demand = load_demand(str(DATA / "double_demand.json"))
 
-    cfg = fabric.FabricConfig(n_actors=3, n_learners=2, episode_budget=12,
+    cfg = fabric.FabricConfig(n_actors=3, episode_budget=12,
                               queue_capacity=64, horizon=300.0)
-    print(f"Training DQN with {cfg.n_actors} actors / {cfg.n_learners} "
-          f"learners, {cfg.episode_budget} episodes of {cfg.horizon:.0f}s\n")
+    print(f"Training DQN with {cfg.n_actors} actors / 1 learner, "
+          f"{cfg.episode_budget} episodes of {cfg.horizon:.0f}s\n")
     result = fabric.train(net, demand, "dqn", seed=0, fabric=cfg,
                           agent_cfg=DqnConfig(a_repeat=10))
 

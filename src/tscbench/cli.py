@@ -88,9 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--actors", type=int, default=1,
                    help="simulating actors; more than 1 run on threads, "
                         "and only a 1-actor run repeats bit for bit")
-    p.add_argument("--learners", type=int, default=1,
-                   help="learners the intersections are split between "
-                        "(round-robin); all train on the calling thread")
     p.add_argument("--episodes", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
 
@@ -157,7 +154,6 @@ def cmd_train(args) -> int:
     result = fabric.train(
         net, demand, args.tsc, args.seed,
         fabric=fabric.FabricConfig(n_actors=args.actors,
-                                   n_learners=args.learners,
                                    episode_budget=args.episodes),
         agent_cfg=cfg, out_dir=args.out)
     total = sum(result.update_counts.values())
@@ -183,6 +179,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     dirs = [d.strip() for d in args.inputs.split(",") if d.strip()]
+    for i, d in enumerate(dirs):
+        if os.path.realpath(d) in map(os.path.realpath, dirs[:i]):
+            raise ConfigError(f"evaluation {d!r} given twice")
     summaries = [experiments.load_eval_summary(d) for d in dirs]
     rows = experiments.compare(summaries, out_dir=args.out)
     for r in rows:

@@ -85,6 +85,8 @@ def controller_factory(net: NetworkModel, name: str, hp: dict,
     hyperparameters or the checkpoint are read and checked once, here."""
     check_controller(name)
     if name not in fabric.ALGOS:
+        if checkpoint_dir is not None:
+            raise ConfigError(f"{name!r} is classic: it takes no checkpoint")
         configure(name, CONTROLLERS[name], hp)  # fails here, before any run
         return functools.partial(make_classic_controllers, net, name, hp)
     if hp:

@@ -2,11 +2,10 @@
 
 One coordinator, `train`, runs every episode of the budget. Actors run
 their own simulator episodes, taking episode indices from one shared queue;
-every experience goes through one `learn` step, which routes it to the
-learner that owns its intersection. Learners train round-robin over their
-assigned intersections.
+every experience goes through one `learn` step into the one learner, which
+owns every intersection's replay buffer and trains them round-robin.
 
-One actor runs on the calling thread with the learners' own agents, so
+One actor runs on the calling thread with the learner's own agents, so
 every update acts at its next decision and no thread is started. Several
 actors run on threads with agents of their own and put their experiences
 on one bounded queue; the calling thread drains it through the same
@@ -14,9 +13,8 @@ on one bounded queue; the calling thread drains it through the same
 latest-wins mailbox. If a worker fails, the coordinator drains the queue
 until every actor is done and then raises.
 
-Any 1-actor run is bit-reproducible, whatever its number of learners;
-multi-actor runs keep the routing / delivery / version invariants but not
-identical floats.
+Any 1-actor run is bit-reproducible; multi-actor runs keep the delivery
+and version invariants but not identical floats.
 """
 
 from __future__ import annotations
@@ -45,23 +43,18 @@ ALGOS = {"dqn": DqnConfig, "ddpg": DdpgConfig}
 @dataclass
 class FabricConfig:
     n_actors: int = 1
-    n_learners: int = 1
+    n_learners: int = 1  # always 1; goes when the benchmark stops passing it
     episode_budget: int = 100
     queue_capacity: int = 256        # experiences in flight, multi-actor
     horizon: float | None = None     # training episode length, seconds
 
     def __post_init__(self):
-        if self.n_actors < 1 or self.n_learners < 1:
-            raise ValueError("need at least one actor and one learner")
+        if self.n_actors < 1:
+            raise ValueError("need at least one actor")
+        if self.n_learners != 1:
+            raise ValueError(f"n_learners must be 1, got {self.n_learners}")
         if self.episode_budget < 1:
             raise ValueError("episode budget must be >= 1")
-
-
-@dataclass
-class ParameterUpdateMsg:
-    intersection: str
-    params: ParameterSet
-    version: int
 
 
 @dataclass
@@ -90,10 +83,6 @@ def check_seed(seed: int) -> None:
     """ConfigError unless `seed` can seed a numpy generator."""
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-
-
-def default_assignment(net: NetworkModel, n_learners: int) -> dict:
-    return {ix.id: i % n_learners for i, ix in enumerate(net.intersections)}
 
 
 def build_agents(net: NetworkModel, algo: str, agent_cfg, seed: int) -> dict:
@@ -125,59 +114,45 @@ def build_controllers(net: NetworkModel, algo: str, agents: dict, seed: int,
 
 
 class Learner:
-    """Owns per-intersection replay buffers and training state."""
+    """Owns every intersection's replay buffer and training state."""
 
-    def __init__(self, index: int, assigned: list, agents: dict,
-                 batch_size: int, replay_capacity: int, seed: int):
-        self.index = index
-        self.assigned = list(assigned)
+    def __init__(self, agents: dict, seed: int):
         self.agents = agents
-        self.batch_size = batch_size
-        self.buffers = {iid: ReplayBuffer(replay_capacity)
-                        for iid in assigned}
+        self.order = list(agents)
+        self.buffers = {iid: ReplayBuffer(a.cfg.replay_capacity)
+                        for iid, a in agents.items()}
         self.rng = np.random.default_rng(seed)
-        self.update_counts = {iid: 0 for iid in assigned}
+        self.update_counts = {iid: 0 for iid in agents}
         self.received = 0
         self._rr = 0
         self._recent_rewards = {iid: collections.deque(maxlen=100)
-                                for iid in assigned}
+                                for iid in agents}
         self.log = []
         self._t0 = time.monotonic()
 
     def ingest(self, exp) -> None:
-        if exp.intersection not in self.buffers:
-            raise ValueError(
-                f"learner {self.index} received experience for unassigned "
-                f"intersection {exp.intersection!r}")
         self.buffers[exp.intersection].push(exp)
         self._recent_rewards[exp.intersection].append(exp.reward)
         self.received += 1
 
-    def try_train(self, publish: bool = True) -> ParameterUpdateMsg | None:
+    def try_train(self) -> str | None:
         """Train the next intersection in strict round-robin, once its
-        buffer holds a batch.
-
-        Returns the fresh acting parameters for the actors, or None if it
-        did not train or `publish` is false.
-        """
-        if not self.assigned:
+        buffer holds a batch; returns the id it trained, or None."""
+        iid = self.order[self._rr]
+        agent = self.agents[iid]
+        if len(self.buffers[iid]) < agent.cfg.batch_size:
             return None
-        iid = self.assigned[self._rr]
-        if len(self.buffers[iid]) < self.batch_size:
-            return None
-        batch = self.buffers[iid].sample(self.batch_size, self.rng)
-        result = self.agents[iid].train_batch(batch)
+        batch = self.buffers[iid].sample(agent.cfg.batch_size, self.rng)
+        result = agent.train_batch(batch)
         loss = result[0] if isinstance(result, tuple) else result
         self.update_counts[iid] += 1
-        self._rr = (self._rr + 1) % len(self.assigned)
+        self._rr = (self._rr + 1) % len(self.order)
         recent = self._recent_rewards[iid]
-        self.log.append((time.monotonic() - self._t0, self.index, iid,
+        # the 0 fills the training log's `learner` column
+        self.log.append((time.monotonic() - self._t0, 0, iid,
                          self.update_counts[iid], loss,
                          sum(recent) / len(recent) if recent else 0.0))
-        if not publish:
-            return None
-        params = self.agents[iid].acting_params()
-        return ParameterUpdateMsg(iid, params, params.version)
+        return iid
 
 
 class _Mailbox:
@@ -185,15 +160,15 @@ class _Mailbox:
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._latest = {}  # iid -> ParameterUpdateMsg
+        self._latest = {}  # iid -> ParameterSet
 
-    def offer(self, msg: ParameterUpdateMsg) -> None:
+    def offer(self, iid: str, params: ParameterSet) -> None:
         with self._lock:
-            cur = self._latest.get(msg.intersection)
-            if cur is None or msg.version > cur.version:
-                self._latest[msg.intersection] = msg
+            cur = self._latest.get(iid)
+            if cur is None or params.version > cur.version:
+                self._latest[iid] = params
 
-    def take(self, iid: str) -> ParameterUpdateMsg | None:
+    def take(self, iid: str) -> ParameterSet | None:
         with self._lock:
             return self._latest.pop(iid, None)
 
@@ -204,9 +179,9 @@ _DONE = object()  # an actor's last item on the experience queue
 def _param_hook(mailbox: _Mailbox, iid: str, agent):
     """Before each decision, act with the newest snapshot offered, if any."""
     def hook():
-        msg = mailbox.take(iid)
-        if msg is not None:
-            agent.apply_acting_params(msg.params)
+        params = mailbox.take(iid)
+        if params is not None:
+            agent.apply_acting_params(params)
     return hook
 
 
@@ -293,21 +268,13 @@ def train(net: NetworkModel, demand: DemandProfile, algo: str, seed: int,
     fabric = fabric or FabricConfig()
     if agent_cfg is None:
         agent_cfg = DqnConfig() if algo == "dqn" else DdpgConfig()
-    assignment = default_assignment(net, fabric.n_learners)
-    learner_agents = build_agents(net, algo, agent_cfg, seed)
-    learners = []
-    for i in range(fabric.n_learners):
-        owned = [iid for iid, k in assignment.items() if k == i]
-        learners.append(Learner(i, owned,
-                                {iid: learner_agents[iid] for iid in owned},
-                                agent_cfg.batch_size,
-                                agent_cfg.replay_capacity, seed + 1000 + i))
+    learner = Learner(build_agents(net, algo, agent_cfg, seed), seed + 1000)
 
     if out_dir:
         make_out_dir(out_dir)
     n_actors = fabric.n_actors
     mailboxes = [_Mailbox() for _ in range(n_actors)] if n_actors > 1 else []
-    normalizers = [{iid: RewardNormalizer() for iid in assignment}
+    normalizers = [{iid: RewardNormalizer() for iid in learner.agents}
                    for _ in range(n_actors)]
     emitted = [0] * n_actors
     episodes = queue.SimpleQueue()
@@ -315,12 +282,12 @@ def train(net: NetworkModel, demand: DemandProfile, algo: str, seed: int,
         episodes.put(ep)
 
     def learn(exp):
-        learner = learners[assignment[exp.intersection]]
         learner.ingest(exp)
-        msg = learner.try_train(publish=bool(mailboxes))
-        if msg is not None:
+        iid = learner.try_train()
+        if iid is not None and mailboxes:
+            params = learner.agents[iid].acting_params()
             for mb in mailboxes:
-                mb.offer(msg)
+                mb.offer(iid, params)
 
     def act(actor_index, agents, send):
         def on_experience(exp):
@@ -345,9 +312,9 @@ def train(net: NetworkModel, demand: DemandProfile, algo: str, seed: int,
                         horizon=fabric.horizon, moe_series=False)
 
     if n_actors == 1:
-        # the actor shares the learners' agents: every update acts at its
+        # the actor shares the learner's agents: every update acts at its
         # next decision with zero staleness
-        act(0, learner_agents, learn)
+        act(0, learner.agents, learn)
     else:
         experiences = queue.Queue(maxsize=fabric.queue_capacity)
         errors = []
@@ -382,7 +349,7 @@ def train(net: NetworkModel, demand: DemandProfile, algo: str, seed: int,
                 try:
                     learn(exp)
                 except Exception as exc:
-                    fail(f"learner {assignment[exp.intersection]}", exc)
+                    fail("learner", exc)
         for t in threads:
             t.join()
         if errors:
@@ -391,12 +358,10 @@ def train(net: NetworkModel, demand: DemandProfile, algo: str, seed: int,
                 f"fabric worker failed in {where}: {exc}") from exc
 
     result = TrainResult(
-        algo=algo, agents=learner_agents,
+        algo=algo, agents=learner.agents,
         r_min={iid: n.r_min for iid, n in normalizers[0].items()},
-        log=[row for lrn in learners for row in lrn.log],
-        emitted=sum(emitted), received=sum(lrn.received for lrn in learners),
-        update_counts={iid: n for lrn in learners
-                       for iid, n in lrn.update_counts.items()})
+        log=learner.log, emitted=sum(emitted), received=learner.received,
+        update_counts=learner.update_counts)
     if out_dir:
         _save_checkpoints(result, out_dir)
         write_output(os.path.join(out_dir, "training_log.csv"), [

@@ -337,6 +337,15 @@ def write_output(path, content) -> None:
         fh.write(content)
 
 
+def parse_input(path, parse, error: type = ConfigError):
+    """`parse` of `read_input(path)`; its ValueError names `path` first."""
+    data = read_input(path, error=error)
+    try:
+        return parse(data)
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def load_network(path) -> NetworkModel:
-    return network_from_dict(read_input(path, error=NetworkParseError))
+    return parse_input(path, network_from_dict, NetworkParseError)
 

@@ -15,7 +15,7 @@ from array import array
 
 import numpy as np
 
-from .network import NetworkModel, read_input
+from .network import NetworkModel, parse_input
 
 GREEN = "green"
 YELLOW = "yellow"
@@ -78,7 +78,7 @@ class DemandProfile:
 
 
 def load_demand(path) -> DemandProfile:
-    return DemandProfile(read_input(path))
+    return parse_input(path, DemandProfile)
 
 
 class Vehicle:

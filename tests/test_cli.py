@@ -202,6 +202,50 @@ class TestExitCodes:
             assert "['a_repeat', 'bogus']" in capsys.readouterr().err
             assert episodes == [] and not out.exists()
 
+    @pytest.mark.parametrize("cmd,extra", [("simulate", []),
+                                           ("evaluate", ["--runs", "1"])])
+    def test_checkpoint_with_classic_controller(self, paths, tmp_path,
+                                                capsys, episodes, cmd,
+                                                extra):
+        # a classic controller has no checkpoint to read: one beside it is
+        # refused, not ignored
+        out = tmp_path / cmd
+        assert main([cmd, "--net", paths["net"], "--demand",
+                     paths["demand"], "--tsc", "uniform", "--checkpoint",
+                     str(tmp_path / "nonexistent"), *extra,
+                     "--out", str(out)]) == EXIT_USAGE
+        assert "'uniform' is classic: it takes no checkpoint" in \
+            capsys.readouterr().err
+        assert episodes == [] and not out.exists()
+
+    def test_learners_flag_is_gone(self, paths, tmp_path, episodes):
+        out = tmp_path / "train"
+        assert main(["train", "--net", paths["net"], "--demand",
+                     paths["demand"], "--tsc", "dqn", "--learners", "1",
+                     "--episodes", "1", "--out", str(out)]) == EXIT_USAGE
+        assert episodes == [] and not out.exists()
+
+    @pytest.mark.parametrize("kind,edit,message", [
+        ("net", lambda d: d["lanes"]["n_in"].update(length_m=-1),
+         "lane 'n_in': length must be > 0"),
+        ("demand", lambda d: d.update(n_in=[[0, -5], [600, -5]]),
+         "negative rate for lane 'n_in'"),
+    ], ids=["net", "demand"])
+    def test_invalid_content_names_the_file(self, paths, tmp_path, capsys,
+                                            kind, edit, message):
+        data = conftest.single_net_dict(
+            "single.net" if kind == "net" else "single_asym_demand.json")
+        edit(data)
+        bad = tmp_path / f"bad.{kind}"
+        bad.write_text(json.dumps(data))
+        argv = {"net": paths["net"], "demand": paths["demand"], kind: str(bad)}
+        out = tmp_path / "sim"
+        assert main(["simulate", "--net", argv["net"], "--demand",
+                     argv["demand"], "--tsc", "uniform",
+                     "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not out.exists()
+
     def test_learning_without_checkpoint(self, paths, tmp_path):
         assert main(["simulate", "--net", paths["net"], "--demand",
                      paths["demand"], "--tsc", "dqn",
@@ -546,7 +590,7 @@ class TestTrainEvaluateCompare:
         train_out = tmp_path / "train"
         code = main(["train", "--net", paths["net"], "--demand",
                      paths["demand"], "--tsc", "dqn", "--actors", "1",
-                     "--learners", "1", "--episodes", "3", "--seed", "0",
+                     "--episodes", "3", "--seed", "0",
                      "--out", str(train_out)])
         assert code == EXIT_OK
         ckpt = train_out / "checkpoints"
@@ -619,6 +663,19 @@ class TestTrainEvaluateCompare:
         assert main(["compare", "--in", f"{tmp_path / 'a'},{tmp_path / 'b'}",
                      "--out", str(tmp_path / "c")]) == EXIT_USAGE
         assert f"error: {path}: the box's 'mean'" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
+    def test_compare_same_evaluation_twice(self, paths, tmp_path, capsys):
+        a = tmp_path / "a"
+        main(["evaluate", "--net", paths["net"], "--demand", paths["demand"],
+              "--tsc", "uniform", "--hp", "u=10", "--runs", "1",
+              "--out", str(a)])
+        capsys.readouterr()
+        again = tmp_path / "x" / ".." / "a"
+        (tmp_path / "x").mkdir()
+        assert main(["compare", "--in", f"{a},{again}",
+                     "--out", str(tmp_path / "c")]) == EXIT_USAGE
+        assert f"evaluation '{again}' given twice" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
 
     def test_compare_mismatched_runs(self, paths, tmp_path):

@@ -1,4 +1,4 @@
-"""Training-fabric tests: determinism, routing, delivery, liveness."""
+"""Training-fabric tests: determinism, delivery, liveness."""
 
 import threading
 from types import SimpleNamespace
@@ -9,8 +9,7 @@ import pytest
 from tscbench import fabric
 from tscbench.agents import DqnAgent, DqnConfig, Experience
 from tscbench.fabric import (FabricConfig, Learner, _exploration_scale,
-                             _Mailbox, ParameterUpdateMsg,
-                             default_assignment, train)
+                             _Mailbox, train)
 
 from conftest import constant_demand
 
@@ -19,51 +18,44 @@ def short_demand(net, rate=500.0):
     return constant_demand(list(net.entry_lanes), rate, horizon=200.0)
 
 
-class TestAssignment:
-    def test_round_robin(self, double_net):
-        a = default_assignment(double_net, 2)
-        assert sorted(a.values()) == [0, 1]
-        assert default_assignment(double_net, 1) == {"a": 0, "b": 0}
+def test_one_learner_only():
+    FabricConfig(n_learners=1)
+    with pytest.raises(ValueError, match="n_learners"):
+        FabricConfig(n_learners=2)
 
 
 class TestLearner:
     def make(self, batch_size=4):
-        agents = {"x": DqnAgent(4, 2, 0, DqnConfig(batch_size=batch_size))}
-        return Learner(0, ["x"], agents, batch_size=batch_size,
-                       replay_capacity=100, seed=0)
+        cfg = DqnConfig(batch_size=batch_size, replay_capacity=100)
+        return Learner({"x": DqnAgent(4, 2, 0, cfg)}, seed=0)
 
     def exp(self, iid="x"):
         return Experience(np.zeros(4), 0, -0.5, np.zeros(4), False, iid)
 
-    def test_routing_rejects_unassigned(self):
-        lrn = self.make()
-        with pytest.raises(ValueError, match="unassigned"):
-            lrn.ingest(self.exp("other"))
-
     def test_warmup_gate(self):
         lrn = self.make(batch_size=8)
+        assert lrn.buffers["x"].capacity == 100  # the agent's config's
         for _ in range(7):
             lrn.ingest(self.exp())
             assert lrn.try_train() is None
         lrn.ingest(self.exp())
-        msg = lrn.try_train()
-        assert isinstance(msg, ParameterUpdateMsg)
+        assert lrn.try_train() == "x"
         assert lrn.update_counts["x"] == 1
 
-    def test_unpublished_update_still_trains(self):
-        lrn = self.make()
-        for _ in range(4):
-            lrn.ingest(self.exp())
-        assert lrn.try_train(publish=False) is None
-        assert lrn.update_counts["x"] == 1
-        assert isinstance(lrn.try_train(), ParameterUpdateMsg)
-        assert lrn.update_counts["x"] == 2
+    def test_try_train_returns_trained_id(self):
+        agents = {"a": DqnAgent(4, 2, 0, DqnConfig(batch_size=2)),
+                  "b": DqnAgent(4, 2, 1, DqnConfig(batch_size=2))}
+        lrn = Learner(agents, seed=0)
+        for _ in range(2):
+            lrn.ingest(self.exp("a"))
+            lrn.ingest(self.exp("b"))
+        assert [lrn.try_train() for _ in range(4)] == ["a", "b", "a", "b"]
+        assert lrn.update_counts == {"a": 2, "b": 2}
 
     def test_round_robin_training_balance(self):
         agents = {"a": DqnAgent(4, 2, 0, DqnConfig(batch_size=2)),
                   "b": DqnAgent(4, 2, 1, DqnConfig(batch_size=2))}
-        lrn = Learner(0, ["a", "b"], agents, batch_size=2,
-                      replay_capacity=100, seed=0)
+        lrn = Learner(agents, seed=0)
         for _ in range(3):
             lrn.ingest(self.exp("a"))
             lrn.ingest(self.exp("b"))
@@ -75,13 +67,17 @@ class TestLearner:
 
 class TestMailbox:
     def test_latest_wins(self):
+        old = DqnAgent(4, 2, 0, DqnConfig()).acting_params()
+        new = old.copy()
+        new.version += 1
         mb = _Mailbox()
-        p = object()
-        mb.offer(ParameterUpdateMsg("x", p, 3))
-        mb.offer(ParameterUpdateMsg("x", p, 1))  # stale, dropped
-        msg = mb.take("x")
-        assert msg.version == 3
+        mb.offer("x", new)
+        mb.offer("x", old)  # stale, dropped
+        assert mb.take("x") is new
         assert mb.take("x") is None
+        mb.offer("x", old)
+        mb.offer("x", new)
+        assert mb.take("x") is new
 
 
 def test_exploration_scale_spread():
@@ -118,25 +114,6 @@ class TestSyncTraining:
                 assert (tmp_path / "rep0" / "checkpoints" / name).read_bytes() \
                     == (tmp_path / "rep1" / "checkpoints" / name).read_bytes()
 
-    def test_one_actor_two_learners_repeat(self, double_net, double_demand):
-        def run():
-            return train(double_net, double_demand, "dqn", seed=7,
-                         fabric=FabricConfig(n_learners=2, episode_budget=3,
-                                             horizon=600.0),
-                         agent_cfg=DqnConfig(batch_size=8))
-
-        first = run()
-        assert set(first.update_counts) == {"a", "b"}
-        assert all(n > 0 for n in first.update_counts.values())
-        for _ in range(2):
-            again = run()
-            assert again.update_counts == first.update_counts
-            assert again.emitted == first.emitted == again.received
-            for iid, agent in first.agents.items():
-                pa, pb = agent.online, again.agents[iid].online
-                assert pa.version == pb.version
-                assert np.array_equal(pa.flat, pb.flat)
-
     def test_one_actor_starts_no_thread(self, double_net, monkeypatch):
         def no_thread(*args, **kwargs):
             raise AssertionError("a 1-actor run started a thread")
@@ -144,7 +121,7 @@ class TestSyncTraining:
         monkeypatch.setattr(fabric, "threading", SimpleNamespace(
             Thread=no_thread, Lock=threading.Lock))
         res = train(double_net, short_demand(double_net), "dqn", seed=0,
-                    fabric=FabricConfig(n_learners=2, episode_budget=2),
+                    fabric=FabricConfig(episode_budget=2),
                     agent_cfg=DqnConfig(batch_size=4))
         assert res.emitted == res.received > 0
 
@@ -197,7 +174,7 @@ class TestWorkerFailures:
         monkeypatch.setattr(DqnAgent, "train_batch", fail)
         exc = run_with_timeout(lambda: self.train_two_actors(double_net))
         assert isinstance(exc, RuntimeError)
-        assert "learner 0" in str(exc) and "diverged" in str(exc)
+        assert str(exc) == "fabric worker failed in learner: diverged"
 
     def test_failed_actor_raises(self, double_net, monkeypatch):
         def fail(self, params):
@@ -213,15 +190,14 @@ class TestThreadedTraining:
     def test_exactly_once_and_liveness(self, double_net):
         demand = short_demand(double_net)
         res = train(double_net, demand, "dqn", seed=3,
-                    fabric=FabricConfig(n_actors=4, n_learners=2,
-                                        episode_budget=6, queue_capacity=1))
+                    fabric=FabricConfig(n_actors=4, episode_budget=6,
+                                        queue_capacity=1))
         assert res.emitted == res.received > 0
 
     def test_partition_across_learners(self, double_net):
         demand = short_demand(double_net)
         res = train(double_net, demand, "dqn", seed=4,
-                    fabric=FabricConfig(n_actors=2, n_learners=2,
-                                        episode_budget=4))
+                    fabric=FabricConfig(n_actors=2, episode_budget=4))
         assert set(res.update_counts) == {"a", "b"}
 
     def test_version_matches_update_count(self, double_net):
