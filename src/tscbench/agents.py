@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -130,14 +129,6 @@ class DqnConfig:
         _check_replay(self)
 
 
-@functools.lru_cache(maxsize=8)
-def _row_index(n: int) -> np.ndarray:
-    """np.arange(n), made once per batch size and read-only."""
-    rows = np.arange(n)
-    rows.flags.writeable = False
-    return rows
-
-
 def dqn_specs(state_width: int, n_phases: int) -> tuple:
     hidden = 3 * state_width
     return (nn.LayerSpec(hidden, "elu"), nn.LayerSpec(hidden, "elu"),
@@ -192,7 +183,7 @@ class DqnAgent(PolicyAgent):
         if n < 2:
             raise ValueError("batch size must be >= 2")
         a = batch.action.astype(int)
-        rows = _row_index(n)
+        rows = np.arange(n)
 
         q2, _ = nn.forward(self.target, batch.next_state, "infer")
         y = batch.reward + self.cfg.gamma * q2.max(axis=1) * batch.live

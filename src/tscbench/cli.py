@@ -13,8 +13,9 @@ import sys
 
 from . import experiments, fabric
 from .experiments import ConfigError, GridSpec
-from .network import load_network, make_out_dir, read_input, write_output
-from .simulation import load_demand, run_episode
+from .network import (load_network, make_out_dir, parse_input, read_input,
+                      write_output)
+from .simulation import DemandProfile, check_entry_lanes, run_episode
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -111,7 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_inputs(args):
-    return load_network(args.net), load_demand(args.demand)
+    # a demand lane that starts no route is refused before any --out
+    net = load_network(args.net)
+    return net, parse_input(args.demand, lambda data: check_entry_lanes(
+        net, DemandProfile(data)))
 
 
 def cmd_simulate(args) -> int:

@@ -17,7 +17,8 @@ from . import fabric
 from .classic import (MaxPressureController, SotlController,
                       UniformController, WebsterController)
 from .control import ConfigError, configure
-from .network import NetworkModel, make_out_dir, read_input, write_output
+from .network import (NetworkModel, finite_number, make_out_dir, read_input,
+                      write_output)
 from .simulation import DemandProfile, run_episode
 from .stats import BoxStats, box_stats, mean_ci95, rank_score
 
@@ -471,7 +472,7 @@ def load_eval_summary(out_dir: str) -> dict:
                           f"{', '.join(map(repr, _SUMMARY_KEYS))} and a box "
                           "that is an object or null")
     box = summary["box"] or {}
-    if not all(v is None or type(v) in (int, float) and math.isfinite(v)
+    if not all(v is None or finite_number(v)
                for v in map(box.get, _BOX_NUMBERS)) or \
             not isinstance(box.get("outliers", []), list):
         raise ConfigError(f"{path}: the box's "

@@ -20,7 +20,6 @@ and version invariants but not identical floats.
 from __future__ import annotations
 
 import collections
-import math
 import os
 import queue
 import threading
@@ -32,7 +31,8 @@ import numpy as np
 from .agents import (DdpgAgent, DdpgConfig, DdpgController, DqnAgent,
                      DqnConfig, DqnController, ReplayBuffer)
 from .control import ConfigError, RewardNormalizer, configure, state_width
-from .network import NetworkModel, make_out_dir, read_input, write_output
+from .network import (NetworkModel, finite_number, make_out_dir, read_input,
+                      write_output)
 from .nn import ParameterSet, load_checkpoint, save_checkpoint
 from .simulation import DemandProfile, run_episode
 
@@ -230,8 +230,7 @@ def load_policy(checkpoint_dir: str, net: NetworkModel, algo: str) -> tuple:
         raise ConfigError(f"checkpoint is for {meta['algo']!r}, not {algo!r}")
     r_min = meta.get("r_min", {})
     if not isinstance(r_min, dict) or not all(
-            isinstance(v, (int, float)) and math.isfinite(v)
-            for v in r_min.values()):
+            map(finite_number, r_min.values())):
         raise ConfigError(f"{meta_path}: \"r_min\" must be an object "
                           "mapping intersection id -> finite number")
     try:

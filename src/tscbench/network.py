@@ -10,6 +10,7 @@ import csv
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -157,10 +158,16 @@ def _lane_ids(value, where: str, pair: bool = False) -> tuple:
     return tuple(value)
 
 
+def finite_number(value) -> bool:
+    """Whether `value` is an int or a float (a bool is not a number) that
+    a float holds finite."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and abs(value) <= sys.float_info.max
+
+
 def _lane_number(spec: dict, key: str, lid: str) -> float:
     value = spec[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
+    if not finite_number(value):
         raise NetworkValidationError(
             f"lane {lid!r}: {key} must be a finite number, not {value!r}")
     return float(value)

@@ -15,7 +15,7 @@ from array import array
 
 import numpy as np
 
-from .network import NetworkModel, parse_input
+from .network import NetworkModel, finite_number, parse_input
 
 GREEN = "green"
 YELLOW = "yellow"
@@ -29,52 +29,55 @@ _ARRIVAL_BLOCK = 256  # simulated seconds of arrival draws per RNG call
 
 
 class DemandProfile:
-    """Piecewise-linear arrival rates (veh/h) per entry lane."""
+    """Piecewise-linear arrival rates (veh/h) per entry lane, kept as their
+    `breakpoints` alone: each lane's (time_s, rate_veh_h) floats, sorted by
+    time. Points that share a time are a step, in the order written; past
+    the last point the rate holds. `horizon` is the last time of any lane.
+    """
 
-    def __init__(self, rates: dict, horizon: float | None = None):
+    def __init__(self, rates: dict):
         if not isinstance(rates, dict):
             raise ValueError("demand profile must be an object mapping "
                              "entry lane -> [[time_s, rate_veh_h], ...]")
         if not rates:
             raise ValueError("demand profile has no entry lanes")
         self.breakpoints = {}
-        max_t = 0.0
         for lane, pts in rates.items():
-            try:
-                pts = sorted((float(t), float(r)) for t, r in pts)
-            except (TypeError, ValueError):
-                raise ValueError(f"demand for lane {lane!r} must be a list "
-                                 f"of [time_s, rate_veh_h] points") from None
-            if not pts:
-                raise ValueError(f"demand for lane {lane!r} has no points")
             # a NaN rate would compare false against every draw
-            if not all(math.isfinite(t) and math.isfinite(r)
-                       for t, r in pts):
-                raise ValueError(f"non-finite time or rate for lane {lane!r}")
+            if not isinstance(pts, (list, tuple)) or not pts or not all(
+                    isinstance(p, (list, tuple)) and len(p) == 2
+                    and all(map(finite_number, p)) for p in pts):
+                raise ValueError(f"demand for lane {lane!r} must be a "
+                                 f"non-empty list of [time_s, rate_veh_h] "
+                                 f"points, each two finite numbers")
             if any(r < 0 for _, r in pts):
                 raise ValueError(f"negative rate for lane {lane!r}")
-            self.breakpoints[lane] = pts
-            max_t = max(max_t, pts[-1][0])
-        self.horizon = float(horizon) if horizon is not None else max_t
-        if not 0 < self.horizon < math.inf:
-            raise ValueError("demand horizon must be finite and > 0")
-        # per-second lookup tables, cheap enough for desk-scale horizons;
-        # lanes with the same breakpoints share one read-only table
-        n = int(math.ceil(self.horizon)) + 1
-        ts = np.arange(n, dtype=float)
-        tables = {}
-        self._table = {}
-        for lane, pts in self.breakpoints.items():
-            key = tuple(pts)
-            if key not in tables:
-                tables[key] = np.interp(ts, [t for t, _ in pts],
-                                        [r for _, r in pts])
-                tables[key].flags.writeable = False
-            self._table[lane] = tables[key]
+            self.breakpoints[lane] = sorted(
+                ((float(t), float(r)) for t, r in pts), key=lambda p: p[0])
+        self.horizon = max(pts[-1][0] for pts in self.breakpoints.values())
+        if not self.horizon > 0:
+            raise ValueError("demand horizon (the last time) must be > 0")
 
     @property
     def entry_lanes(self):
         return tuple(self.breakpoints)
+
+    def rate(self, start: int, k: int) -> np.ndarray:
+        """Rates (veh/h) of the k seconds from `start`: one row per second,
+        one column per entry lane in `entry_lanes` order. np.interp computes
+        each second on its own, so a second's rate is the same double
+        whichever block asks for it."""
+        ts = np.arange(start, start + k, dtype=float)
+        return np.column_stack([np.interp(ts, *zip(*pts))
+                                for pts in self.breakpoints.values()])
+
+
+def check_entry_lanes(net: NetworkModel, demand: DemandProfile):
+    """`demand`, if each of its lanes starts a route of `net`."""
+    unknown = sorted(set(demand.entry_lanes) - set(net.entry_lanes))
+    if unknown:
+        raise ValueError(f"demand lanes {unknown} start no network route")
+    return demand
 
 
 def load_demand(path) -> DemandProfile:
@@ -189,11 +192,8 @@ class Simulation:
 
     def __init__(self, net: NetworkModel, demand: DemandProfile, seed: int,
                  inject_until: float | None = None):
-        unknown = sorted(set(demand.entry_lanes) - set(net.entry_lanes))
-        if unknown:
-            raise ValueError(f"demand lanes {unknown} start no network route")
         self.net = net
-        self.demand = demand
+        self.demand = check_entry_lanes(net, demand)
         self.rng = np.random.default_rng(seed)
         self.t = 0.0
         self.headway = math.ceil(3600.0 / DEFAULT_SATURATION_FLOW)
@@ -466,9 +466,7 @@ class Simulation:
         the _arrivals entries whose draw fell below rate / 3600. The block
         is clipped at ceil(inject_until)."""
         k = min(_ARRIVAL_BLOCK, math.ceil(self.inject_until) - start)
-        tables = self.demand._table
-        p = np.column_stack([tables[lane][start:start + k]
-                             for lane, _, _ in self._arrivals]) / 3600.0
+        p = self.demand.rate(start, k) / 3600.0
         rows, cols = np.nonzero(self.rng.random(p.shape) < p)
         block = [()] * k
         for r, j in zip(rows.tolist(), cols.tolist()):

@@ -67,12 +67,38 @@ class TestExitCodes:
         assert "hyperparameter 'u' given twice" in capsys.readouterr().err
         assert not out.exists() and episodes == []
 
-    def test_demand_lane_without_route(self, paths, tmp_path):
+    def test_demand_lane_without_route(self, paths, tmp_path, capsys,
+                                       episodes):
+        # refused with the inputs, before any command makes its --out
         demand = tmp_path / "demand.json"
-        demand.write_text(json.dumps({"nope": [[0, 600], [600, 600]]}))
+        demand.write_text(json.dumps({"n_in": [[0, 600], [600, 600]],
+                                      "nope": [[0, 600], [600, 600]]}))
+        out = tmp_path / "out"
+        for command, extra in (
+                ("simulate", ["--tsc", "uniform"]),
+                ("evaluate", ["--tsc", "uniform", "--runs", "1"]),
+                ("tune", ["--tsc", "uniform", "--trials", "1"]),
+                ("train", ["--tsc", "dqn", "--episodes", "1"])):
+            assert main([command, "--net", paths["net"], "--demand",
+                         str(demand), "--out", str(out), *extra]) \
+                == EXIT_USAGE, command
+            err = capsys.readouterr().err
+            assert str(demand) in err and "'nope'" in err, command
+            assert not out.exists() and episodes == [], command
+
+    def test_point_of_strings(self, paths, tmp_path, capsys, episodes):
+        # "05" is not the point (0, 5)
+        demand = tmp_path / "demand.json"
+        demand.write_text(json.dumps({"n_in": ["05", "95"],
+                                      "s_in": [[0, 100], [600, 100]],
+                                      "e_in": [[0, 100], [600, 100]]}))
+        out = tmp_path / "sim"
         assert main(["simulate", "--net", paths["net"], "--demand",
                      str(demand), "--tsc", "uniform",
-                     "--out", str(tmp_path / "sim")]) == EXIT_USAGE
+                     "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(demand) in err and "'n_in'" in err
+        assert not out.exists() and episodes == []
 
     @pytest.mark.parametrize("text", [
         '{"n_in": [[0, NaN], [600, 600]]}',
@@ -93,9 +119,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("key,value", [
         ("length_m", "Infinity"), ("jam_capacity", "Infinity"),
         ("speed_mps", "Infinity"), ("jam_capacity", "2.5"),
-        ("length_m", "NaN"),
+        ("length_m", "NaN"), ("length_m", "1" + "0" * 400),
     ], ids=["inf-length", "inf-jam", "inf-speed", "fractional-jam",
-            "nan-length"])
+            "nan-length", "huge-length"])
     def test_corrupt_network_lane(self, paths, tmp_path, capsys, key,
                                   value):
         data = conftest.single_net_dict()
@@ -171,6 +197,7 @@ class TestExitCodes:
         for key, value in (
                 ("r_min", [1, 2]), ("r_min", {"i0": "a"}),
                 ("r_min", {"i0": [1.0]}), ("r_min", {"i0": None}),
+                ("r_min", {"i0": True}), ("r_min", {"i0": 10 ** 400}),
                 ("files", {"i0": 3}), ("files", {"i0": None}),
                 ("config", 5), ("config", "ab"), ("config", {"lr": "x"}),
                 ("config", {"target_sync": 0})):

@@ -399,10 +399,12 @@ class TestProcessPool:
             return real_map(fn, shared, tasks, procs)
 
         monkeypatch.setattr(experiments, "_map", spy)
-        sizes = []
+        sizes, demand_sizes = [], []
         for scale in (1, 20):
-            demand = DemandProfile(double_demand.breakpoints,
-                                   horizon=scale * double_demand.horizon)
+            demand = DemandProfile({
+                lane: [(scale * t, r) for t, r in pts]
+                for lane, pts in double_demand.breakpoints.items()})
+            demand_sizes.append(len(pickle.dumps(demand)))
             seen.clear()
             experiments.evaluate("sotl", {}, double_net, demand, runs=2,
                                  horizon=60.0)
@@ -413,8 +415,8 @@ class TestProcessPool:
         assert [len(s) for s in short] == [2, 4]
         assert long == short
         assert max(max(s) for s in short) < 8 * 1024
-        # the demand alone outweighs a task many times over
-        assert len(pickle.dumps(double_demand)) > 50 * max(map(max, short))
+        # the demand keeps its breakpoints only, whatever its horizon
+        assert demand_sizes[0] == demand_sizes[1]
 
     @pytest.mark.parametrize("name", ["dqn", "ddpg"])
     def test_learning_trial_tasks_carry_acting_parameters_only(
@@ -749,7 +751,10 @@ class TestCompare:
     @pytest.mark.parametrize("text", [
         "[]", '{"controller": "uniform", "hp": {}, "samples": 1, "box": null}',
         '{"controller": "u", "hp": {}, "condition": {}, "samples": 1, '
-        '"box": [1]}', "{", "null"])
+        '"box": [1]}', "{", "null",
+        # a box number too large for a float
+        '{"controller": "u", "hp": {}, "condition": {}, "samples": 1, '
+        '"box": {"mean": 1%s}}' % ("0" * 400)])
     def test_corrupt_summary_refused_naming_it(self, tmp_path, text):
         (tmp_path / "summary.json").write_text(text)
         with pytest.raises(ConfigError) as err:

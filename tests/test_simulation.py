@@ -33,28 +33,45 @@ def queue_up(sim, lane_id, n, route):
 
 class TestDemandProfile:
     def test_piecewise_linear(self):
-        # the per-second rates the arrival draws compare against
-        d = DemandProfile({"a": [[0.0, 120.0], [100.0, 600.0]]})
-        rates = d._table["a"]
-        assert len(rates) == 101
-        assert rates[0] == pytest.approx(120.0)
-        assert rates[50] == pytest.approx(360.0)
-        assert rates[100] == pytest.approx(600.0)
-        assert d.horizon == 100.0
+        # the per-second rates the arrival draws compare against: each
+        # second of a block is scalar np.interp of that second
+        times, rates = (0.0, 100.0, 200.0, 200.0), (120.0, 600.0, 600.0, 60.0)
+        d = DemandProfile({"a": [list(p) for p in zip(times, rates)],
+                           "b": [[0, 90], [150, 90]]})
+        assert d.horizon == 200.0 and d.entry_lanes == ("a", "b")
+        for start, k in ((100, 1),      # a breakpoint second
+                         (37, 1),       # a second between breakpoints
+                         (90, 20),      # a block across a breakpoint
+                         (190, 20),     # across the step, past the horizon
+                         (0, 256)):
+            block = d.rate(start, k)
+            assert block.shape == (k, 2)
+            for i, (a, b) in enumerate(block.tolist()):
+                assert a == np.interp(start + i, times, rates)
+                assert b == 90.0
+        assert d.rate(50, 1)[0, 0] == 360.0
+        assert d.rate(199, 3)[:, 0].tolist() == [600.0, 60.0, 60.0]
 
-    def test_lanes_with_equal_breakpoints_share_one_table(self,
-                                                           double_demand):
-        pts = [[0.0, 120.0], [100.0, 600.0]]
-        d = DemandProfile({"a": pts, "b": [[100, 600], [0, 120]],
-                           "c": [[0.0, 60.0]]})
-        tables = d._table
-        assert tables["a"] is tables["b"] and tables["c"] is not tables["a"]
-        assert not tables["a"].flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            tables["a"][0] = 1.0
-        # the bundled corridor: six entry lanes, two distinct profiles
-        assert len(double_demand._table) == 6
-        assert len({id(t) for t in double_demand._table.values()}) == 2
+    def test_points_sharing_a_time_keep_their_order(self):
+        # a step down stays a step down, whatever the rates' order
+        d = DemandProfile({"a": [[0, 120], [60, 600], [60, 60], [120, 60]]})
+        assert d.breakpoints["a"] == [(0.0, 120.0), (60.0, 600.0),
+                                      (60.0, 60.0), (120.0, 60.0)]
+        assert d.rate(59, 3)[:, 0].tolist() == [592.0, 60.0, 60.0]
+
+    def test_size_does_not_grow_with_the_horizon(self, tiny_net):
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            d = DemandProfile({"in_a": [[0, 0], [1e7, 1e7]]})
+            sim = Simulation(tiny_net, d, 0)
+            for _ in range(300):  # two arrival blocks
+                sim.step({"x": (GREEN, 0)})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sim.injected > 0 and d.horizon == 1e7
+        assert peak < 1024 * 1024
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
@@ -73,8 +90,16 @@ class TestDemandProfile:
         [[0.0, 600.0], [600.0]],
         [[0.0, 600.0], 600.0],
         600.0,
+        ["05", "95"],                     # two-character strings
+        [["0", "100"], ["60", "1e2"]],    # numbers written as strings
+        [[True, 120], [60, 60]],          # a bool is not a number
+        [[0.0, 600.0], [600.0, 600.0, 1.0]],
+        [[0, 600], [10 ** 400, 600]],     # an int too large for a float
+        {"0": 600, "60": 600},
     ], ids=["nan-rate", "inf-rate", "no-points", "inf-time", "nan-time",
-            "short-point", "scalar-point", "scalar-points"])
+            "short-point", "scalar-point", "scalar-points", "string-points",
+            "string-numbers", "bool-time", "long-point", "huge-time",
+            "object-points"])
     def test_corrupt_points_rejected_naming_lane(self, points):
         with pytest.raises(ValueError, match="n_in"):
             DemandProfile({"s_in": [[0.0, 60.0], [600.0, 60.0]],
@@ -86,10 +111,9 @@ class TestDemandProfile:
         with pytest.raises(ValueError, match="object"):
             DemandProfile(rates)
 
-    def test_non_finite_horizon_rejected(self):
+    def test_horizon_must_be_positive(self):
         with pytest.raises(ValueError, match="horizon"):
-            DemandProfile({"n_in": [[0.0, 600.0], [600.0, 600.0]]},
-                          horizon=float("inf"))
+            DemandProfile({"n_in": [[-60.0, 600.0], [0.0, 600.0]]})
 
 
 class TestDischarge:
