@@ -160,7 +160,8 @@ class SotlController(Controller):
     def tick(self, view):
         # kappa only ever adds whole numbers below 2**53, so adding a
         # group's sum gives the same float as adding its lanes in turn
-        self.kappa += view.red_count(self.omega)
+        self.kappa += view.count_sum(view.red_in[view.current_phase],
+                                     self.omega)
 
     def decide(self, view):
         if view.t_p <= self.g_min or self.kappa <= self.theta:

@@ -122,7 +122,7 @@ def cmd_simulate(args) -> int:
     net, demand = _load_inputs(args)
     hp = parse_hp(args.hp)
     controllers = experiments.controller_factory(net, args.tsc, hp,
-                                                 args.checkpoint)()
+                                                 args.checkpoint)(net)
     fabric.check_seed(args.seed)
     make_out_dir(args.out)
     log = run_episode(net, demand, controllers, args.seed)

@@ -180,47 +180,30 @@ class SignalUnit:
             self.red_in[p.id] = tuple(
                 lid for lid in ix.incoming if lid not in p.incoming or any(
                     (lid, b) not in green for _, b in lanes[lid].downstream))
-        self._cuts = {}  # bound -> {lane id: length - bound}
-        self._red_cuts = {}  # bound -> {phase: ((red lane id, cut), ...)}
+        self._tables = {}  # bound -> {lane group: ((lane id, cut), ...)}
         # (lane id, cut, capacity, speed) per incoming lane at self.bound
         self.observed = tuple(
             (lid, lanes[lid].length - self.bound,
              sim.capacity_within(lid, self.bound), lanes[lid].speed_limit)
             for lid in ix.incoming)
 
-    def count_sum(self, lanes, bound: float) -> int:
-        """Number of vehicles within `bound` meters of the stop line on
-        `lanes`; each lane's scan stops at the first vehicle behind it."""
-        cuts = self._cuts.get(bound)
-        if cuts is None:
-            net, ix = self.sim.net, self.intersection
-            cuts = self._cuts[bound] = {lid: net.lanes[lid].length - bound
-                                        for lid in ix.incoming + ix.outgoing}
+    def count_sum(self, lanes: tuple, bound: float) -> int:
+        """Number of vehicles within `bound` meters of the stop line on the
+        lane group `lanes`; each lane's scan stops at the first vehicle
+        behind it. The group's (lane id, length - bound) table is built the
+        first time this group and bound are asked for."""
+        tables = self._tables.get(bound) or self._tables.setdefault(bound, {})
+        table = tables.get(lanes)
+        if table is None:
+            net_lanes = self.sim.net.lanes
+            table = tables[lanes] = tuple(
+                (lid, net_lanes[lid].length - bound) for lid in lanes)
         lane_vehicles = self.sim.lane_vehicles
         n = 0
-        for lid in lanes:
-            cut = cuts[lid]
-            if cut <= 0:
+        for lid, cut in table:
+            if cut <= 0.0:  # whole lane (0.0: the faster float compare)
                 n += len(lane_vehicles[lid])
                 continue
-            for v in lane_vehicles[lid]:  # head first: stop at the bound
-                if v.position < cut:
-                    break
-                n += 1
-        return n
-
-    def red_count(self, bound: float) -> int:
-        """`count_sum(self.red_in[self.current_phase], bound)`, read from
-        a per-phase table of (lane id, cut) pairs built once per bound."""
-        table = self._red_cuts.get(bound)
-        if table is None:
-            lanes = self.sim.net.lanes
-            table = self._red_cuts[bound] = {
-                p: tuple((lid, lanes[lid].length - bound) for lid in red)
-                for p, red in self.red_in.items()}
-        lane_vehicles = self.sim.lane_vehicles
-        n = 0
-        for lid, cut in table[self.current_phase]:
             for v in lane_vehicles[lid]:  # head first: stop at the bound
                 if v.position < cut:
                     break

@@ -19,7 +19,7 @@ from .classic import (MaxPressureController, SotlController,
 from .control import ConfigError, configure
 from .network import (NetworkModel, finite_number, make_out_dir, read_input,
                       write_output)
-from .simulation import DemandProfile, run_episode
+from .simulation import DemandProfile, check_entry_lanes, run_episode
 from .stats import BoxStats, box_stats, mean_ci95, rank_score
 
 # controller name -> the dataclass whose fields are its hyperparameters
@@ -80,23 +80,25 @@ def greedy_controllers(net: NetworkModel, name: str, cfg,
 
 def controller_factory(net: NetworkModel, name: str, hp: dict,
                        checkpoint_dir: str | None = None):
-    """Picklable callable building fresh per-intersection controllers:
-    classic ones from `hp`, or greedy learning ones from `checkpoint_dir`,
-    whose config fixes every hyperparameter (`hp` must be empty). The
-    hyperparameters or the checkpoint are read and checked once, here."""
+    """Picklable `make_controllers(net)` building fresh per-intersection
+    controllers: classic ones from `hp`, or greedy learning ones from
+    `checkpoint_dir`, whose config fixes every hyperparameter (`hp` must be
+    empty). The hyperparameters or the checkpoint are read and checked
+    once, here; the callable carries no network."""
     check_controller(name)
     if name not in fabric.ALGOS:
         if checkpoint_dir is not None:
             raise ConfigError(f"{name!r} is classic: it takes no checkpoint")
         configure(name, CONTROLLERS[name], hp)  # fails here, before any run
-        return functools.partial(make_classic_controllers, net, name, hp)
+        return functools.partial(make_classic_controllers, name=name, hp=hp)
     if hp:
         raise ConfigError(f"{name!r} takes its hyperparameters from its "
                           f"checkpoint; got {sorted(hp)}")
     if checkpoint_dir is None:
         raise ConfigError(f"{name!r} needs a trained checkpoint")
-    return functools.partial(greedy_controllers, net, name,
-                             *fabric.load_policy(checkpoint_dir, net, name))
+    cfg, params = fabric.load_policy(checkpoint_dir, net, name)
+    return functools.partial(greedy_controllers, name=name, cfg=cfg,
+                             params=params)
 
 
 # -- identities and seeding ----------------------------------------------------
@@ -141,6 +143,11 @@ class GridSpec:
         if not isinstance(self.values, dict) or not self.values:
             raise ConfigError("a grid must be a non-empty object mapping "
                               "hyperparameter -> list of values")
+        names = [k.strip() for key in self.values for k in key.split(",")]
+        for name in names:
+            if names.count(name) > 1:  # the product would keep one value
+                raise ConfigError(f"grid names hyperparameter {name!r} "
+                                  "more than once")
         for key, vals in self.values.items():
             if not isinstance(vals, (list, tuple)) or not vals:
                 raise ConfigError(f"grid values of {key!r} must be a "
@@ -245,8 +252,8 @@ def _run_shared(task):
 
 def _trial_mean(net, demand, make_controllers, seed, horizon) -> float:
     """Mean travel time of one episode; NaN if no trip finished."""
-    tts = run_episode(net, demand, make_controllers(), seed, horizon=horizon,
-                      moe_series=False).travel_time_values
+    tts = run_episode(net, demand, make_controllers(net), seed,
+                      horizon=horizon, moe_series=False).travel_time_values
     return float(np.mean(tts)) if tts else float("nan")
 
 
@@ -254,13 +261,15 @@ def _trained_factory(net, demand, name, train_episodes, train_horizon, hp,
                      seed):
     """Train one learning config; a factory of its greedy controllers that
     carries the acting parameters, not the training state (target nets,
-    optimizer moments), into every trial task."""
+    optimizer moments) nor the network, into every trial task."""
     result = fabric.train(
         net, demand, name, seed,
         fabric=fabric.FabricConfig(episode_budget=train_episodes,
                                    horizon=train_horizon),
         agent_cfg=fabric.agent_config(name, hp))
-    return functools.partial(greedy_controllers, net, name, *result.policy())
+    cfg, params = result.policy()
+    return functools.partial(greedy_controllers, name=name, cfg=cfg,
+                             params=params)
 
 
 def tune(grid: GridSpec, net: NetworkModel, demand: DemandProfile,
@@ -276,6 +285,7 @@ def tune(grid: GridSpec, net: NetworkModel, demand: DemandProfile,
     _check_count("procs", procs)
     name = grid.controller
     cids = {config_id(name, hp): hp for hp in grid.expand()}
+    check_entry_lanes(net, demand)
     if out_dir:
         make_out_dir(out_dir)
     if name in fabric.ALGOS:
@@ -342,6 +352,7 @@ def evaluate(name: str, hp: dict, net: NetworkModel, demand: DemandProfile,
     _check_count("procs", procs)
     fabric.check_seed(base_seed)
     make_controllers = controller_factory(net, name, hp, checkpoint_dir)
+    check_entry_lanes(net, demand)
     if out_dir:
         make_out_dir(out_dir)
     reduced = _map(_eval_run, (net, demand, make_controllers),
@@ -368,7 +379,8 @@ def _eval_run(net, demand, make_controllers, seed, horizon) -> tuple:
     `_run_bin_means` (None if it logged no second) and its unfinished
     count. The per-second series end with the run, so memory stays flat in
     the number of runs and a worker sends back kilobytes, not the series."""
-    log = run_episode(net, demand, make_controllers(), seed, horizon=horizon)
+    log = run_episode(net, demand, make_controllers(net), seed,
+                      horizon=horizon)
     iids = [ix.id for ix in net.intersections]
     bins = _run_bin_means(log, iids) if log.times else None
     return log.travel_times, bins, log.unfinished

@@ -34,7 +34,7 @@ from .control import ConfigError, RewardNormalizer, configure, state_width
 from .network import (NetworkModel, finite_number, make_out_dir, read_input,
                       write_output)
 from .nn import ParameterSet, load_checkpoint, save_checkpoint
-from .simulation import DemandProfile, run_episode
+from .simulation import DemandProfile, check_entry_lanes, run_episode
 
 # learning algorithm -> its agent config, whose fields are its hyperparameters
 ALGOS = {"dqn": DqnConfig, "ddpg": DdpgConfig}
@@ -264,6 +264,7 @@ def train(net: NetworkModel, demand: DemandProfile, algo: str, seed: int,
           out_dir: str | None = None) -> TrainResult:
     """Run the training fabric; returns trained per-intersection agents."""
     check_seed(seed)
+    check_entry_lanes(net, demand)
     fabric = fabric or FabricConfig()
     if agent_cfg is None:
         agent_cfg = DqnConfig() if algo == "dqn" else DdpgConfig()

@@ -57,9 +57,6 @@ class FakeView:
     def count_sum(self, lanes, bound=None):
         return sum(self._counts.get(lid, 0) for lid in lanes)
 
-    def red_count(self, bound=None):
-        return self.count_sum(self.red_in[self.current_phase])
-
     def crossed(self):
         return dict(self._crossed)
 

@@ -510,6 +510,11 @@ class TestMalformedGrid:
         ("sotl", {"mu": [3, 2.5]}, "mu"),
         ("ddpg", {"g_min,g_max": [5, 30]}, "g_min,g_max"),
         ("ddpg", {"g_min,g_max": [[5, 30, 60]]}, "g_min,g_max"),
+        # one name in two keys, or twice in one key: no value is dropped
+        ("sotl", {"g_min": [5, 10], "g_min,theta": [[20, 50]]},
+         "hyperparameter 'g_min' more than once"),
+        ("sotl", {"theta,theta": [[20, 50]]},
+         "hyperparameter 'theta' more than once"),
     ])
     def test_exits_2_naming_the_field(self, paths, tmp_path, capsys, tsc,
                                       values, field):

@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import pickletools
 import subprocess
 import sys
 import warnings
@@ -124,6 +125,17 @@ class TestGrid:
         with pytest.raises(ConfigError):
             GridSpec("nope", {"u": [10]})
 
+    @pytest.mark.parametrize("values,name", [
+        ({"g_min": [5, 10], "g_min,theta": [[20, 50]]}, "g_min"),
+        ({"theta,theta": [[20, 50]]}, "theta"),
+        ({"g_min, theta": [[5, 20]], "theta": [50]}, "theta"),
+    ])
+    def test_hyperparameter_named_twice(self, values, name):
+        # the product would silently keep one of the two values
+        with pytest.raises(ConfigError, match=f"hyperparameter '{name}' "
+                                              "more than once"):
+            GridSpec("sotl", values)
+
     def test_seed_is_stable_and_distinct(self):
         s = seed_for("uniform;u=10", 0, 0)
         assert s == seed_for("uniform;u=10", 0, 0)
@@ -192,7 +204,8 @@ class TestTune:
         means = {5: 3.0, 10: float("nan"), 15: 1.0, 20: float("nan")}
         monkeypatch.setattr(
             experiments, "_trial_mean",
-            lambda net, demand, make, seed, horizon: means[make.args[2]["u"]])
+            lambda net, demand, make, seed, horizon:
+            means[make.keywords["hp"]["u"]])
         grid = GridSpec("uniform", {"u": [20, 15, 10, 5]}, trials=2)
         ranked = experiments.tune(grid, tiny_net, constant_demand(
             ["in_a", "in_b"], 400.0), out_dir=str(tmp_path))
@@ -338,8 +351,8 @@ class TestGreedyPolicy:
         assert episode(experiments.greedy_controllers(
             double_net, trained.algo, cfg, params)) == in_memory
         assert episode(experiments.controller_factory(
-            double_net, trained.algo, {}, trained.checkpoint_dir)()) == \
-            in_memory
+            double_net, trained.algo, {}, trained.checkpoint_dir)(
+                double_net)) == in_memory
 
     def test_draws_no_random_number(self, trained, double_net,
                                     double_demand):
@@ -437,6 +450,30 @@ class TestProcessPool:
         # 484 KB (DDPG) here
         assert len(seen["_trial_mean"]) == 2
         assert max(seen["_trial_mean"]) <= 40 * 1024
+
+    @pytest.mark.parametrize("name,values", [("sotl", {"g_min": [10]}),
+                                             ("dqn", {"a_repeat": [10]})])
+    def test_trial_tasks_carry_no_network(self, double_net, double_demand,
+                                          monkeypatch, name, values):
+        # the factory takes the network when it is called, so no string
+        # a trial task pickles is a lane id
+        tasks = []
+        real_map = experiments._map
+
+        def spy(fn, shared, fn_tasks, procs):
+            if fn is experiments._trial_mean:
+                tasks.extend(fn_tasks)
+            return real_map(fn, shared, fn_tasks, procs)
+
+        monkeypatch.setattr(experiments, "_map", spy)
+        experiments.tune(GridSpec(name, values, trials=1), double_net,
+                         double_demand, horizon=60.0, train_episodes=1,
+                         train_horizon=60.0)
+        assert len(tasks) == 1
+        strings = {arg for _, arg, _ in
+                   pickletools.genops(pickle.dumps(tasks[0]))
+                   if isinstance(arg, str)}
+        assert not strings & set(double_net.lanes)
 
     def test_import_loads_no_process_pool(self):
         import tscbench
@@ -594,6 +631,26 @@ class TestOutDir:
                          fabric=fabric.FabricConfig(episode_budget=1),
                          out_dir=blocked)
         assert episodes == []
+
+    @pytest.mark.parametrize("run", ["evaluate", "tune", "train"])
+    def test_demand_lane_without_route(self, single_net, tmp_path, episodes,
+                                       run):
+        # refused before the output directory is made
+        out = str(tmp_path / "out")
+        demand = constant_demand(["n_in", "nope"], 600.0, horizon=60.0)
+        call = {
+            "evaluate": lambda: experiments.evaluate(
+                "uniform", {}, single_net, demand, runs=1, out_dir=out),
+            "tune": lambda: experiments.tune(
+                GridSpec("uniform", {"u": [10]}, trials=1), single_net,
+                demand, out_dir=out),
+            "train": lambda: fabric.train(
+                single_net, demand, "dqn", 0,
+                fabric=fabric.FabricConfig(episode_budget=1), out_dir=out),
+        }[run]
+        with pytest.raises(ValueError, match=r"\['nope'\] start no network"):
+            call()
+        assert not os.path.exists(out) and episodes == []
 
     def test_compare(self, tiny_net, blocked):
         s = experiments.evaluate("uniform", {"u": 10}, tiny_net,

@@ -1,8 +1,8 @@
 """The signal unit's per-episode lane tables against per-lane full scans.
 
 A `SignalUnit` answers controllers from tables it builds once per episode:
-red-lane groups per phase, (lane, cut) tables per bound (also per phase,
-for `red_count`) and an observation table. Here random phase commands
+red-lane groups per phase, a (lane, cut) table per lane group and bound,
+and an observation table. Here random phase commands
 drive episodes on the hand-built nets, the bundled nets and generated
 networks, and after every step each grouped count, the SOTL and
 max-pressure quantities, `observe`, `reward_raw`, `cycle_next` and
@@ -113,7 +113,7 @@ def check_unit(unit, sotl, ref, split):
                 ref_sum(sim, ix.incoming, EVERYTHING):
             split.add(b)
         assert unit.count_sum(unit.red_in[current], b) == \
-            unit.red_count(b) == ref_sum(sim, ref_red(ix, current), b)
+            ref_sum(sim, ref_red(ix, current), b)
         for p, phase in enumerate(ix.phases):
             for lanes in (phase.incoming, unit.red_in[p], phase.outgoing):
                 assert unit.count_sum(lanes, b) == ref_sum(sim, lanes, b)
