@@ -94,7 +94,7 @@ class Intersection:
 class NetworkModel:
     intersections: tuple          # of Intersection
     lanes: dict                   # id -> Lane
-    routes: tuple                 # of tuple of lane ids, entry lane first
+    routes: tuple                 # of lane-id tuples, entry first, sink last
 
     def intersection(self, iid: str) -> Intersection:
         for ix in self.intersections:
@@ -291,6 +291,11 @@ def network_from_dict(data: dict) -> NetworkModel:
             if (a, b) not in movements:
                 raise NetworkValidationError(
                     f"route {r_idx}: {a!r} -> {b!r} is not a phase movement")
+        if route[-1] in signal_of:
+            raise NetworkValidationError(
+                f"route {r_idx} ends on lane {route[-1]!r}, which is incoming "
+                f"at intersection {signal_of[route[-1]]!r}; a route ends on "
+                f"a lane no intersection controls")
         routes.append(route)
     if not routes:
         raise NetworkValidationError("network declares no routes")

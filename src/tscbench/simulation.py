@@ -175,14 +175,15 @@ class Simulation:
 
     MoE series: while `run_episode` collects them, step (b) of each step
     sums the queue and delay of the state the step before left (the row
-    for its clock time), in the same lane and vehicle order as
-    `collect_moe`, before it moves any vehicle. `collect_moe` stays the
-    reference sum and appends the episode's last row.
+    for its clock time) in its one pass over the controlled lanes, in the
+    same lane and vehicle order as `collect_moe`, reading each vehicle
+    before it moves. `collect_moe` stays the reference sum and appends the
+    episode's last row.
 
     Signals act on movements. A lane's head crosses the stop line only if
     the displayed phase gives a green to its movement (the lane and the
-    next lane of its route); a head whose route ends on the lane leaves on
-    any phase that serves the lane. A head whose movement is red blocks
+    next lane of its route; every route ends on a sink lane, one no
+    intersection controls). A head whose movement is red blocks
     its lane, even for vehicles behind it whose movement is green
     (head-of-line blocking: one lane, one queue). `nongreen_crossings`
     counts crossings outside the network's green movements and must stay
@@ -238,11 +239,9 @@ class Simulation:
         self._lane_groups = tuple(
             (ix.id, tuple(plan(lanes[lid]) for lid in ix.incoming))
             for ix in net.intersections)
-        self._controlled_plan = tuple(
-            entry for _, group in self._lane_groups for entry in group)
         # controlled lane id -> its stop-line crossings so far
         self.crossed = dict.fromkeys(
-            (entry[0] for entry in self._controlled_plan), 0)
+            (entry[0] for _, group in self._lane_groups for entry in group), 0)
         # (lane id, length, speed) of the other (sink) lanes, in lane order
         self._sink_plan = tuple(
             (lid, lane.length, lane.speed_limit)
@@ -270,14 +269,11 @@ class Simulation:
         # each intersection's green phase in the last step, None if not green
         self._shown = dict.fromkeys(self._signals)
         # The safety audit's own table, from the lanes' movement pairs:
-        # (iid, phase, lane, next lane) for every green movement, and
-        # (iid, phase, lane, None) for a route that ends on a lane the
-        # phase serves.
+        # (iid, phase, lane, next lane) for every green movement.
         self._served = frozenset(
-            (iid, p, lid, to)
+            (iid, p, lid, target)
             for lid, lane in lanes.items()
-            for (iid, p), target in lane.downstream
-            for to in (target, None))
+            for (iid, p), target in lane.downstream)
 
     # -- queries ---------------------------------------------------------
 
@@ -335,21 +331,30 @@ class Simulation:
 
         # (b) advance free vehicles / join queues, controlled lanes grouped
         # by intersection, then sink lanes. While run_episode collects the
-        # series, the controlled-lane pass first sums the queue and delay
-        # of the state the previous step left, reading each vehicle before
-        # it moves: the row collect_moe would have appended after that
-        # step. Arrivals of (a) add 0 to both (not queued, zero delay).
-        log = self._moe_log
-        if log is None or not t:
-            for lid, length, speed, spacing, stops in self._controlled_plan:
+        # series, the controlled-lane pass also sums the queue and delay of
+        # the state the previous step left, reading each vehicle before it
+        # moves: the row collect_moe would have appended after that step.
+        # Arrivals of (a) add 0 to both (not queued, zero delay).
+        log = self._moe_log if t else None
+        if log is not None:
+            log.times.append(t)
+        for iid, group in self._lane_groups:
+            q = 0
+            d = 0.0
+            for lid, length, speed, spacing, (limits, queued_at) in group:
                 vehs = lane_vehicles[lid]
                 if not vehs:
                     continue
-                limits, queued_at = stops
                 if len(vehs) > len(limits):  # over capacity: only set by hand
                     limits, queued_at = _stop_lines(length, spacing, len(vehs))
                 for v, limit, at in zip(vehs, limits, queued_at):
                     pos = v.position
+                    if log is not None:
+                        if v.queued:
+                            q += 1
+                        x = t - v.entry_time - (v.ff_completed + pos / speed)
+                        if x > 0.0:
+                            d += x
                     if pos < at:
                         pos += speed
                         if pos > limit:
@@ -358,36 +363,9 @@ class Simulation:
                         v.queued = pos >= at
                     else:
                         v.queued = True
-        else:
-            log.times.append(t)
-            queue, delay = log.queue, log.delay
-            for iid, group in self._lane_groups:
-                q = 0
-                d = 0.0
-                for lid, length, speed, spacing, (limits, queued_at) in group:
-                    vehs = lane_vehicles[lid]
-                    if not vehs:
-                        continue
-                    if len(vehs) > len(limits):
-                        limits, queued_at = _stop_lines(length, spacing,
-                                                        len(vehs))
-                    for v, limit, at in zip(vehs, limits, queued_at):
-                        if v.queued:
-                            q += 1
-                        pos = v.position
-                        x = t - v.entry_time - (v.ff_completed + pos / speed)
-                        if x > 0.0:
-                            d += x
-                        if pos < at:
-                            pos += speed
-                            if pos > limit:
-                                pos = limit
-                            v.position = pos
-                            v.queued = pos >= at
-                        else:
-                            v.queued = True
-                queue[iid].append(q)
-                delay[iid].append(d)
+            if log is not None:
+                log.queue[iid].append(q)
+                log.delay[iid].append(d)
         # Sink lanes: free flow to the exit. Route hops are movements out
         # of controlled lanes, so each vehicle here is on its last leg and
         # not queued; all move at one speed, so the exits are a prefix.
@@ -435,24 +413,18 @@ class Simulation:
                 head = vehs[0]
                 if not (head.queued and head.position >= stop_line):
                     continue
-                if head.leg == len(head.route) - 1:
-                    nxt = None
-                    del vehs[0]
-                    head.ff_completed += ff
-                    self._exit_vehicle(head)
-                else:
-                    nxt = head.route[head.leg + 1]
-                    if nxt not in targets:  # its movement is red: it blocks
-                        continue
-                    target = lane_vehicles[nxt]
-                    if len(target) >= lanes[nxt].jam_capacity:
-                        continue
-                    del vehs[0]
-                    head.ff_completed += ff
-                    head.leg += 1
-                    head.position = 0.0
-                    head.queued = False
-                    target.append(head)
+                nxt = head.route[head.leg + 1]
+                if nxt not in targets:  # its movement is red: it blocks
+                    continue
+                target = lane_vehicles[nxt]
+                if len(target) >= lanes[nxt].jam_capacity:
+                    continue
+                del vehs[0]
+                head.ff_completed += ff
+                head.leg += 1
+                head.position = 0.0
+                head.queued = False
+                target.append(head)
                 ready_at[lid] = t + headway
                 crossed[lid] += 1
                 if (iid, p, lid, nxt) not in self._served:

@@ -22,6 +22,16 @@ def paths():
     }
 
 
+@pytest.fixture(scope="module")
+def checkpoint(paths, tmp_path_factory):
+    """A DQN checkpoint directory trained for one episode on single.net."""
+    out = tmp_path_factory.mktemp("train")
+    assert main(["train", "--net", paths["net"], "--demand",
+                 paths["demand"], "--tsc", "dqn", "--episodes", "1",
+                 "--out", str(out)]) == EXIT_OK
+    return out / "checkpoints"
+
+
 class TestParseHp:
     def test_coercion(self):
         assert parse_hp("u=15") == {"u": 15}
@@ -35,6 +45,10 @@ class TestParseHp:
             parse_hp("u")
         with pytest.raises(ConfigError):
             parse_hp("=5")
+
+    def test_empty_items_skipped(self):
+        assert parse_hp("u=5,") == {"u": 5}
+        assert parse_hp(" , theta=50 ,,") == {"theta": 50}
 
 
 class TestExitCodes:
@@ -210,6 +224,21 @@ class TestExitCodes:
                          "--out", str(tmp_path / "e")]) == EXIT_USAGE, value
             assert f'"{key}"' in capsys.readouterr().err
 
+    def test_checkpoint_meta_missing_an_intersection(self, paths, tmp_path,
+                                                     capsys, checkpoint):
+        ckpt = tmp_path / "checkpoints"
+        shutil.copytree(checkpoint, ckpt)
+        meta = json.loads((ckpt / "meta.json").read_text())
+        (ckpt / "meta.json").write_text(json.dumps({**meta, "files": {}}))
+        out = tmp_path / "e"
+        assert main(["evaluate", "--net", paths["net"], "--demand",
+                     paths["demand"], "--tsc", "dqn", "--checkpoint",
+                     str(ckpt), "--runs", "1", "--out", str(out)]) \
+            == EXIT_USAGE
+        assert "checkpoint missing intersection 'i0'" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_hp_with_checkpoint(self, paths, tmp_path, capsys, episodes):
         # a checkpoint's config fixes every hyperparameter: --hp beside it
         # is refused, not ignored and recorded
@@ -232,37 +261,60 @@ class TestExitCodes:
     @pytest.mark.parametrize("cmd,extra", [("simulate", []),
                                            ("evaluate", ["--runs", "1"])])
     def test_checkpoint_with_classic_controller(self, paths, tmp_path,
-                                                capsys, episodes, cmd,
-                                                extra):
-        # a classic controller has no checkpoint to read: one beside it is
-        # refused, not ignored
+                                                capsys, episodes, checkpoint,
+                                                cmd, extra):
+        # a classic controller has no checkpoint to read: one beside it,
+        # trained or not there at all, is refused, not ignored
         out = tmp_path / cmd
-        assert main([cmd, "--net", paths["net"], "--demand",
-                     paths["demand"], "--tsc", "uniform", "--checkpoint",
-                     str(tmp_path / "nonexistent"), *extra,
-                     "--out", str(out)]) == EXIT_USAGE
-        assert "'uniform' is classic: it takes no checkpoint" in \
-            capsys.readouterr().err
-        assert episodes == [] and not out.exists()
+        for ckpt in (tmp_path / "nonexistent", checkpoint):
+            assert main([cmd, "--net", paths["net"], "--demand",
+                         paths["demand"], "--tsc", "uniform", "--checkpoint",
+                         str(ckpt), *extra, "--out", str(out)]) == EXIT_USAGE
+            assert "'uniform' is classic: it takes no checkpoint" in \
+                capsys.readouterr().err
+            assert episodes == [] and not out.exists()
 
     def test_learners_flag_is_gone(self, paths, tmp_path, episodes):
         out = tmp_path / "train"
-        assert main(["train", "--net", paths["net"], "--demand",
-                     paths["demand"], "--tsc", "dqn", "--learners", "1",
-                     "--episodes", "1", "--out", str(out)]) == EXIT_USAGE
+        for learners in ("1", "2"):
+            assert main(["train", "--net", paths["net"], "--demand",
+                         paths["demand"], "--tsc", "dqn", "--learners",
+                         learners, "--episodes", "1",
+                         "--out", str(out)]) == EXIT_USAGE
         assert episodes == [] and not out.exists()
 
     @pytest.mark.parametrize("kind,edit,message", [
         ("net", lambda d: d["lanes"]["n_in"].update(length_m=-1),
          "lane 'n_in': length must be > 0"),
+        ("net", lambda d: [d], "top level must be a JSON object"),
+        ("net", lambda d: d["lanes"]["n_in"].update(speed_mps=0),
+         "lane 'n_in': speed_limit must be > 0"),
+        ("net", lambda d: d["lanes"]["n_in"].update(jam_capacity=0),
+         "lane 'n_in': jam_capacity must be >= 1"),
+        ("net", lambda d: d["intersections"]["i0"]["phases"][0][
+            "movements"].append(["ghost", "s_out"]),
+         "intersection 'i0' phase 0: unknown lane 'ghost'"),
+        ("net", lambda d: d["intersections"]["i0"]["phases"][0][
+            "movements"].append(["n_in", "e_in"]),
+         "intersection 'i0' phase 0: lane 'e_in' is not an outgoing lane"),
+        ("net", lambda d: d["routes"].append([]), "route 4: empty"),
+        ("net", lambda d: d["routes"].append(["n_in", "ghost"]),
+         "route 4 references unknown lane 'ghost'"),
+        ("net", lambda d: d.update(routes=[]), "network declares no routes"),
+        ("net", lambda d: d["routes"].append(["n_in"]),
+         "route 4 ends on lane 'n_in', which is incoming at intersection "
+         "'i0'; a route ends on a lane no intersection controls"),
         ("demand", lambda d: d.update(n_in=[[0, -5], [600, -5]]),
          "negative rate for lane 'n_in'"),
-    ], ids=["net", "demand"])
+    ], ids=["net", "net-top-level-list", "net-zero-speed", "net-zero-jam",
+            "net-movement-unknown-lane", "net-movement-into-incoming",
+            "net-empty-route", "net-route-unknown-lane", "net-no-routes",
+            "net-route-ends-at-signal", "demand"])
     def test_invalid_content_names_the_file(self, paths, tmp_path, capsys,
                                             kind, edit, message):
         data = conftest.single_net_dict(
             "single.net" if kind == "net" else "single_asym_demand.json")
-        edit(data)
+        data = edit(data) or data  # an edit returns a replacement, or None
         bad = tmp_path / f"bad.{kind}"
         bad.write_text(json.dumps(data))
         argv = {"net": paths["net"], "demand": paths["demand"], kind: str(bad)}
@@ -356,14 +408,6 @@ class TestReadFailures:
     """Every input file that is missing, a directory, not UTF-8 or not
     JSON exits 2 naming the file, before --out is made."""
 
-    @pytest.fixture(scope="class")
-    def checkpoint(self, paths, tmp_path_factory):
-        out = tmp_path_factory.mktemp("train")
-        assert main(["train", "--net", paths["net"], "--demand",
-                     paths["demand"], "--tsc", "dqn", "--episodes", "1",
-                     "--out", str(out)]) == EXIT_OK
-        return out / "checkpoints"
-
     @pytest.mark.parametrize("target,failure", [
         *((target, failure) for target in ("net", "demand", "grid", "meta",
                                            "summary") for failure in BREAK),
@@ -432,6 +476,20 @@ class TestSimulate:
             (tmp_path / "b" / "moe.csv").read_bytes()
 
 
+class TestEvaluate:
+    def test_no_completed_trips(self, paths, tmp_path, capsys):
+        demand = tmp_path / "demand.json"
+        demand.write_text(json.dumps({"n_in": [[0, 0], [600, 0]]}))
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--net", paths["net"], "--demand",
+                     str(demand), "--tsc", "uniform", "--runs", "1",
+                     "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == \
+            "no completed trips; summary flags no_samples\n"
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["samples"] == 0 and summary["box"] is None
+
+
 class TestTune:
     def test_grid_file(self, paths, tmp_path):
         grid = tmp_path / "grid.json"
@@ -474,6 +532,14 @@ class TestCounts:
                      *(x for kv in opts.items() for x in kv)]) == EXIT_USAGE
         assert f"{flag[2:]} must be >= 1" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
+
+    def test_train_episodes(self, paths, tmp_path, capsys, episodes):
+        out = tmp_path / "train"
+        assert main(["train", "--net", paths["net"], "--demand",
+                     paths["demand"], "--tsc", "dqn", "--episodes", "0",
+                     "--out", str(out)]) == EXIT_USAGE
+        assert "episode budget must be >= 1" in capsys.readouterr().err
+        assert not out.exists() and episodes == []
 
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_tune(self, paths, tmp_path, capsys, value):
@@ -606,11 +672,27 @@ class TestOutOfRangeHyperparameters:
         ("dqn", "lr=-1", "lr must be > 0"),
         ("dqn", "replay_capacity=10", "replay_capacity must be >= batch"),
         ("ddpg", "critic_lr=0", "critic_lr must be > 0"),
+        ("dqn", "a_repeat=0", "a_repeat must be >= 1"),
+        ("dqn", "gamma=1", "gamma must be in [0, 1)"),
     ])
     def test_hp_flag(self, paths, tmp_path, capsys, episodes, tsc, hp,
                      message):
         out = tmp_path / "out"
         assert main(["train", "--net", paths["net"], "--demand",
+                     paths["demand"], "--tsc", tsc, "--hp", hp,
+                     "--out", str(out)]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert episodes == [] and not out.exists()
+
+    @pytest.mark.parametrize("tsc,hp,message", [
+        ("webster", "W=0", "W and s_sat must be > 0"),
+        ("webster", "R=-1", "R must be >= 0"),
+        ("maxpressure", "g_min=0", "g_min must be > 0"),
+    ])
+    def test_classic_hp_flag(self, paths, tmp_path, capsys, episodes, tsc,
+                             hp, message):
+        out = tmp_path / "out"
+        assert main(["simulate", "--net", paths["net"], "--demand",
                      paths["demand"], "--tsc", tsc, "--hp", hp,
                      "--out", str(out)]) == EXIT_USAGE
         assert message in capsys.readouterr().err
@@ -703,12 +785,14 @@ class TestTrainEvaluateCompare:
               "--tsc", "uniform", "--hp", "u=10", "--runs", "1",
               "--out", str(a)])
         capsys.readouterr()
-        again = tmp_path / "x" / ".." / "a"
         (tmp_path / "x").mkdir()
-        assert main(["compare", "--in", f"{a},{again}",
-                     "--out", str(tmp_path / "c")]) == EXIT_USAGE
-        assert f"evaluation '{again}' given twice" in capsys.readouterr().err
-        assert not (tmp_path / "c").exists()
+        # the same path twice, and one directory under two spellings
+        for again in (a, tmp_path / "x" / ".." / "a"):
+            assert main(["compare", "--in", f"{a},{again}",
+                         "--out", str(tmp_path / "c")]) == EXIT_USAGE
+            assert f"evaluation '{again}' given twice" in \
+                capsys.readouterr().err
+            assert not (tmp_path / "c").exists()
 
     def test_compare_mismatched_runs(self, paths, tmp_path):
         a = tmp_path / "a"

@@ -67,24 +67,18 @@ class CounterSimulation(Simulation):
                 if not (head.queued
                         and head.position >= lanes[lid].length - 1e-6):
                     continue
-                if head.leg == len(head.route) - 1:
-                    nxt = None
-                    del vehs[0]
-                    head.ff_completed += lanes[lid].free_flow_time
-                    self._exit_vehicle(head)
-                else:
-                    nxt = head.route[head.leg + 1]
-                    if (lid, nxt) not in phase.green_movements:
-                        continue
-                    target = lane_vehicles[nxt]
-                    if len(target) >= lanes[nxt].jam_capacity:
-                        continue
-                    del vehs[0]
-                    head.ff_completed += lanes[lid].free_flow_time
-                    head.leg += 1
-                    head.position = 0.0
-                    head.queued = False
-                    target.append(head)
+                nxt = head.route[head.leg + 1]
+                if (lid, nxt) not in phase.green_movements:
+                    continue
+                target = lane_vehicles[nxt]
+                if len(target) >= lanes[nxt].jam_capacity:
+                    continue
+                del vehs[0]
+                head.ff_completed += lanes[lid].free_flow_time
+                head.leg += 1
+                head.position = 0.0
+                head.queued = False
+                target.append(head)
                 elapsed[lid] = 0.0
                 self.crossed[lid] += 1
                 if (iid, p, lid, nxt) not in self._served:

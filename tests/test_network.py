@@ -180,6 +180,15 @@ def test_route_must_follow_movements(net_dict):
         network_from_dict(net_dict)
 
 
+def test_route_must_end_on_a_sink_lane(net_dict):
+    # n_in is incoming at i0: a vehicle leaves it only by a movement
+    net_dict["routes"].append(["n_in"])
+    with pytest.raises(NetworkValidationError,
+                       match="route 4 ends on lane 'n_in', which is incoming "
+                             "at intersection 'i0'"):
+        network_from_dict(net_dict)
+
+
 def test_at_least_two_phases(net_dict):
     del net_dict["intersections"]["i0"]["phases"][1]
     with pytest.raises(NetworkValidationError, match="2 phases"):

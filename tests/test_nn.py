@@ -207,6 +207,34 @@ class TestBackward:
             ana = grad[i]
             assert abs(num - ana) / max(abs(num), 1e-8) <= 1e-4
 
+    def test_input_gradient_batch_norm_infer(self):
+        # an "infer" cache normalizes with the running statistics, so each
+        # row of the batch has its own gradient
+        params = small_net(seed=8, batch_norm=True)
+        rng = np.random.default_rng(4)
+        for layer in params.layers[:2]:
+            n = layer["gamma"].size
+            layer["gamma"][...] = rng.uniform(0.5, 2.0, size=n)
+            layer["beta"][...] = rng.normal(size=n)
+            layer["rmean"][...] = rng.normal(size=n)
+            layer["rvar"][...] = rng.uniform(0.2, 3.0, size=n)
+        x = rng.normal(size=(3, 4))
+        weights = rng.normal(size=(3, 2))  # loss = sum(weights * output)
+        out, cache = forward(params, x, "infer")
+        grad = input_gradient(params, cache, weights)
+        assert grad.shape == x.shape
+        h = 1e-5
+        for r in range(3):
+            for i in range(4):
+                xp, xm = x.copy(), x.copy()
+                xp[r, i] += h
+                xm[r, i] -= h
+                num = ((forward(params, xp, "infer")[0]
+                        - forward(params, xm, "infer")[0]) * weights).sum() \
+                    / (2 * h)
+                assert abs(num - grad[r, i]) <= 1e-4 * max(abs(num), 1e-3), \
+                    (r, i)
+
     def test_zero_grad_out(self):
         params = small_net()
         x = np.ones((2, 4))

@@ -181,6 +181,24 @@ class TestDischarge:
         sim.step({"x": (GREEN, 0)})
         assert len(sim.lane_vehicles["in_a"]) == 2  # nothing crossed
 
+    def test_audit_counts_a_crossing_the_network_leaves_red(self,
+                                                            split_net):
+        # Phase 0's green table also lets in_a -> out_b cross, a movement
+        # split_net gives a green in phase 1 only. The audit's own table
+        # (from the lanes' movements) still leaves it red there.
+        sim = make_sim(split_net)
+        green, turned = sim._signals["x"][0]
+        sim._signals["x"][0] = (tuple(
+            (lid, stop, ff, targets | {"out_b"} if lid == "in_a" else targets)
+            for lid, stop, ff, targets in green), turned)
+        queue_up(sim, "in_a", 1, ("in_a", "out_b"))
+        head = sim.lane_vehicles["in_a"][0]
+        for _ in range(3):
+            sim.step({"x": (GREEN, 0)})
+        assert sim.lane_vehicles["out_b"] == [head]
+        assert sim.crossed["in_a"] == 1
+        assert sim.nongreen_crossings == 1
+
 
 class TestDelay:
     def test_delay_oracle(self):
@@ -256,6 +274,13 @@ class TestEpisode:
             assert list(lean.times) == []
             assert all(list(q) == [] for q in lean.queue.values())
             assert all(list(d) == [] for d in lean.delay.values())
+
+    def test_missing_controller_rejected(self, double_net, double_demand):
+        controllers = self.controllers(double_net)
+        del controllers["b"]
+        with pytest.raises(ValueError, match=r"no controller for "
+                                             r"intersection\(s\) \['b'\]"):
+            run_episode(double_net, double_demand, controllers, 0)
 
     def test_zero_demand_zero_samples(self, tiny_net):
         demand = constant_demand(["in_a", "in_b"], 0.0)
