@@ -107,6 +107,12 @@ def check_numbers(obj) -> None:
                              f"not {value!r}")
 
 
+def check_count(name: str, value: int) -> None:
+    """ConfigError unless the count `name` is at least 1."""
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value}")
+
+
 def configure(name: str, cls, hp):
     """`cls(**hp)`, the controller class or agent config of controller
     `name` built from hyperparameters `hp`; ConfigError unless `hp` is an

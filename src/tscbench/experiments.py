@@ -16,10 +16,11 @@ import numpy as np
 from . import fabric
 from .classic import (MaxPressureController, SotlController,
                       UniformController, WebsterController)
-from .control import ConfigError, configure
+from .control import ConfigError, check_count, configure
 from .network import (NetworkModel, finite_number, make_out_dir, read_input,
                       write_output)
-from .simulation import DemandProfile, check_entry_lanes, run_episode
+from .simulation import (DemandProfile, check_entry_lanes, check_horizon,
+                         run_episode)
 from .stats import BoxStats, box_stats, mean_ci95, rank_score
 
 # controller name -> the dataclass whose fields are its hyperparameters
@@ -51,11 +52,6 @@ def check_controller(name: str) -> None:
     if name not in CONTROLLERS:
         raise ConfigError(f"unknown controller {name!r} "
                           f"(expected one of {tuple(CONTROLLERS)})")
-
-
-def _check_count(name: str, value: int) -> None:
-    if value < 1:
-        raise ConfigError(f"{name} must be >= 1, got {value}")
 
 
 def make_classic_controllers(net: NetworkModel, name: str, hp: dict) -> dict:
@@ -139,7 +135,7 @@ class GridSpec:
         """Check the grid's shape, then build every config's controller
         (or agent configuration) once, so that a bad value fails here."""
         check_controller(self.controller)
-        _check_count("trials", self.trials)
+        check_count("trials", self.trials)
         if not isinstance(self.values, dict) or not self.values:
             raise ConfigError("a grid must be a non-empty object mapping "
                               "hyperparameter -> list of values")
@@ -282,7 +278,9 @@ def tune(grid: GridSpec, net: NetworkModel, demand: DemandProfile,
 
     A learning config first trains once, seeded like a trial numbered -1;
     then every trial of every config is one greedy or classic episode."""
-    _check_count("procs", procs)
+    check_count("procs", procs)
+    check_horizon(horizon)
+    check_horizon(train_horizon, "train_horizon")
     name = grid.controller
     cids = {config_id(name, hp): hp for hp in grid.expand()}
     check_entry_lanes(net, demand)
@@ -348,8 +346,9 @@ def evaluate(name: str, hp: dict, net: NetworkModel, demand: DemandProfile,
              horizon: float | None = None,
              procs: int = 1, out_dir: str | None = None) -> EvalResult:
     """Greedy multi-seed evaluation: pooled travel times plus MoE bins."""
-    _check_count("runs", runs)
-    _check_count("procs", procs)
+    check_count("runs", runs)
+    check_count("procs", procs)
+    check_horizon(horizon)
     fabric.check_seed(base_seed)
     make_controllers = controller_factory(net, name, hp, checkpoint_dir)
     check_entry_lanes(net, demand)
@@ -376,14 +375,13 @@ def evaluate(name: str, hp: dict, net: NetworkModel, demand: DemandProfile,
 
 def _eval_run(net, demand, make_controllers, seed, horizon) -> tuple:
     """One evaluation run, reduced where it ran: its travel times, its
-    `_run_bin_means` (None if it logged no second) and its unfinished
-    count. The per-second series end with the run, so memory stays flat in
-    the number of runs and a worker sends back kilobytes, not the series."""
+    `_run_bin_means` and its unfinished count. The per-second series end
+    with the run, so memory stays flat in the number of runs and a worker
+    sends back kilobytes, not the series."""
     log = run_episode(net, demand, make_controllers(net), seed,
                       horizon=horizon)
     iids = [ix.id for ix in net.intersections]
-    bins = _run_bin_means(log, iids) if log.times else None
-    return log.travel_times, bins, log.unfinished
+    return log.travel_times, _run_bin_means(log, iids), log.unfinished
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -418,14 +416,11 @@ def _run_bin_means(log, iids) -> tuple:
     return bins[starts], means
 
 
-def _moe_bins(iids, run_bins) -> dict:
+def _moe_bins(iids, runs) -> dict:
     """Per intersection, one row per bin: the mean across the runs that
-    reached it and its 95% half-width, from each run's `_run_bin_means`
-    (None for a run that logged no second). Bins reached by the same
-    number of runs are reduced together, their runs in run order."""
-    runs = [r for r in run_bins if r is not None]
-    if not runs:
-        return {iid: [] for iid in iids}
+    reached it and its 95% half-width, from each run's `_run_bin_means`.
+    Bins reached by the same number of runs are reduced together, their
+    runs in run order."""
     all_bins = _distinct(np.concatenate([b for b, _ in runs]))
     cols = [np.searchsorted(all_bins, b) for b, _ in runs]
     reached = np.zeros((len(all_bins), len(runs)), dtype=bool)

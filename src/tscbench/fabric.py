@@ -1,20 +1,19 @@
 """Distributed-acting, centralized-learning training fabric.
 
-One coordinator, `train`, runs every episode of the budget. Actors run
-their own simulator episodes, taking episode indices from one shared queue;
-every experience goes through one `learn` step into the one learner, which
-owns every intersection's replay buffer and trains them round-robin.
+One coordinator, `train`, runs every episode of the budget on the calling
+thread, and its actors take turns: episode `ep`, seeded `seed + ep`, runs
+on actor `ep % n_actors`. Every experience goes straight through one
+`learn` step into the one learner, which owns every intersection's replay
+buffer and trains them round-robin.
 
-One actor runs on the calling thread with the learner's own agents, so
-every update acts at its next decision and no thread is started. Several
-actors run on threads with agents of their own and put their experiences
-on one bounded queue; the calling thread drains it through the same
-`learn` and offers each fresh parameter snapshot to every actor's
-latest-wins mailbox. If a worker fails, the coordinator drains the queue
-until every actor is done and then raises.
+One actor shares the learner's agents, so every update acts at its next
+decision. Several actors each keep their own agents, reward normalizers,
+exploration scale and latest-wins mailbox: after each update `learn`
+offers the learner's live acting network to every mailbox, and an actor
+copies it in at its next decision.
 
-Any 1-actor run is bit-reproducible; multi-actor runs keep the delivery
-and version invariants but not identical floats.
+No training starts a thread, and every run repeats bit for bit, whatever
+its number of actors.
 """
 
 from __future__ import annotations
@@ -30,11 +29,13 @@ import numpy as np
 
 from .agents import (DdpgAgent, DdpgConfig, DdpgController, DqnAgent,
                      DqnConfig, DqnController, ReplayBuffer)
-from .control import ConfigError, RewardNormalizer, configure, state_width
+from .control import (ConfigError, RewardNormalizer, check_count,
+                      check_numbers, configure, state_width)
 from .network import (NetworkModel, finite_number, make_out_dir, read_input,
                       write_output)
 from .nn import ParameterSet, load_checkpoint, save_checkpoint
-from .simulation import DemandProfile, check_entry_lanes, run_episode
+from .simulation import (DemandProfile, check_entry_lanes, check_horizon,
+                         run_episode)
 
 # learning algorithm -> its agent config, whose fields are its hyperparameters
 ALGOS = {"dqn": DqnConfig, "ddpg": DdpgConfig}
@@ -45,16 +46,15 @@ class FabricConfig:
     n_actors: int = 1
     n_learners: int = 1  # always 1; goes when the benchmark stops passing it
     episode_budget: int = 100
-    queue_capacity: int = 256        # experiences in flight, multi-actor
     horizon: float | None = None     # training episode length, seconds
 
     def __post_init__(self):
-        if self.n_actors < 1:
-            raise ValueError("need at least one actor")
+        check_numbers(self)
+        check_count("actors", self.n_actors)
+        check_count("episodes", self.episode_budget)
         if self.n_learners != 1:
             raise ValueError(f"n_learners must be 1, got {self.n_learners}")
-        if self.episode_budget < 1:
-            raise ValueError("episode budget must be >= 1")
+        check_horizon(self.horizon)
 
 
 @dataclass
@@ -173,9 +173,6 @@ class _Mailbox:
             return self._latest.pop(iid, None)
 
 
-_DONE = object()  # an actor's last item on the experience queue
-
-
 def _param_hook(mailbox: _Mailbox, iid: str, agent):
     """Before each decision, act with the newest snapshot offered, if any."""
     def hook():
@@ -276,91 +273,49 @@ def train(net: NetworkModel, demand: DemandProfile, algo: str, seed: int,
     mailboxes = [_Mailbox() for _ in range(n_actors)] if n_actors > 1 else []
     normalizers = [{iid: RewardNormalizer() for iid in learner.agents}
                    for _ in range(n_actors)]
-    emitted = [0] * n_actors
+    emitted = 0
+    # the budget's work list, in order; a queue because the benchmark's
+    # tracer shims `fabric.queue` and `fabric.threading` by name
     episodes = queue.SimpleQueue()
     for ep in range(fabric.episode_budget):
         episodes.put(ep)
 
     def learn(exp):
+        nonlocal emitted
+        emitted += 1
         learner.ingest(exp)
         iid = learner.try_train()
         if iid is not None and mailboxes:
-            params = learner.agents[iid].acting_params()
+            agent = learner.agents[iid]
+            live = getattr(agent, agent._NETS[0])  # copied when taken
             for mb in mailboxes:
-                mb.offer(iid, params)
+                mb.offer(iid, live)
 
-    def act(actor_index, agents, send):
-        def on_experience(exp):
-            emitted[actor_index] += 1
-            send(exp)
-
+    def actor(index):
+        # one actor shares the learner's agents: every update acts at its
+        # next decision with zero staleness
+        agents = learner.agents if n_actors == 1 else \
+            build_agents(net, algo, agent_cfg, seed)
         controllers = build_controllers(
-            net, algo, agents, seed + 503 * actor_index, explore=True,
-            normalizers=normalizers[actor_index],
-            on_experience=on_experience,
-            exploration_scale=_exploration_scale(actor_index, n_actors))
+            net, algo, agents, seed + 503 * index, explore=True,
+            normalizers=normalizers[index], on_experience=learn,
+            exploration_scale=_exploration_scale(index, n_actors))
         if mailboxes:
             for iid, ctrl in controllers.items():
-                ctrl.param_hook = _param_hook(mailboxes[actor_index],
-                                              iid, agents[iid])
-        while True:
-            try:
-                ep = episodes.get_nowait()
-            except queue.Empty:
-                return
-            run_episode(net, demand, controllers, seed + ep,
-                        horizon=fabric.horizon, moe_series=False)
+                ctrl.param_hook = _param_hook(mailboxes[index], iid,
+                                              agents[iid])
+        return controllers
 
-    if n_actors == 1:
-        # the actor shares the learner's agents: every update acts at its
-        # next decision with zero staleness
-        act(0, learner.agents, learn)
-    else:
-        experiences = queue.Queue(maxsize=fabric.queue_capacity)
-        errors = []
-
-        def fail(where, exc):
-            errors.append((where, exc))
-            while True:  # no actor starts another episode
-                try:
-                    episodes.get_nowait()
-                except queue.Empty:
-                    return
-
-        def actor_loop(actor_index):
-            try:
-                act(actor_index, build_agents(net, algo, agent_cfg, seed),
-                    experiences.put)
-            except Exception as exc:  # reported by the coordinator
-                fail(f"actor {actor_index}", exc)
-            finally:
-                experiences.put(_DONE)
-
-        threads = [threading.Thread(target=actor_loop, args=(i,),
-                                    daemon=True) for i in range(n_actors)]
-        for t in threads:
-            t.start()
-        running = n_actors
-        while running:  # to the end, after a failure too: no put blocks
-            exp = experiences.get()
-            if exp is _DONE:
-                running -= 1
-            elif not errors:
-                try:
-                    learn(exp)
-                except Exception as exc:
-                    fail("learner", exc)
-        for t in threads:
-            t.join()
-        if errors:
-            where, exc = errors[0]
-            raise RuntimeError(
-                f"fabric worker failed in {where}: {exc}") from exc
+    actors = [actor(i) for i in range(n_actors)]
+    while not episodes.empty():
+        ep = episodes.get()
+        run_episode(net, demand, actors[ep % n_actors], seed + ep,
+                    horizon=fabric.horizon, moe_series=False)
 
     result = TrainResult(
         algo=algo, agents=learner.agents,
         r_min={iid: n.r_min for iid, n in normalizers[0].items()},
-        log=learner.log, emitted=sum(emitted), received=learner.received,
+        log=learner.log, emitted=emitted, received=learner.received,
         update_counts=learner.update_counts)
     if out_dir:
         _save_checkpoints(result, out_dir)

@@ -493,6 +493,14 @@ def collect_moe(sim: Simulation, log: MoELog) -> None:
         log.delay[iid].append(d)
 
 
+def check_horizon(horizon, name: str = "horizon") -> None:
+    """ValueError unless `horizon` is None (the demand's own) or a finite
+    number of seconds > 0."""
+    if horizon is not None and not (finite_number(horizon) and horizon > 0):
+        raise ValueError(f"{name} must be a finite number > 0, "
+                         f"got {horizon!r}")
+
+
 def run_episode(net: NetworkModel, demand: DemandProfile, controllers: dict,
                 seed: int, horizon: float | None = None,
                 moe_series: bool = True) -> MoELog:
@@ -507,6 +515,7 @@ def run_episode(net: NetworkModel, demand: DemandProfile, controllers: dict,
     """
     from .control import SignalUnit
 
+    check_horizon(horizon)
     if horizon is None:
         horizon = demand.horizon
     if horizon > demand.horizon + DEFAULT_DRAIN_CAP:
@@ -532,7 +541,7 @@ def run_episode(net: NetworkModel, demand: DemandProfile, controllers: dict,
         for iid, advance in advances:
             commands[iid] = advance()
         sim.step(commands)
-    if moe_series and sim.t:
+    if moe_series:  # a horizon > 0 makes at least one step
         collect_moe(sim, log)  # the last row
 
     log.exit_times, log.travel_times = sim.exit_times, sim.travel_times

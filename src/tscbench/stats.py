@@ -100,7 +100,8 @@ def rank_score(per_seed_means) -> tuple:
 
 
 def mean_ci95(per_run_values) -> tuple:
-    """Mean and 95% normal-approximation half-width across runs.
+    """Mean and 95% normal-approximation half-width across one or more
+    runs.
 
     A 2-D array holds one row per bin and one column per run; its rows are
     reduced along the last axis, which gives each row the bits of the 1-D
@@ -109,12 +110,9 @@ def mean_ci95(per_run_values) -> tuple:
     x = np.asarray(per_run_values if isinstance(per_run_values, np.ndarray)
                    else list(per_run_values), dtype=float)
     n = x.shape[-1]
-    if n == 0:
-        mean = half = np.full(x.shape[:-1], np.nan)
-    else:
-        mean = x.mean(axis=-1)
-        half = (1.96 * x.std(ddof=1, axis=-1) / np.sqrt(n) if n > 1
-                else np.zeros_like(mean))
+    mean = x.mean(axis=-1)
+    half = (1.96 * x.std(ddof=1, axis=-1) / np.sqrt(n) if n > 1
+            else np.zeros_like(mean))
     if x.ndim == 1:
         return float(mean), float(half)
     return mean, half

@@ -17,8 +17,8 @@ from tscbench.classic import (MaxPressureController, UniformController,
                               WebsterController, webster_timings)
 from tscbench.control import HOLD, Controller, NextPhase, SignalUnit
 from tscbench.experiments import DEFAULT_GRIDS, GridSpec
-from tscbench.simulation import (GREEN, DemandProfile, Simulation,
-                                 run_episode)
+from tscbench.simulation import (GREEN, YELLOW, DemandProfile, Simulation,
+                                 Vehicle, run_episode)
 from tscbench.stats import box_stats, rank_score
 
 from test_classic import FakePhase, FakeView
@@ -247,6 +247,26 @@ class TestCriterion6LearningSmoke:
         report(6, "; ".join(details))
 
 
+def audit_step(sim, commands):
+    """Take one step under `commands` and audit it: conservation,
+    occupancy caps and red-signal safety (no crossing outside the green
+    movements, none at an intersection whose signal is not green)."""
+    crossed = dict(sim.crossed)
+    sim.step(commands)
+    assert sim.conservation_ok(), \
+        f"conservation: {sim.injected} injected, {sim.exited} exited, " \
+        f"{sim.total_vehicles()} on the network"
+    for lid, vehs in sim.lane_vehicles.items():
+        cap = sim.net.lanes[lid].jam_capacity
+        assert len(vehs) <= cap, f"occupancy: {len(vehs)} on {lid}, cap {cap}"
+    assert sim.nongreen_crossings == 0, "red-signal safety"
+    for iid, (kind, _) in commands.items():
+        if kind != GREEN:
+            for lid in sim.net.intersection(iid).incoming:
+                assert sim.crossed[lid] == crossed[lid], \
+                    f"red-signal safety: {lid} crossed on {kind}"
+
+
 class TestCriterion7SimulationInvariants:
     def test_invariants_over_random_episodes(self, tiny_net, split_net,
                                              single_net, single_demand):
@@ -254,7 +274,6 @@ class TestCriterion7SimulationInvariants:
         steps_checked = 0
         # split_net's lane in_a has a movement in each phase
         for net in (tiny_net, split_net):
-            caps = {lid: lane.jam_capacity for lid, lane in net.lanes.items()}
             for run in range(100):
                 rate = float(rng.uniform(100.0, 1200.0))
                 u = int(rng.integers(5, 30))
@@ -263,15 +282,7 @@ class TestCriterion7SimulationInvariants:
                 sim = Simulation(net, demand, seed=run)
                 unit = SignalUnit(net, "x", UniformController(u=u), sim)
                 for _ in range(260):
-                    cmd = unit.advance()
-                    crossed = dict(sim.crossed)
-                    sim.step({"x": cmd})
-                    assert sim.conservation_ok()
-                    assert sim.nongreen_crossings == 0
-                    if cmd[0] != GREEN:
-                        assert sim.crossed == crossed
-                    for lid, vehs in sim.lane_vehicles.items():
-                        assert len(vehs) <= caps[lid]
+                    audit_step(sim, {"x": unit.advance()})
                     steps_checked += 1
 
         # bit-exact seed determinism on the bundled scenario
@@ -287,6 +298,59 @@ class TestCriterion7SimulationInvariants:
                   f"over two phases; repeated seeds reproduce bit-exactly")
 
 
+class TestAuditsFire:
+    """Each audit of criterion 7 fails on a step that breaks it."""
+
+    def loaded(self, tiny_net):
+        demand = DemandProfile({"in_a": [[0.0, 1800.0], [200.0, 1800.0]],
+                                "in_b": [[0.0, 1800.0], [200.0, 1800.0]]})
+        sim = Simulation(tiny_net, demand, seed=0)
+        for _ in range(30):
+            audit_step(sim, {"x": (GREEN, 0)})
+        assert sim.lane_vehicles["in_b"]
+        return sim
+
+    def test_dropped_vehicle_fails_conservation(self, tiny_net, monkeypatch):
+        sim = self.loaded(tiny_net)
+        step = Simulation.step
+
+        def dropping(self, commands):  # loses a vehicle, counts no exit
+            step(self, commands)
+            del self.lane_vehicles["in_b"][0]
+
+        monkeypatch.setattr(Simulation, "step", dropping)
+        with pytest.raises(AssertionError, match="conservation"):
+            audit_step(sim, {"x": (GREEN, 0)})
+
+    def test_overfilled_lane_fails_the_cap(self, tiny_net, monkeypatch):
+        sim = self.loaded(tiny_net)
+        step = Simulation.step
+
+        def overfilling(self, commands):  # injects past the jam capacity
+            step(self, commands)
+            vehs = self.lane_vehicles["in_b"]
+            route = vehs[0].route
+            while len(vehs) <= self.net.lanes["in_b"].jam_capacity:
+                vehs.append(Vehicle(-len(vehs), route, self.t))
+                self.injected += 1
+
+        monkeypatch.setattr(Simulation, "step", overfilling)
+        with pytest.raises(AssertionError, match="occupancy"):
+            audit_step(sim, {"x": (GREEN, 0)})
+
+    def test_crossing_on_red_fails_safety(self, tiny_net, monkeypatch):
+        sim = self.loaded(tiny_net)
+        step = Simulation.step
+
+        def crossing(self, commands):  # counts a crossing on a red lane
+            step(self, commands)
+            self.crossed["in_b"] += 1
+
+        monkeypatch.setattr(Simulation, "step", crossing)
+        with pytest.raises(AssertionError, match="red-signal safety"):
+            audit_step(sim, {"x": (YELLOW, 0)})
+
+
 class TestCriterion8Fabric:
     def test_stress_runs(self, double_net):
         demand = DemandProfile({lane: [[0.0, 500.0], [60.0, 500.0]]
@@ -297,7 +361,6 @@ class TestCriterion8Fabric:
             res = fabric.train(
                 double_net, demand, "dqn", seed=run,
                 fabric=fabric.FabricConfig(n_actors=4, episode_budget=4,
-                                           queue_capacity=1,
                                            horizon=60.0),
                 agent_cfg=DqnConfig(batch_size=4, a_repeat=5))
             # exactly-once delivery
@@ -309,10 +372,10 @@ class TestCriterion8Fabric:
             total_delivered += res.received
             total_updates += sum(res.update_counts.values())
         assert total_updates > 0
-        report(8, f"50 stress runs with 4 actors / 1 learner at queue "
-                  f"capacity 1: {total_delivered} experiences delivered "
-                  f"exactly once, {total_updates} updates with versions "
-                  f"matching update counts, no deadlock")
+        report(8, f"50 stress runs with 4 actors taking turns / 1 learner: "
+                  f"{total_delivered} experiences delivered exactly once, "
+                  f"{total_updates} updates with versions matching update "
+                  f"counts")
 
 
 class TestCriterion9SoftUpdate:

@@ -538,7 +538,15 @@ class TestCounts:
         assert main(["train", "--net", paths["net"], "--demand",
                      paths["demand"], "--tsc", "dqn", "--episodes", "0",
                      "--out", str(out)]) == EXIT_USAGE
-        assert "episode budget must be >= 1" in capsys.readouterr().err
+        assert "episodes must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists() and episodes == []
+
+    def test_train_actors(self, paths, tmp_path, capsys, episodes):
+        out = tmp_path / "train"
+        assert main(["train", "--net", paths["net"], "--demand",
+                     paths["demand"], "--tsc", "dqn", "--actors", "0",
+                     "--out", str(out)]) == EXIT_USAGE
+        assert "actors must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists() and episodes == []
 
     @pytest.mark.parametrize("value", ["0", "-2"])

@@ -595,6 +595,36 @@ class TestCounts:
         assert not (tmp_path / "out").exists()
 
 
+BAD_HORIZONS = [float("nan"), 0.0, -5.0]
+
+
+class TestHorizon:
+    """A horizon that is not a finite number > 0 is a ValueError naming
+    the value, raised before anything runs or is written."""
+
+    @pytest.mark.parametrize("horizon", BAD_HORIZONS)
+    def test_evaluate(self, tiny_net, tmp_path, episodes, horizon):
+        demand = constant_demand(["in_a", "in_b"], 400.0, horizon=60.0)
+        with pytest.raises(ValueError, match=f"^horizon must be a finite "
+                                             f"number > 0, got {horizon}$"):
+            experiments.evaluate("uniform", {"u": 10}, tiny_net, demand,
+                                 runs=1, horizon=horizon,
+                                 out_dir=str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists() and episodes == []
+
+    @pytest.mark.parametrize("kw", [{"horizon": h} for h in BAD_HORIZONS]
+                             + [{"train_horizon": h} for h in BAD_HORIZONS])
+    def test_tune(self, tiny_net, tmp_path, episodes, kw):
+        demand = constant_demand(["in_a", "in_b"], 400.0, horizon=60.0)
+        (name, value), = kw.items()
+        with pytest.raises(ValueError, match=f"^{name} must be a finite "
+                                             f"number > 0, got {value}$"):
+            experiments.tune(GridSpec("uniform", {"u": [10]}, trials=1),
+                             tiny_net, demand, out_dir=str(tmp_path / "out"),
+                             **kw)
+        assert not (tmp_path / "out").exists() and episodes == []
+
+
 class TestOutDir:
     """An output directory is made and checked after the arguments are,
     and before the first episode: one that cannot be made (a file, or a

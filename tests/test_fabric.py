@@ -1,4 +1,4 @@
-"""Training-fabric tests: determinism, delivery, liveness."""
+"""Training-fabric tests: determinism, delivery, configuration checks."""
 
 import threading
 from types import SimpleNamespace
@@ -22,6 +22,39 @@ def test_one_learner_only():
     FabricConfig(n_learners=1)
     with pytest.raises(ValueError, match="n_learners"):
         FabricConfig(n_learners=2)
+
+
+class TestFabricConfig:
+    """The fields follow the number contract of every controller and
+    agent configuration, and a bad value fails when the config is built."""
+
+    def test_whole_numbers_only(self):
+        cfg = FabricConfig(episode_budget=2.0, n_actors=3.0)
+        assert (cfg.episode_budget, cfg.n_actors) == (2, 3)
+        assert type(cfg.episode_budget) is int and type(cfg.n_actors) is int
+        with pytest.raises(ValueError, match="episode_budget must be a "
+                                             "whole number, not 2.5"):
+            FabricConfig(episode_budget=2.5)
+        with pytest.raises(ValueError, match="n_actors must be a whole "
+                                             "number, not True"):
+            FabricConfig(n_actors=True)
+        with pytest.raises(ValueError, match="episode_budget"):
+            FabricConfig(episode_budget="3")
+
+    @pytest.mark.parametrize("field,name", [("n_actors", "actors"),
+                                            ("episode_budget", "episodes")])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_counts(self, field, name, value):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be >= 1, got {value}$"):
+            FabricConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -5.0])
+    def test_horizon(self, value):
+        with pytest.raises(ValueError, match=f"^horizon must be a finite "
+                                             f"number"):
+            FabricConfig(horizon=value)
+        assert FabricConfig(horizon=60).horizon == 60.0
 
 
 class TestLearner:
@@ -88,42 +121,72 @@ def test_exploration_scale_spread():
     assert scales == sorted(scales, reverse=True)
 
 
+def assert_repeats(net, demand, fabric_cfg, out, seed=5, agent_cfg=None):
+    """Two trainings with one seed give bit-identical weights, versions,
+    update counts, r_min and checkpoint bytes."""
+    runs = [train(net, demand, "dqn", seed=seed, fabric=fabric_cfg,
+                  agent_cfg=agent_cfg, out_dir=str(out / f"rep{rep}"))
+            for rep in range(2)]
+    a, b = runs
+    assert a.emitted == b.emitted == a.received == b.received > 0
+    assert a.update_counts == b.update_counts
+    for iid in a.agents:
+        pa, pb = a.agents[iid].online, b.agents[iid].online
+        assert pa.version == pb.version
+        assert np.array_equal(pa.flat, pb.flat)  # bit-identical
+    assert a.r_min == b.r_min
+    dirs = [out / f"rep{rep}" / "checkpoints" for rep in range(2)]
+    files = [sorted(p.name for p in d.iterdir()) for d in dirs]
+    assert files[0] == files[1]
+    for name in files[0]:
+        if name.endswith(".ckpt"):
+            assert (dirs[0] / name).read_bytes() == \
+                (dirs[1] / name).read_bytes()
+
+
 class TestSyncTraining:
     def test_bit_identical_repeats(self, single_net, single_demand, tmp_path):
-        runs = []
-        for rep in range(2):
-            res = train(single_net, single_demand, "dqn", seed=5,
-                        fabric=FabricConfig(episode_budget=3),
-                        out_dir=str(tmp_path / f"rep{rep}"))
-            runs.append(res)
-        a, b = runs
-        assert a.emitted == b.emitted and a.received == b.received
-        assert a.update_counts == b.update_counts
-        for iid in a.agents:
-            pa, pb = a.agents[iid].online, b.agents[iid].online
-            assert pa.version == pb.version
-            assert np.array_equal(pa.flat, pb.flat)  # bit-identical
-        assert a.r_min == b.r_min
-        ckpt_a = (tmp_path / "rep0" / "checkpoints").iterdir()
-        files_a = sorted(p.name for p in ckpt_a)
-        files_b = sorted(p.name for p in
-                         (tmp_path / "rep1" / "checkpoints").iterdir())
-        assert files_a == files_b
-        for name in files_a:
-            if name.endswith(".ckpt"):
-                assert (tmp_path / "rep0" / "checkpoints" / name).read_bytes() \
-                    == (tmp_path / "rep1" / "checkpoints" / name).read_bytes()
+        assert_repeats(single_net, single_demand,
+                       FabricConfig(episode_budget=3), tmp_path)
 
-    def test_one_actor_starts_no_thread(self, double_net, monkeypatch):
+    @pytest.mark.parametrize("n_actors", [2, 4])
+    def test_multi_actor_bit_identical_repeats(self, double_net, tmp_path,
+                                               n_actors):
+        assert_repeats(double_net, short_demand(double_net),
+                       FabricConfig(n_actors=n_actors, episode_budget=6),
+                       tmp_path, agent_cfg=DqnConfig(batch_size=4))
+
+    def test_training_starts_no_thread(self, double_net, monkeypatch):
         def no_thread(*args, **kwargs):
-            raise AssertionError("a 1-actor run started a thread")
+            raise AssertionError("a training started a thread")
 
         monkeypatch.setattr(fabric, "threading", SimpleNamespace(
             Thread=no_thread, Lock=threading.Lock))
-        res = train(double_net, short_demand(double_net), "dqn", seed=0,
-                    fabric=FabricConfig(episode_budget=2),
-                    agent_cfg=DqnConfig(batch_size=4))
-        assert res.emitted == res.received > 0
+        for n_actors in (1, 2, 4):
+            res = train(double_net, short_demand(double_net), "dqn", seed=0,
+                        fabric=FabricConfig(n_actors=n_actors,
+                                            episode_budget=4),
+                        agent_cfg=DqnConfig(batch_size=4))
+            assert res.emitted == res.received > 0
+
+    def test_episodes_take_turns(self, double_net, monkeypatch):
+        """Episode ep runs on actor ep % n_actors, seeded seed + ep, in
+        budget order."""
+        calls = []
+        run = fabric.run_episode
+
+        def record(net, demand, controllers, seed, **kw):
+            calls.append((seed, id(controllers)))
+            return run(net, demand, controllers, seed, **kw)
+
+        monkeypatch.setattr(fabric, "run_episode", record)
+        train(double_net, short_demand(double_net), "dqn", seed=10,
+              fabric=FabricConfig(n_actors=3, episode_budget=7),
+              agent_cfg=DqnConfig(batch_size=4))
+        assert [seed for seed, _ in calls] == list(range(10, 17))
+        actors = [ctrls for _, ctrls in calls]
+        assert len(set(actors)) == 3
+        assert actors == [actors[ep % 3] for ep in range(7)]
 
     def test_ddpg_trains(self, single_net, single_demand):
         res = train(single_net, single_demand, "ddpg", seed=1,
@@ -142,29 +205,34 @@ class TestSyncTraining:
         assert wall == sorted(wall)
 
 
-def run_with_timeout(fn, timeout=60.0):
-    """Run `fn` on a daemon thread; the exception it raised, or None.
-    Fails if it is still running after `timeout` seconds."""
-    raised = []
+@pytest.mark.parametrize("algo", ["dqn", "ddpg"])
+def test_offers_the_live_acting_network(double_net, monkeypatch, algo):
+    """`learn` offers the learner's own acting network, no copy per
+    update; an actor copies it when it takes it."""
+    offered = []
+    offer = _Mailbox.offer
 
-    def target():
-        try:
-            fn()
-        except Exception as exc:  # handed to the test
-            raised.append(exc)
+    def record(self, iid, params):
+        offered.append((iid, params))
+        offer(self, iid, params)
 
-    t = threading.Thread(target=target, daemon=True)
-    t.start()
-    t.join(timeout)
-    assert not t.is_alive(), f"still running after {timeout} s"
-    return raised[0] if raised else None
+    monkeypatch.setattr(_Mailbox, "offer", record)
+    res = train(double_net, short_demand(double_net), algo, seed=0,
+                fabric=FabricConfig(n_actors=2, episode_budget=4),
+                agent_cfg=fabric.agent_config(algo, {"batch_size": 4}))
+    assert len(offered) == 2 * sum(res.update_counts.values()) > 0
+    for iid, params in offered:
+        agent = res.agents[iid]
+        assert params is getattr(agent, agent._NETS[0])
 
 
 class TestWorkerFailures:
-    def train_two_actors(self, double_net):
+    """A failure propagates as its own exception and ends the training,
+    whatever the number of actors."""
+
+    def train_actors(self, double_net, n_actors):
         train(double_net, short_demand(double_net), "dqn", seed=0,
-              fabric=FabricConfig(n_actors=2, episode_budget=4,
-                                  queue_capacity=1),
+              fabric=FabricConfig(n_actors=n_actors, episode_budget=4),
               agent_cfg=DqnConfig(batch_size=4))
 
     def test_failed_learner_raises(self, double_net, monkeypatch):
@@ -172,26 +240,26 @@ class TestWorkerFailures:
             raise FloatingPointError("diverged")
 
         monkeypatch.setattr(DqnAgent, "train_batch", fail)
-        exc = run_with_timeout(lambda: self.train_two_actors(double_net))
-        assert isinstance(exc, RuntimeError)
-        assert str(exc) == "fabric worker failed in learner: diverged"
+        for n_actors in (1, 2):
+            with pytest.raises(FloatingPointError, match="^diverged$"):
+                self.train_actors(double_net, n_actors)
 
     def test_failed_actor_raises(self, double_net, monkeypatch):
         def fail(self, params):
             raise FloatingPointError("bad snapshot")
 
         monkeypatch.setattr(DqnAgent, "apply_acting_params", fail)
-        exc = run_with_timeout(lambda: self.train_two_actors(double_net))
-        assert isinstance(exc, RuntimeError)
-        assert "actor" in str(exc) and "bad snapshot" in str(exc)
+        with pytest.raises(FloatingPointError, match="^bad snapshot$"):
+            self.train_actors(double_net, 2)
 
 
 class TestThreadedTraining:
+    """Runs with several actors taking turns."""
+
     def test_exactly_once_and_liveness(self, double_net):
         demand = short_demand(double_net)
         res = train(double_net, demand, "dqn", seed=3,
-                    fabric=FabricConfig(n_actors=4, episode_budget=6,
-                                        queue_capacity=1))
+                    fabric=FabricConfig(n_actors=4, episode_budget=6))
         assert res.emitted == res.received > 0
 
     def test_partition_across_learners(self, double_net):

