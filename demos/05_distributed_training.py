@@ -6,8 +6,7 @@ episode `ep` runs on actor `ep % 3`, which simulates its own copy of the
 network and hands each (state, action, reward, next state) experience
 straight to the learner. The learner owns every intersection's replay
 buffer and trains them round-robin; each actor acts with the newest
-parameters from its latest-wins mailbox. Actors explore at different
-intensities so the replay data covers a wider slice of the state space.
+parameters from its latest-wins mailbox.
 
 The run prints the delivery ledger afterwards: every emitted experience
 must have been ingested exactly once, and each agent's parameter version

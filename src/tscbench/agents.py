@@ -276,9 +276,9 @@ class DdpgAgent(PolicyAgent):
         return raw, scale_duration(raw, self.cfg.g_min, self.cfg.g_max)
 
     def train_batch(self, batch: Batch):
+        # a batch of one row fails the critic's train-mode batch norm
+        # before anything changes
         n = len(batch.reward)
-        if n < 2:
-            raise ValueError("batch size must be >= 2")
         s, s2 = batch.state, batch.next_state
         a = batch.action[:, None]
         r, live = batch.reward, batch.live
@@ -333,7 +333,7 @@ class LearningController(Controller):
 
     def __init__(self, agent, iid: str, seed: int, explore: bool = True,
                  normalizer: RewardNormalizer | None = None,
-                 on_experience=None, exploration_scale: float = 1.0):
+                 on_experience=None):
         self.agent = agent
         self.iid = iid
         self.rng = np.random.default_rng(seed)
@@ -344,8 +344,7 @@ class LearningController(Controller):
         self.decision_steps = 0
         self.green_s = None  # set by each draw; the first draw is made idle
         self._pending = None  # (state, action) awaiting its transition
-        start, self._end, self._decay_steps = self._schedule(agent.cfg)
-        self._start = start * exploration_scale  # per-actor diversity
+        self._start, self._end, self._decay_steps = self._schedule(agent.cfg)
 
     def begin_episode(self):
         self._pending = None

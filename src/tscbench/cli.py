@@ -86,9 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     io_args(p)
     p.add_argument("--tsc", required=True, choices=list(fabric.ALGOS))
     p.add_argument("--hp", default="")
-    p.add_argument("--actors", type=int, default=1,
-                   help="simulating actors; they take turns on episodes, "
-                        "and every run repeats bit for bit")
     p.add_argument("--episodes", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
 
@@ -157,8 +154,7 @@ def cmd_train(args) -> int:
     cfg = fabric.agent_config(args.tsc, hp)
     result = fabric.train(
         net, demand, args.tsc, args.seed,
-        fabric=fabric.FabricConfig(n_actors=args.actors,
-                                   episode_budget=args.episodes),
+        fabric=fabric.FabricConfig(episode_budget=args.episodes),
         agent_cfg=cfg, out_dir=args.out)
     total = sum(result.update_counts.values())
     print(f"trained {args.tsc} for {args.episodes} episodes "

@@ -384,66 +384,54 @@ def _eval_run(net, demand, make_controllers, seed, horizon) -> tuple:
     return log.travel_times, _run_bin_means(log, iids), log.unfinished
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """`np.unique` of a 1-D integer array, without the `numpy.ma` import
-    (about 1.7 MB) that `np.unique` makes on first use."""
-    return np.array(sorted(set(values.tolist())), dtype=values.dtype)
-
-
 def _run_bin_means(log, iids) -> tuple:
-    """The bins one run reached and, per intersection, its queue and delay
-    means over each bin.
+    """The number of bins one run reached and, per intersection, its queue
+    and delay means over each bin.
 
-    `log.times` ascends, so each bin is one contiguous slice. Slices of
-    equal length become the rows of one C-contiguous array, reduced along
+    Each step appends one row, from second 1 to the final `collect_moe`,
+    so row i is second i + 1 and bin b holds rows [60b - 1, 60b + 59),
+    clipped to the run; bin 0 starts at row 0. The full bins between the
+    first and the last are the rows of one reshaped view, reduced along
     its last axis: each row gets the bits of the slice's own `mean()`.
     """
-    bins = (np.asarray(log.times) // MOE_BIN_S).astype(int)
-    starts = np.flatnonzero(np.diff(bins, prepend=bins[0] - 1))
-    lengths = np.diff(starts, append=len(bins))
-    groups = [(sel, starts[sel, None] + np.arange(n))
-              for n in _distinct(lengths)
-              for sel in [np.flatnonzero(lengths == n)]]
+    w = int(MOE_BIN_S)
+    last = len(log.times) // w
     means = {}
     for iid in iids:
         for kind, series in (("queue", log.queue[iid]),
                              ("delay", log.delay[iid])):
             values = np.asarray(series)
-            out = np.empty(len(starts))
-            for sel, rows in groups:
-                out[sel] = values[rows].mean(axis=1)
+            out = np.empty(last + 1)
+            out[0] = values[:w - 1].mean()
+            if last:
+                out[1:last] = values[w - 1:w * last - 1].reshape(
+                    -1, w).mean(axis=1)
+                out[last] = values[w * last - 1:].mean()
             means[iid, kind] = out
-    return bins[starts], means
+    return last + 1, means
 
 
 def _moe_bins(iids, runs) -> dict:
     """Per intersection, one row per bin: the mean across the runs that
     reached it and its 95% half-width, from each run's `_run_bin_means`.
-    Bins reached by the same number of runs are reduced together, their
-    runs in run order."""
-    all_bins = _distinct(np.concatenate([b for b, _ in runs]))
-    cols = [np.searchsorted(all_bins, b) for b, _ in runs]
-    reached = np.zeros((len(all_bins), len(runs)), dtype=bool)
-    for r, col in enumerate(cols):
-        reached[col, r] = True
-    n_runs = reached.sum(axis=1)
-    groups = [(sel, reached[sel], int(n))
-              for n in _distinct(n_runs) for sel in [n_runs == n]]
+    Bin b is reached by the runs with more than b bins; the bins reached
+    by the same runs are reduced together, their runs in run order."""
+    edges = [0, *sorted({n for n, _ in runs})]
     moe = {}
     for iid in iids:
         stats = []
         for kind in ("queue", "delay"):
-            table = np.zeros(reached.shape)
-            for r, (col, (_, means)) in enumerate(zip(cols, runs)):
-                table[col, r] = means[iid, kind]
-            mean, half = np.empty(len(all_bins)), np.empty(len(all_bins))
-            for sel, mask, n in groups:
-                per_run = table[sel][mask].reshape(-1, n)  # in run order
-                mean[sel], half[sel] = mean_ci95(per_run)
-            stats += [mean.tolist(), half.tolist()]
+            mean, half = [], []
+            for lo, hi in zip(edges, edges[1:]):
+                per_run = np.stack([means[iid, kind][lo:hi]
+                                    for n, means in runs if n >= hi], axis=1)
+                m, h = mean_ci95(per_run)
+                mean += m.tolist()
+                half += h.tolist()
+            stats += [mean, half]
         moe[iid] = [{"bin_start_s": b * MOE_BIN_S, "mean_queue": qm,
                      "ci95_queue": qc, "mean_delay": dm, "ci95_delay": dc}
-                    for b, qm, qc, dm, dc in zip(all_bins.tolist(), *stats)]
+                    for b, (qm, qc, dm, dc) in enumerate(zip(*stats))]
     return moe
 
 

@@ -7,13 +7,12 @@ on actor `ep % n_actors`. Every experience goes straight through one
 buffer and trains them round-robin.
 
 One actor shares the learner's agents, so every update acts at its next
-decision. Several actors each keep their own agents, reward normalizers,
-exploration scale and latest-wins mailbox: after each update `learn`
-offers the learner's live acting network to every mailbox, and an actor
-copies it in at its next decision.
+decision. Several actors each keep their own agents, reward normalizers
+and latest-wins mailbox: after each update `learn` offers the learner's
+live acting network to every mailbox, and an actor copies it in at its
+next decision.
 
-No training starts a thread, and every run repeats bit for bit, whatever
-its number of actors.
+No training starts a thread, and every run repeats bit for bit.
 """
 
 from __future__ import annotations
@@ -101,15 +100,14 @@ def build_agents(net: NetworkModel, algo: str, agent_cfg, seed: int) -> dict:
 
 def build_controllers(net: NetworkModel, algo: str, agents: dict, seed: int,
                       explore: bool, normalizers: dict | None = None,
-                      on_experience=None, exploration_scale: float = 1.0):
+                      on_experience=None):
     cls = DqnController if algo == "dqn" else DdpgController
     ctrls = {}
     for k, ix in enumerate(net.intersections):
         norm = normalizers[ix.id] if normalizers else None
         ctrls[ix.id] = cls(agents[ix.id], ix.id, seed + 31 * k + 1,
                            explore=explore, normalizer=norm,
-                           on_experience=on_experience,
-                           exploration_scale=exploration_scale)
+                           on_experience=on_experience)
     return ctrls
 
 
@@ -180,12 +178,6 @@ def _param_hook(mailbox: _Mailbox, iid: str, agent):
         if params is not None:
             agent.apply_acting_params(params)
     return hook
-
-
-def _exploration_scale(actor_index: int, n_actors: int) -> float:
-    if n_actors <= 1:
-        return 1.0
-    return 1.0 - 0.6 * actor_index / (n_actors - 1)
 
 
 def _save_checkpoints(result: TrainResult, out_dir: str) -> None:
@@ -298,8 +290,7 @@ def train(net: NetworkModel, demand: DemandProfile, algo: str, seed: int,
             build_agents(net, algo, agent_cfg, seed)
         controllers = build_controllers(
             net, algo, agents, seed + 503 * index, explore=True,
-            normalizers=normalizers[index], on_experience=learn,
-            exploration_scale=_exploration_scale(index, n_actors))
+            normalizers=normalizers[index], on_experience=learn)
         if mailboxes:
             for iid, ctrl in controllers.items():
                 ctrl.param_hook = _param_hook(mailboxes[index], iid,

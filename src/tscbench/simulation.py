@@ -543,6 +543,7 @@ def run_episode(net: NetworkModel, demand: DemandProfile, controllers: dict,
         sim.step(commands)
     if moe_series:  # a horizon > 0 makes at least one step
         collect_moe(sim, log)  # the last row
+        sim._moe_log = None  # a held Simulation keeps no series alive
 
     log.exit_times, log.travel_times = sim.exit_times, sim.travel_times
     log.unfinished = sim.total_vehicles()

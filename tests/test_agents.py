@@ -42,6 +42,15 @@ class TestReplayBuffer:
         with pytest.raises(ValueError):
             buf.sample(1, np.random.default_rng(0))
 
+    def test_empty_rows_errors(self):
+        with pytest.raises(ValueError, match="buffer is empty"):
+            ReplayBuffer(10).rows()
+
+    @pytest.mark.parametrize("capacity", [0, -3])
+    def test_capacity_below_one(self, capacity):
+        with pytest.raises(ValueError, match="capacity must be >= 1"):
+            ReplayBuffer(capacity)
+
     def test_ring_eviction(self):
         buf = ReplayBuffer(3)
         for i in range(5):
@@ -102,21 +111,19 @@ class TestReplayBuffer:
         assert len(buf._cols.state) == 512
 
 
-def dqn_controller(explore=True, scale=1.0, **cfg):
+def dqn_controller(explore=True, **cfg):
     agent = DqnAgent(STATE_WIDTH, N_PHASES, seed=0, cfg=DqnConfig(**cfg))
-    return DqnController(agent, "i0", seed=1, explore=explore,
-                         exploration_scale=scale)
+    return DqnController(agent, "i0", seed=1, explore=explore)
 
 
-def ddpg_controller(explore=True, scale=1.0, **cfg):
+def ddpg_controller(explore=True, **cfg):
     agent = DdpgAgent(STATE_WIDTH, seed=0, cfg=DdpgConfig(**cfg))
-    return DdpgController(agent, "i0", seed=1, explore=explore,
-                          exploration_scale=scale)
+    return DdpgController(agent, "i0", seed=1, explore=explore)
 
 
 class TestExplorationSchedule:
     """`LearningController.exploration()`: linear decay by decision count
-    from start x exploration_scale to end."""
+    from start to end."""
 
     def test_linear_decay(self):
         ctrl = dqn_controller(eps_start=1.0, eps_end=0.05,
@@ -130,15 +137,8 @@ class TestExplorationSchedule:
         assert values[100] == pytest.approx(0.05)
         assert values[10_000] == pytest.approx(0.05)
 
-    def test_actor_scale(self):
-        ctrl = dqn_controller(scale=0.4, eps_start=1.0, eps_end=0.05,
-                              eps_decay_steps=100)
-        assert ctrl.exploration() == pytest.approx(0.4)
-        ctrl.decision_steps = 100
-        assert ctrl.exploration() == pytest.approx(0.05)
-
     def test_ddpg_reads_sigma(self):
-        ctrl = ddpg_controller(scale=0.5, sigma_start=0.4, sigma_end=0.1,
+        ctrl = ddpg_controller(sigma_start=0.2, sigma_end=0.1,
                                sigma_decay_steps=10)
         assert ctrl.exploration() == pytest.approx(0.2)
         ctrl.decision_steps = 5
@@ -155,13 +155,11 @@ class TestExplorationSchedule:
                                 {"eps_decay_steps": 7}),
                                (ddpg_controller, RefDdpgController,
                                 {"sigma_decay_steps": 7})):
-            for scale in (1.0, 0.7, 0.4):
-                ctrl = make(scale=scale, **cfg)
-                want = ref(ctrl.agent, "i0", 1, exploration_scale=scale)
-                for step in range(10):
-                    ctrl.decision_steps = want.decision_steps = step
-                    assert ctrl.exploration().hex() == \
-                        want.exploration().hex()
+            ctrl = make(**cfg)
+            want = ref(ctrl.agent, "i0", 1)
+            for step in range(10):
+                ctrl.decision_steps = want.decision_steps = step
+                assert ctrl.exploration().hex() == want.exploration().hex()
 
 
 # -- the decision loop against the two controllers it replaced ---------------
@@ -173,12 +171,10 @@ class RefSchedule:
     start: float
     end: float
     decay_steps: int
-    scale: float = 1.0
 
     def value(self, step: int) -> float:
         frac = min(1.0, step / max(1, self.decay_steps))
-        start = self.start * self.scale
-        return max(self.end, start + (self.end - start) * frac)
+        return max(self.end, self.start + (self.end - self.start) * frac)
 
 
 class RefLearningController(Controller):
@@ -217,10 +213,10 @@ class RefLearningController(Controller):
 
 class RefDqnController(RefLearningController):
     def __init__(self, agent, iid, seed, explore=True, normalizer=None,
-                 on_experience=None, exploration_scale=1.0):
+                 on_experience=None):
         cfg = agent.cfg
         schedule = RefSchedule(cfg.eps_start, cfg.eps_end,
-                               cfg.eps_decay_steps, scale=exploration_scale)
+                               cfg.eps_decay_steps)
         super().__init__(agent, iid, seed, explore, schedule, normalizer,
                          on_experience)
 
@@ -250,11 +246,10 @@ class RefDqnController(RefLearningController):
 
 class RefDdpgController(RefLearningController):
     def __init__(self, agent, iid, seed, explore=True, normalizer=None,
-                 on_experience=None, exploration_scale=1.0):
+                 on_experience=None):
         cfg = agent.cfg
         schedule = RefSchedule(cfg.sigma_start, cfg.sigma_end,
-                               cfg.sigma_decay_steps,
-                               scale=exploration_scale)
+                               cfg.sigma_decay_steps)
         super().__init__(agent, iid, seed, explore, schedule, normalizer,
                          on_experience)
         self._duration = cfg.g_min
@@ -365,15 +360,14 @@ def fresh_params(agent, seed):
     return DdpgAgent(STATE_WIDTH, seed, agent.cfg).acting_params()
 
 
-def drive(cls, agent, waiting, rewards, resets=(), explore=True, scale=1.0):
+def drive(cls, agent, waiting, rewards, resets=(), explore=True):
     """Run `cls` on a ScriptedView of the script; `resets` are the seconds
     before which `begin_episode` is called. Returns the controller, its
     decisions, its experiences and the decision count at each
     `param_hook` call."""
     emitted, hooks = [], []
     ctrl = cls(agent, "i0", seed=3, explore=explore,
-               normalizer=RewardNormalizer(), on_experience=emitted.append,
-               exploration_scale=scale)
+               normalizer=RewardNormalizer(), on_experience=emitted.append)
 
     def param_hook():  # as the fabric's: new acting parameters, at times
         hooks.append(ctrl.decision_steps)
@@ -443,11 +437,13 @@ class TestDecisionLoop:
     random draws of the DqnController and DdpgController it replaced."""
 
     @pytest.mark.parametrize("algo", ["dqn", "ddpg"])
-    @pytest.mark.parametrize("explore,scale", [(True, 1.0), (True, 0.6),
-                                               (False, 1.0)])
-    def test_story(self, algo, explore, scale):
+    # the ids keep the names the cases had while an exploration scale of
+    # 1.0 was a parameter too
+    @pytest.mark.parametrize("explore", [True, False],
+                             ids=["True-1.0", "False-1.0"])
+    def test_story(self, algo, explore):
         ctrl, decisions, emitted, _ = compare_runs(
-            algo, STORY, STORY_REWARDS, explore=explore, scale=scale)
+            algo, STORY, STORY_REWARDS, explore=explore)
         # idle start: hold until a vehicle waits, then draw a green
         assert decisions[:3] == [HOLD] * 3
         assert isinstance(decisions[3], NextPhase)
@@ -510,12 +506,11 @@ class TestDecisionLoop:
                st.sampled_from([0.0, -0.5, -2.0, -7.25, -30.0])),
                min_size=1, max_size=12),
            resets=st.sets(st.integers(0, 150), max_size=3),
-           explore=st.booleans(), scale=st.sampled_from([1.0, 0.4]))
-    def test_scripted(self, algo, script, resets, explore, scale):
+           explore=st.booleans())
+    def test_scripted(self, algo, script, resets, explore):
         waiting = [w for w, n, _ in script for _ in range(n)]
         rewards = [r + 0.125 * k for _, n, r in script for k in range(n)]
-        compare_runs(algo, waiting, rewards, resets=resets,
-                     explore=explore, scale=scale)
+        compare_runs(algo, waiting, rewards, resets=resets, explore=explore)
 
 
 class TestDqn:
@@ -555,6 +550,14 @@ class TestDqn:
         after = agent.online.layers[-1]["b"]
         assert after[0] != before[0]
         assert after[1] == before[1]  # untaken action's bias untouched
+
+    def test_one_row_batch_refused(self):
+        agent = self.make()
+        before = agent.online.copy()
+        with pytest.raises(ValueError, match="batch size must be >= 2"):
+            agent.train_batch(batch_of([exp([0.1] * 4, 0, -1.0, [0.2] * 4)]))
+        assert np.array_equal(agent.online.flat, before.flat)
+        assert agent.updates == 0
 
     def test_hard_target_sync(self):
         agent = self.make(target_sync=3)
@@ -691,6 +694,21 @@ class TestDdpg:
         for name in ("actor", "critic", "actor_target", "critic_target"):
             assert np.array_equal(getattr(other, name).flat,
                                   getattr(agent, name).flat)
+
+    def test_one_row_batch_refused(self):
+        # the critic's train-mode batch norm refuses it before any
+        # network, optimizer moment or running statistic changes
+        agent = self.make()
+        adams = (agent.actor_adam, agent.critic_adam)
+        before = [getattr(agent, name).flat.copy() for name in agent._NETS] \
+            + [np.concatenate([a.m, a.v, [a.step]]) for a in adams]
+        with pytest.raises(ValueError, match="needs batch >= 2"):
+            agent.train_batch(batch_of([exp([0.1] * 4, 0.2, -1.0,
+                                            [0.2] * 4)]))
+        after = [getattr(agent, name).flat for name in agent._NETS] \
+            + [np.concatenate([a.m, a.v, [a.step]]) for a in adams]
+        assert all(map(np.array_equal, after, before))
+        assert agent.updates == 0
 
     def test_bad_config(self):
         with pytest.raises(ValueError):

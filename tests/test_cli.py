@@ -542,11 +542,14 @@ class TestCounts:
         assert not out.exists() and episodes == []
 
     def test_train_actors(self, paths, tmp_path, capsys, episodes):
+        # the option is gone: any count is a usage error
         out = tmp_path / "train"
-        assert main(["train", "--net", paths["net"], "--demand",
-                     paths["demand"], "--tsc", "dqn", "--actors", "0",
-                     "--out", str(out)]) == EXIT_USAGE
-        assert "actors must be >= 1, got 0" in capsys.readouterr().err
+        for actors in ("0", "1", "2"):
+            assert main(["train", "--net", paths["net"], "--demand",
+                         paths["demand"], "--tsc", "dqn", "--actors", actors,
+                         "--out", str(out)]) == EXIT_USAGE
+            assert "unrecognized arguments: --actors" in \
+                capsys.readouterr().err
         assert not out.exists() and episodes == []
 
     @pytest.mark.parametrize("value", ["0", "-2"])
@@ -711,9 +714,8 @@ class TestTrainEvaluateCompare:
     def test_full_learning_pipeline(self, paths, tmp_path):
         train_out = tmp_path / "train"
         code = main(["train", "--net", paths["net"], "--demand",
-                     paths["demand"], "--tsc", "dqn", "--actors", "1",
-                     "--episodes", "3", "--seed", "0",
-                     "--out", str(train_out)])
+                     paths["demand"], "--tsc", "dqn", "--episodes", "3",
+                     "--seed", "0", "--out", str(train_out)])
         assert code == EXIT_OK
         ckpt = train_out / "checkpoints"
         meta = json.loads((ckpt / "meta.json").read_text())

@@ -95,15 +95,6 @@ def test_quartiles_equal_np_percentile(x):
     assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
 
 
-@settings(max_examples=200, deadline=None)
-@given(x=st.lists(st.integers(-2 ** 62, 2 ** 62)) |
-       st.lists(st.integers(-3, 3)))
-def test_distinct_equals_np_unique(x):
-    a = np.array(x, dtype=np.int64)
-    got, want = experiments._distinct(a), np.unique(a)
-    assert got.dtype == want.dtype and got.tolist() == want.tolist()
-
-
 class TestGrid:
     def test_expansion_size(self):
         grid = GridSpec("uniform", {"u": [10, 20]})

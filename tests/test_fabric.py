@@ -8,8 +8,7 @@ import pytest
 
 from tscbench import fabric
 from tscbench.agents import DqnAgent, DqnConfig, Experience
-from tscbench.fabric import (FabricConfig, Learner, _exploration_scale,
-                             _Mailbox, train)
+from tscbench.fabric import FabricConfig, Learner, _Mailbox, train
 
 from conftest import constant_demand
 
@@ -111,14 +110,6 @@ class TestMailbox:
         mb.offer("x", old)
         mb.offer("x", new)
         assert mb.take("x") is new
-
-
-def test_exploration_scale_spread():
-    assert _exploration_scale(0, 4) == 1.0
-    assert _exploration_scale(3, 4) == pytest.approx(0.4)
-    assert _exploration_scale(0, 1) == 1.0
-    scales = [_exploration_scale(i, 5) for i in range(5)]
-    assert scales == sorted(scales, reverse=True)
 
 
 def assert_repeats(net, demand, fabric_cfg, out, seed=5, agent_cfg=None):

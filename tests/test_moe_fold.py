@@ -137,6 +137,25 @@ def test_series_off_does_no_moe_work(double_net, double_demand):
     assert sim_log and all(log is None for log in sim_log)
 
 
+def test_series_are_released_when_the_episode_ends(double_net,
+                                                   double_demand):
+    """A Simulation held past its episode holds no series."""
+    sims = []
+    real = Simulation.step
+
+    def step(sim, commands):
+        if not sims:
+            sims.append(sim)
+        return real(sim, commands)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Simulation, "step", step)
+        log = run_episode(double_net, double_demand,
+                          make_classic_controllers(double_net, "sotl", {}),
+                          0, horizon=60.0)
+    assert log.times and sims[0]._moe_log is None
+
+
 def test_over_capacity_lane_keeps_its_fallback_stop_lines(tiny_net):
     """A lane holding more vehicles than its jam capacity (set by hand) is
     summed and moved whole in the folded pass too."""

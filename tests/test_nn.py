@@ -50,6 +50,19 @@ class TestInit:
         with pytest.raises(ValueError):
             LayerSpec(4, "relu")
 
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_input_width_below_one(self, width):
+        with pytest.raises(ValueError, match="input_width must be >= 1"):
+            he_init((LayerSpec(2, "linear"),), width, seed=0)
+
+    def test_layer_count_must_match_the_specs(self):
+        params = small_net()
+        with pytest.raises(ValueError,
+                           match="2 parameter layers for 3 layer specs"):
+            nn.ParameterSet(4, params.specs, params.layers[:2])
+        copy = nn.ParameterSet(4, params.specs, params.layers, version=7)
+        assert np.array_equal(copy.flat, params.flat) and copy.version == 7
+
 
 class TestFlatBuffer:
     def test_arrays_are_views_trainable_first(self):
@@ -110,6 +123,10 @@ class TestForward:
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
             forward(small_net(), np.ones(5))
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown mode 'eval'"):
+            forward(small_net(), np.ones(4), "eval")
 
     def test_batch_norm_needs_batch_in_train(self):
         params = small_net(batch_norm=True)

@@ -8,9 +8,9 @@ import pytest
 from tscbench import simulation
 from tscbench.classic import UniformController
 from tscbench.experiments import make_classic_controllers
-from tscbench.simulation import (ALLRED, GREEN, DemandProfile, MoELog,
-                                 Simulation, Vehicle, run_episode,
-                                 vehicle_delay)
+from tscbench.simulation import (ALLRED, DEFAULT_SATURATION_FLOW, GREEN,
+                                 DemandProfile, Simulation, Vehicle,
+                                 run_episode, vehicle_delay)
 
 from conftest import constant_demand
 
@@ -130,6 +130,22 @@ class TestDischarge:
         assert exits_after[8] == 4   # 9 s of green: only 4 could leave
         assert exits_after[9] == 5   # exactly 5 after 10 s
         assert exits_after[14] == 5
+
+    def test_standing_queue_crosses_at_saturation_flow(self, tiny_net):
+        # the flow WebsterController.s_sat and Webster's delay formula
+        # assume: 1800 veh/h, one crossing every 2 s of held green
+        sim = make_sim(tiny_net)
+        queue_up(sim, "in_a", tiny_net.lanes["in_a"].jam_capacity,
+                 ("in_a", "out_a"))
+        readings = []  # crossings after each green second
+        while len(sim.lane_vehicles["in_a"]) > 1:  # the queue still stands
+            sim.step({"x": (GREEN, 0)})
+            readings.append(sim.crossed["in_a"])
+        first = readings.index(1)
+        last = readings.index(readings[-1])
+        assert readings[-1] >= 10
+        flow = 3600.0 * (readings[last] - readings[first]) / (last - first)
+        assert flow == DEFAULT_SATURATION_FLOW == 1800.0
 
     def test_no_discharge_on_red_or_allred(self, tiny_net):
         sim = make_sim(tiny_net)
