@@ -10,7 +10,7 @@ import numpy as np
 
 from . import nn
 from .control import (HOLD, Controller, NextPhase, RewardNormalizer,
-                      check_numbers)
+                      check_numbers, state_width)
 
 
 @dataclass
@@ -128,6 +128,9 @@ class DqnConfig:
             raise ValueError("lr must be > 0")
         _check_replay(self)
 
+    def new_agent(self, net, ix, seed: int) -> DqnAgent:
+        return DqnAgent(state_width(net, ix.id), len(ix.phases), seed, self)
+
 
 def dqn_specs(state_width: int, n_phases: int) -> tuple:
     hidden = 3 * state_width
@@ -226,6 +229,9 @@ class DdpgConfig:
             raise ValueError("actor_lr and critic_lr must be > 0")
         _check_replay(self)
 
+    def new_agent(self, net, ix, seed: int) -> DdpgAgent:
+        return DdpgAgent(state_width(net, ix.id), seed, self)
+
 
 def actor_specs(state_width: int) -> tuple:
     hidden = 3 * state_width
@@ -275,7 +281,7 @@ class DdpgAgent(PolicyAgent):
         raw = max(-1.0, min(1.0, raw))
         return raw, scale_duration(raw, self.cfg.g_min, self.cfg.g_max)
 
-    def train_batch(self, batch: Batch):
+    def train_batch(self, batch: Batch) -> float:
         # a batch of one row fails the critic's train-mode batch norm
         # before anything changes
         n = len(batch.reward)
@@ -299,7 +305,6 @@ class DdpgAgent(PolicyAgent):
         a_pi, acache = nn.forward(self.actor, s, "train")
         q_pi, qcache = nn.forward(self.critic, np.hstack([s, a_pi]), "train",
                                   update_running=False)
-        actor_loss = float(-np.mean(q_pi))
         gq = np.full((n, 1), -1.0 / n)
         d_action = nn.input_gradient(self.critic, qcache,
                                      gq)[:, self.state_width:]
@@ -309,7 +314,7 @@ class DdpgAgent(PolicyAgent):
         nn.soft_update(self.actor_target, self.actor, self.cfg.tau)
         nn.soft_update(self.critic_target, self.critic, self.cfg.tau)
         self.updates += 1
-        return critic_loss, actor_loss
+        return critic_loss
 
 
 # -- controllers -----------------------------------------------------------------
@@ -326,7 +331,8 @@ class LearningController(Controller):
     subclass supplies the (start, end, decay steps) of its exploration
     value (`_schedule`), its terminal test (`_terminal`) and its draw
     (`_draw`), which returns the action to store, the next green and that
-    green's length.
+    green's length; its `config` is the agent config whose `new_agent(net,
+    ix, seed)` builds its agent.
     """
 
     start_idle = True
@@ -388,6 +394,8 @@ class DqnController(LearningController):
     """Acyclic phase choice, re-decided every a_repeat green seconds;
     drains once no incoming lane holds a vehicle."""
 
+    config = DqnConfig
+
     def _schedule(self, cfg: DqnConfig) -> tuple:
         return cfg.eps_start, cfg.eps_end, cfg.eps_decay_steps
 
@@ -402,6 +410,8 @@ class DqnController(LearningController):
 class DdpgController(LearningController):
     """Cycle with learned per-phase durations; skips empty phases."""
 
+    config = DdpgConfig
+
     def _schedule(self, cfg: DdpgConfig) -> tuple:
         return cfg.sigma_start, cfg.sigma_end, cfg.sigma_decay_steps
 
@@ -411,3 +421,7 @@ class DdpgController(LearningController):
     def _draw(self, state: np.ndarray, view) -> tuple:
         raw, duration = self.agent.act(state, self.exploration(), self.rng)
         return raw, view.cycle_next(), duration
+
+
+# learning algorithm -> its controller, whose `config` is its agent config
+ALGOS = {"dqn": DqnController, "ddpg": DdpgController}

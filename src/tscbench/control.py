@@ -107,10 +107,12 @@ def check_numbers(obj) -> None:
                              f"not {value!r}")
 
 
-def check_count(name: str, value: int) -> None:
-    """ConfigError unless the count `name` is at least 1."""
-    if value < 1:
-        raise ConfigError(f"{name} must be >= 1, got {value}")
+def check_count(name: str, value: int, least: int = 1) -> None:
+    """ConfigError unless the count `name` is a whole number >= `least`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be a whole number, not {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value}")
 
 
 def configure(name: str, cls, hp):

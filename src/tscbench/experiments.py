@@ -29,7 +29,7 @@ CONTROLLERS = {
     "webster": WebsterController,
     "maxpressure": MaxPressureController,
     "sotl": SotlController,
-    **fabric.ALGOS,
+    **{name: c.config for name, c in fabric.ALGOS.items()},
 }
 
 DEFAULT_GRIDS = {
@@ -136,6 +136,7 @@ class GridSpec:
         (or agent configuration) once, so that a bad value fails here."""
         check_controller(self.controller)
         check_count("trials", self.trials)
+        fabric.check_seed(self.base_seed)
         if not isinstance(self.values, dict) or not self.values:
             raise ConfigError("a grid must be a non-empty object mapping "
                               "hyperparameter -> list of values")
@@ -279,9 +280,11 @@ def tune(grid: GridSpec, net: NetworkModel, demand: DemandProfile,
     A learning config first trains once, seeded like a trial numbered -1;
     then every trial of every config is one greedy or classic episode."""
     check_count("procs", procs)
-    check_horizon(horizon)
-    check_horizon(train_horizon, "train_horizon")
     name = grid.controller
+    check_horizon(horizon, demand)
+    # only a learning config trains, on episodes of `train_horizon`
+    check_horizon(train_horizon, demand if name in fabric.ALGOS else None,
+                  "train_horizon")
     cids = {config_id(name, hp): hp for hp in grid.expand()}
     check_entry_lanes(net, demand)
     if out_dir:
@@ -348,7 +351,7 @@ def evaluate(name: str, hp: dict, net: NetworkModel, demand: DemandProfile,
     """Greedy multi-seed evaluation: pooled travel times plus MoE bins."""
     check_count("runs", runs)
     check_count("procs", procs)
-    check_horizon(horizon)
+    check_horizon(horizon, demand)
     fabric.check_seed(base_seed)
     make_controllers = controller_factory(net, name, hp, checkpoint_dir)
     check_entry_lanes(net, demand)

@@ -13,6 +13,9 @@ live acting network to every mailbox, and an actor copies it in at its
 next decision.
 
 No training starts a thread, and every run repeats bit for bit.
+
+`ALGOS` maps each learning algorithm's name to its controller, whose
+`config` builds each intersection's agent; nothing here names one.
 """
 
 from __future__ import annotations
@@ -26,18 +29,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agents import (DdpgAgent, DdpgConfig, DdpgController, DqnAgent,
-                     DqnConfig, DqnController, ReplayBuffer)
+from .agents import ALGOS, ReplayBuffer
 from .control import (ConfigError, RewardNormalizer, check_count,
-                      check_numbers, configure, state_width)
+                      check_numbers, configure)
 from .network import (NetworkModel, finite_number, make_out_dir, read_input,
                       write_output)
 from .nn import ParameterSet, load_checkpoint, save_checkpoint
 from .simulation import (DemandProfile, check_entry_lanes, check_horizon,
                          run_episode)
-
-# learning algorithm -> its agent config, whose fields are its hyperparameters
-ALGOS = {"dqn": DqnConfig, "ddpg": DdpgConfig}
 
 
 @dataclass
@@ -74,34 +73,35 @@ class TrainResult:
         return cfg, {iid: a.acting_params() for iid, a in self.agents.items()}
 
 
+def _controller_class(algo: str) -> type:
+    """The `LearningController` subclass of learning algorithm `algo`."""
+    if algo not in ALGOS:
+        raise ValueError(f"unknown algorithm {algo!r}")
+    return ALGOS[algo]
+
+
 def agent_config(algo: str, hp: dict):
-    return configure(algo, ALGOS[algo], hp)
+    return configure(algo, _controller_class(algo).config, hp)
 
 
 def check_seed(seed: int) -> None:
     """ConfigError unless `seed` can seed a numpy generator."""
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    check_count("seed", seed, least=0)
 
 
 def build_agents(net: NetworkModel, algo: str, agent_cfg, seed: int) -> dict:
-    if algo not in ALGOS:
-        raise ValueError(f"unknown algorithm {algo!r}")
-    agents = {}
-    for k, ix in enumerate(net.intersections):
-        w = state_width(net, ix.id)
-        if algo == "dqn":
-            agents[ix.id] = DqnAgent(w, len(ix.phases), seed + 17 * k,
-                                     agent_cfg)
-        else:
-            agents[ix.id] = DdpgAgent(w, seed + 17 * k, agent_cfg)
-    return agents
+    config = _controller_class(algo).config
+    if not isinstance(agent_cfg, config):
+        raise ConfigError(f"{algo!r} needs a {config.__name__}, not a "
+                          f"{type(agent_cfg).__name__}")
+    return {ix.id: agent_cfg.new_agent(net, ix, seed + 17 * k)
+            for k, ix in enumerate(net.intersections)}
 
 
 def build_controllers(net: NetworkModel, algo: str, agents: dict, seed: int,
                       explore: bool, normalizers: dict | None = None,
                       on_experience=None):
-    cls = DqnController if algo == "dqn" else DdpgController
+    cls = _controller_class(algo)
     ctrls = {}
     for k, ix in enumerate(net.intersections):
         norm = normalizers[ix.id] if normalizers else None
@@ -141,8 +141,7 @@ class Learner:
         if len(self.buffers[iid]) < agent.cfg.batch_size:
             return None
         batch = self.buffers[iid].sample(agent.cfg.batch_size, self.rng)
-        result = agent.train_batch(batch)
-        loss = result[0] if isinstance(result, tuple) else result
+        loss = agent.train_batch(batch)
         self.update_counts[iid] += 1
         self._rr = (self._rr + 1) % len(self.order)
         recent = self._recent_rewards[iid]
@@ -223,7 +222,7 @@ def load_policy(checkpoint_dir: str, net: NetworkModel, algo: str) -> tuple:
         raise ConfigError(f"{meta_path}: \"r_min\" must be an object "
                           "mapping intersection id -> finite number")
     try:
-        cfg = configure(algo, ALGOS[algo], meta.get("config", {}))
+        cfg = agent_config(algo, meta.get("config", {}))
     except ValueError as exc:
         raise ConfigError(f"{meta_path}: \"config\": {exc}") from None
     agents = build_agents(net, algo, cfg, seed=0)
@@ -255,8 +254,9 @@ def train(net: NetworkModel, demand: DemandProfile, algo: str, seed: int,
     check_seed(seed)
     check_entry_lanes(net, demand)
     fabric = fabric or FabricConfig()
+    check_horizon(fabric.horizon, demand)
     if agent_cfg is None:
-        agent_cfg = DqnConfig() if algo == "dqn" else DdpgConfig()
+        agent_cfg = _controller_class(algo).config()
     learner = Learner(build_agents(net, algo, agent_cfg, seed), seed + 1000)
 
     if out_dir:

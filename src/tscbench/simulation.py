@@ -493,11 +493,20 @@ def collect_moe(sim: Simulation, log: MoELog) -> None:
         log.delay[iid].append(d)
 
 
-def check_horizon(horizon, name: str = "horizon") -> None:
+def check_horizon(horizon, demand: DemandProfile | None = None,
+                  name: str = "horizon") -> None:
     """ValueError unless `horizon` is None (the demand's own) or a finite
-    number of seconds > 0."""
-    if horizon is not None and not (finite_number(horizon) and horizon > 0):
+    number of seconds > 0 and, given `demand`, at most its horizon plus
+    the drain allowance."""
+    if horizon is None:
+        return
+    if not (finite_number(horizon) and horizon > 0):
         raise ValueError(f"{name} must be a finite number > 0, "
+                         f"got {horizon!r}")
+    if demand is not None and horizon > demand.horizon + DEFAULT_DRAIN_CAP:
+        raise ValueError(f"{name} must be <= "
+                         f"{demand.horizon + DEFAULT_DRAIN_CAP!r} (the "
+                         "demand's horizon plus the drain allowance), "
                          f"got {horizon!r}")
 
 
@@ -515,11 +524,9 @@ def run_episode(net: NetworkModel, demand: DemandProfile, controllers: dict,
     """
     from .control import SignalUnit
 
-    check_horizon(horizon)
+    check_horizon(horizon, demand)
     if horizon is None:
         horizon = demand.horizon
-    if horizon > demand.horizon + DEFAULT_DRAIN_CAP:
-        raise ValueError("horizon exceeds demand horizon plus drain allowance")
     missing = [ix.id for ix in net.intersections if ix.id not in controllers]
     if missing:
         raise ValueError(f"no controller for intersection(s) {missing}")

@@ -640,7 +640,7 @@ class TestDdpg:
         agent = self.make()
         pin_output(agent.critic, [0.0])
         batch = [exp([0.1] * 4, 0.3, -0.2, [0.2] * 4, terminal=True)] * 2
-        critic_loss, _ = agent.train_batch(batch_of(batch))
+        critic_loss = agent.train_batch(batch_of(batch))
         assert critic_loss == pytest.approx(0.04, rel=1e-9)
 
     def test_actor_chain_rule_toy(self):

@@ -565,6 +565,7 @@ class TestCounts:
     @pytest.mark.parametrize("cmd,tsc,extra", [
         ("simulate", "uniform", []), ("evaluate", "uniform", ["--runs", "1"]),
         ("train", "dqn", ["--episodes", "1"]),
+        ("tune", "uniform", ["--trials", "1"]),
     ])
     def test_negative_seed(self, paths, tmp_path, capsys, episodes, cmd, tsc,
                            extra):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tscbench import experiments, fabric, stats
+from tscbench import experiments, fabric, simulation, stats
 from tscbench.experiments import (ConfigError, GridSpec, config_id,
                                   make_classic_controllers, seed_for)
 from tscbench.simulation import DemandProfile
@@ -562,8 +562,8 @@ class TestEvaluateMemory:
 
 
 class TestCounts:
-    """A run or process count below 1 is refused before anything runs or
-    is written."""
+    """A run or process count below 1, and a count or seed that is not a
+    whole number, are refused before anything runs or is written."""
 
     @pytest.mark.parametrize("kw", [{"runs": 0}, {"runs": -3},
                                     {"procs": 0}, {"procs": -2}])
@@ -585,13 +585,46 @@ class TestCounts:
                              out_dir=str(tmp_path / "out"))
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kw", [{"runs": True}, {"runs": 2.5},
+                                    {"procs": 1.5}, {"base_seed": 1.5},
+                                    {"base_seed": False}])
+    def test_evaluate_rejects_fractions_and_bools(self, tiny_net, tmp_path,
+                                                  episodes, kw):
+        demand = constant_demand(["in_a", "in_b"], 400.0, horizon=60.0)
+        (name, value), = kw.items()
+        name = "seed" if name == "base_seed" else name
+        with pytest.raises(ConfigError, match=f"^{name} must be a whole "
+                                              f"number, not {value!r}$"):
+            experiments.evaluate("uniform", {"u": 10}, tiny_net, demand,
+                                 out_dir=str(tmp_path / "out"), **kw)
+        assert not (tmp_path / "out").exists() and episodes == []
+
+    @pytest.mark.parametrize("kw,message", [
+        ({"trials": 2.5}, "trials must be a whole number, not 2.5"),
+        ({"trials": True}, "trials must be a whole number, not True"),
+        ({"base_seed": 1.5}, "seed must be a whole number, not 1.5"),
+        ({"base_seed": -1}, "seed must be >= 0, got -1")])
+    def test_grid_rejects_fractions_and_bools(self, kw, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            GridSpec("uniform", {"u": [10]}, **kw)
+
+    def test_train_rejects_a_fractional_seed(self, tiny_net, tmp_path,
+                                             episodes):
+        demand = constant_demand(["in_a", "in_b"], 400.0, horizon=60.0)
+        with pytest.raises(ConfigError, match="^seed must be a whole "
+                                              "number, not 1.5$"):
+            fabric.train(tiny_net, demand, "dqn", 1.5,
+                         out_dir=str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists() and episodes == []
+
 
 BAD_HORIZONS = [float("nan"), 0.0, -5.0]
 
 
 class TestHorizon:
-    """A horizon that is not a finite number > 0 is a ValueError naming
-    the value, raised before anything runs or is written."""
+    """A horizon that is not a finite number > 0, or that passes the
+    demand's horizon plus the drain allowance, is a ValueError naming the
+    value, raised before anything runs or is written."""
 
     @pytest.mark.parametrize("horizon", BAD_HORIZONS)
     def test_evaluate(self, tiny_net, tmp_path, episodes, horizon):
@@ -614,6 +647,41 @@ class TestHorizon:
                              tiny_net, demand, out_dir=str(tmp_path / "out"),
                              **kw)
         assert not (tmp_path / "out").exists() and episodes == []
+
+    @pytest.mark.parametrize("run", ["evaluate", "tune", "tune_train",
+                                     "train", "run_episode"])
+    def test_past_the_drain_allowance(self, tiny_net, tmp_path, episodes,
+                                      run):
+        # the demand ends at 60 s, and the drain allowance is 600 s
+        demand = constant_demand(["in_a", "in_b"], 400.0, horizon=60.0)
+        out = str(tmp_path / "out")
+        grid = GridSpec("uniform", {"u": [10]}, trials=1)
+        call = {
+            "evaluate": lambda: experiments.evaluate(
+                "uniform", {"u": 10}, tiny_net, demand, runs=1,
+                horizon=1e7, out_dir=out),
+            "tune": lambda: experiments.tune(grid, tiny_net, demand,
+                                             horizon=1e7, out_dir=out),
+            "tune_train": lambda: experiments.tune(
+                GridSpec("dqn", {"a_repeat": [10]}, trials=1), tiny_net,
+                demand, train_horizon=1e7, out_dir=out),
+            "train": lambda: fabric.train(
+                tiny_net, demand, "dqn", 0,
+                fabric=fabric.FabricConfig(episode_budget=1, horizon=1e7),
+                out_dir=out),
+            "run_episode": lambda: simulation.run_episode(
+                tiny_net, demand, experiments.make_classic_controllers(
+                    tiny_net, "uniform", {}), 0, horizon=1e7),
+        }[run]
+        name = "train_horizon" if run == "tune_train" else "horizon"
+        with pytest.raises(ValueError, match=f"^{name} must be <= 660.0 "
+                                             r"\(the demand's horizon plus "
+                                             r"the drain allowance\), got "
+                                             r"10000000.0$"):
+            call()
+        assert not (tmp_path / "out").exists() and episodes == []
+        # the limit itself is allowed
+        simulation.check_horizon(660.0, demand)
 
 
 class TestOutDir:
@@ -643,7 +711,7 @@ class TestOutDir:
         with pytest.raises(ConfigError, match="taken is not a directory"):
             experiments.tune(GridSpec(name, values, trials=1), tiny_net,
                              self.demand(), train_episodes=1,
-                             out_dir=blocked)
+                             train_horizon=60.0, out_dir=blocked)
         assert episodes == []
 
     def test_train(self, tiny_net, blocked, episodes):

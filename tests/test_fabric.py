@@ -6,8 +6,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tscbench import fabric
-from tscbench.agents import DqnAgent, DqnConfig, Experience
+from tscbench import experiments, fabric
+from tscbench.agents import (DdpgConfig, DqnAgent, DqnConfig, DqnController,
+                             Experience)
+from tscbench.control import ConfigError
 from tscbench.fabric import FabricConfig, Learner, _Mailbox, train
 
 from conftest import constant_demand
@@ -54,6 +56,59 @@ class TestFabricConfig:
                                              f"number"):
             FabricConfig(horizon=value)
         assert FabricConfig(horizon=60).horizon == 60.0
+
+
+class TestAlgorithms:
+    """`fabric.ALGOS` is the one table of learning algorithms: a name maps
+    to its controller, whose `config` builds the agents."""
+
+    def test_a_third_algorithm_is_one_entry(self, single_net, single_demand,
+                                            tmp_path, monkeypatch):
+        class Dqn2Config(DqnConfig):
+            pass
+
+        class Dqn2Controller(DqnController):
+            config = Dqn2Config
+            built = 0
+
+            def begin_episode(self):
+                Dqn2Controller.built += 1
+                super().begin_episode()
+
+        monkeypatch.setitem(fabric.ALGOS, "dqn2", Dqn2Controller)
+        monkeypatch.setitem(experiments.CONTROLLERS, "dqn2", Dqn2Config)
+        cfg = FabricConfig(episode_budget=2, horizon=300.0)
+        runs = {}
+        for algo in ("dqn", "dqn2"):
+            res = train(single_net, single_demand, algo, seed=3, fabric=cfg,
+                        out_dir=str(tmp_path / algo))
+            runs[algo] = experiments.evaluate(
+                algo, {}, single_net, single_demand, runs=2, horizon=300.0,
+                checkpoint_dir=res.checkpoint_dir)
+        assert all(type(a.cfg) is Dqn2Config for a in res.agents.values())
+        assert Dqn2Controller.built == 4  # 2 training and 2 greedy episodes
+        assert runs["dqn2"].travel_times == runs["dqn"].travel_times
+
+    def test_controllers_name_each_config(self):
+        for name, ctrl in fabric.ALGOS.items():
+            assert experiments.CONTROLLERS[name] is ctrl.config
+
+    def test_wrong_config(self, single_net, single_demand, tmp_path,
+                          episodes):
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="^'dqn' needs a DqnConfig, "
+                                              "not a DdpgConfig$"):
+            train(single_net, single_demand, "dqn", 0,
+                  agent_cfg=DdpgConfig(), out_dir=str(out))
+        assert not out.exists() and episodes == []
+
+    def test_unknown_algorithm(self, single_net):
+        agents = fabric.build_agents(single_net, "dqn", DqnConfig(), 0)
+        with pytest.raises(ValueError, match="^unknown algorithm 'a2c'$"):
+            fabric.build_agents(single_net, "a2c", DqnConfig(), 0)
+        with pytest.raises(ValueError, match="^unknown algorithm 'a2c'$"):
+            fabric.build_controllers(single_net, "a2c", agents, 0,
+                                     explore=False)
 
 
 class TestLearner:
