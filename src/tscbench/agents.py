@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -83,11 +85,19 @@ class ReplayBuffer:
         cols.next_state[i] = exp.next_state
         cols.live[i] = 0.0 if exp.terminal else 1.0
 
-    def sample(self, k: int, rng: np.random.Generator) -> Batch:
+    def sample(self, k: int, rng: np.random.Generator,
+               out: Batch | None = None) -> Batch:
+        """k rows drawn with replacement, copied into `out` if given."""
         if self._len < k:
             raise ValueError(f"buffer holds {self._len} < {k} samples")
         idx = rng.integers(self._len, size=k)
-        return Batch(*(col[idx] for col in self._cols))
+        if out is None:
+            out = Batch(*(np.empty((k,) + col.shape[1:])
+                          for col in self._cols))
+        for col, dst in zip(self._cols, out):
+            # idx is in range; the default mode would copy via a buffer
+            col.take(idx, axis=0, out=dst, mode="clip")
+        return out
 
     def rows(self) -> Batch:
         """A copy of the held rows, in row order."""
@@ -140,29 +150,88 @@ def dqn_specs(state_width: int, n_phases: int) -> tuple:
 
 class PolicyAgent:
     """Parameter bookkeeping of an agent: its networks are the attributes
-    named in `_NETS`, the acting network first. Greedy control reads the
-    acting network alone; a checkpoint holds them all, in `_NETS` order."""
+    named in `_NETS`, the acting network first, and the optimizer states
+    that train them those in `_ADAMS`. Greedy control reads the acting
+    network alone; a checkpoint holds them all, in `_NETS` order.
+
+    A stacked agent (`stack`) stands for K agents of one `layout()`: every
+    network and optimizer array gains a leading axis of K rows, and its
+    `train_batch` updates all K from a batch with that axis, with the code
+    and the bits of K single updates.
+
+    A learner may defer an update: `deferred` is then the call that runs
+    it, and every read or write of the agent's networks makes it first.
+    """
 
     _NETS: tuple = ()
+    _ADAMS: tuple = ()
+    deferred = None
+
+    def _settle(self) -> None:
+        if self.deferred is not None:
+            self.deferred()
+
+    @property
+    def updates(self):
+        """Updates made; one optimizer step each."""
+        return getattr(self, self._ADAMS[0]).step
 
     def acting_params(self) -> nn.ParameterSet:
+        self._settle()
         return getattr(self, self._NETS[0]).copy()
 
     def apply_acting_params(self, params: nn.ParameterSet) -> None:
-        setattr(self, self._NETS[0], params.copy())
+        self._settle()
+        getattr(self, self._NETS[0]).assign(params)
 
     def to_checkpoint(self) -> dict:
+        self._settle()
         return {name: getattr(self, name) for name in self._NETS}
 
     def load_checkpoint(self, named: dict) -> None:
+        self._settle()
         for name in self._NETS:
-            setattr(self, name, named[name].copy())
+            getattr(self, name).assign(named[name])
+
+    def layout(self) -> tuple:
+        """What agents stacked together share: class, config and network
+        shapes."""
+        nets = [getattr(self, name) for name in self._NETS]
+        return (type(self), dataclasses.astuple(self.cfg),
+                tuple((p.input_width, p.specs) for p in nets))
+
+    @classmethod
+    def stack(cls, agents: list) -> "PolicyAgent":
+        """A stacked agent of `agents`, which share one layout; each one's
+        networks and optimizer states become views of its row."""
+        if len({a.layout() for a in agents}) != 1:
+            raise ValueError("stacked agents must share one layout")
+        stacked = copy.copy(agents[0])
+        for name in cls._NETS + cls._ADAMS:
+            rows = [getattr(a, name) for a in agents]
+            setattr(stacked, name, type(rows[0]).stack(rows))
+        return stacked
+
+    def rows(self, lo: int, hi: int) -> "PolicyAgent":
+        """Rows lo..hi-1 of a stacked agent, as a stacked agent viewing
+        them."""
+        part = copy.copy(self)
+        for name in self._NETS + self._ADAMS:
+            setattr(part, name, getattr(self, name).rows(lo, hi))
+        return part
+
+
+def _losses(sq_err: np.ndarray, n: int):
+    """The mean of each row's squared errors, as np.mean sums and divides:
+    a float, or a list of them for a stack."""
+    return (np.add.reduce(sq_err, axis=-1) / n).tolist()
 
 
 class DqnAgent(PolicyAgent):
     """Action-value network with a hard-synced target copy."""
 
     _NETS = ("online", "target")
+    _ADAMS = ("adam",)
 
     def __init__(self, state_width: int, n_phases: int, seed: int,
                  cfg: DqnConfig | None = None):
@@ -172,36 +241,39 @@ class DqnAgent(PolicyAgent):
                                  state_width, seed)
         self.target = self.online.copy()
         self.adam = nn.AdamState(self.online, lr=self.cfg.lr)
-        self.updates = 0
 
     def act(self, state: np.ndarray, eps: float,
             rng: np.random.Generator) -> int:
         if eps > 0.0 and rng.random() < eps:
             return int(rng.integers(self.n_phases))
+        self._settle()
         q, _ = nn.forward(self.online, state, "infer")
         return int(np.argmax(q))  # first max = lowest index
 
-    def train_batch(self, batch: Batch) -> float:
-        n = len(batch.reward)
+    def train_batch(self, batch: Batch):
+        """One update; returns its loss (for a stack, each row's)."""
+        n = batch.reward.shape[-1]
         if n < 2:
             raise ValueError("batch size must be >= 2")
-        a = batch.action.astype(int)
-        rows = np.arange(n)
+        a = batch.action.astype(int).ravel()
+        rows = np.arange(a.size)
 
         q2, _ = nn.forward(self.target, batch.next_state, "infer")
-        y = batch.reward + self.cfg.gamma * q2.max(axis=1) * batch.live
+        y = batch.reward + self.cfg.gamma * q2.max(axis=-1) * batch.live
 
         q, cache = nn.forward(self.online, batch.state, "train")
-        err = q[rows, a] - y
-        loss = float(np.add.reduce(err * err)) / n  # np.mean's sum and divide
-        grad_out = np.zeros_like(q)
-        grad_out[rows, a] = 2.0 * err / n
+        err = q.reshape(-1, self.n_phases)[rows, a].reshape(y.shape) - y
+        grad_out = np.zeros(q.shape)
+        grad_out.reshape(-1, self.n_phases)[rows, a] = (2.0 * err / n).ravel()
         nn.backward(self.online, cache, grad_out, self.adam)
         nn.adam_step(self.online, self.adam)
-        self.updates += 1
-        if self.updates % self.cfg.target_sync == 0:
-            self.target = self.online.copy()
-        return loss
+        sync = np.remainder(self.adam.step, self.cfg.target_sync) == 0
+        if sync.any():  # hard copies in place, versions included
+            np.copyto(self.target.flat, self.online.flat,
+                      where=sync[..., None])
+            self.target.version = np.where(sync, self.online.version,
+                                           self.target.version)
+        return _losses(err * err, n)
 
 
 @dataclass
@@ -257,6 +329,7 @@ class DdpgAgent(PolicyAgent):
     """Actor-critic pair with soft-updated target copies."""
 
     _NETS = ("actor", "critic", "actor_target", "critic_target")
+    _ADAMS = ("critic_adam", "actor_adam")
 
     def __init__(self, state_width: int, seed: int,
                  cfg: DdpgConfig | None = None):
@@ -269,11 +342,11 @@ class DdpgAgent(PolicyAgent):
         self.critic_target = self.critic.copy()
         self.actor_adam = nn.AdamState(self.actor, lr=self.cfg.actor_lr)
         self.critic_adam = nn.AdamState(self.critic, lr=self.cfg.critic_lr)
-        self.updates = 0
 
     def act(self, state: np.ndarray, sigma: float,
             rng: np.random.Generator | None = None):
         """The raw action, clipped to [-1, 1], and its green duration."""
+        self._settle()
         out, _ = nn.forward(self.actor, state, "infer")
         raw = float(out[0])
         if sigma > 0.0:
@@ -281,40 +354,42 @@ class DdpgAgent(PolicyAgent):
         raw = max(-1.0, min(1.0, raw))
         return raw, scale_duration(raw, self.cfg.g_min, self.cfg.g_max)
 
-    def train_batch(self, batch: Batch) -> float:
+    def train_batch(self, batch: Batch):
+        """One update; returns its critic loss (for a stack, each row's)."""
         # a batch of one row fails the critic's train-mode batch norm
         # before anything changes
-        n = len(batch.reward)
+        n = batch.reward.shape[-1]
         s, s2 = batch.state, batch.next_state
-        a = batch.action[:, None]
+        a = batch.action[..., None]
         r, live = batch.reward, batch.live
 
         # critic: target nets only in the bootstrap target
         a2, _ = nn.forward(self.actor_target, s2, "infer")
-        q2, _ = nn.forward(self.critic_target, np.hstack([s2, a2]), "infer")
-        y = r + self.cfg.gamma * q2[:, 0] * live
-        q, cache = nn.forward(self.critic, np.hstack([s, a]), "train")
-        err = q[:, 0] - y
-        critic_loss = float(np.mean(err * err))
-        grad_out = (2.0 * err / n)[:, None]
+        q2, _ = nn.forward(self.critic_target,
+                           np.concatenate([s2, a2], axis=-1), "infer")
+        y = r + self.cfg.gamma * q2[..., 0] * live
+        q, cache = nn.forward(self.critic, np.concatenate([s, a], axis=-1),
+                              "train")
+        err = q[..., 0] - y
+        grad_out = (2.0 * err / n)[..., None]
         nn.backward(self.critic, cache, grad_out, self.critic_adam,
                     l2=self.cfg.l2)
         nn.adam_step(self.critic, self.critic_adam)
 
         # actor: ascend Q(s, pi(s)) through the critic's action gradient
         a_pi, acache = nn.forward(self.actor, s, "train")
-        q_pi, qcache = nn.forward(self.critic, np.hstack([s, a_pi]), "train",
-                                  update_running=False)
-        gq = np.full((n, 1), -1.0 / n)
+        q_pi, qcache = nn.forward(self.critic,
+                                  np.concatenate([s, a_pi], axis=-1),
+                                  "train", update_running=False)
+        gq = np.full(q_pi.shape, -1.0 / n)
         d_action = nn.input_gradient(self.critic, qcache,
-                                     gq)[:, self.state_width:]
+                                     gq)[..., self.state_width:]
         nn.backward(self.actor, acache, d_action, self.actor_adam)
         nn.adam_step(self.actor, self.actor_adam)
 
         nn.soft_update(self.actor_target, self.actor, self.cfg.tau)
         nn.soft_update(self.critic_target, self.critic, self.cfg.tau)
-        self.updates += 1
-        return critic_loss
+        return _losses(err * err, n)
 
 
 # -- controllers -----------------------------------------------------------------

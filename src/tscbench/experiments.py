@@ -282,7 +282,9 @@ def tune(grid: GridSpec, net: NetworkModel, demand: DemandProfile,
     check_count("procs", procs)
     name = grid.controller
     check_horizon(horizon, demand)
-    # only a learning config trains, on episodes of `train_horizon`
+    # only a learning config trains: `train_episodes` of `train_horizon`
+    if name in fabric.ALGOS:
+        check_count("episodes", train_episodes)
     check_horizon(train_horizon, demand if name in fabric.ALGOS else None,
                   "train_horizon")
     cids = {config_id(name, hp): hp for hp in grid.expand()}

@@ -6,6 +6,16 @@ on actor `ep % n_actors`. Every experience goes straight through one
 `learn` step into the one learner, which owns every intersection's replay
 buffer and trains them round-robin.
 
+The learner defers its updates. It draws an update's batch when the
+update comes due, and runs the arithmetic at a flush: one stacked
+update for every pending intersection whose agent shares a layout, with
+each agent's bits of an update made alone. It flushes when an
+intersection with a pending update comes up again in the round-robin,
+before anything reads or writes that agent's networks (a greedy DQN act,
+every DDPG act, `acting_params`, a checkpoint), after every update while
+mailboxes exist, and at the end of `train`. Update counts and log rows
+are made when an update comes due; the flush fills in the loss.
+
 One actor shares the learner's agents, so every update acts at its next
 decision. Several actors each keep their own agents, reward normalizers
 and latest-wins mailbox: after each update `learn` offers the learner's
@@ -29,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agents import ALGOS, ReplayBuffer
+from .agents import ALGOS, Batch, ReplayBuffer
 from .control import (ConfigError, RewardNormalizer, check_count,
                       check_numbers, configure)
 from .network import (NetworkModel, finite_number, make_out_dir, read_input,
@@ -112,7 +122,17 @@ def build_controllers(net: NetworkModel, algo: str, agents: dict, seed: int,
 
 
 class Learner:
-    """Owns every intersection's replay buffer and training state."""
+    """Owns every intersection's replay buffer and training state.
+
+    Updates are deferred. `try_train` draws an update's batch at once, so
+    the draws and the replay rows it sees are those of an immediate
+    update, and `flush` runs every pending update later: one stacked
+    `train_batch` per run of adjacent pending rows of a same-layout stack
+    (`PolicyAgent.stack`). Rows follow the round-robin and updates come
+    due in its order, so a stack's pending rows form at most two runs.
+    An agent's networks are views of its stack's row, and reading or
+    writing them flushes first (`deferred`).
+    """
 
     def __init__(self, agents: dict, seed: int):
         self.agents = agents
@@ -127,6 +147,14 @@ class Learner:
                                 for iid in agents}
         self.log = []
         self._t0 = time.monotonic()
+        groups = {}
+        for iid, agent in agents.items():
+            groups.setdefault(agent.layout(), []).append(iid)
+        self._stacks = [_Stack(iids, [agents[iid] for iid in iids])
+                        for iids in groups.values()]
+        self._slots = {iid: (stack, k) for stack in self._stacks
+                       for k, iid in enumerate(stack.iids)}
+        self._pending = {}  # iid -> index of its pending update's log row
 
     def ingest(self, exp) -> None:
         self.buffers[exp.intersection].push(exp)
@@ -134,22 +162,79 @@ class Learner:
         self.received += 1
 
     def try_train(self) -> str | None:
-        """Train the next intersection in strict round-robin, once its
-        buffer holds a batch; returns the id it trained, or None."""
+        """Draw the next intersection's update in strict round-robin, once
+        its buffer holds a batch, and defer it; returns the id drawn for,
+        or None. An intersection whose last update still waits flushes
+        first."""
         iid = self.order[self._rr]
         agent = self.agents[iid]
         if len(self.buffers[iid]) < agent.cfg.batch_size:
             return None
-        batch = self.buffers[iid].sample(agent.cfg.batch_size, self.rng)
-        loss = agent.train_batch(batch)
+        if iid in self._pending:
+            self.flush()
+        stack, k = self._slots[iid]
+        self.buffers[iid].sample(agent.cfg.batch_size, self.rng,
+                                 out=stack.batches[k])
+        agent.deferred = self.flush
         self.update_counts[iid] += 1
         self._rr = (self._rr + 1) % len(self.order)
         recent = self._recent_rewards[iid]
-        # the 0 fills the training log's `learner` column
+        self._pending[iid] = len(self.log)
+        # the 0 fills the training log's `learner` column; the loss is
+        # filled in by the flush
         self.log.append((time.monotonic() - self._t0, 0, iid,
-                         self.update_counts[iid], loss,
+                         self.update_counts[iid], None,
                          sum(recent) / len(recent) if recent else 0.0))
         return iid
+
+    def flush(self) -> None:
+        """Run every pending update and put its loss in its log row."""
+        pending, self._pending = self._pending, {}
+        for stack in self._stacks:
+            for lo, hi in _runs([k for k, iid in enumerate(stack.iids)
+                                 if iid in pending]):
+                for iid, loss in zip(stack.iids[lo:hi], stack.train(lo, hi)):
+                    self.agents[iid].deferred = None
+                    i = pending[iid]
+                    self.log[i] = self.log[i][:4] + (loss,) + self.log[i][5:]
+
+
+class _Stack:
+    """Same-layout agents as the rows of one stacked agent, and the
+    stacked batch that holds each row's pending batch."""
+
+    def __init__(self, iids: list, agents: list):
+        self.iids = iids
+        self.agent = type(agents[0]).stack(agents)
+        first = agents[0]
+        rows = (len(agents), first.cfg.batch_size)
+        state = rows + (getattr(first, first._NETS[0]).input_width,)
+        self.batch = Batch(np.empty(state), np.empty(rows), np.empty(rows),
+                           np.empty(state), np.empty(rows))
+        self.batches = [Batch(*(col[k] for col in self.batch))
+                        for k in range(len(agents))]
+        self._parts = {}  # (lo, hi) -> rows lo..hi-1 of agent and batch
+
+    def train(self, lo: int, hi: int) -> list:
+        """Update rows lo..hi-1 from their batches; returns their losses."""
+        part = self._parts.get((lo, hi))
+        if part is None:
+            part = self._parts[lo, hi] = (
+                self.agent.rows(lo, hi),
+                Batch(*(col[lo:hi] for col in self.batch)))
+        agent, batch = part
+        return agent.train_batch(batch)
+
+
+def _runs(rows: list) -> list:
+    """(lo, hi) of each run of consecutive numbers in ascending `rows`."""
+    runs = []
+    for k in rows:
+        if runs and runs[-1][1] == k:
+            runs[-1][1] = k + 1
+        else:
+            runs.append([k, k + 1])
+    return runs
 
 
 class _Mailbox:
@@ -278,6 +363,7 @@ def train(net: NetworkModel, demand: DemandProfile, algo: str, seed: int,
         learner.ingest(exp)
         iid = learner.try_train()
         if iid is not None and mailboxes:
+            learner.flush()  # every update offered as it is made
             agent = learner.agents[iid]
             live = getattr(agent, agent._NETS[0])  # copied when taken
             for mb in mailboxes:
@@ -302,6 +388,7 @@ def train(net: NetworkModel, demand: DemandProfile, algo: str, seed: int,
         ep = episodes.get()
         run_episode(net, demand, actors[ep % n_actors], seed + ep,
                     horizon=fabric.horizon, moe_series=False)
+    learner.flush()
 
     result = TrainResult(
         algo=algo, agents=learner.agents,

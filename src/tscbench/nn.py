@@ -82,6 +82,11 @@ class ParameterSet:
     gamma, beta, rmean, rvar, in that (checkpoint) order. Update the
     arrays in place (`arr[...] = x`, `arr += x`): rebinding a dict entry
     would detach it from `flat`.
+
+    A stacked set (`stack`) holds K networks of one layout: `flat` is
+    (K, n), every array and the version gain that leading axis, and each
+    network's own set is a view of its row. forward, backward, adam_step
+    and soft_update run on either.
     """
 
     def __init__(self, input_width: int, specs: tuple, layers: list,
@@ -97,14 +102,27 @@ class ParameterSet:
                 view[...] = layer[key]
 
     def _bind(self, input_width, specs, version, flat):
+        """View `flat`, (n,) or (K, n), and hold `version`, shaped
+        `flat.shape[:-1]`; an int64 array is held, not copied."""
         self.input_width = input_width
         self.specs = specs
-        self.version = version
+        self._version = np.asarray(version, dtype=np.int64)
         self.flat = flat
         self._layout, self.n_trainable, _ = _layout_for(input_width, specs)
-        self.layers = [{key: flat[a:b].reshape(shape)
+        lead = flat.shape[:-1]
+        self.layers = [{key: flat[..., a:b].reshape(lead + shape)
                         for key, a, b, shape in layer}
                        for layer in self._layout]
+
+    @property
+    def version(self):
+        """The network's update count; a (K,) array for a stacked set."""
+        v = self._version
+        return int(v) if v.ndim == 0 else v
+
+    @version.setter
+    def version(self, value):
+        self._version[...] = value
 
     def __getstate__(self):
         return self.input_width, self.specs, self.version, self.flat
@@ -114,15 +132,45 @@ class ParameterSet:
 
     def copy(self) -> "ParameterSet":
         return _viewing(self.flat.copy(), self.input_width, self.specs,
-                        self.version)
+                        self._version.copy())
+
+    def assign(self, other: "ParameterSet") -> None:
+        """Copy `other`'s values and version into this set's memory."""
+        if (other.input_width, other.specs) != (self.input_width,
+                                                self.specs):
+            raise ValueError("assignment between networks of different "
+                             "shapes")
+        self.flat[...] = other.flat
+        self.version = other.version
 
     def arrays(self):
         for layer in self.layers:
             yield from layer.items()
 
+    @classmethod
+    def stack(cls, sets: list) -> "ParameterSet":
+        """A stacked set of `sets`, which share one shape; each of them
+        becomes a view of its row, keeping its values and version."""
+        first = sets[0]
+        if any((p.input_width, p.specs) != (first.input_width, first.specs)
+               for p in sets):
+            raise ValueError("stacked networks must share one shape")
+        stacked = _viewing(np.stack([p.flat for p in sets]),
+                           first.input_width, first.specs,
+                           [p.version for p in sets])
+        for k, p in enumerate(sets):
+            p._bind(p.input_width, p.specs, stacked._version[k, ...],
+                    stacked.flat[k])
+        return stacked
+
+    def rows(self, lo: int, hi: int) -> "ParameterSet":
+        """Rows lo..hi-1 of a stacked set, as a stacked set viewing them."""
+        return _viewing(self.flat[lo:hi], self.input_width, self.specs,
+                        self._version[lo:hi])
+
 
 def _viewing(flat: np.ndarray, input_width: int, specs: tuple,
-             version: int = 0) -> ParameterSet:
+             version=0) -> ParameterSet:
     """A parameter set whose arrays are views into `flat`."""
     params = ParameterSet.__new__(ParameterSet)
     params._bind(input_width, specs, version, flat)
@@ -166,9 +214,11 @@ def forward(params: ParameterSet, x: np.ndarray, mode: str = "infer",
             update_running: bool = True):
     """Run the network; returns (output, cache for backward).
 
-    Train mode normalizes with batch statistics (batch size >= 2 required
-    where batch norm is enabled) and, unless `update_running` is False,
-    refreshes the running statistics in place.
+    `x` is (batch, width), or one row (width,); for a stacked `params` it
+    is (K, batch, width), one batch per network. Train mode normalizes
+    with batch statistics (batch size >= 2 required where batch norm is
+    enabled) and, unless `update_running` is False, refreshes the running
+    statistics in place.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -176,22 +226,27 @@ def forward(params: ParameterSet, x: np.ndarray, mode: str = "infer",
     squeeze = x.ndim == 1
     if squeeze:
         x = x[None, :]
-    if x.shape[1] != params.input_width:
-        raise ValueError(f"input width {x.shape[1]} != {params.input_width}")
+    if x.ndim != params.flat.ndim + 1:
+        raise ValueError(f"{x.ndim}-d input for {params.flat.ndim}-d "
+                         "parameters")
+    if x.shape[-1] != params.input_width:
+        raise ValueError(f"input width {x.shape[-1]} != {params.input_width}")
 
     train = mode == "train"
+    # a stacked matmul gives each network's np.dot bits
+    matmul = np.dot if x.ndim == 2 else np.matmul
     entries = []  # per layer: (input, pre-activation, output, xhat, inv_std)
     h = x
     for spec, layer in zip(params.specs, params.layers):
-        z = np.dot(h, layer["w"])
-        z += layer["b"]
+        z = matmul(h, layer["w"])
+        z += layer["b"][..., None, :]
         xhat = inv_std = None
         if spec.batch_norm:
             if train:
-                if z.shape[0] < 2:
+                if z.shape[-2] < 2:
                     raise ValueError("batch norm in train mode needs batch >= 2")
-                mu = z.mean(axis=0)
-                var = z.var(axis=0)
+                mu = z.mean(axis=-2)
+                var = z.var(axis=-2)
                 if update_running:
                     rmean, rvar = layer["rmean"], layer["rvar"]
                     rmean *= BN_MOMENTUM
@@ -201,9 +256,9 @@ def forward(params: ParameterSet, x: np.ndarray, mode: str = "infer",
             else:
                 mu = layer["rmean"]
                 var = layer["rvar"]
-            inv_std = 1.0 / np.sqrt(var + BN_EPS)
-            xhat = (z - mu) * inv_std
-            a = layer["gamma"] * xhat + layer["beta"]
+            inv_std = (1.0 / np.sqrt(var + BN_EPS))[..., None, :]
+            xhat = (z - mu[..., None, :]) * inv_std
+            a = layer["gamma"][..., None, :] * xhat + layer["beta"][..., None, :]
         else:
             a = z
         y = _activate(spec.activation, a)
@@ -220,9 +275,7 @@ def backward(params: ParameterSet, cache: tuple, grad_out: np.ndarray,
 
     `l2` adds weight decay lambda*w to every weight gradient.
     """
-    if len(adam._grad_views) != len(params.layers) or \
-            adam.m.size != params.n_trainable:
-        raise ValueError("optimizer state does not match the network")
+    _check_adam(params, adam)
     _backprop(params, cache, grad_out, l2, adam._grad_views)
     return adam._grad_views
 
@@ -242,6 +295,7 @@ def _backprop(params, cache, grad_out, l2, out_layers):
     grad = np.asarray(grad_out, dtype=float)
     if squeeze and grad.ndim == 1:
         grad = grad[None, :]
+    matmul = np.dot if grad.ndim == 2 else np.matmul  # as in forward
     for idx in range(len(params.layers) - 1, -1, -1):
         spec = params.specs[idx]
         layer = params.layers[idx]
@@ -257,23 +311,24 @@ def _backprop(params, cache, grad_out, l2, out_layers):
             grad = d
         if spec.batch_norm:
             if g is not None:
-                np.add.reduce(grad * xhat, axis=0, out=g["gamma"])
-                np.add.reduce(grad, axis=0, out=g["beta"])
-            dxhat = grad * layer["gamma"]
+                np.add.reduce(grad * xhat, axis=-2, out=g["gamma"])
+                np.add.reduce(grad, axis=-2, out=g["beta"])
+            dxhat = grad * layer["gamma"][..., None, :]
             if train:
-                n = grad.shape[0]
-                dz = (inv_std / n) * (n * dxhat - dxhat.sum(axis=0)
-                                      - xhat * (dxhat * xhat).sum(axis=0))
+                n = grad.shape[-2]
+                dz = (inv_std / n) * (
+                    n * dxhat - dxhat.sum(axis=-2)[..., None, :]
+                    - xhat * (dxhat * xhat).sum(axis=-2)[..., None, :])
             else:
                 dz = dxhat * inv_std
             grad = dz
         if g is not None:
-            np.dot(x.T, grad, out=g["w"])
-            np.add.reduce(grad, axis=0, out=g["b"])
+            matmul(x.swapaxes(-1, -2), grad, out=g["w"])
+            np.add.reduce(grad, axis=-2, out=g["b"])
             if l2:
                 g["w"] += l2 * layer["w"]
         if idx or g is None:
-            grad = grad @ layer["w"].T
+            grad = np.matmul(grad, layer["w"].swapaxes(-1, -2))
     if out_layers is not None:
         return None
     return grad[0] if squeeze else grad
@@ -281,22 +336,78 @@ def _backprop(params, cache, grad_out, l2, out_layers):
 
 class AdamState:
     """Adam moments over a network's trainable prefix, plus the scratch
-    buffers the in-place update works in."""
+    buffers the in-place update works in. For a stacked parameter set,
+    every buffer and the step count carry its stack axis, and `stack`
+    makes the states of its rows views of one stacked state."""
 
     def __init__(self, params: ParameterSet, lr: float = 1e-4):
+        lead = params.flat.shape[:-1]
+        self._bind(params._layout, lr, np.zeros(lead, dtype=np.int64),
+                   np.zeros((len(_ADAM_BUFFERS),) + lead
+                            + (params.n_trainable,)))
+
+    def _bind(self, layout, lr, step, bufs):
+        """Hold `step` and view `bufs`, shaped (buffers, ..., n_trainable):
+        the moments, the scratch pair and the gradient, this last gathered
+        into the trainable layout of `layout`. Each buffer is contiguous,
+        stack rows included: numpy copies an operand that may overlap its
+        output, and interleaved rows may."""
+        self._layout = layout
         self.lr = lr
-        self.step = 0
-        n = params.n_trainable
-        self.m = np.zeros(n)
-        self.v = np.zeros(n)
-        self._tmp = np.empty(n)
-        self._tmp2 = np.empty(n)
-        # the gradient, gathered into the trainable layout of `params`
-        self._grad = np.empty(n)
+        self._step = step
+        self._bufs = bufs
+        for name, buf in zip(_ADAM_BUFFERS, bufs):
+            setattr(self, name, buf)
+        lead = bufs.shape[1:-1]
         self._grad_views = [
-            {key: self._grad[a:b].reshape(shape)
+            {key: self._grad[..., a:b].reshape(lead + shape)
              for key, a, b, shape in layer if key in TRAINABLE_KEYS}
-            for layer in params._layout]
+            for layer in layout]
+
+    @property
+    def step(self):
+        """The number of steps taken; a (K,) array for a stacked state."""
+        s = self._step
+        return int(s) if s.ndim == 0 else s
+
+    @step.setter
+    def step(self, value):
+        self._step[...] = value
+
+    @classmethod
+    def stack(cls, states: list) -> "AdamState":
+        """A stacked state of `states`, which share one layout and rate;
+        each of them becomes a view of its row, keeping its values."""
+        first = states[0]
+        if any((s._layout, s.lr) != (first._layout, first.lr)
+               for s in states):
+            raise ValueError("stacked optimizer states must share one "
+                             "layout and learning rate")
+        stacked = cls.__new__(cls)
+        stacked._bind(first._layout, first.lr,
+                      np.array([s.step for s in states], dtype=np.int64),
+                      np.stack([s._bufs for s in states], axis=1))
+        for k, s in enumerate(states):
+            s._bind(s._layout, s.lr, stacked._step[k, ...],
+                    stacked._bufs[:, k])
+        return stacked
+
+    def rows(self, lo: int, hi: int) -> "AdamState":
+        """Rows lo..hi-1 of a stacked state, as a stacked state viewing
+        them."""
+        part = AdamState.__new__(AdamState)
+        part._bind(self._layout, self.lr, self._step[lo:hi],
+                   self._bufs[:, lo:hi])
+        return part
+
+
+_ADAM_BUFFERS = ("m", "v", "_tmp", "_tmp2", "_grad")
+
+
+def _check_adam(params: ParameterSet, adam: AdamState) -> None:
+    if adam._layout != params._layout or \
+            adam._step.shape != params.flat.shape[:-1]:
+        raise ValueError("optimizer state does not match the network")
 
 
 def adam_step(params: ParameterSet, adam: AdamState) -> ParameterSet:
@@ -304,14 +415,17 @@ def adam_step(params: ParameterSet, adam: AdamState) -> ParameterSet:
     `adam`, in place; bumps the parameter version.
 
     Per element: m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
-    p = p - (lr*(m/bc1)) / (sqrt(v/bc2) + eps).
+    p = p - (lr*(m/bc1)) / (sqrt(v/bc2) + eps), with each network's own
+    bias corrections bc = 1 - b**step.
     """
-    if params.n_trainable != adam.m.size:
-        raise ValueError("optimizer state does not match the network")
+    _check_adam(params, adam)
     adam.step += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    bc1 = 1.0 - b1 ** adam.step
-    bc2 = 1.0 - b2 ** adam.step
+    # Python float powers, row by row: numpy's power may round otherwise
+    steps = np.ravel(adam._step).tolist()
+    shape = adam._step.shape + (1,)
+    bc1 = np.array([1.0 - b1 ** s for s in steps]).reshape(shape)
+    bc2 = np.array([1.0 - b2 ** s for s in steps]).reshape(shape)
     g, m, v, t, t2 = adam._grad, adam.m, adam.v, adam._tmp, adam._tmp2
     m *= b1
     np.multiply(g, 1.0 - b1, out=t)
@@ -326,7 +440,7 @@ def adam_step(params: ParameterSet, adam: AdamState) -> ParameterSet:
     np.sqrt(t2, out=t2)
     t2 += ADAM_EPS
     t /= t2
-    params.flat[:params.n_trainable] -= t
+    params.flat[..., :params.n_trainable] -= t
     params.version += 1
     return params
 
@@ -336,7 +450,8 @@ def soft_update(target: ParameterSet, online: ParameterSet,
     """theta' <- (1 - tau) theta' + tau theta, running statistics included."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must be in [0, 1]")
-    if target._layout != online._layout:
+    if target._layout != online._layout or \
+            target.flat.shape != online.flat.shape:
         raise ValueError("soft update between networks of different shapes")
     target.flat *= 1.0 - tau
     target.flat += tau * online.flat

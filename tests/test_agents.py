@@ -717,6 +717,65 @@ class TestDdpg:
             DdpgConfig(tau=0.0)
 
 
+class TestStackedAgents:
+    """A stacked agent updates its rows with the bits of each agent's own
+    `train_batch`: networks, versions, optimizer state and loss."""
+
+    AGENTS = {"dqn": lambda seed: DqnAgent(4, 3, seed, DqnConfig(
+                  batch_size=8, target_sync=2)),
+              "ddpg": lambda seed: DdpgAgent(4, seed, DdpgConfig(
+                  batch_size=8, tau=0.1))}
+
+    def batch(self, rng, lead, algo):
+        action = rng.integers(3, size=lead).astype(float) if algo == "dqn" \
+            else rng.uniform(-1.0, 1.0, size=lead)
+        return Batch(rng.normal(size=lead + (4,)), action,
+                     rng.normal(size=lead), rng.normal(size=lead + (4,)),
+                     (rng.random(lead) < 0.8).astype(float))
+
+    def state(self, agent):
+        nets = [(p.flat.copy(), p.version) for p in
+                agent.to_checkpoint().values()]
+        adams = [(a.m.copy(), a.v.copy(), a.step) for a in
+                 (getattr(agent, name) for name in agent._ADAMS)]
+        return nets, adams
+
+    def assert_same(self, a, b):
+        (nets_a, adams_a), (nets_b, adams_b) = self.state(a), self.state(b)
+        for (fa, va), (fb, vb) in zip(nets_a, nets_b):
+            assert np.array_equal(fa, fb) and va == vb
+        for (ma, sa, ta), (mb, sb, tb) in zip(adams_a, adams_b):
+            assert np.array_equal(ma, mb) and np.array_equal(sa, sb)
+            assert ta == tb
+
+    @pytest.mark.parametrize("algo", sorted(AGENTS))
+    def test_rows_match_one_at_a_time(self, algo):
+        make = self.AGENTS[algo]
+        alone = [make(seed) for seed in range(3)]
+        rows = [make(seed) for seed in range(3)]
+        stacked = type(rows[0]).stack(rows)
+        rng = np.random.default_rng(0)
+        for step in range(5):
+            batch = self.batch(rng, (3, 8), algo)
+            # row 0 only on odd steps: the step counts drift apart
+            lo = 0 if step % 2 else 1
+            losses = stacked.rows(lo, 3).train_batch(
+                Batch(*(col[lo:] for col in batch)))
+            want = [alone[k].train_batch(Batch(*(col[k] for col in batch)))
+                    for k in range(lo, 3)]
+            assert losses == want and all(type(x) is float for x in want)
+            for a, b in zip(alone, rows):
+                self.assert_same(a, b)
+        assert [a.updates for a in rows] == [2, 5, 5]
+
+    def test_layouts_must_match(self):
+        with pytest.raises(ValueError, match="share one layout"):
+            DqnAgent.stack([DqnAgent(4, 2, 0), DqnAgent(5, 2, 0)])
+        with pytest.raises(ValueError, match="share one layout"):
+            DqnAgent.stack([DqnAgent(4, 2, 0),
+                            DqnAgent(4, 2, 0, DqnConfig(gamma=0.5))])
+
+
 @pytest.mark.parametrize("cls,field,value", [
     (DqnConfig, "lr", float("nan")), (DqnConfig, "lr", float("inf")),
     (DqnConfig, "a_repeat", float("inf")),

@@ -608,6 +608,18 @@ class TestCounts:
         with pytest.raises(ConfigError, match=f"^{message}$"):
             GridSpec("uniform", {"u": [10]}, **kw)
 
+    @pytest.mark.parametrize("episodes_", [0, -1])
+    def test_tune_rejects_train_episodes_below_one(self, tiny_net, tmp_path,
+                                                   episodes, episodes_):
+        demand = constant_demand(["in_a", "in_b"], 400.0, horizon=60.0)
+        with pytest.raises(ConfigError, match=f"^episodes must be >= 1, "
+                                              f"got {episodes_}$"):
+            experiments.tune(GridSpec("dqn", {"a_repeat": [10]}, trials=1),
+                             tiny_net, demand, train_episodes=episodes_,
+                             train_horizon=60.0,
+                             out_dir=str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists() and episodes == []
+
     def test_train_rejects_a_fractional_seed(self, tiny_net, tmp_path,
                                              episodes):
         demand = constant_demand(["in_a", "in_b"], 400.0, horizon=60.0)

@@ -6,9 +6,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tscbench import experiments, fabric
-from tscbench.agents import (DdpgConfig, DqnAgent, DqnConfig, DqnController,
-                             Experience)
+from tscbench import experiments, fabric, nn
+from tscbench.agents import (DdpgAgent, DdpgConfig, DqnAgent, DqnConfig,
+                             DqnController, Experience, ReplayBuffer)
 from tscbench.control import ConfigError
 from tscbench.fabric import FabricConfig, Learner, _Mailbox, train
 
@@ -152,6 +152,160 @@ class TestLearner:
         assert abs(counts["a"] - counts["b"]) <= 1
 
 
+def reference_learn(agents, seed, stream):
+    """The learner's schedule with each update made as it is drawn, one
+    agent at a time by `train_batch`: per experience, the update count,
+    loss and mean reward of the update it made, or None."""
+    buffers = {iid: ReplayBuffer(a.cfg.replay_capacity)
+               for iid, a in agents.items()}
+    rng = np.random.default_rng(seed)
+    order, rr = list(agents), 0
+    counts = {iid: 0 for iid in agents}
+    rewards = {iid: [] for iid in agents}
+    rows = []
+    for exp in stream:
+        buffers[exp.intersection].push(exp)
+        rewards[exp.intersection].append(exp.reward)
+        iid = order[rr]
+        agent = agents[iid]
+        if len(buffers[iid]) < agent.cfg.batch_size:
+            rows.append(None)
+            continue
+        loss = agent.train_batch(buffers[iid].sample(agent.cfg.batch_size,
+                                                     rng))
+        counts[iid] += 1
+        rr = (rr + 1) % len(order)
+        recent = rewards[iid][-100:]
+        rows.append((0, iid, counts[iid], loss, sum(recent) / len(recent)))
+    return rows, counts
+
+
+class TestDeferredUpdates:
+    """The learner draws each update's batch at once and runs the updates
+    later, stacked; every result matches updates made one at a time."""
+
+    WIDTHS = {"a": 4, "w": 6, "b": 4, "c": 4}
+
+    def agents(self, iids, algo="dqn"):
+        if algo == "dqn":
+            cfg = DqnConfig(batch_size=4, replay_capacity=6, target_sync=3)
+            return {iid: DqnAgent(self.WIDTHS[iid], 2, k, cfg)
+                    for k, iid in enumerate(iids)}
+        cfg = DdpgConfig(batch_size=4, replay_capacity=6, tau=0.1)
+        return {iid: DdpgAgent(self.WIDTHS[iid], k, cfg)
+                for k, iid in enumerate(iids)}
+
+    def stream(self, iids, n, algo="dqn"):
+        """Experiences from the intersections in a scripted order; each
+        replay ring holds 6 of them, so it evicts while updates wait."""
+        rng = np.random.default_rng(0)
+        out = []
+        for _ in range(n):
+            iid = iids[rng.integers(len(iids))]
+            w = self.WIDTHS[iid]
+            raw = float(rng.uniform(-1.0, 1.0))
+            out.append(Experience(rng.normal(size=w),
+                                  int(raw > 0.0) if algo == "dqn" else raw,
+                                  float(rng.normal()), rng.normal(size=w),
+                                  bool(rng.random() < 0.1), iid))
+        return out
+
+    def assert_same_agents(self, got, want):
+        for iid in want:
+            g, w = got[iid], want[iid]
+            for name in g._NETS:
+                assert np.array_equal(getattr(g, name).flat,
+                                      getattr(w, name).flat), (iid, name)
+                assert getattr(g, name).version == getattr(w, name).version
+            for name in g._ADAMS:
+                ga, wa = getattr(g, name), getattr(w, name)
+                assert ga.step == wa.step
+                assert np.array_equal(ga.m, wa.m)
+                assert np.array_equal(ga.v, wa.v)
+
+    @pytest.mark.parametrize("algo", ["dqn", "ddpg"])
+    @pytest.mark.parametrize("iids", [["a", "w", "b"], ["a", "w", "b", "c"]],
+                             ids=["2_stacked", "3_stacked"])
+    def test_matches_one_at_a_time(self, iids, algo):
+        stream = self.stream(iids, 300, algo)
+        reference = self.agents(iids, algo)
+        want_rows, want_counts = reference_learn(reference, 7, stream)
+        lrn = Learner(self.agents(iids, algo), seed=7)
+        acts = np.random.default_rng(1)
+        stacked = []
+        synced = []  # runs of 2+ rows in which a row synced its target
+        train = fabric._Stack.train
+
+        def record(stack, lo, hi):
+            stacked.append(hi - lo)
+            losses = train(stack, lo, hi)
+            steps = stack.agent.updates[lo:hi]
+            synced.append(hi - lo > 1 and bool((steps % 3 == 0).any()))
+            return losses
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fabric._Stack, "train", record)
+            evicted = 0  # pushes over a full ring while its update waits
+            for i, exp in enumerate(stream):
+                iid = exp.intersection
+                evicted += iid in lrn._pending and len(lrn.buffers[iid]) == 6
+                lrn.ingest(exp)
+                got = lrn.try_train()
+                want = want_rows[i]
+                assert got == (None if want is None else want[1])
+                # a greedy act now and then: it reads its agent's network
+                if i % 7 == 3:
+                    iid = iids[acts.integers(len(iids))]
+                    lrn.agents[iid].act(np.zeros(self.WIDTHS[iid]), 0.0,
+                                        acts)
+            lrn.flush()
+        assert lrn.update_counts == want_counts
+        assert [row[1:] for row in lrn.log] == \
+            [row for row in want_rows if row is not None]
+        self.assert_same_agents(lrn.agents, reference)
+        assert max(stacked) == len(iids) - 1  # one stack, many rows at once
+        assert 1 in stacked and evicted > 0
+        assert any(synced) or algo == "ddpg"  # DQN's hard target sync
+
+    def test_counts_at_trigger_loss_at_flush(self):
+        lrn = Learner(self.agents(["a", "b"]), seed=0)
+        for exp in self.stream(["a", "b"], 12):
+            lrn.ingest(exp)
+            lrn.try_train()
+        pending = [row for row in lrn.log if row[4] is None]
+        assert pending and sum(lrn.update_counts.values()) == len(lrn.log)
+        lrn.flush()
+        assert all(type(row[4]) is float for row in lrn.log)
+        assert all(a.deferred is None for a in lrn.agents.values())
+
+    def agent_with_pending_update(self):
+        lrn = Learner(self.agents(["a"]), seed=3)
+        for exp in self.stream(["a"], 4):
+            lrn.ingest(exp)
+        assert lrn.try_train() == "a"
+        agent = lrn.agents["a"]
+        assert agent.online.version == 0 and agent.deferred is not None
+        reference = self.agents(["a"])
+        reference_learn(reference, 3, self.stream(["a"], 4))
+        return agent, reference["a"]
+
+    def test_greedy_act_sees_its_pending_update(self):
+        agent, reference = self.agent_with_pending_update()
+        state = np.linspace(-1.0, 1.0, 4)
+        agent.act(state, 0.0, np.random.default_rng(0))
+        assert agent.online.version == 1 and agent.deferred is None
+        assert np.array_equal(agent.online.flat, reference.online.flat)
+        assert np.array_equal(nn.forward(agent.online, state)[0],
+                              nn.forward(reference.online, state)[0])
+
+    def test_exploring_act_leaves_it_pending(self):
+        agent, _ = self.agent_with_pending_update()
+        agent.act(np.zeros(4), 1.0, np.random.default_rng(0))
+        assert agent.online.version == 0 and agent.deferred is not None
+        agent.acting_params()  # any read of the networks flushes
+        assert agent.online.version == 1 and agent.deferred is None
+
+
 class TestMailbox:
     def test_latest_wins(self):
         old = DqnAgent(4, 2, 0, DqnConfig()).acting_params()
@@ -254,12 +408,14 @@ class TestSyncTraining:
 @pytest.mark.parametrize("algo", ["dqn", "ddpg"])
 def test_offers_the_live_acting_network(double_net, monkeypatch, algo):
     """`learn` offers the learner's own acting network, no copy per
-    update; an actor copies it when it takes it."""
+    update, with that update made; an actor copies it when it takes it."""
     offered = []
+    versions = {}
     offer = _Mailbox.offer
 
     def record(self, iid, params):
         offered.append((iid, params))
+        versions.setdefault(iid, []).append(params.version)
         offer(self, iid, params)
 
     monkeypatch.setattr(_Mailbox, "offer", record)
@@ -270,6 +426,9 @@ def test_offers_the_live_acting_network(double_net, monkeypatch, algo):
     for iid, params in offered:
         agent = res.agents[iid]
         assert params is getattr(agent, agent._NETS[0])
+    for iid, got in versions.items():  # each version to both mailboxes
+        assert got == [v for v in range(1, res.update_counts[iid] + 1)
+                       for _ in range(2)]
 
 
 class TestWorkerFailures:

@@ -646,3 +646,109 @@ class TestCheckpoint:
         path.write_bytes(b"NOTACKPT" + b"\x00" * 32)
         with pytest.raises(ValueError):
             load_checkpoint(str(path))
+
+
+class TestStack:
+    """A stacked parameter set holds K networks of one shape as rows; the
+    same forward, backward, Adam and soft-update code runs on it, with
+    each row's bits equal to its network's run alone."""
+
+    NETS = {"plain": (value_net, 32), "batch_norm": (actor_net, 8),
+            "mixed": (lambda seed: small_net(seed, batch_norm=True), 6)}
+
+    def test_rows_are_views_keeping_values_and_versions(self):
+        sets = [small_net(seed, batch_norm=True) for seed in range(3)]
+        sets[1].version = 7
+        before = [p.copy() for p in sets]
+        stacked = nn.ParameterSet.stack(sets)
+        assert stacked.flat.shape == (3, sets[0].flat.size)
+        assert stacked.version.tolist() == [0, 7, 0]
+        for k, (p, b) in enumerate(zip(sets, before)):
+            assert np.shares_memory(p.flat, stacked.flat)
+            assert np.array_equal(p.flat, b.flat) and p.version == b.version
+            for (_, view), (_, row) in zip(p.arrays(), stacked.arrays()):
+                assert np.shares_memory(view, stacked.flat)
+                assert np.array_equal(view, row[k])
+        stacked.version += 1
+        stacked.flat[2] = 0.5
+        assert [p.version for p in sets] == [1, 8, 1]
+        assert (sets[2].layers[0]["w"] == 0.5).all()
+        part = stacked.rows(1, 3)
+        part.version += 1
+        assert [p.version for p in sets] == [1, 9, 2]
+        assert np.shares_memory(part.flat, sets[1].flat)
+
+    def test_different_shapes_refused(self):
+        with pytest.raises(ValueError, match="share one shape"):
+            nn.ParameterSet.stack([small_net(0), small_net(1, True)])
+        adams = [AdamState(small_net(0)), AdamState(small_net(0), lr=1.0)]
+        with pytest.raises(ValueError, match="layout and learning rate"):
+            AdamState.stack(adams)
+
+    def test_assign_copies_in_place(self):
+        sets = [small_net(0), small_net(1)]
+        nn.ParameterSet.stack(sets)
+        source = small_net(5)
+        source.version = 3
+        sets[0].assign(source)
+        assert np.array_equal(sets[0].flat, source.flat)
+        assert sets[0].version == 3 and sets[1].version == 0
+        with pytest.raises(ValueError, match="different shapes"):
+            sets[0].assign(small_net(0, batch_norm=True))
+
+    def test_mismatched_input_rank_refused(self):
+        stacked = nn.ParameterSet.stack([small_net(0), small_net(1)])
+        with pytest.raises(ValueError, match="2-d input for 2-d"):
+            forward(stacked, np.ones((3, 4)))
+
+    @pytest.mark.parametrize("l2", [0.0, 0.01])
+    @pytest.mark.parametrize("net", sorted(NETS))
+    def test_stacked_steps_bit_equal_to_one_at_a_time(self, net, l2):
+        make, batch = self.NETS[net]
+        k = 3
+        alone = [make(seed) for seed in range(k)]
+        rows = [p.copy() for p in alone]
+        alone_adam = [AdamState(p, lr=1e-3) for p in alone]
+        row_adam = [AdamState(p, lr=1e-3) for p in rows]
+        stacked = nn.ParameterSet.stack(rows)
+        adam = AdamState.stack(row_adam)
+        targets = [p.copy() for p in alone]
+        target = nn.ParameterSet.stack([p.copy() for p in alone])
+        rng = np.random.default_rng(2)
+        width = stacked.input_width
+        # rows at different step counts: row 0 steps alone first
+        out, cache = forward(alone[0], rng.normal(size=(batch, width)),
+                             "train")
+        backward(alone[0], cache, np.ones_like(out), alone_adam[0])
+        adam_step(alone[0], alone_adam[0])
+        rows[0].assign(alone[0])
+        row_adam[0].step = 1
+        row_adam[0].m[...] = alone_adam[0].m
+        row_adam[0].v[...] = alone_adam[0].v
+        for step in range(20):
+            x = rng.normal(size=(k, batch, width)) * 3.0
+            grad_out = rng.normal(size=(k, batch, alone[0].specs[-1].width))
+            got_in, _ = forward(target, x, "infer")
+            got, cache = forward(stacked, x, "train")
+            assert np.array_equal(
+                input_gradient(stacked, cache, grad_out),
+                [input_gradient(p, forward(p.copy(), x[i], "train")[1],
+                                grad_out[i]) for i, p in enumerate(alone)])
+            backward(stacked, cache, grad_out, adam, l2=l2)
+            adam_step(stacked, adam)
+            soft_update(target, stacked, 0.1)
+            for i, p in enumerate(alone):
+                want_in, _ = forward(targets[i], x[i], "infer")
+                want, c = forward(p, x[i], "train")
+                assert np.array_equal(got_in[i], want_in), (step, i)
+                assert np.array_equal(got[i], want), (step, i)
+                backward(p, c, grad_out[i], alone_adam[i], l2=l2)
+                adam_step(p, alone_adam[i])
+                soft_update(targets[i], p, 0.1)
+                assert np.array_equal(rows[i].flat, p.flat), (step, i)
+                assert np.array_equal(row_adam[i].m, alone_adam[i].m)
+                assert np.array_equal(row_adam[i].v, alone_adam[i].v)
+                assert row_adam[i].step == alone_adam[i].step
+                assert rows[i].version == p.version
+                assert np.array_equal(target.flat[i], targets[i].flat)
+        assert adam.step.tolist() == [21, 20, 20]
